@@ -1,5 +1,5 @@
-"""Per-algebra workspace: lazily computed, cached canonical elements,
-integrals, cointegrals and modular data for one presentation.
+"""Per-algebra workspace: lazily computed, cached axiom reports, canonical
+elements, integrals, cointegrals and modular data for one presentation.
 
 Everything is a pure function of the presentation; the cache only avoids
 recomputation.  Initialization of each entry is guarded by a re-entrant
@@ -14,7 +14,9 @@ from typing import Callable
 from . import canonical, intcoint
 from .expr import AlgebraOps
 from .multilinear import Functional, LinearOperator, TensorElement, invert_operator
-from .qha import QhaPresentation, antipode_inverse, variant
+from .qha import (QhaPresentation, antipode_inverse, exhaustive_scope, variant,
+                  verify_axioms)
+from .report import VerificationReport
 
 
 class _LazyFunctionals:
@@ -50,6 +52,17 @@ class AlgebraContext:
             if key not in self._memo:
                 self._memo[key] = build()
             return self._memo[key]
+
+    # -- axioms --------------------------------------------------------------
+
+    def axiom_report(self, exhaustive: bool | None = None,
+                     known: VerificationReport | None = None) -> VerificationReport:
+        """``verify_axioms`` of the presentation, run at most once per resolved
+        scope (exhaustive or sampled); ``known`` stores a report the caller
+        has already computed for that scope."""
+        full = exhaustive_scope(self.pres, exhaustive)
+        return self._get(f"axioms:{'exhaustive' if full else 'sampled'}",
+                         lambda: known if known is not None else verify_axioms(self.pres, full))
 
     # -- operator registry ---------------------------------------------------
 

@@ -11,13 +11,16 @@ eagerly because every solver downstream consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
+from . import canonical, intcoint
 from .context import AlgebraContext, get_context
 from .exactnum import Scalar
 from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
-from .multilinear import (Functional, LinearOperator, TensorElement,
-                          invert_operator)
-from .qha import (EXHAUSTIVE_DIM, QhaPresentation, make_mult, verify_axioms)
+from .multilinear import (Functional, LinearOperator, TensorElement, _map_leg,
+                          invert_operator, kernel_basis, mult_pointwise,
+                          permute_legs)
+from .qha import EXHAUSTIVE_DIM, QhaPresentation, make_mult
 from .report import VerificationReport
 
 
@@ -59,6 +62,15 @@ def _double_element(n: int, func_coords, elem: TensorElement) -> TensorElement:
     return TensorElement(1, n * n, out, _trust=True)
 
 
+def _embed_legs(embedding: Sequence[TensorElement], t: TensorElement) -> TensorElement:
+    """Map every leg of an element of H^(x)k along the embedding H -> D(H)."""
+    columns = [e.entries for e in embedding]
+    entries = t.entries
+    for leg in range(t.rank):
+        entries = _map_leg(entries, columns, leg)
+    return TensorElement(t.rank, embedding[0].dim, entries, _trust=True)
+
+
 def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePresentation:
     ctx = get_context(H)
     n = H.dim
@@ -92,25 +104,10 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
         return _double_element(n, H.counit.coords, elem)
 
     embedding = tuple(embed(H.basis_element(j)) for j in range(n))
-
-    def embed3(t: TensorElement) -> TensorElement:
-        out: dict[tuple[int, ...], Scalar] = {}
-        for key, v in t.entries.items():
-            legs = [embed(H.basis_element(k)) for k in key]
-            for (a,), ca in legs[0].entries.items():
-                for (b,), cb in legs[1].entries.items():
-                    for (c,), cc in legs[2].entries.items():
-                        nkey = (a, b, c)
-                        acc = out.get(nkey)
-                        term = v * ca * cb * cc
-                        out[nkey] = term if acc is None else acc + term
-        return TensorElement(3, nd, out)
-
-    phi_d = embed3(H.phi)
-    phi_inv_d = embed3(H.phi_inv)
+    phi_d = _embed_legs(embedding, H.phi)
+    phi_inv_d = _embed_legs(embedding, H.phi_inv)
 
     def dmultiply(a: TensorElement, b: TensorElement) -> TensorElement:
-        from .multilinear import mult_pointwise
         return mult_pointwise(dmult, a, b)
 
     # coproduct: evaluated with the two functional slots of the result left
@@ -165,7 +162,7 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
         mult=dmult, unit=unit_d, counit=counit_d, coproduct=coproduct_d,
         phi=phi_d, phi_inv=phi_inv_d, antipode=antipode_d,
         alpha=embed(H.alpha), beta=embed(H.beta))
-    report = verify_axioms(pres_d, exhaustive)
+    report = get_context(pres_d).axiom_report(exhaustive)
     if not report.passed():
         failed = ", ".join(row.name for row in report.failures())
         raise DoubleBuildError(f"double of {H.name} violates axioms: {failed}")
@@ -177,17 +174,8 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
 
 
 def _transport2(D: DoublePresentation, t: TensorElement) -> TensorElement:
-    n = D.base.dim
-    nd = n * n
-    out: dict[tuple[int, ...], Scalar] = {}
-    for (a, b), v in t.entries.items():
-        for (x,), cx in D.embedding[a].entries.items():
-            for (y,), cy in D.embedding[b].entries.items():
-                key = (x, y)
-                term = v * cx * cy
-                acc = out.get(key)
-                out[key] = term if acc is None else acc + term
-    return TensorElement(2, nd, out)
+    """A two-leg element of the base algebra, carried into the double."""
+    return _embed_legs(D.embedding, t)
 
 
 def double_context(D: DoublePresentation) -> AlgebraContext:
@@ -223,8 +211,7 @@ def _seed_cop(ctx: AlgebraContext) -> None:
                           ).evaluate(ctx.ops)
 
     def swap(t: TensorElement) -> TensorElement:
-        return TensorElement(2, t.dim, {(b, a): v for (a, b), v in t.entries.items()},
-                             _trust=True)
+        return permute_legs(t, (1, 0))
 
     with cop._lock:
         cop._memo.setdefault("gamma_delta", (si2(ctx.gamma), si2(ctx.delta_el)))
@@ -251,7 +238,6 @@ def double_antipode_inverse(D: DoublePresentation) -> LinearOperator:
     pres_d = D.presentation
 
     def dmultiply(a: TensorElement, b: TensorElement) -> TensorElement:
-        from .multilinear import mult_pointwise
         return mult_pointwise(pres_d.mult, a, b)
 
     cols: list[TensorElement] = [TensorElement.zero(1, nd) for _ in range(nd)]
@@ -334,18 +320,22 @@ def double_modular(D: DoublePresentation) -> tuple[TensorElement, TensorElement]
     lhs_factor = _double_element(n, H.counit.coords,
                                  si3.apply(base.g_mod_inv))
     rhs_factor = _double_element(n, base.mu_inv.coords, second_elem)
-    from .multilinear import mult_pointwise
     second = mult_pointwise(D.presentation.mult, lhs_factor, rhs_factor)
     return first, second
 
 
-def semisimplicity_check(D: DoublePresentation) -> VerificationReport:
+def _semisimplicity(D: DoublePresentation) -> tuple[Scalar, Scalar, bool]:
+    """eps(r), lam(Si(alpha) beta) and whether both are nonzero."""
     base = get_context(D.base)
     H = D.base
-    report = VerificationReport(D.presentation.name)
     eps_r = H.counit(base.r)
     norm = base.lam(H.multiply(base.s_inv.apply(H.alpha), H.beta))
-    semisimple = (not eps_r.is_zero()) and (not norm.is_zero())
+    return eps_r, norm, not eps_r.is_zero() and not norm.is_zero()
+
+
+def semisimplicity_check(D: DoublePresentation) -> VerificationReport:
+    eps_r, norm, semisimple = _semisimplicity(D)
+    report = VerificationReport(D.presentation.name)
     report.add(f"semisimple:eps(r)={eps_r}", True)
     report.add(f"semisimple:lam(Si(alpha)beta)={norm}", True)
     report.add(f"semisimple:verdict={'yes' if semisimple else 'no'}", True)
@@ -353,11 +343,7 @@ def semisimplicity_check(D: DoublePresentation) -> VerificationReport:
 
 
 def is_double_semisimple(D: DoublePresentation) -> bool:
-    base = get_context(D.base)
-    H = D.base
-    eps_r = H.counit(base.r)
-    norm = base.lam(H.multiply(base.s_inv.apply(H.alpha), H.beta))
-    return (not eps_r.is_zero()) and (not norm.is_zero())
+    return _semisimplicity(D)[2]
 
 
 # -- the umbrella verification suite --------------------------------------------
@@ -375,16 +361,13 @@ DOUBLE_SUITE_NAMES = [
 
 
 def double_report(D: DoublePresentation, exhaustive: bool | None = None) -> VerificationReport:
-    from . import canonical, intcoint
-    from .multilinear import kernel_basis
-
     H = D.base
     base = get_context(H)
     pres_d = D.presentation
     n, nd = H.dim, H.dim * H.dim
     report = VerificationReport(pres_d.name)
 
-    report.extend(verify_axioms(pres_d, exhaustive))
+    report.extend(get_context(pres_d).axiom_report(exhaustive))
 
     # unit law over every basis pair
     witness = None
@@ -412,13 +395,10 @@ def double_report(D: DoublePresentation, exhaustive: bool | None = None) -> Veri
             break
     report.add("double:embedding-multiplicative", witness is None, witness)
 
-    def embed2(t: TensorElement) -> TensorElement:
-        return _transport2(D, t)
-
     witness = None
     for a in range(n):
         lhs = pres_d.coproduct.apply(D.embedding[a])
-        rhs = embed2(H.coproduct.apply(H.basis_element(a)))
+        rhs = _transport2(D, H.coproduct.apply(H.basis_element(a)))
         if lhs != rhs:
             witness = lhs - rhs
             break
@@ -476,7 +456,7 @@ def double_report(D: DoublePresentation, exhaustive: bool | None = None) -> Veri
     report.add("double:T-two-sided-integral", witness is None, witness)
     t_pairing = base.mu_inv(H.beta) * base.lam(base.r)
     report.add("double:T-nonzero", not big_t.is_zero() and not t_pairing.is_zero())
-    report.add("double:T-spans-integral-line", _proportional(big_t, ctx_d.t))
+    report.add("double:T-spans-integral-line", intcoint._proportional_el(big_t, ctx_d.t))
     report.add("double:mu_D-equals-eps_D", ctx_d.mu == eps_d)
     # eps_D of the integral is nonzero exactly in the semisimple case
     eps_of_t = eps_d(big_t)
@@ -496,9 +476,9 @@ def double_report(D: DoublePresentation, exhaustive: bool | None = None) -> Veri
     report.check_zero("double:t|lamS-right-cointegral",
                       intcoint.cointegral_residual(ctx_d, right_fn, "right"))
     report.add("double:Gamma-spans-left-line",
-               _proportional_fn(gamma_fn, ctx_d.lam))
+               intcoint._proportional_fn(gamma_fn, ctx_d.lam))
     report.add("double:right-cointegral-spans-right-line",
-               _proportional_fn(right_fn, ctx_d.big_lam))
+               intcoint._proportional_fn(right_fn, ctx_d.big_lam))
     # Gamma o S_D = S(r) |><| lam o S
     gamma_sd = Functional([gamma_fn(pres_d.antipode.apply(pres_d.basis_element(k)))
                            for k in range(nd)])
@@ -518,18 +498,3 @@ def double_report(D: DoublePresentation, exhaustive: bool | None = None) -> Veri
     # the canonical identity layer evaluated inside the double
     report.extend(canonical.identity_suite(ctx_d, exhaustive, DOUBLE_SUITE_NAMES))
     return report
-
-
-def _proportional(a: TensorElement, b: TensorElement) -> bool:
-    if a.is_zero() or b.is_zero():
-        return a.is_zero() and b.is_zero()
-    key = min(a.entries)
-    if min(b.entries) != key:
-        return False
-    ratio = b.entries[key] / a.entries[key]
-    return b == a.scale(ratio)
-
-
-def _proportional_fn(a: Functional, b: Functional) -> bool:
-    from .intcoint import _proportional_fn as impl
-    return impl(a, b)

@@ -20,7 +20,9 @@ Output slot kinds:
 
 Evaluation is greedy: sources are pulled in on first use and every merge
 or contraction aggregates immediately, which keeps intermediate supports
-small even for the quantum double.
+small even for the quantum double.  This module only plans the leg
+bookkeeping (which named leg sits where); the sparse arithmetic is done by
+the kernels of :mod:`multilinear`.
 """
 
 from __future__ import annotations
@@ -28,7 +30,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from .exactnum import ONE, Scalar
-from .multilinear import Functional, LinearOperator, MultTable, TensorElement
+from .multilinear import (Functional, LinearOperator, MultTable, TensorElement,
+                          _contract, _map_leg, _merge, _outer, _permute)
 
 
 class ExpressionError(ValueError):
@@ -131,8 +134,7 @@ class AlgebraOps:
         self.coproduct = coproduct
         self.operators = dict(operators or {})
         self.functionals = dict(functionals or {})
-        self._delta_cols = tuple(coproduct.columns)
-        self._unit_items = tuple(unit.entries.items())
+        self._delta_cols = coproduct.column_entries()
 
     def with_extra(self, operators: Mapping[str, LinearOperator] = (),
                    functionals: Mapping[str, Functional] = ()) -> "AlgebraOps":
@@ -144,7 +146,9 @@ class AlgebraOps:
 
 
 class _State:
-    """Sparse tensor with named legs, mutated in place during evaluation."""
+    """Sparse tensor with named legs, replaced step by step during
+    evaluation.  Only the leg bookkeeping lives here; every loop over the
+    entries is one of :mod:`multilinear`'s kernels."""
 
     __slots__ = ("ops", "legs", "entries")
 
@@ -154,19 +158,13 @@ class _State:
         self.entries: dict[tuple[int, ...], Scalar] = {(): ONE}
 
     def pull(self, tensor: TensorElement, keys: Sequence[object]) -> None:
-        out: dict[tuple[int, ...], Scalar] = {}
-        for base, value in self.entries.items():
-            for tkey, tval in tensor.entries.items():
-                out[base + tkey] = value * tval
-        self.entries = out
+        self.entries = _outer(self.entries, tensor.entries)
         self.legs.extend(keys)
 
     def pull_variable(self, idx_key: object, expr_key: object) -> None:
-        out: dict[tuple[int, ...], Scalar] = {}
-        for base, value in self.entries.items():
-            for m in range(self.ops.dim):
-                out[base + (m, m)] = value
-        self.entries = out
+        n = self.ops.dim
+        self.entries = {base + (m, m): value for base, value in self.entries.items()
+                        for m in range(n)}
         self.legs.extend([idx_key, expr_key])
 
     def pos(self, key: object) -> int:
@@ -176,109 +174,37 @@ class _State:
             raise ExpressionError(f"unknown leg {key!r}") from None
 
     def apply_operator(self, key: object, operator: LinearOperator) -> None:
-        p = self.pos(key)
-        cols = operator.columns
-        out: dict[tuple[int, ...], Scalar] = {}
-        for ekey, value in self.entries.items():
-            col = cols[ekey[p]]
-            head, tail = ekey[:p], ekey[p + 1:]
-            for (k,), cval in col.entries.items():
-                nkey = head + (k,) + tail
-                acc = out.get(nkey)
-                total = value * cval if acc is None else acc + value * cval
-                if total.is_zero():
-                    out.pop(nkey, None)
-                else:
-                    out[nkey] = total
-        self.entries = out
+        self.entries = _map_leg(self.entries, operator.column_entries(), self.pos(key))
 
     def split(self, key: object, key1: object, key2: object) -> None:
-        """Replace a leg by the two legs of its coproduct (appended at the
-        original position and at the end-1... positions are tracked by name,
-        so only the leg list order matters)."""
+        """Replace a leg in place by the two legs of its coproduct."""
         p = self.pos(key)
-        cols = self.ops._delta_cols
-        out: dict[tuple[int, ...], Scalar] = {}
-        for ekey, value in self.entries.items():
-            col = cols[ekey[p]]
-            head, tail = ekey[:p], ekey[p + 1:]
-            for (k1, k2), cval in col.entries.items():
-                nkey = head + tail + (k1, k2)
-                acc = out.get(nkey)
-                total = value * cval if acc is None else acc + value * cval
-                if total.is_zero():
-                    out.pop(nkey, None)
-                else:
-                    out[nkey] = total
-        self.entries = out
-        del self.legs[p]
-        self.legs.extend([key1, key2])
+        self.entries = _map_leg(self.entries, self.ops._delta_cols, p)
+        self.legs[p:p + 1] = [key1, key2]
 
     def merge(self, key_a: object, key_b: object, dest: object) -> None:
-        """Multiply leg values a*b into a fresh leg ``dest``."""
+        """Multiply leg values a*b into a fresh last leg ``dest``."""
         pa, pb = self.pos(key_a), self.pos(key_b)
-        mult = self.ops.mult
-        out: dict[tuple[int, ...], Scalar] = {}
-        if pb < pa:
-            pa, pb = pb, pa
-            key_a, key_b = key_b, key_a
-            swapped = True
-        else:
-            swapped = False
-        for ekey, value in self.entries.items():
-            ia, ib = ekey[pa], ekey[pb]
-            pair = (ib, ia) if swapped else (ia, ib)
-            expansion = mult.get(pair)
-            if not expansion:
-                continue
-            rest = ekey[:pa] + ekey[pa + 1:pb] + ekey[pb + 1:]
-            for k, s in expansion:
-                nkey = rest + (k,)
-                acc = out.get(nkey)
-                total = value * s if acc is None else acc + value * s
-                if total.is_zero():
-                    out.pop(nkey, None)
-                else:
-                    out[nkey] = total
-        self.entries = out
-        del self.legs[pb]
-        del self.legs[pa]
+        self.entries = _merge(self.entries, self.ops.mult, pa, pb)
+        for p in sorted((pa, pb), reverse=True):
+            del self.legs[p]
         self.legs.append(dest)
 
     def contract(self, key: object, functional: Functional) -> None:
         p = self.pos(key)
-        coords = functional.coords
-        out: dict[tuple[int, ...], Scalar] = {}
-        for ekey, value in self.entries.items():
-            c = coords[ekey[p]]
-            if c.is_zero():
-                continue
-            nkey = ekey[:p] + ekey[p + 1:]
-            acc = out.get(nkey)
-            total = value * c if acc is None else acc + value * c
-            if total.is_zero():
-                out.pop(nkey, None)
-            else:
-                out[nkey] = total
-        self.entries = out
+        self.entries = _contract(self.entries, functional.coords, p)
         del self.legs[p]
 
     def unit_leg(self, dest: object) -> None:
-        out: dict[tuple[int, ...], Scalar] = {}
-        for base, value in self.entries.items():
-            for (k,), uval in self.ops._unit_items:
-                out[base + (k,)] = value * uval
-        self.entries = out
+        self.entries = _outer(self.entries, self.ops.unit.entries)
         self.legs.append(dest)
 
     def finalize(self, order: Sequence[object]) -> TensorElement:
         if set(order) != set(self.legs) or len(order) != len(self.legs):
             raise ExpressionError(f"leftover legs {self.legs!r} vs outputs {order!r}")
         perm = [self.legs.index(key) for key in order]
-        out: dict[tuple[int, ...], Scalar] = {}
-        for ekey, value in self.entries.items():
-            out[tuple(ekey[p] for p in perm)] = value
-        return TensorElement(len(order), self.ops.dim, out, _trust=True)
+        return TensorElement(len(order), self.ops.dim, _permute(self.entries, perm),
+                             _trust=True)
 
 
 class Expression:

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 from .exactnum import ONE, ZERO
 from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
-from .multilinear import (Functional, LinearOperator, TensorElement,
-                          invert_operator, solve_constraints)
+from .multilinear import (Functional, LinearOperator, TensorElement, apply_on_leg,
+                          contract, invert_operator, solve_constraints)
 from .report import VerificationReport
 
 
@@ -226,7 +226,6 @@ def cointegral_residual(ctx, functional: Functional, side: str = "left") -> Tens
     lhs, rhs = (_left_coint_system(ctx) if side == "left"
                 else _right_coint_direct_system(ctx))
     fns = ctx.lazy_functionals()
-    from .multilinear import contract
     for h_idx in range(n):
         binding = {"h": pres.basis_element(h_idx)}
         table = lhs.evaluate(ctx.ops, binding, fns) - rhs.evaluate(ctx.ops, binding, fns)
@@ -368,27 +367,23 @@ def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
 
 
 def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationReport:
+    from .context import _mult_operator
     pres = ctx.pres
     report = VerificationReport(pres.name)
     witness = None
     for i in range(pres.dim):
         a = pres.basis_element(i)
         # a e1 x e2 vs e1 x e2 a, computed leg-wise
-        lhs = _mult_leg(pres, system.e, a, leg=0, side="left")
-        rhs = _mult_leg(pres, system.e, a, leg=1, side="right")
+        lhs = apply_on_leg(_mult_operator(pres, a, side="left"), system.e, 0)
+        rhs = apply_on_leg(_mult_operator(pres, a, side="right"), system.e, 1)
         if lhs != rhs:
             witness = lhs - rhs
             break
     report.add(f"frobenius:{label}:centrality", witness is None, witness)
-    paired1 = TensorElement.zero(1, pres.dim)
-    paired2 = TensorElement.zero(1, pres.dim)
-    for (a, b), value in system.e.entries.items():
-        paired1 = paired1 + TensorElement.basis(pres.dim, b).scale(
-            value * system.phi(pres.basis_element(a)))
-        paired2 = paired2 + TensorElement.basis(pres.dim, a).scale(
-            value * system.phi(pres.basis_element(b)))
-    report.check_zero(f"frobenius:{label}:phi(e1)e2=1", paired1 - pres.unit)
-    report.check_zero(f"frobenius:{label}:phi(e2)e1=1", paired2 - pres.unit)
+    report.check_zero(f"frobenius:{label}:phi(e1)e2=1",
+                      contract(system.phi, system.e, 0) - pres.unit)
+    report.check_zero(f"frobenius:{label}:phi(e2)e1=1",
+                      contract(system.phi, system.e, 1) - pres.unit)
     ident = LinearOperator.identity(pres.dim)
     report.add(f"frobenius:{label}:nakayama-invertible",
                system.nakayama.compose(system.nakayama_inv) == ident
@@ -407,17 +402,6 @@ def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationRe
             break
     report.add(f"frobenius:{label}:nakayama-shift", witness is None, witness)
     return report
-
-
-def _mult_leg(pres, t: TensorElement, a: TensorElement, leg: int, side: str) -> TensorElement:
-    out = TensorElement.zero(t.rank, pres.dim)
-    for key, value in t.entries.items():
-        e = pres.basis_element(key[leg])
-        prod = pres.multiply(a, e) if side == "left" else pres.multiply(e, a)
-        for (m,), c in prod.entries.items():
-            nkey = key[:leg] + (m,) + key[leg + 1:]
-            out = out + TensorElement(t.rank, pres.dim, {nkey: value * c}, _trust=True)
-    return out
 
 
 def nakayama_report(ctx) -> VerificationReport:
@@ -461,11 +445,7 @@ def nakayama_report(ctx) -> VerificationReport:
     report.add("nakayama:inverse-closed-form", witness is None, witness)
 
     # transferring the left system to the coopposite one reproduces u
-    cop_sys = ctx.frobenius("cop")
-    transfer = TensorElement.zero(1, pres.dim)
-    for (a, b), value in cop_sys.e.entries.items():
-        transfer = transfer + TensorElement.basis(pres.dim, b).scale(
-            value * left.phi(pres.basis_element(a)))
+    transfer = contract(left.phi, ctx.frobenius("cop").e, 0)
     report.check_zero("frobenius:transfer-is-u", transfer - ctx.u_el)
     return report
 
@@ -679,7 +659,6 @@ def characterization_suite(ctx, exhaustive: bool | None = None) -> VerificationR
             table = (lhs.evaluate(ctx.ops, binding, fns)
                      - rhs.evaluate(ctx.ops, binding, fns))
             # contract the hole leg with the actual cointegral
-            from .multilinear import contract
             residual = contract(functional, table, 0)
             if not residual.is_zero():
                 witness = residual
@@ -766,19 +745,14 @@ def coaction_report(ctx) -> VerificationReport:
     # the left coaction applied to the right cointegral reproduces the
     # direct right-cointegral relation
     left_table, _ = dual_coactions(ctx)
+    applied_all = contract(ctx.big_lam, left_table, 1)
     lhs_expr, rhs_expr = _right_coint_direct_system(ctx)
     fns = ctx.lazy_functionals()
     witness = None
     for h_idx in range(n):
-        applied = TensorElement(
-            1, n, {(m,): sum((ctx.big_lam.coords[a] * left_table.coeff(h_idx, a, m)
-                              for a in range(n)), ZERO)
-                   for m in range(n)})
+        applied = contract(Functional.dual_basis(n, h_idx), applied_all, 0)
         rhs = rhs_expr.evaluate(ctx.ops, {"h": pres.basis_element(h_idx)}, fns)
-        expected = TensorElement(
-            1, n, {(m,): sum((ctx.big_lam.coords[a] * rhs.coeff(a, m)
-                              for a in range(n)), ZERO)
-                   for m in range(n)})
+        expected = contract(ctx.big_lam, rhs, 0)
         if applied != expected:
             witness = applied - expected
             break
@@ -877,13 +851,9 @@ def integral_report(ctx, exhaustive: bool | None = None) -> VerificationReport:
     conv_ok = True
     for i in range(n):
         d = pres.coproduct.apply(pres.basis_element(i))
-        acc = ZERO
-        acc2 = ZERO
-        for (a, b), value in d.entries.items():
-            acc = acc + value * ctx.mu(pres.basis_element(a)) * ctx.mu_inv(pres.basis_element(b))
-            acc2 = acc2 + value * ctx.mu_inv(pres.basis_element(a)) * ctx.mu(pres.basis_element(b))
         expected = pres.counit(pres.basis_element(i))
-        if acc != expected or acc2 != expected:
+        if (ctx.mu(contract(ctx.mu_inv, d, 1)) != expected
+                or ctx.mu_inv(contract(ctx.mu, d, 1)) != expected):
             conv_ok = False
             break
     report.add("integrals:mu-convolution-inverse", conv_ok)

@@ -229,10 +229,11 @@ class LinearOperator:
     def apply(self, t: TensorElement) -> TensorElement:
         if t.rank != 1:
             raise RankMismatch("apply() expects a rank-1 tensor; use apply_on_leg")
-        out = TensorElement.zero(self.dst_rank, self.dim)
-        for (i,), value in t.entries.items():
-            out = out + self.columns[i].scale(value)
-        return out
+        return TensorElement(self.dst_rank, self.dim,
+                             _map_leg(t.entries, self.column_entries(), 0), _trust=True)
+
+    def column_entries(self) -> list[dict[tuple[int, ...], Scalar]]:
+        return [c.entries for c in self.columns]
 
     def compose(self, inner: "LinearOperator") -> "LinearOperator":
         """self o inner, defined when inner has dst_rank 1."""
@@ -250,14 +251,90 @@ class LinearOperator:
         return f"LinearOperator(dim={self.dim}, dst_rank={self.dst_rank})"
 
 
+# -- sparse kernels -------------------------------------------------------------
+#
+# The only loops over sparse entries.  They work on raw entry tables, add
+# term by term and drop a key as soon as its total cancels, so every
+# intermediate stays as small as the index structure allows.  The public
+# functions below and the expression evaluator (``expr``) call them.
+
+Entries = dict[tuple[int, ...], Scalar]
+
+
+def _outer(a: Entries, b: Entries) -> Entries:
+    """Outer product: the legs of ``b`` follow the legs of ``a``."""
+    return {ka + kb: va * vb for ka, va in a.items() for kb, vb in b.items()}
+
+
+def _merge(entries: Entries, mult: MultTable, pa: int, pb: int) -> Entries:
+    """Multiply leg ``pa`` by leg ``pb`` (in that order) through ``mult``;
+    both legs are removed and the product becomes the last leg."""
+    lo, hi = (pa, pb) if pa < pb else (pb, pa)
+    get = mult.get
+    out: Entries = {}
+    for key, value in entries.items():
+        expansion = get((key[pa], key[pb]))
+        if not expansion:
+            continue
+        rest = key[:lo] + key[lo + 1:hi] + key[hi + 1:]
+        for k, s in expansion:
+            nkey = rest + (k,)
+            acc = out.get(nkey)
+            total = value * s if acc is None else acc + value * s
+            if total.is_zero():
+                out.pop(nkey, None)
+            else:
+                out[nkey] = total
+    return out
+
+
+def _map_leg(entries: Entries, columns: Sequence[Entries], p: int) -> Entries:
+    """Replace leg ``p`` by the column its index selects: the image legs of
+    a 1 -> 1 or 1 -> 2 map take the place of the leg."""
+    out: Entries = {}
+    for key, value in entries.items():
+        head, tail = key[:p], key[p + 1:]
+        for ckey, cval in columns[key[p]].items():
+            nkey = head + ckey + tail
+            acc = out.get(nkey)
+            total = value * cval if acc is None else acc + value * cval
+            if total.is_zero():
+                out.pop(nkey, None)
+            else:
+                out[nkey] = total
+    return out
+
+
+def _contract(entries: Entries, coords: Sequence[Scalar], p: int) -> Entries:
+    """Pair leg ``p`` against the coordinates of a functional."""
+    out: Entries = {}
+    for key, value in entries.items():
+        c = coords[key[p]]
+        if c.is_zero():
+            continue
+        nkey = key[:p] + key[p + 1:]
+        acc = out.get(nkey)
+        total = value * c if acc is None else acc + value * c
+        if total.is_zero():
+            out.pop(nkey, None)
+        else:
+            out[nkey] = total
+    return out
+
+
+def _permute(entries: Entries, perm: Sequence[int]) -> Entries:
+    """Reorder legs: leg i of the result is leg ``perm[i]`` of the input."""
+    return {tuple(key[p] for p in perm): v for key, v in entries.items()}
+
+
 def tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
     if a.dim != b.dim:
         raise DimMismatch(f"dim {a.dim} != {b.dim}")
-    out: dict[tuple[int, ...], Scalar] = {}
-    for ka, va in a.entries.items():
-        for kb, vb in b.entries.items():
-            out[ka + kb] = va * vb
-    return TensorElement(a.rank + b.rank, a.dim, out, _trust=True)
+    return TensorElement(a.rank + b.rank, a.dim, _outer(a.entries, b.entries), _trust=True)
+
+
+def permute_legs(t: TensorElement, perm: Sequence[int]) -> TensorElement:
+    return TensorElement(t.rank, t.dim, _permute(t.entries, perm), _trust=True)
 
 
 def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> TensorElement:
@@ -269,9 +346,9 @@ def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> Tenso
     """
     a._check_like(b)
     rank = a.rank
-    # pairing step fused with the first leg merge; key layout is then
-    # a[1:] + b[1:] + (merged leg 0,)
-    cur: dict[tuple[int, ...], Scalar] = {}
+    # pairing step fused with the first leg merge (so a (x) b is never
+    # materialized); key layout is then a[1:] + b[1:] + (merged leg 0,)
+    cur: Entries = {}
     get0 = mult.get
     for ka, va in a.entries.items():
         for kb, vb in b.entries.items():
@@ -290,69 +367,30 @@ def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> Tenso
                     cur[key] = total
     # after step j the layout is a[j:] + b[j:] + merged[:j]
     for j in range(1, rank):
-        width = rank - j
-        nxt: dict[tuple[int, ...], Scalar] = {}
-        get = mult.get
-        for key, value in cur.items():
-            expansion = get((key[0], key[width]))
-            if not expansion:
-                continue
-            rest = key[1:width] + key[width + 1:]
-            for k, s in expansion:
-                nkey = rest + (k,)
-                acc = nxt.get(nkey)
-                total = value * s if acc is None else acc + value * s
-                if total.is_zero():
-                    nxt.pop(nkey, None)
-                else:
-                    nxt[nkey] = total
-        cur = nxt
+        cur = _merge(cur, mult, 0, rank - j)
     return TensorElement(rank, a.dim, cur, _trust=True)
+
+
+def _check_leg(t: TensorElement, dim: int, leg: int) -> None:
+    if leg < 0 or leg >= t.rank:
+        raise LegOutOfRange(f"leg {leg} out of range for rank {t.rank}")
+    if dim != t.dim:
+        raise DimMismatch(f"dim {dim} != {t.dim}")
 
 
 def apply_on_leg(op: LinearOperator, t: TensorElement, leg: int) -> TensorElement:
     """Apply a rank 1 -> 1 or 1 -> 2 operator on one leg of ``t``."""
-    if leg < 0 or leg >= t.rank:
-        raise LegOutOfRange(f"leg {leg} out of range for rank {t.rank}")
-    if op.dim != t.dim:
-        raise DimMismatch(f"dim {op.dim} != {t.dim}")
-    out: dict[tuple[int, ...], Scalar] = {}
-    for key, value in t.entries.items():
-        col = op.columns[key[leg]]
-        head, tail = key[:leg], key[leg + 1:]
-        for ckey, cval in col.entries.items():
-            nkey = head + ckey + tail
-            acc = out.get(nkey)
-            total = value * cval if acc is None else acc + value * cval
-            if total.is_zero():
-                out.pop(nkey, None)
-            else:
-                out[nkey] = total
-    return TensorElement(t.rank - 1 + op.dst_rank, t.dim, out, _trust=True)
+    _check_leg(t, op.dim, leg)
+    return TensorElement(t.rank - 1 + op.dst_rank, t.dim,
+                         _map_leg(t.entries, op.column_entries(), leg), _trust=True)
 
 
 def contract(f: Functional, t: TensorElement, leg: int) -> TensorElement | Scalar:
     """Pair a functional against one leg; rank 1 inputs contract to a Scalar."""
-    if leg < 0 or leg >= t.rank:
-        raise LegOutOfRange(f"leg {leg} out of range for rank {t.rank}")
-    if f.dim != t.dim:
-        raise DimMismatch(f"dim {f.dim} != {t.dim}")
+    _check_leg(t, f.dim, leg)
     if t.rank == 1:
         return f(t)
-    out: dict[tuple[int, ...], Scalar] = {}
-    coords = f.coords
-    for key, value in t.entries.items():
-        c = coords[key[leg]]
-        if c.is_zero():
-            continue
-        nkey = key[:leg] + key[leg + 1:]
-        acc = out.get(nkey)
-        total = value * c if acc is None else acc + value * c
-        if total.is_zero():
-            out.pop(nkey, None)
-        else:
-            out[nkey] = total
-    return TensorElement(t.rank - 1, t.dim, out, _trust=True)
+    return TensorElement(t.rank - 1, t.dim, _contract(t.entries, f.coords, leg), _trust=True)
 
 
 # -- exact nullspace ----------------------------------------------------------

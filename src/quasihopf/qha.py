@@ -15,11 +15,10 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactnum import ONE, Scalar, ZERO
-from .expr import AlgebraOps
 from .multilinear import (Functional, LinearOperator, MultTable,
                           SingularOperator, TensorElement, apply_on_leg,
                           contract, invert_operator, mult_pointwise,
-                          tensor_product)
+                          permute_legs, tensor_product)
 from .report import VerificationReport
 
 # Presentations up to this dimension get exhaustive axiom checks by default;
@@ -89,11 +88,6 @@ class QhaPresentation:
     def basis_element(self, i: int) -> TensorElement:
         return TensorElement.basis(self.dim, i)
 
-    def base_ops(self) -> AlgebraOps:
-        return AlgebraOps(self.dim, self.mult, self.unit, self.coproduct,
-                          operators={"S": self.antipode},
-                          functionals={"eps": self.counit})
-
     def describe(self, t: TensorElement) -> str:
         """Render a rank-1 element in terms of basis labels."""
         if t.is_zero():
@@ -119,11 +113,15 @@ def make_mult(dim: int, entries: Sequence[tuple[int, int, int, Scalar]]) -> Mult
 # -- sampling ----------------------------------------------------------------
 
 
+def exhaustive_scope(pres: QhaPresentation, exhaustive: bool | None) -> bool:
+    """Whether the axiom checks enumerate everything (True) or sample."""
+    return exhaustive if exhaustive is not None else pres.dim <= EXHAUSTIVE_DIM
+
+
 def _domains(pres: QhaPresentation, exhaustive: bool | None
              ) -> tuple[list[int], list[tuple[int, int]], list[tuple[int, int, int]], bool]:
     n = pres.dim
-    full = exhaustive if exhaustive is not None else n <= EXHAUSTIVE_DIM
-    if full:
+    if exhaustive_scope(pres, exhaustive):
         singles = list(range(n))
         pairs = [(i, j) for i in range(n) for j in range(n)]
         triples = [(i, j, k) for i in range(n) for j in range(n) for k in range(n)]
@@ -253,14 +251,14 @@ def verify_axioms(pres: QhaPresentation, exhaustive: bool | None = None) -> Veri
         acc = TensorElement.zero(1, n)
         for (a, b), v in sd.entries.items():
             acc = acc + product(product(TensorElement(1, n, {(a,): v}, _trust=True),
-                                        pres.alpha), basis_vec(n, b))
+                                        pres.alpha), basis[b])
         lhs1 = acc
         rhs1 = pres.alpha.scale(eps(basis[i]))
         d2 = apply_on_leg(S, d, 1)
         acc2 = TensorElement.zero(1, n)
         for (a, b), v in d2.entries.items():
             acc2 = acc2 + product(product(TensorElement(1, n, {(a,): v}, _trust=True),
-                                          pres.beta), basis_vec(n, b))
+                                          pres.beta), basis[b])
         lhs2 = acc2
         rhs2 = pres.beta.scale(eps(basis[i]))
         if lhs1 != rhs1 or lhs2 != rhs2:
@@ -304,20 +302,16 @@ def verify_axioms(pres: QhaPresentation, exhaustive: bool | None = None) -> Veri
     return report
 
 
-def basis_vec(n: int, i: int) -> TensorElement:
-    return TensorElement.basis(n, i)
-
-
 def _zigzag_q6_left(pres: QhaPresentation) -> TensorElement:
     """X1 * beta * S(X2) * alpha * X3 over the reassociator."""
     n = pres.dim
     acc = TensorElement.zero(1, n)
     S = pres.antipode
     for (a, b, c), v in pres.phi.entries.items():
-        term = pres.multiply(basis_vec(n, a), pres.beta)
-        term = pres.multiply(term, S.apply(basis_vec(n, b)))
+        term = pres.multiply(pres.basis_element(a), pres.beta)
+        term = pres.multiply(term, S.apply(pres.basis_element(b)))
         term = pres.multiply(term, pres.alpha)
-        term = pres.multiply(term, basis_vec(n, c))
+        term = pres.multiply(term, pres.basis_element(c))
         acc = acc + term.scale(v)
     return acc
 
@@ -328,10 +322,10 @@ def _zigzag_q6_right(pres: QhaPresentation) -> TensorElement:
     acc = TensorElement.zero(1, n)
     S = pres.antipode
     for (a, b, c), v in pres.phi_inv.entries.items():
-        term = pres.multiply(S.apply(basis_vec(n, a)), pres.alpha)
-        term = pres.multiply(term, basis_vec(n, b))
+        term = pres.multiply(S.apply(pres.basis_element(a)), pres.alpha)
+        term = pres.multiply(term, pres.basis_element(b))
         term = pres.multiply(term, pres.beta)
-        term = pres.multiply(term, S.apply(basis_vec(n, c)))
+        term = pres.multiply(term, S.apply(pres.basis_element(c)))
         acc = acc + term.scale(v)
     return acc
 
@@ -362,6 +356,9 @@ def load_and_validate(raw: QhaPresentation, exhaustive: bool | None = None) -> Q
     for row in report.rows:
         if not row.passed:
             raise AxiomViolation(row.name, row.witness)
+    # later axiom suites on the loaded presentation reuse this report
+    from .context import get_context
+    get_context(pres).axiom_report(exhaustive, report)
     return pres
 
 
@@ -376,11 +373,6 @@ def antipode_inverse(pres: QhaPresentation) -> LinearOperator:
 
 
 # -- opposite / coopposite variants ---------------------------------------------
-
-
-def _permute_legs(t: TensorElement, perm: Sequence[int]) -> TensorElement:
-    out = {tuple(key[p] for p in perm): v for key, v in t.entries.items()}
-    return TensorElement(t.rank, t.dim, out, _trust=True)
 
 
 def variant(pres: QhaPresentation, which: str) -> QhaPresentation:
@@ -399,20 +391,20 @@ def variant(pres: QhaPresentation, which: str) -> QhaPresentation:
     elif which == "cop":
         mult = pres.mult
         coproduct = LinearOperator(
-            n, [_permute_legs(col, (1, 0)) for col in pres.coproduct.columns],
+            n, [permute_legs(col, (1, 0)) for col in pres.coproduct.columns],
             dst_rank=2)
-        phi = _permute_legs(pres.phi_inv, (2, 1, 0))
-        phi_inv = _permute_legs(pres.phi, (2, 1, 0))
+        phi = permute_legs(pres.phi_inv, (2, 1, 0))
+        phi_inv = permute_legs(pres.phi, (2, 1, 0))
         antipode = s_inv
         alpha = s_inv.apply(pres.alpha)
         beta = s_inv.apply(pres.beta)
     else:
         mult = {(j, i): row for (i, j), row in pres.mult.items()}
         coproduct = LinearOperator(
-            n, [_permute_legs(col, (1, 0)) for col in pres.coproduct.columns],
+            n, [permute_legs(col, (1, 0)) for col in pres.coproduct.columns],
             dst_rank=2)
-        phi = _permute_legs(pres.phi, (2, 1, 0))
-        phi_inv = _permute_legs(pres.phi_inv, (2, 1, 0))
+        phi = permute_legs(pres.phi, (2, 1, 0))
+        phi_inv = permute_legs(pres.phi_inv, (2, 1, 0))
         antipode = pres.antipode
         alpha = pres.beta
         beta = pres.alpha

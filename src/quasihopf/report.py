@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Iterable
 
@@ -88,9 +87,6 @@ class VerificationReport:
             lines.append(line)
         lines.append(f"  {len(self.rows)} checks, {len(self.failures())} failed")
         return "\n".join(lines)
-
-    def render_json(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
 
 
 def merge_reports(subject: str, reports: Iterable[VerificationReport]) -> VerificationReport:

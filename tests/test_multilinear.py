@@ -128,6 +128,53 @@ def test_contract_bilinearity_probe(h8p):
     assert left == b.scale(f(a))
 
 
+@pytest.mark.parametrize("name", ["H2", "H8+", "H8-", "kZ2-hopf"])
+def test_expression_leg_bookkeeping_matches_kernels(name):
+    """Merges, splits, contractions and operators planned by ``Expression``
+    agree with the public leg-wise functions on random sparse tensors."""
+    from quasihopf.context import get_context
+    from quasihopf.expr import Expression, Fn, Leg, Si, r
+    from quasihopf.workbench import catalog_build
+
+    pres = catalog_build(name)
+    ops = get_context(pres).ops
+    n = pres.dim
+    rng = random.Random(f"legs:{name}")
+
+    def rand(rank: int) -> TensorElement:
+        entries = {tuple(rng.randrange(n) for _ in range(rank)):
+                   Scalar.rational(rng.randint(-3, 3), rng.randint(1, 3))
+                   for _ in range(5)}
+        return TensorElement(rank, n, entries)
+
+    for _ in range(4):
+        a, b, x, t = rand(2), rand(2), rand(1), rand(2)
+        f = Functional([Scalar.of(rng.randint(-2, 2)) for _ in range(n)])
+        # slot order: each merge finds its first factor's leg first
+        ab = Expression({"A": a, "B": b}, [Leg(r("A", 1), r("B", 1)),
+                                           Leg(r("A", 2), r("B", 2))])
+        assert ab.evaluate(ops) == mult_pointwise(pres.mult, a, b)
+        # the Fn slot pulls A before B, so each merge B * A finds its second
+        # factor's leg first
+        ba = Expression({"A": tensor_product(a, pres.unit), "B": b},
+                        [Fn("eps", r("A", 3)),
+                         Leg(r("B", 1), r("A", 1)), Leg(r("B", 2), r("A", 2))])
+        assert ba.evaluate(ops) == mult_pointwise(pres.mult, b, a)
+        # a split followed by a contraction of either coproduct leg
+        delta = pres.coproduct.apply(x)
+        for fname, fn in (("eps", pres.counit), ("f", f)):
+            first = Expression({"x": x}, [Fn(fname, r("x", 1, 1)), Leg(r("x", 1, 2))])
+            second = Expression({"x": x}, [Leg(r("x", 1, 1)), Fn(fname, r("x", 1, 2))])
+            assert first.evaluate(ops, None, {"f": f}) == contract(fn, delta, 0)
+            assert second.evaluate(ops, None, {"f": f}) == contract(fn, delta, 1)
+        # an operator on one leg
+        s_inv = ops.operators["Si"]
+        assert (Expression({"t": t}, [Leg(Si(r("t", 1))), Leg(r("t", 2))]).evaluate(ops)
+                == apply_on_leg(s_inv, t, 0))
+        assert (Expression({"t": t}, [Leg(r("t", 1)), Leg(Si(r("t", 2)))]).evaluate(ops)
+                == apply_on_leg(s_inv, t, 1))
+
+
 # -- nullspace ---------------------------------------------------------------
 
 

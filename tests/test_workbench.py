@@ -188,9 +188,36 @@ def test_cli_entrypoint_subprocess():
     assert json.loads(proc.stdout)["failed"] == 0
 
 
-def test_cli_verify_suites_jobs(capsys):
-    assert cli_main(["verify", "catalog:H2", "--suite", "canonical",
-                     "--jobs", "2"]) == 0
+def test_cli_verify_canonical_suite(capsys):
+    assert cli_main(["verify", "catalog:H2", "--suite", "canonical"]) == 0
+    capsys.readouterr()
+
+
+def test_cli_verifies_each_presentation_once_per_scope(tmp_path, monkeypatch, capsys):
+    """``double`` and ``verify --suite axioms`` reuse the axiom report that
+    the build or the import already computed for the same scope."""
+    from quasihopf import qha
+    original = qha.verify_axioms
+    calls = []
+
+    def counting(pres, exhaustive=None):
+        full = exhaustive if exhaustive is not None else pres.dim <= qha.EXHAUSTIVE_DIM
+        calls.append((pres.name, full))
+        return original(pres, exhaustive)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("quasihopf") and getattr(module, "verify_axioms", None) is original:
+            monkeypatch.setattr(module, "verify_axioms", counting)
+
+    assert cli_main(["double", "catalog:H2", "--format", "json"]) == 0
+    assert ("D(H2)", True) in calls
+    assert len(calls) == len(set(calls))
+
+    path = tmp_path / "H2.json"
+    assert cli_main(["export", "catalog:H2", str(path)]) == 0
+    calls.clear()
+    assert cli_main(["verify", str(path), "--suite", "axioms"]) == 0
+    assert calls == [("H2", True)]
     capsys.readouterr()
 
 
