@@ -9,6 +9,7 @@ lock so contexts can be shared between threads.
 from __future__ import annotations
 
 import threading
+import weakref
 from typing import Callable
 
 from . import canonical, intcoint
@@ -227,13 +228,19 @@ def _mult_operator(pres: QhaPresentation, a: TensorElement, side: str) -> Linear
     return LinearOperator(pres.dim, cols)
 
 
-_CONTEXTS: dict[int, AlgebraContext] = {}
+# The live contexts that ``get_context`` made, by presentation id.  Each one
+# hangs on its presentation, so it lives exactly as long as the presentation
+# and this mapping never keeps one alive.
+_CONTEXTS: weakref.WeakValueDictionary[int, AlgebraContext] = weakref.WeakValueDictionary()
+_CONTEXTS_LOCK = threading.Lock()
 
 
 def get_context(pres: QhaPresentation) -> AlgebraContext:
-    """Process-wide context cache keyed by presentation identity."""
-    ctx = _CONTEXTS.get(id(pres))
-    if ctx is None or ctx.pres is not pres:
-        ctx = AlgebraContext(pres)
-        _CONTEXTS[id(pres)] = ctx
-    return ctx
+    """The one context of a presentation, made on first use and kept on it."""
+    with _CONTEXTS_LOCK:
+        ctx = pres.__dict__.get("_context")
+        if ctx is None:
+            ctx = AlgebraContext(pres)
+            object.__setattr__(pres, "_context", ctx)      # the dataclass is frozen
+            _CONTEXTS[id(pres)] = ctx
+        return ctx

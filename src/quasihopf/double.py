@@ -11,13 +11,12 @@ eagerly because every solver downstream consumes it.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 from . import canonical, intcoint
 from .context import AlgebraContext, get_context
 from .exactnum import Scalar
 from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
-from .multilinear import (Functional, LinearOperator, TensorElement, _map_leg,
+from .multilinear import (Functional, LinearOperator, TensorElement, embed_legs,
                           invert_operator, kernel_basis, mult_pointwise,
                           permute_legs)
 from .qha import EXHAUSTIVE_DIM, QhaPresentation, make_mult
@@ -62,15 +61,6 @@ def _double_element(n: int, func_coords, elem: TensorElement) -> TensorElement:
     return TensorElement(1, n * n, out, _trust=True)
 
 
-def _embed_legs(embedding: Sequence[TensorElement], t: TensorElement) -> TensorElement:
-    """Map every leg of an element of H^(x)k along the embedding H -> D(H)."""
-    columns = [e.entries for e in embedding]
-    entries = t.entries
-    for leg in range(t.rank):
-        entries = _map_leg(entries, columns, leg)
-    return TensorElement(t.rank, embedding[0].dim, entries, _trust=True)
-
-
 def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePresentation:
     ctx = get_context(H)
     n = H.dim
@@ -104,8 +94,8 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
         return _double_element(n, H.counit.coords, elem)
 
     embedding = tuple(embed(H.basis_element(j)) for j in range(n))
-    phi_d = _embed_legs(embedding, H.phi)
-    phi_inv_d = _embed_legs(embedding, H.phi_inv)
+    phi_d = embed_legs(embedding, H.phi)
+    phi_inv_d = embed_legs(embedding, H.phi_inv)
 
     def dmultiply(a: TensorElement, b: TensorElement) -> TensorElement:
         return mult_pointwise(dmult, a, b)
@@ -175,7 +165,7 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
 
 def _transport2(D: DoublePresentation, t: TensorElement) -> TensorElement:
     """A two-leg element of the base algebra, carried into the double."""
-    return _embed_legs(D.embedding, t)
+    return embed_legs(D.embedding, t)
 
 
 def double_context(D: DoublePresentation) -> AlgebraContext:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Iterable
 
 FIELD_Q = "Q"
 FIELD_QI = "QI"
@@ -215,6 +216,49 @@ def arith(op: str, a: Scalar, b: Scalar) -> Scalar:
 
 def invert(a: Scalar) -> Scalar:
     return a.inverse()
+
+
+# -- numerator form ------------------------------------------------------------
+#
+# Many scalars over one shared denominator den > 0: each becomes an integer
+# numerator, a plain int over Q or an (re, im) pair of ints over Q(i).  The
+# sparse kernels of ``multilinear`` and the fraction-free elimination work
+# on this form and turn back into Scalars only at their boundary.
+
+
+def common_denominator(values: Iterable[Scalar]) -> tuple[int, bool]:
+    """The least common denominator of ``values``, and whether any of them
+    has a nonzero imaginary part."""
+    den, qi = 1, False
+    for s in values:
+        d = s._d
+        if den % d:
+            den = den // gcd(den, d) * d
+        if s._b:
+            qi = True
+    return den, qi
+
+
+def numerator(s: Scalar, den: int, qi: bool) -> int | tuple[int, int]:
+    """The numerator of ``s`` over ``den`` (a multiple of its denominator):
+    an (re, im) pair when ``qi``, else an int (the imaginary part must be 0)."""
+    m = den // s._d
+    return (s._a * m, s._b * m) if qi else s._a * m
+
+
+def from_numerator(num: int | tuple[int, int], den: int, qi: bool) -> Scalar:
+    """The Scalar ``num / den`` in lowest terms (``den`` > 0)."""
+    a, b = num if qi else (num, 0)
+    if den != 1:
+        g = gcd(a, b, den)
+        if g > 1:
+            a //= g
+            b //= g
+            den //= g
+    out = object.__new__(Scalar)
+    out._a, out._b, out._d = a, b, den
+    out._qi = qi or b != 0
+    return out
 
 
 # -- text form ---------------------------------------------------------------

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .exactnum import ONE, Scalar
-from .multilinear import (Functional, LinearOperator, MultTable, TensorElement,
-                          _contract, _map_leg, _merge, _outer, _permute)
+from .multilinear import (Functional, LinearOperator, MultTable, Num, TensorElement,
+                          _lift, _lift_table, _lower, _map_leg, _merge, _outer,
+                          _permute)
 
 
 class ExpressionError(ValueError):
@@ -134,7 +134,6 @@ class AlgebraOps:
         self.coproduct = coproduct
         self.operators = dict(operators or {})
         self.functionals = dict(functionals or {})
-        self._delta_cols = coproduct.column_entries()
 
     def with_extra(self, operators: Mapping[str, LinearOperator] = (),
                    functionals: Mapping[str, Functional] = ()) -> "AlgebraOps":
@@ -148,23 +147,25 @@ class AlgebraOps:
 class _State:
     """Sparse tensor with named legs, replaced step by step during
     evaluation.  Only the leg bookkeeping lives here; every loop over the
-    entries is one of :mod:`multilinear`'s kernels."""
+    entries is one of :mod:`multilinear`'s kernels, and the tensor stays in
+    their numerator form from the first pull to ``finalize``."""
 
-    __slots__ = ("ops", "legs", "entries")
+    __slots__ = ("ops", "legs", "t")
 
     def __init__(self, ops: AlgebraOps):
         self.ops = ops
         self.legs: list[object] = []
-        self.entries: dict[tuple[int, ...], Scalar] = {(): ONE}
+        self.t: Num = ({(): 1}, 1, False)
 
     def pull(self, tensor: TensorElement, keys: Sequence[object]) -> None:
-        self.entries = _outer(self.entries, tensor.entries)
+        self.t = _outer(self.t, _lift(tensor.entries))
         self.legs.extend(keys)
 
     def pull_variable(self, idx_key: object, expr_key: object) -> None:
         n = self.ops.dim
-        self.entries = {base + (m, m): value for base, value in self.entries.items()
-                        for m in range(n)}
+        nums, den, qi = self.t
+        self.t = ({base + (m, m): value for base, value in nums.items() for m in range(n)},
+                  den, qi)
         self.legs.extend([idx_key, expr_key])
 
     def pos(self, key: object) -> int:
@@ -174,37 +175,39 @@ class _State:
             raise ExpressionError(f"unknown leg {key!r}") from None
 
     def apply_operator(self, key: object, operator: LinearOperator) -> None:
-        self.entries = _map_leg(self.entries, operator.column_entries(), self.pos(key))
+        self.t = _map_leg(self.t, operator.numerator_columns(), self.pos(key))
 
     def split(self, key: object, key1: object, key2: object) -> None:
         """Replace a leg in place by the two legs of its coproduct."""
         p = self.pos(key)
-        self.entries = _map_leg(self.entries, self.ops._delta_cols, p)
+        self.t = _map_leg(self.t, self.ops.coproduct.numerator_columns(), p)
         self.legs[p:p + 1] = [key1, key2]
 
     def merge(self, key_a: object, key_b: object, dest: object) -> None:
         """Multiply leg values a*b into a fresh last leg ``dest``."""
         pa, pb = self.pos(key_a), self.pos(key_b)
-        self.entries = _merge(self.entries, self.ops.mult, pa, pb)
+        self.t = _merge(self.t, _lift_table(self.ops.mult), pa, pb)
         for p in sorted((pa, pb), reverse=True):
             del self.legs[p]
         self.legs.append(dest)
 
     def contract(self, key: object, functional: Functional) -> None:
         p = self.pos(key)
-        self.entries = _contract(self.entries, functional.coords, p)
+        self.t = _map_leg(self.t, functional.numerator_columns(), p)
         del self.legs[p]
 
     def unit_leg(self, dest: object) -> None:
-        self.entries = _outer(self.entries, self.ops.unit.entries)
+        self.t = _outer(self.t, _lift(self.ops.unit.entries))
         self.legs.append(dest)
 
     def finalize(self, order: Sequence[object]) -> TensorElement:
         if set(order) != set(self.legs) or len(order) != len(self.legs):
             raise ExpressionError(f"leftover legs {self.legs!r} vs outputs {order!r}")
         perm = [self.legs.index(key) for key in order]
-        return TensorElement(len(order), self.ops.dim, _permute(self.entries, perm),
-                             _trust=True)
+        nums, den, qi = self.t
+        self.t = None                   # so the unpermuted table is freed below
+        nums = _permute(nums, perm)
+        return TensorElement(len(order), self.ops.dim, _lower((nums, den, qi)), _trust=True)
 
 
 class Expression:

@@ -4,14 +4,24 @@ exact nullspace solver.
 Tensor entries map k-tuples of basis indices to nonzero scalars; the empty
 table is the zero tensor.  Multi-indices are ordered big-endian in leg order,
 so serialized entry lists are portable between implementations.
+
+The sparse kernels do their arithmetic in numerator form ``(nums, den,
+qi)``: ``nums`` maps keys to integer numerators over the one shared
+denominator ``den``, plain ints over Q and (re, im) pairs over Q(i)
+(``qi``).  A public function lifts its tensor operands into that form once,
+chains the kernels and lowers the result into lowest-terms Scalars once;
+the expression evaluator (``expr``) keeps its whole evaluation in it.
+Multiplication tables, operators and functionals keep their own numerator
+form once a kernel has asked for it.
 """
 
 from __future__ import annotations
 
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable, Mapping, Sequence
 
-from .exactnum import ONE, Scalar, ZERO
+from .exactnum import (ONE, Scalar, ZERO, common_denominator, from_numerator,
+                       numerator)
 
 
 class DimMismatch(ValueError):
@@ -30,9 +40,12 @@ class SingularOperator(ArithmeticError):
     pass
 
 
-# Structure constants of a multiplication: (i, j) -> ((k, scalar), ...) giving
-# e_i * e_j = sum_k scalar * e_k.  Absent keys mean the product is zero.
-MultTable = dict[tuple[int, int], tuple[tuple[int, Scalar], ...]]
+class MultTable(dict):
+    """Structure constants of a multiplication: (i, j) -> ((k, scalar), ...)
+    giving e_i * e_j = sum_k scalar * e_k.  Absent keys mean the product is
+    zero.  The table keeps its numerator form once a kernel has built it."""
+
+    __slots__ = ("_lifted",)
 
 
 class TensorElement:
@@ -136,11 +149,12 @@ class TensorElement:
 class Functional:
     """An exact covector on H: its value on every basis vector."""
 
-    __slots__ = ("dim", "coords")
+    __slots__ = ("dim", "coords", "_lifted")
 
     def __init__(self, coords: Sequence[Scalar]):
         self.coords = tuple(coords)
         self.dim = len(self.coords)
+        self._lifted: _Lifted | None = None
 
     @classmethod
     def dual_basis(cls, dim: int, index: int) -> "Functional":
@@ -162,6 +176,14 @@ class Functional:
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coords)
+
+    def numerator_columns(self) -> "_Lifted":
+        """The coordinates as rank-0 columns in numerator form, so that
+        pairing a leg is the kernel that maps a leg."""
+        if self._lifted is None:
+            self._lifted = _lift_columns([{} if c.is_zero() else {(): c}
+                                          for c in self.coords])
+        return self._lifted
 
     def scale(self, s: Scalar) -> "Functional":
         return Functional([c * s for c in self.coords])
@@ -194,7 +216,7 @@ class LinearOperator:
     Only src_rank = 1 is needed anywhere; columns[i] is the image of e_i.
     """
 
-    __slots__ = ("src_rank", "dst_rank", "dim", "columns")
+    __slots__ = ("src_rank", "dst_rank", "dim", "columns", "_lifted")
 
     def __init__(self, dim: int, columns: Sequence[TensorElement], dst_rank: int | None = None):
         self.src_rank = 1
@@ -209,6 +231,7 @@ class LinearOperator:
         for c in self.columns:
             if c.dim != dim or c.rank != self.dst_rank:
                 raise DimMismatch("column shape mismatch")
+        self._lifted: _Lifted | None = None
 
     @classmethod
     def identity(cls, dim: int) -> "LinearOperator":
@@ -230,10 +253,14 @@ class LinearOperator:
         if t.rank != 1:
             raise RankMismatch("apply() expects a rank-1 tensor; use apply_on_leg")
         return TensorElement(self.dst_rank, self.dim,
-                             _map_leg(t.entries, self.column_entries(), 0), _trust=True)
+                             _lower(_map_leg(_lift(t.entries), self.numerator_columns(), 0)),
+                             _trust=True)
 
-    def column_entries(self) -> list[dict[tuple[int, ...], Scalar]]:
-        return [c.entries for c in self.columns]
+    def numerator_columns(self) -> "_Lifted":
+        """The columns in numerator form."""
+        if self._lifted is None:
+            self._lifted = _lift_columns([c.entries for c in self.columns])
+        return self._lifted
 
     def compose(self, inner: "LinearOperator") -> "LinearOperator":
         """self o inner, defined when inner has dst_rank 1."""
@@ -253,76 +280,217 @@ class LinearOperator:
 
 # -- sparse kernels -------------------------------------------------------------
 #
-# The only loops over sparse entries.  They work on raw entry tables, add
-# term by term and drop a key as soon as its total cancels, so every
-# intermediate stays as small as the index structure allows.  The public
-# functions below and the expression evaluator (``expr``) call them.
+# The only loops over sparse entries.  They work in numerator form on raw
+# entry tables: a tensor is ``(nums, den, qi)`` and a constant operand is a
+# ``_Lifted``.  A kernel runs Q(i) arithmetic when either operand has a
+# nonzero imaginary part and plain int arithmetic otherwise, adds integers
+# term by term, drops a key as soon as its total cancels (so every
+# intermediate stays as small as the index structure allows and the key
+# order is that of term-by-term Scalar addition), and divides its output by
+# the common content once.  No kernel makes a Scalar; ``_lower`` makes those
+# of the result.
 
 Entries = dict[tuple[int, ...], Scalar]
+Num = tuple[dict, int, bool]
 
 
-def _outer(a: Entries, b: Entries) -> Entries:
-    """Outer product: the legs of ``b`` follow the legs of ``a``."""
-    return {ka + kb: va * vb for ka, va in a.items() for kb, vb in b.items()}
+class _Lifted:
+    """A constant kernel operand in numerator form: its denominator, whether
+    some imaginary part is nonzero, and its values as ints (Q) or (re, im)
+    pairs (Q(i)).  The pair form of a Q operand is made when a Q(i) kernel
+    first asks for it."""
+
+    __slots__ = ("den", "qi", "_forms", "_promote")
+
+    def __init__(self, den: int, qi: bool, natural, promote):
+        self.den, self.qi = den, qi
+        self._forms = {qi: natural}
+        self._promote = promote
+
+    def form(self, qi: bool):
+        found = self._forms.get(qi)
+        if found is None:
+            found = self._forms[qi] = self._promote(self._forms[False])
+        return found
 
 
-def _merge(entries: Entries, mult: MultTable, pa: int, pb: int) -> Entries:
-    """Multiply leg ``pa`` by leg ``pb`` (in that order) through ``mult``;
-    both legs are removed and the product becomes the last leg."""
-    lo, hi = (pa, pb) if pa < pb else (pb, pa)
-    get = mult.get
-    out: Entries = {}
-    for key, value in entries.items():
-        expansion = get((key[pa], key[pb]))
-        if not expansion:
-            continue
-        rest = key[:lo] + key[lo + 1:hi] + key[hi + 1:]
-        for k, s in expansion:
-            nkey = rest + (k,)
-            acc = out.get(nkey)
-            total = value * s if acc is None else acc + value * s
-            if total.is_zero():
-                out.pop(nkey, None)
-            else:
-                out[nkey] = total
-    return out
+def _pairs(nums: dict) -> dict:
+    return {k: (v, 0) for k, v in nums.items()}
 
 
-def _map_leg(entries: Entries, columns: Sequence[Entries], p: int) -> Entries:
-    """Replace leg ``p`` by the column its index selects: the image legs of
-    a 1 -> 1 or 1 -> 2 map take the place of the leg."""
-    out: Entries = {}
-    for key, value in entries.items():
-        head, tail = key[:p], key[p + 1:]
-        for ckey, cval in columns[key[p]].items():
-            nkey = head + ckey + tail
-            acc = out.get(nkey)
-            total = value * cval if acc is None else acc + value * cval
-            if total.is_zero():
-                out.pop(nkey, None)
-            else:
-                out[nkey] = total
-    return out
+def _pair_columns(columns: list[dict]) -> list[dict]:
+    return [_pairs(c) for c in columns]
 
 
-def _contract(entries: Entries, coords: Sequence[Scalar], p: int) -> Entries:
-    """Pair leg ``p`` against the coordinates of a functional."""
-    out: Entries = {}
-    for key, value in entries.items():
-        c = coords[key[p]]
-        if c.is_zero():
-            continue
-        nkey = key[:p] + key[p + 1:]
-        acc = out.get(nkey)
-        total = value * c if acc is None else acc + value * c
-        if total.is_zero():
-            out.pop(nkey, None)
+def _pair_table(table: dict) -> dict:
+    return {ij: tuple((k, (v, 0)) for k, v in expansion) for ij, expansion in table.items()}
+
+
+def _lift(entries: Mapping) -> Num:
+    den, qi = common_denominator(entries.values())
+    return {k: numerator(s, den, qi) for k, s in entries.items()}, den, qi
+
+
+def _lower(t: Num) -> Entries:
+    """The lowest-terms Scalars of ``t``, made in place of its numerators."""
+    nums, den, qi = t
+    for k, v in nums.items():
+        nums[k] = from_numerator(v, den, qi)
+    return nums
+
+
+def _lift_columns(columns: Sequence[Entries]) -> _Lifted:
+    den, qi = common_denominator(s for c in columns for s in c.values())
+    return _Lifted(den, qi, [{k: numerator(s, den, qi) for k, s in c.items()}
+                             for c in columns], _pair_columns)
+
+
+def _lift_table(mult: MultTable) -> _Lifted:
+    """The numerator form of a multiplication table, kept on a ``MultTable``
+    (a plain dict is lifted again on every call)."""
+    lifted = getattr(mult, "_lifted", None)
+    if lifted is None:
+        den, qi = common_denominator(s for expansion in mult.values() for _, s in expansion)
+        lifted = _Lifted(den, qi, {ij: tuple((k, numerator(s, den, qi)) for k, s in expansion)
+                                   for ij, expansion in mult.items()}, _pair_table)
+        if isinstance(mult, MultTable):
+            mult._lifted = lifted
+    return lifted
+
+
+def _content(values: Iterable, qi: bool, g: int = 0) -> int:
+    """The gcd of ``g`` and every numerator part; stops once it is 1."""
+    if qi:
+        for re, im in values:
+            g = gcd(g, re, im)
+            if g == 1:
+                break
+    else:
+        for v in values:
+            g = gcd(g, v)
+            if g == 1:
+                break
+    return g
+
+
+def _reduce(nums: dict, den: int, qi: bool) -> Num:
+    """Divide the numerators (in place) and ``den`` by their common content."""
+    g = _content(nums.values(), qi, den) if den != 1 else 1
+    if g > 1:
+        if qi:
+            for k, (re, im) in nums.items():
+                nums[k] = (re // g, im // g)
         else:
-            out[nkey] = total
-    return out
+            for k, v in nums.items():
+                nums[k] = v // g
+        den //= g
+    return nums, den, qi
 
 
-def _permute(entries: Entries, perm: Sequence[int]) -> Entries:
+def _outer(a: Num, b: Num) -> Num:
+    """Outer product: the legs of ``b`` follow the legs of ``a``."""
+    an, ad, aq = a
+    bn, bd, bq = b
+    qi = aq or bq
+    if not qi:
+        out = {ka + kb: va * vb for ka, va in an.items() for kb, vb in bn.items()}
+        return _reduce(out, ad * bd, qi)
+    if not bq:
+        bn = _pairs(bn)
+    out = {}
+    for ka, va in an.items():
+        ar, ai = va if aq else (va, 0)
+        for kb, (br, bi) in bn.items():
+            out[ka + kb] = (ar * br - ai * bi, ar * bi + ai * br)
+    return _reduce(out, ad * bd, qi)
+
+
+def _merge(t: Num, table: _Lifted, pa: int, pb: int) -> Num:
+    """Multiply leg ``pa`` by leg ``pb`` (in that order) through ``table``;
+    both legs are removed and the product becomes the last leg."""
+    nums, den, tq = t
+    qi = tq or table.qi
+    get = table.form(qi).get
+    lo, hi = (pa, pb) if pa < pb else (pb, pa)
+    out: dict = {}
+    if qi:
+        for key, value in nums.items():
+            expansion = get((key[pa], key[pb]))
+            if not expansion:
+                continue
+            vr, vi = value if tq else (value, 0)
+            rest = key[:lo] + key[lo + 1:hi] + key[hi + 1:]
+            for k, (sr, si) in expansion:
+                nkey = rest + (k,)
+                re, im = vr * sr - vi * si, vr * si + vi * sr
+                acc = out.get(nkey)
+                if acc is not None:
+                    re += acc[0]
+                    im += acc[1]
+                    if not (re or im):
+                        del out[nkey]
+                        continue
+                out[nkey] = (re, im)
+    else:
+        for key, value in nums.items():
+            expansion = get((key[pa], key[pb]))
+            if not expansion:
+                continue
+            rest = key[:lo] + key[lo + 1:hi] + key[hi + 1:]
+            for k, s in expansion:
+                nkey = rest + (k,)
+                acc = out.get(nkey)
+                if acc is None:
+                    out[nkey] = value * s
+                else:
+                    acc += value * s
+                    if acc:
+                        out[nkey] = acc
+                    else:
+                        del out[nkey]
+    return _reduce(out, den * table.den, qi)
+
+
+def _map_leg(t: Num, columns: _Lifted, p: int) -> Num:
+    """Replace leg ``p`` by the column its index selects: the image legs of
+    a 1 -> 0, 1 -> 1 or 1 -> 2 map take the place of the leg."""
+    nums, den, tq = t
+    qi = tq or columns.qi
+    cols = columns.form(qi)
+    out: dict = {}
+    if qi:
+        for key, value in nums.items():
+            vr, vi = value if tq else (value, 0)
+            head, tail = key[:p], key[p + 1:]
+            for ckey, (cr, ci) in cols[key[p]].items():
+                nkey = head + ckey + tail
+                re, im = vr * cr - vi * ci, vr * ci + vi * cr
+                acc = out.get(nkey)
+                if acc is not None:
+                    re += acc[0]
+                    im += acc[1]
+                    if not (re or im):
+                        del out[nkey]
+                        continue
+                out[nkey] = (re, im)
+    else:
+        for key, value in nums.items():
+            head, tail = key[:p], key[p + 1:]
+            for ckey, c in cols[key[p]].items():
+                nkey = head + ckey + tail
+                acc = out.get(nkey)
+                if acc is None:
+                    out[nkey] = value * c
+                else:
+                    acc += value * c
+                    if acc:
+                        out[nkey] = acc
+                    else:
+                        del out[nkey]
+    return _reduce(out, den * columns.den, qi)
+
+
+def _permute(entries: dict, perm: Sequence[int]) -> dict:
     """Reorder legs: leg i of the result is leg ``perm[i]`` of the input."""
     return {tuple(key[p] for p in perm): v for key, v in entries.items()}
 
@@ -330,11 +498,22 @@ def _permute(entries: Entries, perm: Sequence[int]) -> Entries:
 def tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
     if a.dim != b.dim:
         raise DimMismatch(f"dim {a.dim} != {b.dim}")
-    return TensorElement(a.rank + b.rank, a.dim, _outer(a.entries, b.entries), _trust=True)
+    return TensorElement(a.rank + b.rank, a.dim,
+                         _lower(_outer(_lift(a.entries), _lift(b.entries))), _trust=True)
 
 
 def permute_legs(t: TensorElement, perm: Sequence[int]) -> TensorElement:
     return TensorElement(t.rank, t.dim, _permute(t.entries, perm), _trust=True)
+
+
+def embed_legs(columns: Sequence[TensorElement], t: TensorElement) -> TensorElement:
+    """Map every leg of ``t`` along the linear map e_i -> ``columns[i]``
+    (rank-1 columns, possibly of another dimension)."""
+    lifted = _lift_columns([c.entries for c in columns])
+    cur = _lift(t.entries)
+    for leg in range(t.rank):
+        cur = _map_leg(cur, lifted, leg)
+    return TensorElement(t.rank, columns[0].dim, _lower(cur), _trust=True)
 
 
 def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> TensorElement:
@@ -346,29 +525,59 @@ def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> Tenso
     """
     a._check_like(b)
     rank = a.rank
+    an, ad, aq = _lift(a.entries)
+    bn, bd, bq = _lift(b.entries)
+    table = _lift_table(mult)
+    qi = aq or bq or table.qi
+    get = table.form(qi).get
     # pairing step fused with the first leg merge (so a (x) b is never
     # materialized); key layout is then a[1:] + b[1:] + (merged leg 0,)
-    cur: Entries = {}
-    get0 = mult.get
-    for ka, va in a.entries.items():
-        for kb, vb in b.entries.items():
-            expansion = get0((ka[0], kb[0]))
-            if not expansion:
-                continue
-            term = va * vb
-            rest = ka[1:] + kb[1:]
-            for k, s in expansion:
-                key = rest + (k,)
-                acc = cur.get(key)
-                total = term * s if acc is None else acc + term * s
-                if total.is_zero():
-                    cur.pop(key, None)
-                else:
-                    cur[key] = total
+    cur: dict = {}
+    if qi:
+        an = an if aq else _pairs(an)
+        bn = bn if bq else _pairs(bn)
+        for ka, (ar, ai) in an.items():
+            for kb, (br, bi) in bn.items():
+                expansion = get((ka[0], kb[0]))
+                if not expansion:
+                    continue
+                tr, ti = ar * br - ai * bi, ar * bi + ai * br
+                rest = ka[1:] + kb[1:]
+                for k, (sr, si) in expansion:
+                    key = rest + (k,)
+                    re, im = tr * sr - ti * si, tr * si + ti * sr
+                    acc = cur.get(key)
+                    if acc is not None:
+                        re += acc[0]
+                        im += acc[1]
+                        if not (re or im):
+                            del cur[key]
+                            continue
+                    cur[key] = (re, im)
+    else:
+        for ka, va in an.items():
+            for kb, vb in bn.items():
+                expansion = get((ka[0], kb[0]))
+                if not expansion:
+                    continue
+                term = va * vb
+                rest = ka[1:] + kb[1:]
+                for k, s in expansion:
+                    key = rest + (k,)
+                    acc = cur.get(key)
+                    if acc is None:
+                        cur[key] = term * s
+                    else:
+                        acc += term * s
+                        if acc:
+                            cur[key] = acc
+                        else:
+                            del cur[key]
+    t = _reduce(cur, ad * bd * table.den, qi)
     # after step j the layout is a[j:] + b[j:] + merged[:j]
     for j in range(1, rank):
-        cur = _merge(cur, mult, 0, rank - j)
-    return TensorElement(rank, a.dim, cur, _trust=True)
+        t = _merge(t, table, 0, rank - j)
+    return TensorElement(rank, a.dim, _lower(t), _trust=True)
 
 
 def _check_leg(t: TensorElement, dim: int, leg: int) -> None:
@@ -382,7 +591,8 @@ def apply_on_leg(op: LinearOperator, t: TensorElement, leg: int) -> TensorElemen
     """Apply a rank 1 -> 1 or 1 -> 2 operator on one leg of ``t``."""
     _check_leg(t, op.dim, leg)
     return TensorElement(t.rank - 1 + op.dst_rank, t.dim,
-                         _map_leg(t.entries, op.column_entries(), leg), _trust=True)
+                         _lower(_map_leg(_lift(t.entries), op.numerator_columns(), leg)),
+                         _trust=True)
 
 
 def contract(f: Functional, t: TensorElement, leg: int) -> TensorElement | Scalar:
@@ -390,7 +600,9 @@ def contract(f: Functional, t: TensorElement, leg: int) -> TensorElement | Scala
     _check_leg(t, f.dim, leg)
     if t.rank == 1:
         return f(t)
-    return TensorElement(t.rank - 1, t.dim, _contract(t.entries, f.coords, leg), _trust=True)
+    return TensorElement(t.rank - 1, t.dim,
+                         _lower(_map_leg(_lift(t.entries), f.numerator_columns(), leg)),
+                         _trust=True)
 
 
 # -- exact nullspace ----------------------------------------------------------
@@ -402,19 +614,14 @@ def contract(f: Functional, t: TensorElement, leg: int) -> TensorElement | Scala
 
 
 def _integerize(row: Sequence[Scalar]) -> list[Scalar]:
-    den = 1
-    for s in row:
-        d = s.re.denominator * s.im.denominator // gcd(s.re.denominator, s.im.denominator)
-        den = den * d // gcd(den, d)
-    scaled = [s * Scalar.rational(den) for s in row] if den != 1 else list(row)
-    content = 0
-    for s in scaled:
-        content = gcd(content, abs(s.re.numerator))
-        content = gcd(content, abs(s.im.numerator))
-    if content > 1:
-        inv = Scalar.rational(1, content)
-        scaled = [s * inv for s in scaled]
-    return scaled
+    """The row times the one positive rational that makes its entries
+    Gaussian integers with no common factor."""
+    den, qi = common_denominator(row)
+    nums = [numerator(s, den, qi) for s in row]
+    g = _content(nums, qi)
+    if g > 1:
+        nums = [(re // g, im // g) for re, im in nums] if qi else [v // g for v in nums]
+    return [from_numerator(v, 1, qi) for v in nums]
 
 
 class _Echelon:

@@ -105,9 +105,9 @@ def make_mult(dim: int, entries: Sequence[tuple[int, int, int, Scalar]]) -> Mult
             continue
         row = table.setdefault((i, j), {})
         row[k] = row.get(k, ZERO) + s
-    return {key: tuple(sorted((k, v) for k, v in row.items() if not v.is_zero()))
-            for key, row in table.items()
-            if any(not v.is_zero() for v in row.values())}
+    return MultTable({key: tuple(sorted((k, v) for k, v in row.items() if not v.is_zero()))
+                      for key, row in table.items()
+                      if any(not v.is_zero() for v in row.values())})
 
 
 # -- sampling ----------------------------------------------------------------
@@ -382,7 +382,7 @@ def variant(pres: QhaPresentation, which: str) -> QhaPresentation:
     n = pres.dim
     s_inv = antipode_inverse(pres)
     if which == "op":
-        mult = {(j, i): row for (i, j), row in pres.mult.items()}
+        mult = MultTable({(j, i): row for (i, j), row in pres.mult.items()})
         coproduct = pres.coproduct
         phi, phi_inv = pres.phi_inv, pres.phi
         antipode = s_inv
@@ -399,7 +399,7 @@ def variant(pres: QhaPresentation, which: str) -> QhaPresentation:
         alpha = s_inv.apply(pres.alpha)
         beta = s_inv.apply(pres.beta)
     else:
-        mult = {(j, i): row for (i, j), row in pres.mult.items()}
+        mult = MultTable({(j, i): row for (i, j), row in pres.mult.items()})
         coproduct = LinearOperator(
             n, [permute_legs(col, (1, 0)) for col in pres.coproduct.columns],
             dst_rank=2)

@@ -258,34 +258,47 @@ def _expect(cond: bool, message: str, path: str) -> None:
         raise SchemaError(message, path)
 
 
-def _parse_scalar_at(text: object, path: str) -> Scalar:
+def _is_int(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _parse_scalar_at(text: object, path: str, field: str) -> Scalar:
     _expect(isinstance(text, str), "scalar must be a string", path)
     try:
-        return parse_scalar(text)
+        s = parse_scalar(text)
     except ParseError as exc:
         raise SchemaError(f"bad scalar {text!r}: {exc}", path) from exc
+    # any written imaginary part, "+0*i" included, tags the scalar Q(i)
+    _expect(field == FIELD_QI or s.field_tag == FIELD_Q,
+            f"scalar {text!r} has an imaginary part in a 'Q' document", path)
+    return s
 
 
-def _parse_coords(doc: dict, key: str, dim: int) -> list[Scalar]:
+def _parse_coords(doc: dict, key: str, dim: int, field: str) -> list[Scalar]:
     value = doc.get(key)
     _expect(isinstance(value, list) and len(value) == dim,
             f"{key} must be a list of {dim} scalar strings", f"$.{key}")
-    return [_parse_scalar_at(v, f"$.{key}[{i}]") for i, v in enumerate(value)]
+    return [_parse_scalar_at(v, f"$.{key}[{i}]", field) for i, v in enumerate(value)]
 
 
-def _parse_sparse(doc: dict, key: str, dim: int, arity: int) -> list[tuple]:
+def _parse_sparse(doc: dict, key: str, dim: int, arity: int, field: str) -> list[tuple]:
+    """The entries ``(*indices, scalar)`` of a sparse list; each index tuple
+    may appear once."""
     value = doc.get(key)
     _expect(isinstance(value, list), f"{key} must be a list", f"$.{key}")
     out = []
+    seen = set()
     for pos, entry in enumerate(value):
         path = f"$.{key}[{pos}]"
         _expect(isinstance(entry, list) and len(entry) == arity + 1,
                 f"entry must be [{arity} indices, scalar]", path)
-        idx = entry[:arity]
+        idx = tuple(entry[:arity])
         for m, i in enumerate(idx):
-            _expect(isinstance(i, int) and 0 <= i < dim,
+            _expect(_is_int(i) and 0 <= i < dim,
                     f"index {i!r} out of range", f"{path}[{m}]")
-        out.append((*idx, _parse_scalar_at(entry[arity], f"{path}[{arity}]")))
+        _expect(idx not in seen, f"duplicate entry for indices {list(idx)}", path)
+        seen.add(idx)
+        out.append((*idx, _parse_scalar_at(entry[arity], f"{path}[{arity}]", field)))
     return out
 
 
@@ -296,48 +309,47 @@ def import_document(doc: dict, validate: bool = True) -> QhaPresentation:
                 "beta", "mult", "coproduct", "phi", "phi_inv", "antipode"):
         _expect(key in doc, f"missing key {key!r}", "$")
     _expect(isinstance(doc["name"], str), "name must be a string", "$.name")
-    _expect(doc["field"] in _FIELD_FROM_JSON, "field must be 'Q' or 'Q(i)'", "$.field")
+    _expect(isinstance(doc["field"], str) and doc["field"] in _FIELD_FROM_JSON,
+            "field must be 'Q' or 'Q(i)'", "$.field")
+    field = _FIELD_FROM_JSON[doc["field"]]
     dim = doc["dim"]
-    _expect(isinstance(dim, int) and dim >= 1, "dim must be a positive integer", "$.dim")
+    _expect(_is_int(dim) and dim >= 1, "dim must be a positive integer", "$.dim")
     basis = doc["basis"]
     _expect(isinstance(basis, list) and len(basis) == dim
             and all(isinstance(b, str) for b in basis),
             f"basis must list {dim} labels", "$.basis")
 
-    mult = make_mult(dim, _parse_sparse(doc, "mult", dim, 3))
-    unit = TensorElement.vector(_parse_coords(doc, "unit", dim))
-    counit = Functional(_parse_coords(doc, "counit", dim))
-    alpha = TensorElement.vector(_parse_coords(doc, "alpha", dim))
-    beta = TensorElement.vector(_parse_coords(doc, "beta", dim))
+    mult = make_mult(dim, _parse_sparse(doc, "mult", dim, 3, field))
+    unit = TensorElement.vector(_parse_coords(doc, "unit", dim, field))
+    counit = Functional(_parse_coords(doc, "counit", dim, field))
+    alpha = TensorElement.vector(_parse_coords(doc, "alpha", dim, field))
+    beta = TensorElement.vector(_parse_coords(doc, "beta", dim, field))
 
     cop_cols: list[dict] = [dict() for _ in range(dim)]
-    for i, j, k, s in _parse_sparse(doc, "coproduct", dim, 3):
-        cop_cols[i][(j, k)] = cop_cols[i].get((j, k), ZERO) + s
+    for i, j, k, s in _parse_sparse(doc, "coproduct", dim, 3, field):
+        cop_cols[i][(j, k)] = s
     coproduct = LinearOperator(
         dim, [TensorElement(2, dim, col) for col in cop_cols], dst_rank=2)
 
-    phi = TensorElement(3, dim, _sparse_to_dict(_parse_sparse(doc, "phi", dim, 3)))
-    phi_inv = TensorElement(3, dim, _sparse_to_dict(_parse_sparse(doc, "phi_inv", dim, 3)))
+    phi = TensorElement(3, dim, _sparse_to_dict(_parse_sparse(doc, "phi", dim, 3, field)))
+    phi_inv = TensorElement(3, dim,
+                            _sparse_to_dict(_parse_sparse(doc, "phi_inv", dim, 3, field)))
 
     s_cols: list[dict] = [dict() for _ in range(dim)]
-    for i, j, s in _parse_sparse(doc, "antipode", dim, 2):
-        s_cols[i][(j,)] = s_cols[i].get((j,), ZERO) + s
+    for i, j, s in _parse_sparse(doc, "antipode", dim, 2, field):
+        s_cols[i][(j,)] = s
     antipode = LinearOperator(dim, [TensorElement(1, dim, col) for col in s_cols])
 
     pres = QhaPresentation(
         name=doc["name"], dim=dim, basis=tuple(basis),
-        field_tag=_FIELD_FROM_JSON[doc["field"]], mult=mult, unit=unit,
+        field_tag=field, mult=mult, unit=unit,
         counit=counit, coproduct=coproduct, phi=phi, phi_inv=phi_inv,
         antipode=antipode, alpha=alpha, beta=beta)
     return load_and_validate(pres) if validate else pres
 
 
 def _sparse_to_dict(entries: list[tuple]) -> dict:
-    out: dict = {}
-    for *idx, s in entries:
-        key = tuple(idx)
-        out[key] = out.get(key, ZERO) + s
-    return out
+    return {tuple(idx): s for *idx, s in entries}
 
 
 def load_path(path: str) -> QhaPresentation:

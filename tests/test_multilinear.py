@@ -4,15 +4,19 @@ independent dense Gauss-Jordan oracle."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import gcd
 
 import pytest
 
 from quasihopf.exactnum import HALF, ONE, Scalar, ZERO
 from quasihopf.multilinear import (DimMismatch, Functional, LegOutOfRange,
                                    LinearOperator, RankMismatch, SingularOperator,
-                                   TensorElement, apply_on_leg, contract,
-                                   invert_operator, kernel_basis, mult_pointwise,
-                                   solve_constraints, tensor_product)
+                                   TensorElement, _lift, _lift_columns, _lift_table,
+                                   _lower, _map_leg, _merge, _outer, apply_on_leg,
+                                   contract, invert_operator, kernel_basis,
+                                   mult_pointwise, solve_constraints, tensor_product)
+from quasihopf.qha import make_mult
 
 
 def test_tensor_product_expansion(h2):
@@ -173,6 +177,138 @@ def test_expression_leg_bookkeeping_matches_kernels(name):
                 == apply_on_leg(s_inv, t, 0))
         assert (Expression({"t": t}, [Leg(r("t", 1)), Leg(Si(r("t", 2)))]).evaluate(ops)
                 == apply_on_leg(s_inv, t, 1))
+
+
+# -- numerator kernels against the per-term Scalar loops -----------------------
+#
+# The reference loops below are the kernels as they were before they moved to
+# numerator form: one Scalar product and one Scalar sum per term, a key
+# dropped as soon as its total cancels.
+
+
+def ref_outer(a, b):
+    return {ka + kb: va * vb for ka, va in a.items() for kb, vb in b.items()}
+
+
+def _ref_add(out, key, term):
+    acc = out.get(key)
+    total = term if acc is None else acc + term
+    if total.is_zero():
+        out.pop(key, None)
+    else:
+        out[key] = total
+
+
+def ref_merge(entries, mult, pa, pb):
+    lo, hi = (pa, pb) if pa < pb else (pb, pa)
+    out = {}
+    for key, value in entries.items():
+        rest = key[:lo] + key[lo + 1:hi] + key[hi + 1:]
+        for k, s in mult.get((key[pa], key[pb]), ()):
+            _ref_add(out, rest + (k,), value * s)
+    return out
+
+
+def ref_map_leg(entries, columns, p):
+    out = {}
+    for key, value in entries.items():
+        for ckey, cval in columns[key[p]].items():
+            _ref_add(out, key[:p] + ckey + key[p + 1:], value * cval)
+    return out
+
+
+def ref_contract(entries, coords, p):
+    out = {}
+    for key, value in entries.items():
+        if not coords[key[p]].is_zero():
+            _ref_add(out, key[:p] + key[p + 1:], value * coords[key[p]])
+    return out
+
+
+def ref_mult_pointwise(mult, a, b):
+    rank = len(next(iter(a), ())) or len(next(iter(b), ()))
+    cur = {}
+    for ka, va in a.items():
+        for kb, vb in b.items():
+            for k, s in mult.get((ka[0], kb[0]), ()):
+                _ref_add(cur, ka[1:] + kb[1:] + (k,), va * vb * s)
+    for j in range(1, rank):
+        cur = ref_merge(cur, mult, 0, rank - j)
+    return cur
+
+
+# mixed denominators; the Gaussian ones have nonzero imaginary parts
+RATIONALS = [Scalar.rational(a, d) for a in (-3, -1, 1, 2) for d in (1, 2, 3, 4, 6)]
+GAUSSIANS = [Scalar.gaussian(Fraction(a, d), Fraction(b, e))
+             for a, b, d, e in ((1, 1, 2, 3), (-2, 1, 3, 1), (0, -3, 1, 4), (5, 2, 6, 2))]
+
+
+def assert_same_entries(out, ref):
+    """Equal entries in the same key order, none zero, all in lowest terms."""
+    assert list(out.items()) == list(ref.items())
+    for s in out.values():
+        assert not s.is_zero()
+        assert s._d > 0 and gcd(s._a, s._b, s._d) == 1
+
+
+@pytest.mark.parametrize("t_qi,c_qi", [(False, False), (True, False), (False, True),
+                                       (True, True)])
+def test_numerator_kernels_match_scalar_loops(t_qi, c_qi):
+    rng = random.Random(f"kernels:{t_qi}:{c_qi}")
+    n = 3
+
+    def pick(qi):
+        return rng.choice(GAUSSIANS + RATIONALS if qi else RATIONALS)
+
+    def tensor(rank, qi):
+        entries = {tuple(rng.randrange(n) for _ in range(rank)): pick(qi)
+                   for _ in range(rng.randint(1, 7))}
+        if rng.random() < 0.5:         # negated copies on reversed keys
+            entries.update({key[::-1]: -v for key, v in list(entries.items())})
+        return {k: v for k, v in entries.items() if not v.is_zero()}
+
+    def table(qi):
+        return make_mult(n, [(i, j, rng.randrange(n), pick(qi))
+                             for i in range(n) for j in range(n) for _ in range(2)])
+
+    for _ in range(12):
+        rank = rng.randint(1, 3)
+        a, b = tensor(rank, t_qi), tensor(rank, c_qi)
+        mult = table(c_qi)
+        columns = [tensor(rng.randint(1, 2), c_qi) for _ in range(n)]
+        coords = [pick(c_qi) if rng.random() < 0.7 else ZERO for _ in range(n)]
+        assert_same_entries(_lower(_outer(_lift(a), _lift(b))), ref_outer(a, b))
+        assert_same_entries(mult_pointwise(mult, TensorElement(rank, n, a),
+                                           TensorElement(rank, n, b)).entries,
+                            ref_mult_pointwise(mult, a, b))
+        for p in range(rank):
+            assert_same_entries(_lower(_map_leg(_lift(a), _lift_columns(columns), p)),
+                                ref_map_leg(a, columns, p))
+            if rank > 1:
+                assert_same_entries(contract(Functional(coords), TensorElement(rank, n, a),
+                                             p).entries,
+                                    ref_contract(a, coords, p))
+                q = (p + 1) % rank
+                assert_same_entries(_lower(_merge(_lift(a), _lift_table(mult), p, q)),
+                                    ref_merge(a, mult, p, q))
+
+
+@pytest.mark.parametrize("value", [Scalar.rational(1, 2), Scalar.gaussian(Fraction(1, 3), 1)])
+def test_numerator_kernels_cancel_to_zero(value):
+    """Sums that cancel leave no entry (and no zero entry) behind."""
+    n = 2
+    mult = make_mult(n, [(i, j, 0, ONE) for i in range(n) for j in range(n)])
+    t = {(0, 0): value, (1, 1): -value}
+    assert _lower(_merge(_lift(t), _lift_table(mult), 0, 1)) == ref_merge(t, mult, 0, 1) == {}
+    columns = [{(0,): value}, {(0,): value}]
+    s = {(0,): value, (1,): -value}
+    assert _lower(_map_leg(_lift(s), _lift_columns(columns), 0)) == {}
+    assert contract(Functional([value, value]), TensorElement(2, n, t), 0) == \
+        TensorElement(1, n, {(0,): value * value, (1,): -value * value})
+    assert contract(Functional([value, value]),
+                    TensorElement(2, n, {(0, 0): value, (1, 0): -value}), 0).is_zero()
+    a = TensorElement(1, n, {(0,): value, (1,): -value})
+    assert mult_pointwise(mult, a, TensorElement(1, n, {(0,): ONE, (1,): ONE})).is_zero()
 
 
 # -- nullspace ---------------------------------------------------------------

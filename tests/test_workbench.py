@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import gc
 import json
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
 
 from quasihopf.cli import main as cli_main
+from quasihopf.context import get_context
 from quasihopf.exactnum import FIELD_Q, FIELD_QI
 from quasihopf.qha import AxiomViolation
 from quasihopf.workbench import (CATALOG_NAMES, SchemaError, UnknownCatalogName,
@@ -99,6 +102,20 @@ def test_import_validates_axioms(h2):
         import_document(doc)
 
 
+def test_context_is_one_per_presentation(h2):
+    assert get_context(h2) is get_context(h2)
+
+
+def test_imported_presentation_is_collected_with_its_context(h2):
+    """Contexts hang on their presentation; no module-level cache pins a
+    presentation once its caller drops it."""
+    pres = import_document(export_document(h2))       # validation builds the context
+    presentation, ctx = weakref.ref(pres), weakref.ref(get_context(pres))
+    del pres
+    gc.collect()
+    assert presentation() is None and ctx() is None
+
+
 def test_resolve_target(tmp_path, h2):
     assert resolve_target("catalog:H2") is catalog_build("H2")
     path = tmp_path / "h2.json"
@@ -134,6 +151,56 @@ def test_cli_exit_codes_match_report(tmp_path, h2, capsys):
     code = cli_main(["verify", str(path), "--suite", "axioms"])
     capsys.readouterr()
     assert code == 2  # import_document already refuses the broken algebra
+
+
+def _h2_with_bool_index(doc: dict) -> str:
+    doc["antipode"][0][1] = False                     # was the index 0
+    return "$.antipode[0][1]"
+
+
+def _h2_with_zero_imaginary_part(doc: dict) -> str:
+    doc["phi"][0][3] += "+0*i"
+    return "$.phi[0][3]"
+
+
+def _h2_with_imaginary_part(doc: dict) -> str:
+    doc["counit"][1] = "1+1/2*i"
+    return "$.counit[1]"
+
+
+def _h2_with_duplicate_entry(doc: dict) -> str:
+    doc["mult"].append(list(doc["mult"][0]))
+    return f"$.mult[{len(doc['mult']) - 1}]"
+
+
+def _h2_with_bool_dim(doc: dict) -> str:
+    doc["dim"] = True
+    return "$.dim"
+
+
+def _h2_with_list_field(doc: dict) -> str:
+    doc["field"] = ["Q"]
+    return "$.field"
+
+
+@pytest.mark.parametrize("corrupt", [
+    _h2_with_bool_index, _h2_with_zero_imaginary_part, _h2_with_imaginary_part,
+    _h2_with_duplicate_entry, _h2_with_bool_dim, _h2_with_list_field])
+def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
+    """A bool index or dim, an imaginary part in a Q document (even
+    ``+0*i``), a repeated sparse key and a field that is not a string are
+    refused on import with the JSON path of the offending value, instead of
+    being read as 0 or 1, as rational, summed or failing with a TypeError."""
+    doc = export_document(h2)
+    path_of_value = corrupt(doc)
+    path = tmp_path / "loose.json"
+    path.write_text(render_document(doc))
+    assert cli_main(["verify", str(path), "--suite", "axioms"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"(at {path_of_value})" in err
+    with pytest.raises(SchemaError) as exc:
+        import_document(doc)
+    assert exc.value.path == path_of_value
 
 
 def test_cli_usage_error_exit_2(capsys):
