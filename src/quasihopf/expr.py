@@ -283,91 +283,103 @@ class Expression:
                     return found
             return ops.functionals.get(name)
 
-        state = _State(ops)
-        pulled: set[str] = set()
-        prepared: set[tuple[str, int]] = set()
-        unbound: list[str] = []
-
-        def pull(name: str) -> None:
-            if name in pulled:
-                return
-            pulled.add(name)
-            src = self.sources[name]
-            if src == VAR:
-                bound = bindings.get(name)
-                if bound is None:
-                    state.pull_variable(("idx", name), ("raw", name, 1))
-                    unbound.append(name)
-                else:
-                    if bound.rank != 1:
-                        raise ExpressionError(f"binding for {name!r} must be rank 1")
-                    state.pull(bound, [("raw", name, 1)])
-            else:
-                state.pull(src, [("raw", name, c) for c in range(1, src.rank + 1)])
-
-        def prepare(name: str, comp: int) -> None:
-            """Apply the token tree for one component: ops and splits."""
-            if (name, comp) in prepared:
-                return
-            prepared.add((name, comp))
-            tree = self._plans.get((name, comp))
-            if tree is None:
-                raise ExpressionError(f"component {name}^{comp} unused")
-            _expand(state, ("raw", name, comp), (), tree, ops, name, comp)
-
-        def leg_of(item: Ref | Op, counter: list[int]) -> object:
-            if isinstance(item, Ref):
-                pull(item.name)
-                prepare(item.name, item.comp)
-                return ("leaf", item.name, item.comp, item.tokens)
-            # an Op node: evaluate inner product to one leg, then transform
-            inner = merge_product(item.items, counter)
-            operator = ops.operators.get(item.opname)
-            if operator is None:
-                raise ExpressionError(f"unknown operator {item.opname!r}")
-            state.apply_operator(inner, operator)
-            return inner
-
-        def merge_product(items: Sequence[Ref | Op], counter: list[int]) -> object:
-            if not items:
-                counter[0] += 1
-                dest = ("unit", counter[0])
-                state.unit_leg(dest)
-                return dest
-            acc = leg_of(items[0], counter)
-            for item in items[1:]:
-                nxt = leg_of(item, counter)
-                counter[0] += 1
-                dest = ("prod", counter[0])
-                state.merge(acc, nxt, dest)
-                acc = dest
-            return acc
-
-        counter = [0]
+        run = _Evaluation(self, ops, bindings)
         final_order: list[object] = []
         seen_varidx: set[str] = set()
         for out in self.outputs:
             if isinstance(out, VarIdx):
-                pull(out.name)
+                run.pull(out.name)
                 if out.name in bindings:
                     raise ExpressionError(f"VarIdx({out.name!r}) on a bound variable")
                 final_order.append(("idx", out.name))
                 seen_varidx.add(out.name)
                 continue
-            leg = merge_product(out.items, counter)
+            leg = run.merge_product(out.items)
             if isinstance(out, Fn):
                 functional = lookup_fn(out.functional)
                 if functional is None:
                     raise ExpressionError(f"unknown functional {out.functional!r}")
-                state.contract(leg, functional)
+                run.state.contract(leg, functional)
             else:  # Leg or Hole
                 final_order.append(leg)
         # Implicit index legs for unbound variables without an explicit
         # VarIdx, prepended in source declaration order so both sides of an
         # identity agree on the layout.
         implicit = [("idx", name) for name, src in self.sources.items()
-                    if src == VAR and name in unbound and name not in seen_varidx]
-        return state.finalize(implicit + final_order)
+                    if src == VAR and name in run.unbound and name not in seen_varidx]
+        return run.state.finalize(implicit + final_order)
+
+
+class _Evaluation:
+    """One run of :meth:`Expression.evaluate`: the state and what has been
+    pulled and prepared so far.  The steps are methods rather than nested
+    closures, so a run leaves no reference cycle behind."""
+
+    def __init__(self, expr: Expression, ops: AlgebraOps,
+                 bindings: Mapping[str, TensorElement]):
+        self.expr = expr
+        self.ops = ops
+        self.bindings = bindings
+        self.state = _State(ops)
+        self.pulled: set[str] = set()
+        self.prepared: set[tuple[str, int]] = set()
+        self.unbound: list[str] = []
+        self.counter = 0
+
+    def pull(self, name: str) -> None:
+        if name in self.pulled:
+            return
+        self.pulled.add(name)
+        src = self.expr.sources[name]
+        if src == VAR:
+            bound = self.bindings.get(name)
+            if bound is None:
+                self.state.pull_variable(("idx", name), ("raw", name, 1))
+                self.unbound.append(name)
+            else:
+                if bound.rank != 1:
+                    raise ExpressionError(f"binding for {name!r} must be rank 1")
+                self.state.pull(bound, [("raw", name, 1)])
+        else:
+            self.state.pull(src, [("raw", name, c) for c in range(1, src.rank + 1)])
+
+    def prepare(self, name: str, comp: int) -> None:
+        """Apply the token tree for one component: ops and splits."""
+        if (name, comp) in self.prepared:
+            return
+        self.prepared.add((name, comp))
+        tree = self.expr._plans.get((name, comp))
+        if tree is None:
+            raise ExpressionError(f"component {name}^{comp} unused")
+        _expand(self.state, ("raw", name, comp), (), tree, self.ops, name, comp)
+
+    def leg_of(self, item: Ref | Op) -> object:
+        if isinstance(item, Ref):
+            self.pull(item.name)
+            self.prepare(item.name, item.comp)
+            return ("leaf", item.name, item.comp, item.tokens)
+        # an Op node: evaluate inner product to one leg, then transform
+        inner = self.merge_product(item.items)
+        operator = self.ops.operators.get(item.opname)
+        if operator is None:
+            raise ExpressionError(f"unknown operator {item.opname!r}")
+        self.state.apply_operator(inner, operator)
+        return inner
+
+    def merge_product(self, items: Sequence[Ref | Op]) -> object:
+        if not items:
+            self.counter += 1
+            dest = ("unit", self.counter)
+            self.state.unit_leg(dest)
+            return dest
+        acc = self.leg_of(items[0])
+        for item in items[1:]:
+            nxt = self.leg_of(item)
+            self.counter += 1
+            dest = ("prod", self.counter)
+            self.state.merge(acc, nxt, dest)
+            acc = dest
+        return acc
 
 
 def _check_tree(tree: dict, label: str) -> None:

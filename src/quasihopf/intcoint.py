@@ -10,12 +10,14 @@ independent cross-check rather than used for solving.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .exactnum import ONE, ZERO
 from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
 from .multilinear import (Functional, LinearOperator, TensorElement, apply_on_leg,
                           contract, invert_operator, solve_constraints)
-from .report import VerificationReport
+from .qha import hit_functional_left, hit_functional_right
+from .report import VerificationReport, first_difference
 
 
 def _ctx_of(obj):
@@ -176,11 +178,8 @@ def _solve_hole_system(ctx, lhs: Expression, rhs: Expression) -> list[Functional
     fns = ctx.lazy_functionals()
 
     def rows():
-        for h_idx in range(n):
-            binding = {"h": pres.basis_element(h_idx)}
-            left = lhs.evaluate(ctx.ops, binding, fns)
-            right = rhs.evaluate(ctx.ops, binding, fns)
-            table = left - right
+        for binding in _bindings(pres):
+            table = lhs.evaluate(ctx.ops, binding, fns) - rhs.evaluate(ctx.ops, binding, fns)
             for m in range(n):
                 yield [table.coeff(a, m) for a in range(n)]
 
@@ -225,14 +224,28 @@ def cointegral_residual(ctx, functional: Functional, side: str = "left") -> Tens
     n = pres.dim
     lhs, rhs = (_left_coint_system(ctx) if side == "left"
                 else _right_coint_direct_system(ctx))
+    witness = first_difference(_bindings(pres), _filled(ctx, lhs, rhs, functional))
+    return TensorElement.zero(1, n) if witness is None else witness
+
+
+def _bindings(pres) -> list[dict[str, TensorElement]]:
+    """The variable h bound to each basis element in turn."""
+    return [{"h": pres.basis_element(i)} for i in range(pres.dim)]
+
+
+def _filled(ctx, lhs: Expression, rhs: Expression, functional: Functional):
+    """Both sides of a hole system, per binding, with the hole leg paired
+    against ``functional``."""
     fns = ctx.lazy_functionals()
-    for h_idx in range(n):
-        binding = {"h": pres.basis_element(h_idx)}
-        table = lhs.evaluate(ctx.ops, binding, fns) - rhs.evaluate(ctx.ops, binding, fns)
-        residual = contract(functional, table, 0)
-        if not residual.is_zero():
-            return residual
-    return TensorElement.zero(1, n)
+    return lambda binding: [(contract(functional, lhs.evaluate(ctx.ops, binding, fns), 0),
+                             contract(functional, rhs.evaluate(ctx.ops, binding, fns), 0))]
+
+
+def _columns(table: TensorElement) -> list[TensorElement]:
+    """The rank-1 tensors m |-> table[i, m] of a two-leg table, one per i."""
+    n = table.dim
+    return [TensorElement(1, n, {(m,): table.coeff(i, m) for m in range(n)})
+            for i in range(n)]
 
 
 def compute_cointegral_data(ctx) -> CointegralData:
@@ -370,16 +383,11 @@ def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationRe
     from .context import _mult_operator
     pres = ctx.pres
     report = VerificationReport(pres.name)
-    witness = None
-    for i in range(pres.dim):
-        a = pres.basis_element(i)
-        # a e1 x e2 vs e1 x e2 a, computed leg-wise
-        lhs = apply_on_leg(_mult_operator(pres, a, side="left"), system.e, 0)
-        rhs = apply_on_leg(_mult_operator(pres, a, side="right"), system.e, 1)
-        if lhs != rhs:
-            witness = lhs - rhs
-            break
-    report.add(f"frobenius:{label}:centrality", witness is None, witness)
+    basis = pres.basis_element
+    # a e1 x e2 vs e1 x e2 a, computed leg-wise
+    report.check_all(f"frobenius:{label}:centrality", range(pres.dim), lambda i: [
+        (apply_on_leg(_mult_operator(pres, basis(i), side="left"), system.e, 0),
+         apply_on_leg(_mult_operator(pres, basis(i), side="right"), system.e, 1))])
     report.check_zero(f"frobenius:{label}:phi(e1)e2=1",
                       contract(system.phi, system.e, 0) - pres.unit)
     report.check_zero(f"frobenius:{label}:phi(e2)e1=1",
@@ -389,18 +397,9 @@ def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationRe
                system.nakayama.compose(system.nakayama_inv) == ident
                and system.nakayama_inv.compose(system.nakayama) == ident)
     # a -> phi = phi <- chi(a) on every basis element
-    witness = None
-    for i in range(pres.dim):
-        a = pres.basis_element(i)
-        lhs = Functional([system.phi(pres.multiply(pres.basis_element(j), a))
-                          for j in range(pres.dim)])
-        chi_a = system.nakayama.apply(a)
-        rhs = Functional([system.phi(pres.multiply(chi_a, pres.basis_element(j)))
-                          for j in range(pres.dim)])
-        if lhs != rhs:
-            witness = lhs - rhs
-            break
-    report.add(f"frobenius:{label}:nakayama-shift", witness is None, witness)
+    report.check_all(f"frobenius:{label}:nakayama-shift", range(pres.dim), lambda i: [
+        (hit_functional_left(pres, basis(i), system.phi),
+         hit_functional_right(pres, system.phi, system.nakayama.apply(basis(i))))])
     return report
 
 
@@ -414,15 +413,9 @@ def nakayama_report(ctx) -> VerificationReport:
     closed = Expression({"h": VAR},
                         [Fn("mu", r("h", 1, 1)), Leg(op("S2", r("h", 1, 2)))]
                         ).evaluate(ctx.ops, None, ctx.lazy_functionals())
-    witness = None
-    for i in range(pres.dim):
-        expected = TensorElement(
-            1, pres.dim,
-            {(m,): closed.coeff(i, m) for m in range(pres.dim)})
-        if expected != left.nakayama.columns[i]:
-            witness = expected - left.nakayama.columns[i]
-            break
-    report.add("nakayama:closed-form", witness is None, witness)
+    expected = _columns(closed)
+    report.check_all("nakayama:closed-form", range(pres.dim),
+                     lambda i: [(expected[i], left.nakayama.columns[i])])
 
     # chi^-1(h) = mu(Si(u h u^-1)_2) Si(Si(u h u^-1)_1)
     conj_cols = [ctx.s_inv.apply(
@@ -434,15 +427,9 @@ def nakayama_report(ctx) -> VerificationReport:
                             [Fn("mu", r("h", 1, "C", 2)),
                              Leg(r("h", 1, "C", 1, "Si"))]).evaluate(
                                  ops, None, ctx.lazy_functionals())
-    witness = None
-    for i in range(pres.dim):
-        expected = TensorElement(
-            1, pres.dim,
-            {(m,): closed_inv.coeff(i, m) for m in range(pres.dim)})
-        if expected != left.nakayama_inv.columns[i]:
-            witness = expected - left.nakayama_inv.columns[i]
-            break
-    report.add("nakayama:inverse-closed-form", witness is None, witness)
+    expected_inv = _columns(closed_inv)
+    report.check_all("nakayama:inverse-closed-form", range(pres.dim),
+                     lambda i: [(expected_inv[i], left.nakayama_inv.columns[i])])
 
     # transferring the left system to the coopposite one reproduces u
     transfer = contract(left.phi, ctx.frobenius("cop").e, 0)
@@ -490,12 +477,12 @@ def antipode_on_integrals(ctx) -> tuple[VerificationReport, dict[str, TensorElem
 # -- fourth power of the antipode ---------------------------------------------------------
 
 
-def s4_suite(ctx, exhaustive: bool | None = None) -> VerificationReport:
+def s4_suite(ctx) -> VerificationReport:
     ctx = _ctx_of(ctx)
     from .canonical import evaluate_identity
     pres = ctx.pres
     report = VerificationReport(pres.name)
-    report.check_zero("s4:equiv-version", evaluate_identity(ctx, "s4equivversion", exhaustive))
+    report.check_zero("s4:equiv-version", evaluate_identity(ctx, "s4equivversion"))
     s2 = ctx.s_squared
     s4 = s2.compose(s2)
     if is_unimodular(ctx):
@@ -631,9 +618,7 @@ def solve_condition(ctx, name: str) -> list[Functional]:
     fns = ctx.lazy_functionals()
 
     def rows():
-        bindings_list = ([{"h": pres.basis_element(i)} for i in range(n)]
-                         if quantified else [{}])
-        for binding in bindings_list:
+        for binding in _bindings(pres) if quantified else [{}]:
             table = lhs.evaluate(ctx.ops, binding, fns) - rhs.evaluate(ctx.ops, binding, fns)
             for m in range(n):
                 yield [table.coeff(a, m) for a in range(n)]
@@ -641,7 +626,7 @@ def solve_condition(ctx, name: str) -> list[Functional]:
     return [Functional(vec) for vec in solve_constraints(rows(), n)]
 
 
-def characterization_suite(ctx, exhaustive: bool | None = None) -> VerificationReport:
+def characterization_suite(ctx) -> VerificationReport:
     """Every equivalent characterization, evaluated on the actual cointegrals
     and re-solved as an independent system whose line must be the solver's."""
     ctx = _ctx_of(ctx)
@@ -650,24 +635,13 @@ def characterization_suite(ctx, exhaustive: bool | None = None) -> VerificationR
     fns = ctx.lazy_functionals()
     systems = _condition_systems(ctx)
     for name, (lhs, rhs, quantified) in systems.items():
+        # the hole leg is paired with the actual cointegral
         functional = ctx.lam if name.startswith("left") else ctx.big_lam
-        hole_fill = {"lam-fill": functional}
-        witness = None
-        bindings_list = ([{"h": pres.basis_element(i)} for i in range(pres.dim)]
-                         if quantified else [{}])
-        for binding in bindings_list:
-            table = (lhs.evaluate(ctx.ops, binding, fns)
-                     - rhs.evaluate(ctx.ops, binding, fns))
-            # contract the hole leg with the actual cointegral
-            residual = contract(functional, table, 0)
-            if not residual.is_zero():
-                witness = residual
-                break
-        report.add(f"characterization:{name}", witness is None, witness)
+        report.check_all(f"characterization:{name}", _bindings(pres) if quantified else [{}],
+                         _filled(ctx, lhs, rhs, functional))
         solved = solve_condition(ctx, name)
-        reference = ctx.lam if name.startswith("left") else ctx.big_lam
-        report.add(f"characterization:{name}:line", _line_matches(ctx, solved, reference),
-                   None if _line_matches(ctx, solved, reference)
+        report.add(f"characterization:{name}:line", _line_matches(ctx, solved, functional),
+                   None if _line_matches(ctx, solved, functional)
                    else f"solution space has dimension {len(solved)}")
     from .canonical import evaluate_identity
     report.check_zero("characterization:qqt-left", evaluate_identity(ctx, "qqt-left"))
@@ -746,17 +720,11 @@ def coaction_report(ctx) -> VerificationReport:
     # direct right-cointegral relation
     left_table, _ = dual_coactions(ctx)
     applied_all = contract(ctx.big_lam, left_table, 1)
-    lhs_expr, rhs_expr = _right_coint_direct_system(ctx)
+    _, rhs_expr = _right_coint_direct_system(ctx)
     fns = ctx.lazy_functionals()
-    witness = None
-    for h_idx in range(n):
-        applied = contract(Functional.dual_basis(n, h_idx), applied_all, 0)
-        rhs = rhs_expr.evaluate(ctx.ops, {"h": pres.basis_element(h_idx)}, fns)
-        expected = contract(ctx.big_lam, rhs, 0)
-        if applied != expected:
-            witness = applied - expected
-            break
-    report.add("coaction:left-applied-to-right-cointegral", witness is None, witness)
+    report.check_all("coaction:left-applied-to-right-cointegral", range(n), lambda h: [
+        (contract(Functional.dual_basis(n, h), applied_all, 0),
+         contract(ctx.big_lam, rhs_expr.evaluate(ctx.ops, {"h": pres.basis_element(h)}, fns), 0))])
     return report
 
 
@@ -767,10 +735,7 @@ def xi_operator(ctx) -> LinearOperator:
     table = Expression({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
                        [Hole(S(r("q", 2), r("t", 1, 2), r("p", 2))),
                         Leg(r("q", 1), r("t", 1, 1), r("p", 1))]).evaluate(ctx.ops)
-    n = ctx.pres.dim
-    cols = [TensorElement(1, n, {(m,): table.coeff(a, m) for m in range(n)})
-            for a in range(n)]
-    return LinearOperator(n, cols)
+    return LinearOperator(ctx.pres.dim, _columns(table))
 
 
 def xi_report(ctx) -> VerificationReport:
@@ -800,16 +765,13 @@ def s_mu_operator(ctx) -> LinearOperator:
     table = Expression({"h": VAR},
                        [Fn("mu", r("h", 1, "S", 1)), Leg(r("h", 1, "S", 2))]
                        ).evaluate(ctx.ops, None, ctx.lazy_functionals())
-    n = ctx.pres.dim
-    cols = [TensorElement(1, n, {(m,): table.coeff(i, m) for m in range(n)})
-            for i in range(n)]
-    return LinearOperator(n, cols)
+    return LinearOperator(ctx.pres.dim, _columns(table))
 
 
 # -- umbrella report ---------------------------------------------------------------------------
 
 
-def integral_report(ctx, exhaustive: bool | None = None) -> VerificationReport:
+def integral_report(ctx) -> VerificationReport:
     ctx = _ctx_of(ctx)
     pres = ctx.pres
     n = pres.dim
@@ -818,45 +780,24 @@ def integral_report(ctx, exhaustive: bool | None = None) -> VerificationReport:
     report.add("integrals:left-dimension-one", True)
     report.add("integrals:right-dimension-one", True)
 
-    witness = None
-    for i in range(n):
-        h = pres.basis_element(i)
-        if pres.multiply(ctx.t, h) != ctx.t.scale(ctx.mu(h)):
-            witness = pres.multiply(ctx.t, h) - ctx.t.scale(ctx.mu(h))
-            break
-    report.add("integrals:t*h=mu(h)t", witness is None, witness)
-    witness = None
-    for i in range(n):
-        h = pres.basis_element(i)
-        if pres.multiply(h, ctx.r) != ctx.r.scale(ctx.mu_inv(h)):
-            witness = pres.multiply(h, ctx.r) - ctx.r.scale(ctx.mu_inv(h))
-            break
-    report.add("integrals:h*r=mui(h)r", witness is None, witness)
-
-    witness = None
-    for i in range(n):
-        for j in range(n):
-            prod = pres.multiply(pres.basis_element(i), pres.basis_element(j))
-            if ctx.mu(prod) != ctx.mu(pres.basis_element(i)) * ctx.mu(pres.basis_element(j)):
-                witness = ctx.mu(prod) - ctx.mu(pres.basis_element(i)) * ctx.mu(pres.basis_element(j))
-                break
-        if witness is not None:
-            break
-    report.add("integrals:mu-is-algebra-map", witness is None, witness)
+    e = pres.basis_element
+    report.check_all("integrals:t*h=mu(h)t", range(n), lambda i: [
+        (pres.multiply(ctx.t, e(i)), ctx.t.scale(ctx.mu(e(i))))])
+    report.check_all("integrals:h*r=mui(h)r", range(n), lambda i: [
+        (pres.multiply(e(i), ctx.r), ctx.r.scale(ctx.mu_inv(e(i))))])
+    report.check_all("integrals:mu-is-algebra-map", product(range(n), repeat=2), lambda ij: [
+        (ctx.mu(pres.multiply(e(ij[0]), e(ij[1]))), ctx.mu(e(ij[0])) * ctx.mu(e(ij[1])))])
 
     mu_si = _compose_functional(ctx, ctx.mu, ctx.s_inv)
     report.add("integrals:mui=mu.S=mu.Si",
                data.mu_inv == mu_si and data.mu_inv ==
                _compose_functional(ctx, ctx.mu, pres.antipode))
-    conv_ok = True
-    for i in range(n):
-        d = pres.coproduct.apply(pres.basis_element(i))
-        expected = pres.counit(pres.basis_element(i))
-        if (ctx.mu(contract(ctx.mu_inv, d, 1)) != expected
-                or ctx.mu_inv(contract(ctx.mu, d, 1)) != expected):
-            conv_ok = False
-            break
-    report.add("integrals:mu-convolution-inverse", conv_ok)
+
+    def convolution(i: int):
+        d = pres.coproduct.apply(e(i))
+        return [(ctx.mu(contract(ctx.mu_inv, d, 1)), pres.counit(e(i))),
+                (ctx.mu_inv(contract(ctx.mu, d, 1)), pres.counit(e(i)))]
+    report.check_all("integrals:mu-convolution-inverse", range(n), convolution)
 
     from .canonical import evaluate_identity
     report.check_zero("integrals:mu(ab)mui(ab)=1", evaluate_identity(ctx, "mumuinv"))
@@ -875,14 +816,14 @@ def integral_report(ctx, exhaustive: bool | None = None) -> VerificationReport:
                ctx.big_lam(pres.antipode.apply(ctx.t)) == ONE)
     report.add("cointegrals:lambda(r)!=0", not ctx.lam(ctx.r).is_zero())
 
-    report.extend(characterization_suite(ctx, exhaustive))
+    report.extend(characterization_suite(ctx))
 
     gmod, gmod_inv = ctx.g_mod, ctx.g_mod_inv
     report.check_zero("modular:g*ginv", pres.multiply(gmod, gmod_inv) - pres.unit)
-    report.check_zero("modular:lam-Si", evaluate_identity(ctx, "firstRad-fn", exhaustive))
-    report.check_zero("modular:lam-Sm2", evaluate_identity(ctx, "lamSm2", exhaustive))
-    report.check_zero("modular:lamSi=Lam<-u", evaluate_identity(ctx, "qtr-fn", exhaustive))
-    report.check_zero("modular:lamS=Lam<-v", evaluate_identity(ctx, "lamS-v", exhaustive))
+    report.check_zero("modular:lam-Si", evaluate_identity(ctx, "firstRad-fn"))
+    report.check_zero("modular:lam-Sm2", evaluate_identity(ctx, "lamSm2"))
+    report.check_zero("modular:lamSi=Lam<-u", evaluate_identity(ctx, "qtr-fn"))
+    report.check_zero("modular:lamS=Lam<-v", evaluate_identity(ctx, "lamS-v"))
     if _proportional_fn(ctx.lam, ctx.big_lam):
         scalar = ctx.mu(pres.beta) * ctx.mu_inv(pres.beta).inverse()
         report.check_zero("modular:g=mu(beta)mui(beta)^-1 u",
@@ -896,7 +837,7 @@ def integral_report(ctx, exhaustive: bool | None = None) -> VerificationReport:
 
     anti_report, _ = antipode_on_integrals(ctx)
     report.extend(anti_report)
-    report.extend(s4_suite(ctx, exhaustive))
+    report.extend(s4_suite(ctx))
     report.extend(coaction_report(ctx))
     report.extend(xi_report(ctx))
     return report

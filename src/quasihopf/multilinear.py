@@ -280,9 +280,9 @@ class LinearOperator:
 
 # -- sparse kernels -------------------------------------------------------------
 #
-# The only loops over sparse entries.  They work in numerator form on raw
-# entry tables: a tensor is ``(nums, den, qi)`` and a constant operand is a
-# ``_Lifted``.  A kernel runs Q(i) arithmetic when either operand has a
+# The loops over sparse entries that ``expr`` and the public functions run
+# on.  They work in numerator form on raw entry tables: a tensor is
+# ``(nums, den, qi)`` and a constant operand is a ``_Lifted``.  A kernel runs Q(i) arithmetic when either operand has a
 # nonzero imaginary part and plain int arithmetic otherwise, adds integers
 # term by term, drops a key as soon as its total cancels (so every
 # intermediate stays as small as the index structure allows and the key

@@ -15,10 +15,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactnum import ONE, Scalar, ZERO
+from .expr import VAR, AlgebraOps, Expression, Leg, S, r
 from .multilinear import (Functional, LinearOperator, MultTable,
-                          SingularOperator, TensorElement, apply_on_leg,
-                          contract, invert_operator, mult_pointwise,
-                          permute_legs, tensor_product)
+                          SingularOperator, TensorElement, _lift_table, _lower,
+                          _merge, apply_on_leg, contract, invert_operator,
+                          mult_pointwise, permute_legs, tensor_product)
 from .report import VerificationReport
 
 # Presentations up to this dimension get exhaustive axiom checks by default;
@@ -147,187 +148,110 @@ def verify_axioms(pres: QhaPresentation, exhaustive: bool | None = None) -> Veri
     report = VerificationReport(pres.name)
     mult = pres.mult
     delta_op = pres.coproduct
-    S = pres.antipode
+    antipode = pres.antipode
     eps = pres.counit
     unit = pres.unit
+    phi, phi_inv, alpha, beta = pres.phi, pres.phi_inv, pres.alpha, pres.beta
     basis = [pres.basis_element(i) for i in range(n)]
+    ops = AlgebraOps(n, mult, unit, delta_op, operators={"S": antipode})
 
     def product(a: TensorElement, b: TensorElement) -> TensorElement:
         return mult_pointwise(mult, a, b)
 
     # unit and associativity
-    witness = None
-    for i in singles:
-        left = product(unit, basis[i])
-        right = product(basis[i], unit)
-        if left != basis[i] or right != basis[i]:
-            witness = (left - basis[i]) + (right - basis[i])
-            break
-    report.add(f"mult:unit{scope}", witness is None, witness)
-
-    witness = None
-    for i, j, k in triples:
-        ab = mult.get((i, j), ())
-        bc = mult.get((j, k), ())
-        left: dict[int, Scalar] = {}
-        for m, s in ab:
-            for t_, s2 in mult.get((m, k), ()):
-                left[t_] = left.get(t_, ZERO) + s * s2
-        right: dict[int, Scalar] = {}
-        for m, s in bc:
-            for t_, s2 in mult.get((i, m), ()):
-                right[t_] = right.get(t_, ZERO) + s * s2
-        diff = {t_: left.get(t_, ZERO) - right.get(t_, ZERO)
-                for t_ in set(left) | set(right)}
-        if any(not v.is_zero() for v in diff.values()):
-            witness = TensorElement(1, n, {(t_,): v for t_, v in diff.items()})
-            break
-    report.add(f"mult:assoc{scope}", witness is None, witness)
+    report.check_all(f"mult:unit{scope}", singles, lambda i: [
+        (product(unit, basis[i]), basis[i]), (product(basis[i], unit), basis[i])])
+    left, right = _associated_products(pres, triples)
+    zero = TensorElement.zero(1, n)
+    report.check_all(f"mult:assoc{scope}", triples,
+                     lambda ijk: [(left.get(ijk, zero), right.get(ijk, zero))])
 
     # counit / coproduct are unital algebra morphisms
     report.check_zero("counit:unit", eps(unit) - ONE)
-    witness = None
-    for i, j in pairs:
-        lhs = eps(product(basis[i], basis[j]))
-        rhs = eps(basis[i]) * eps(basis[j])
-        if lhs != rhs:
-            witness = lhs - rhs
-            break
-    report.add(f"counit:morphism{scope}", witness is None, witness)
+    report.check_all(f"counit:morphism{scope}", pairs, lambda ij: [
+        (eps(product(basis[ij[0]], basis[ij[1]])), eps(basis[ij[0]]) * eps(basis[ij[1]]))])
 
     unit2 = tensor_product(unit, unit)
     report.check_zero("coproduct:unit", delta_op.apply(unit) - unit2)
-    witness = None
-    for i, j in pairs:
-        lhs = delta_op.apply(product(basis[i], basis[j]))
-        rhs = mult_pointwise(mult, delta_op.apply(basis[i]), delta_op.apply(basis[j]))
-        if lhs != rhs:
-            witness = lhs - rhs
-            break
-    report.add(f"coproduct:morphism{scope}", witness is None, witness)
+    report.check_all(f"coproduct:morphism{scope}", pairs, lambda ij: [
+        (delta_op.apply(product(basis[ij[0]], basis[ij[1]])),
+         product(delta_op.apply(basis[ij[0]]), delta_op.apply(basis[ij[1]])))])
 
     # q2: both counit contractions of the coproduct give the identity
-    witness = None
-    for i in singles:
-        d = delta_op.apply(basis[i])
-        if contract(eps, d, 1) != basis[i] or contract(eps, d, 0) != basis[i]:
-            witness = contract(eps, d, 1) - basis[i]
-            break
-    report.add(f"q2{scope}", witness is None, witness)
+    report.check_all(f"q2{scope}", singles, lambda i: [
+        (contract(eps, delta_op.apply(basis[i]), leg), basis[i]) for leg in (1, 0)])
 
-    # q1: quasi-coassociativity
-    witness = None
-    for i in singles:
+    # q1: quasi-coassociativity, (id x Delta)(Delta h) = phi (Delta x id)(Delta h) phi^-1
+    def q1(i: int):
         d = delta_op.apply(basis[i])
-        left = apply_on_leg(delta_op, d, 1)            # (id x Delta)(Delta h)
-        nested = apply_on_leg(delta_op, d, 0)          # (Delta x id)(Delta h)
-        right = mult_pointwise(mult, mult_pointwise(mult, pres.phi, nested), pres.phi_inv)
-        if left != right:
-            witness = left - right
-            break
-    report.add(f"q1{scope}", witness is None, witness)
+        nested = apply_on_leg(delta_op, d, 0)
+        return [(apply_on_leg(delta_op, d, 1), product(product(phi, nested), phi_inv))]
+    report.check_all(f"q1{scope}", singles, q1)
 
     # q3: the reassociator is a 3-cocycle
-    one_phi = tensor_product(unit, pres.phi)
-    phi_one = tensor_product(pres.phi, unit)
-    mid = apply_on_leg(delta_op, pres.phi, 1)
-    lhs = mult_pointwise(mult, mult_pointwise(mult, one_phi, mid), phi_one)
-    right_a = apply_on_leg(delta_op, pres.phi, 2)
-    right_b = apply_on_leg(delta_op, pres.phi, 0)
-    rhs = mult_pointwise(mult, right_a, right_b)
+    one_phi = tensor_product(unit, phi)
+    phi_one = tensor_product(phi, unit)
+    mid = apply_on_leg(delta_op, phi, 1)
+    lhs = product(product(one_phi, mid), phi_one)
+    rhs = product(apply_on_leg(delta_op, phi, 2), apply_on_leg(delta_op, phi, 0))
     report.check_zero("q3", lhs - rhs)
 
     # q4 / q7: counit legs of the reassociator
-    report.check_zero("q4", contract(eps, pres.phi, 1) - unit2)
-    q7a = contract(eps, pres.phi, 0) - unit2
-    q7b = contract(eps, pres.phi, 2) - unit2
-    report.check_zero("q7", q7a + q7b if q7a.is_zero() or q7b.is_zero() else q7a)
+    report.check_zero("q4", contract(eps, phi, 1) - unit2)
+    report.check_all("q7", (0, 2), lambda leg: [(contract(eps, phi, leg), unit2)])
 
-    # q5: the antipode equations
-    witness = None
-    for i in singles:
-        d = delta_op.apply(basis[i])
-        sd = apply_on_leg(S, d, 0)
-        acc = TensorElement.zero(1, n)
-        for (a, b), v in sd.entries.items():
-            acc = acc + product(product(TensorElement(1, n, {(a,): v}, _trust=True),
-                                        pres.alpha), basis[b])
-        lhs1 = acc
-        rhs1 = pres.alpha.scale(eps(basis[i]))
-        d2 = apply_on_leg(S, d, 1)
-        acc2 = TensorElement.zero(1, n)
-        for (a, b), v in d2.entries.items():
-            acc2 = acc2 + product(product(TensorElement(1, n, {(a,): v}, _trust=True),
-                                          pres.beta), basis[b])
-        lhs2 = acc2
-        rhs2 = pres.beta.scale(eps(basis[i]))
-        if lhs1 != rhs1 or lhs2 != rhs2:
-            witness = (lhs1 - rhs1) + (lhs2 - rhs2)
-            break
-    report.add(f"q5{scope}", witness is None, witness)
+    # q5: the antipode equations S(h1) alpha h2 = eps(h) alpha and
+    # h1 beta S(h2) = eps(h) beta
+    q5_alpha = Expression({"h": VAR, "a": alpha}, [Leg(S(r("h", 1, 1)), r("a"), r("h", 1, 2))])
+    q5_beta = Expression({"h": VAR, "b": beta}, [Leg(r("h", 1, 1), r("b"), S(r("h", 1, 2)))])
+    report.check_all(f"q5{scope}", singles, lambda i: [
+        (q5_alpha.evaluate(ops, {"h": basis[i]}), alpha.scale(eps(basis[i]))),
+        (q5_beta.evaluate(ops, {"h": basis[i]}), beta.scale(eps(basis[i])))])
 
-    # q6: the two zig-zag normalizations
-    lhs = _zigzag_q6_left(pres)
-    report.check_zero("q6:left", lhs - unit)
-    rhs = _zigzag_q6_right(pres)
-    report.check_zero("q6:right", rhs - unit)
+    # q6: the two zig-zag normalizations X1 beta S(X2) alpha X3 = 1 and
+    # S(x1) alpha x2 beta S(x3) = 1
+    q6_left = Expression({"X": phi, "b": beta, "a": alpha},
+                         [Leg(r("X", 1), r("b"), S(r("X", 2)), r("a"), r("X", 3))])
+    report.check_zero("q6:left", q6_left.evaluate(ops) - unit)
+    q6_right = Expression({"x": phi_inv, "a": alpha, "b": beta},
+                          [Leg(S(r("x", 1)), r("a"), r("x", 2), r("b"), S(r("x", 3)))])
+    report.check_zero("q6:right", q6_right.evaluate(ops) - unit)
 
-    # reassociator invertibility
+    # reassociator invertibility, each product on its own
     unit3 = tensor_product(unit2, unit)
-    report.check_zero("phi:invertible",
-                      (mult_pointwise(mult, pres.phi, pres.phi_inv) - unit3)
-                      + (mult_pointwise(mult, pres.phi_inv, pres.phi) - unit3))
+    report.check_all("phi:invertible", [(phi, phi_inv), (phi_inv, phi)],
+                     lambda ab: [(product(*ab), unit3)])
 
     # antipode: unital anti-morphism
-    report.check_zero("antipode:unit", S.apply(unit) - unit)
-    witness = None
-    for i, j in pairs:
-        lhs = S.apply(product(basis[i], basis[j]))
-        rhs = product(S.apply(basis[j]), S.apply(basis[i]))
-        if lhs != rhs:
-            witness = lhs - rhs
-            break
-    report.add(f"antipode:anti-morphism{scope}", witness is None, witness)
+    report.check_zero("antipode:unit", antipode.apply(unit) - unit)
+    report.check_all(f"antipode:anti-morphism{scope}", pairs, lambda ij: [
+        (antipode.apply(product(basis[ij[0]], basis[ij[1]])),
+         product(antipode.apply(basis[ij[1]]), antipode.apply(basis[ij[0]])))])
+    report.check_all(f"counit-of-antipode{scope}", singles,
+                     lambda i: [(eps(antipode.apply(basis[i])), eps(basis[i]))])
 
-    witness = None
-    for i in singles:
-        lhs = eps(S.apply(basis[i]))
-        rhs = eps(basis[i])
-        if lhs != rhs:
-            witness = lhs - rhs
-            break
-    report.add(f"counit-of-antipode{scope}", witness is None, witness)
-
-    report.check_zero("alpha-beta:normalized", eps(pres.alpha) * eps(pres.beta) - ONE)
+    report.check_zero("alpha-beta:normalized", eps(alpha) * eps(beta) - ONE)
     return report
 
 
-def _zigzag_q6_left(pres: QhaPresentation) -> TensorElement:
-    """X1 * beta * S(X2) * alpha * X3 over the reassociator."""
-    n = pres.dim
-    acc = TensorElement.zero(1, n)
-    S = pres.antipode
-    for (a, b, c), v in pres.phi.entries.items():
-        term = pres.multiply(pres.basis_element(a), pres.beta)
-        term = pres.multiply(term, S.apply(pres.basis_element(b)))
-        term = pres.multiply(term, pres.alpha)
-        term = pres.multiply(term, pres.basis_element(c))
-        acc = acc + term.scale(v)
-    return acc
+def _associated_products(pres: QhaPresentation, triples: list[tuple[int, int, int]]
+                         ) -> tuple[dict, dict]:
+    """(e_i e_j) e_k and e_i (e_j e_k) as rank-1 tensors keyed by (i, j, k):
+    one ``_merge`` chain over a tensor whose legs i, j, k index the triples."""
+    table = _lift_table(pres.mult)
+    domain = ({ijk + ijk: 1 for ijk in triples}, 1, False)      # legs i j k a b c
+    left = _merge(_merge(domain, table, 3, 4), table, 4, 3)     # i j k (ab)c
+    right = _merge(_merge(domain, table, 4, 5), table, 3, 4)    # i j k a(bc)
+    return _by_instance(left, pres.dim), _by_instance(right, pres.dim)
 
 
-def _zigzag_q6_right(pres: QhaPresentation) -> TensorElement:
-    """S(x1) * alpha * x2 * beta * S(x3) over the inverse reassociator."""
-    n = pres.dim
-    acc = TensorElement.zero(1, n)
-    S = pres.antipode
-    for (a, b, c), v in pres.phi_inv.entries.items():
-        term = pres.multiply(S.apply(pres.basis_element(a)), pres.alpha)
-        term = pres.multiply(term, pres.basis_element(b))
-        term = pres.multiply(term, pres.beta)
-        term = pres.multiply(term, S.apply(pres.basis_element(c)))
-        acc = acc + term.scale(v)
-    return acc
+def _by_instance(t, dim: int) -> dict[tuple[int, ...], TensorElement]:
+    """Split a tensor on its last leg into one rank-1 tensor per key of the
+    other legs."""
+    groups: dict[tuple[int, ...], dict] = {}
+    for key, value in _lower(t).items():
+        groups.setdefault(key[:-1], {})[key[-1:]] = value
+    return {key: TensorElement(1, dim, entries, _trust=True) for key, entries in groups.items()}
 
 
 # -- loading ------------------------------------------------------------------

@@ -3,12 +3,26 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable
+from typing import Callable, Iterable
 
 from .exactnum import Scalar
 from .multilinear import Functional, TensorElement
 
 _WITNESS_TERMS = 6
+
+# the (lhs, rhs) pairs one instance of a for-all check must make equal
+Sides = Callable[[object], Iterable[tuple[object, object]]]
+
+
+def first_difference(instances: Iterable, sides: Sides) -> object | None:
+    """``lhs - rhs`` of the first pair, in instance order, whose two sides
+    differ; None when every pair agrees.  Only a differing pair is
+    subtracted, so two residuals are never summed into one witness."""
+    for instance in instances:
+        for lhs, rhs in sides(instance):
+            if lhs != rhs:
+                return lhs - rhs
+    return None
 
 
 def render_witness(witness: object) -> str | None:
@@ -57,6 +71,11 @@ class VerificationReport:
     def check_zero(self, name: str, residual: TensorElement | Scalar) -> CheckRow:
         passed = residual.is_zero()
         return self.add(name, passed, None if passed else residual)
+
+    def check_all(self, name: str, instances: Iterable, sides: Sides) -> CheckRow:
+        """One row for "for every instance, lhs == rhs on each pair"."""
+        witness = first_difference(instances, sides)
+        return self.add(name, witness is None, witness)
 
     def extend(self, other: "VerificationReport") -> None:
         self.rows.extend(other.rows)

@@ -163,11 +163,58 @@ def test_double_construction_deterministic(h2, d2):
 
 
 def test_exhaustive_identity_loop_on_large_double(d8):
-    """Forcing exhaustive mode on a dimension-64 presentation walks every
-    basis binding instead of sampling."""
+    """On a dimension-64 presentation an identity walks every basis binding
+    instead of sampling."""
     from quasihopf.canonical import evaluate_identity
     ctx = double_context(d8)
-    assert evaluate_identity(ctx, "rint4", exhaustive=True).is_zero()
+    assert evaluate_identity(ctx, "rint4").is_zero()
+
+
+def test_identity_rows_bind_every_basis_element_on_large_double(d8, monkeypatch):
+    """By default rint4 on D(H8+) evaluates both sides at all 64 basis
+    bindings of its variable, each once and in basis order."""
+    from quasihopf.canonical import REGISTRY, evaluate_identity
+    from quasihopf.expr import Expression
+    ctx = double_context(d8)
+    REGISTRY["rint4"].build(ctx)        # computes r and U before recording
+    bound = []
+    original = Expression.evaluate
+
+    def recording(self, ops, bindings=None, functionals=None):
+        bound.append(dict(bindings or {}))
+        return original(self, ops, bindings, functionals)
+
+    monkeypatch.setattr(Expression, "evaluate", recording)
+    assert evaluate_identity(ctx, "rint4").is_zero()
+    basis = [d8.presentation.basis_element(i) for i in range(64)]
+    assert bound == [{"h": e} for e in basis for _side in (0, 1)]
+
+
+def test_sampled_axiom_rows_visit_the_sampled_domains(d8, monkeypatch):
+    """Each "(sampled)" axiom row of D(H8+) quantifies over exactly the
+    instances that ``_domains`` draws for its arity, in order.  The rows are
+    recorded, not evaluated (q1 alone takes seconds here); that a row visits
+    every instance it is given is pinned in ``test_report``."""
+    from quasihopf import qha
+    from quasihopf.report import VerificationReport
+    pres = d8.presentation
+    singles, pairs, triples, full = qha._domains(pres, None)
+    assert not full
+    quantified: dict[str, list] = {}
+
+    def recording(self, name, instances, sides):
+        quantified[name] = list(instances)
+        return self.add(name, True)
+
+    monkeypatch.setattr(VerificationReport, "check_all", recording)
+    verify_axioms(pres)
+    sampled = {name.removesuffix(" (sampled)"): instances
+               for name, instances in quantified.items() if name.endswith(" (sampled)")}
+    assert sampled == {
+        "mult:unit": singles, "mult:assoc": triples,
+        "counit:morphism": pairs, "coproduct:morphism": pairs,
+        "q2": singles, "q1": singles, "q5": singles,
+        "antipode:anti-morphism": pairs, "counit-of-antipode": singles}
 
 
 def test_sampled_axiom_mode_on_small_algebra(h8p):

@@ -132,6 +132,24 @@ def test_contract_bilinearity_probe(h8p):
     assert left == b.scale(f(a))
 
 
+def test_expression_evaluate_leaves_no_reference_cycle(ctx_h8p):
+    """One evaluation frees everything it made by reference counting alone:
+    with the cycle collector off, a collection afterwards finds nothing."""
+    import gc
+    from quasihopf.canonical import REGISTRY
+
+    lhs, _ = REGISTRY["rint4"].build(ctx_h8p)
+    fns = ctx_h8p.lazy_functionals()
+    lhs.evaluate(ctx_h8p.ops, None, fns)    # builds the lazy operands once
+    gc.collect()
+    gc.disable()
+    try:
+        lhs.evaluate(ctx_h8p.ops, None, fns)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 @pytest.mark.parametrize("name", ["H2", "H8+", "H8-", "kZ2-hopf"])
 def test_expression_leg_bookkeeping_matches_kernels(name):
     """Merges, splits, contractions and operators planned by ``Expression``

@@ -3,6 +3,8 @@ and the four dual actions."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from conftest import all_mutations, mutate_presentation
@@ -67,6 +69,19 @@ def test_load_rejects_noninvertible_phi(h2):
         antipode=h2.antipode, alpha=h2.alpha, beta=h2.beta)
     with pytest.raises(NonInvertiblePhi):
         load_and_validate(bad)
+
+
+def test_phi_invertible_row_checks_each_product(h8p):
+    """phi = g x 1 x 1 with phi_inv = (g + gx) x 1 x 1 leaves the residuals
+    x x 1 x 1 and -x x 1 x 1: each product is checked on its own, so the
+    two cannot cancel into a passing row."""
+    g, gx, x = (h8p.basis.index(label) for label in ("g", "gx", "x"))
+    phi = TensorElement(3, 8, {(g, 0, 0): ONE})
+    phi_inv = TensorElement(3, 8, {(g, 0, 0): ONE, (gx, 0, 0): ONE})
+    broken = dataclasses.replace(h8p, name="H8+-phi", phi=phi, phi_inv=phi_inv)
+    row = next(row for row in verify_axioms(broken).rows if row.name == "phi:invertible")
+    assert not row.passed
+    assert row.witness == TensorElement(3, 8, {(x, 0, 0): ONE})
 
 
 def test_load_rejects_bad_counit_normalization(h2):
