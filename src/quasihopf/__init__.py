@@ -22,8 +22,8 @@ from .context import AlgebraContext, get_context
 from .intcoint import (CointegralData, DimensionNotOne, FrobeniusSystem,
                        IntegralData, cointegral_space, integral_space)
 from .double import (DoublePresentation, build_double, double_antipode_inverse,
-                     double_context, double_integral, double_modular,
-                     double_report, semisimplicity_check)
+                     double_integral, double_modular, double_report,
+                     semisimplicity_check)
 from .report import CheckRow, VerificationReport
 from .workbench import (CATALOG_NAMES, SchemaError, UnknownCatalogName,
                         catalog_build, export_document, import_document)

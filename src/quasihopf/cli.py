@@ -2,7 +2,9 @@
 
 Targets are either ``catalog:NAME`` or a path to a presentation document.
 Every command renders a verification report (text or JSON) and exits 0
-exactly when no row failed; usage, I/O and schema problems exit 2.
+exactly when no row failed; usage, I/O and schema problems exit 2, and an
+internal error (an exact cross-check or invariant of the engine that does
+not hold) exits 3.
 """
 
 from __future__ import annotations
@@ -11,16 +13,19 @@ import argparse
 import json
 import sys
 
-from .canonical import REGISTRY, UnknownIdentity, identity_suite
+from .canonical import (REGISTRY, InternalIdentityFailure, TwistNotInvertible,
+                        UnknownIdentity, identity_suite)
 from .context import get_context
-from .double import build_double, double_report
+from .double import DoubleBuildError, build_double, double_report
 from .exactnum import ParseError
-from .intcoint import (DimensionNotOne, cointegral_space, integral_report,
+from .expr import ExpressionError
+from .intcoint import (CrossCheckMismatch, DegeneratePairing, DimensionNotOne,
+                       FrobeniusCheckFailed, cointegral_space, integral_report,
                        integral_space, s4_display_readings)
 # verify_axioms stays bound here although the axioms suite reads the memoized
 # report: perfbench's tracer and its tests reach it through this module too
 from .qha import (AxiomViolation, BadCounitNormalization, NonInvertiblePhi,  # noqa: F401
-                  verify_axioms)
+                  SingularAntipode, verify_axioms)
 from .report import VerificationReport, merge_reports
 from .workbench import SchemaError, UnknownCatalogName, export_document, \
     render_document, resolve_target
@@ -198,6 +203,9 @@ _USER_ERRORS = (SchemaError, UnknownCatalogName, UnknownIdentity, ParseError,
                 AxiomViolation, NonInvertiblePhi, BadCounitNormalization,
                 DimensionNotOne, FileNotFoundError, IsADirectoryError,
                 PermissionError)
+_INTERNAL_ERRORS = (CrossCheckMismatch, DegeneratePairing, FrobeniusCheckFailed,
+                    TwistNotInvertible, InternalIdentityFailure, DoubleBuildError,
+                    SingularAntipode, ExpressionError)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -208,6 +216,9 @@ def main(argv: list[str] | None = None) -> int:
     except _USER_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except _INTERNAL_ERRORS as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

@@ -14,7 +14,8 @@ from typing import Callable
 
 from . import canonical, intcoint
 from .expr import AlgebraOps
-from .multilinear import Functional, LinearOperator, TensorElement, invert_operator
+from .multilinear import (Functional, LinearOperator, TensorElement, invert_operator,
+                          multiplication_operator)
 from .qha import (QhaPresentation, antipode_inverse, exhaustive_scope, variant,
                   verify_axioms)
 from .report import VerificationReport
@@ -211,21 +212,11 @@ class AlgebraContext:
                          lambda: self.pres.antipode.compose(self.pres.antipode))
 
     def inner_automorphism(self, a: TensorElement) -> LinearOperator:
-        """h |-> a h a^-1; the inverse is found by exact linear solving."""
-        left = _mult_operator(self.pres, a, side="left")
-        a_inv_op = invert_operator(left)
-        a_inv = a_inv_op.apply(self.pres.unit)
-        cols = [self.pres.multiply(self.pres.multiply(a, self.pres.basis_element(i)), a_inv)
-                for i in range(self.pres.dim)]
-        return LinearOperator(self.pres.dim, cols)
-
-
-def _mult_operator(pres: QhaPresentation, a: TensorElement, side: str) -> LinearOperator:
-    cols = []
-    for i in range(pres.dim):
-        e = pres.basis_element(i)
-        cols.append(pres.multiply(a, e) if side == "left" else pres.multiply(e, a))
-    return LinearOperator(pres.dim, cols)
+        """h |-> a h a^-1, that is L_a o R_(a^-1); the inverse is found by
+        exact linear solving."""
+        left = multiplication_operator(self.pres.mult, a, "left")
+        a_inv = invert_operator(left).apply(self.pres.unit)
+        return left.compose(multiplication_operator(self.pres.mult, a_inv, "right"))
 
 
 # The live contexts that ``get_context`` made, by presentation id.  Each one

@@ -19,8 +19,8 @@ from .exactnum import Scalar
 from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
 from .multilinear import (Functional, LinearOperator, TensorElement, embed_legs,
                           invert_operator, kernel_basis, mult_pointwise,
-                          permute_legs)
-from .qha import EXHAUSTIVE_DIM, QhaPresentation, make_mult
+                          multiplication_operator)
+from .qha import QhaPresentation, make_mult
 from .report import VerificationReport
 
 
@@ -82,7 +82,7 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
         # legs: (out o, phi-arg a, psi-arg b, result-functional m)
         for (o, a, b, m), s in table.entries.items():
             for l in range(n):
-                for (k,), c in H.multiply(H.basis_element(o), H.basis_element(l)).entries.items():
+                for k, c in H.mult.get((o, l), ()):
                     mult_entries.append((_didx(n, a, j), _didx(n, b, l),
                                          _didx(n, m, k), s * c))
     dmult = make_mult(nd, mult_entries)
@@ -98,8 +98,8 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
     phi_d = embed_legs(embedding, H.phi)
     phi_inv_d = embed_legs(embedding, H.phi_inv)
 
-    def dmultiply(a: TensorElement, b: TensorElement) -> TensorElement:
-        return mult_pointwise(dmult, a, b)
+    # column k of left[u] is embed(e_u) times the k-th basis element of the double
+    left = [multiplication_operator(dmult, emb, "left").columns for emb in embedding]
 
     # coproduct: evaluated with the two functional slots of the result left
     # open (w for the first factor, z for the second)
@@ -118,9 +118,7 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
         # legs: (u, c, e, hole a, w, z)
         per_i: dict[int, dict[tuple[int, ...], Scalar]] = {}
         for (u, c, e, a, w, z), s in table.entries.items():
-            first = dmultiply(embed(H.basis_element(u)),
-                              TensorElement.basis(nd, _didx(n, w, c)))
-            for (m,), cm in first.entries.items():
+            for (m,), cm in left[u][_didx(n, w, c)].entries.items():
                 key = (m, _didx(n, z, e))
                 bucket = per_i.setdefault(a, {})
                 acc = bucket.get(key)
@@ -142,8 +140,7 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
     # legs: (h, u, c, hole a, m)
     s_cols: list[TensorElement] = [TensorElement.zero(1, nd) for _ in range(nd)]
     for (j, u, c, a, m), s in s_table.entries.items():
-        contribution = dmultiply(embed(H.basis_element(u)),
-                                 TensorElement.basis(nd, _didx(n, m, c))).scale(s)
+        contribution = left[u][_didx(n, m, c)].scale(s)
         s_cols[_didx(n, a, j)] = s_cols[_didx(n, a, j)] + contribution
     antipode_d = LinearOperator(nd, s_cols)
 
@@ -161,54 +158,9 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
                               embedding=embedding)
 
 
-# -- context with transported canonical elements for large doubles ----------------
-
-
 def _transport2(D: DoublePresentation, t: TensorElement) -> TensorElement:
     """A two-leg element of the base algebra, carried into the double."""
     return embed_legs(D.embedding, t)
-
-
-def double_context(D: DoublePresentation) -> AlgebraContext:
-    """Context for the double; above the exhaustive-dimension bound the
-    canonical two-leg elements are transported along the embedding (which
-    is a morphism for the whole structure) instead of re-derived, and the
-    transported values are re-verified against their defining equations by
-    ``double_report``."""
-    ctx = get_context(D.presentation)
-    if D.presentation.dim <= EXHAUSTIVE_DIM or "gamma_delta" in ctx._memo:
-        return ctx
-    base = get_context(D.base)
-    with ctx._lock:
-        ctx._memo.setdefault("gamma_delta",
-                             (_transport2(D, base.gamma), _transport2(D, base.delta_el)))
-        ctx._memo.setdefault("twist",
-                             (_transport2(D, base.f), _transport2(D, base.f_inv)))
-        ctx._memo.setdefault("pq", (_transport2(D, base.p_r), _transport2(D, base.q_r),
-                                    _transport2(D, base.p_l), _transport2(D, base.q_l)))
-    _seed_cop(ctx)
-    return ctx
-
-
-def _seed_cop(ctx: AlgebraContext) -> None:
-    """Seed the coopposite context from the straight one (the coopposite
-    transport rules); idempotent."""
-    cop = ctx.variant_ctx("cop")
-    if "gamma_delta" in cop._memo:
-        return
-
-    def si2(t: TensorElement) -> TensorElement:
-        return Expression({"t": t}, [Leg(Si(r("t", 1))), Leg(Si(r("t", 2)))]
-                          ).evaluate(ctx.ops)
-
-    def swap(t: TensorElement) -> TensorElement:
-        return permute_legs(t, (1, 0))
-
-    with cop._lock:
-        cop._memo.setdefault("gamma_delta", (si2(ctx.gamma), si2(ctx.delta_el)))
-        cop._memo.setdefault("twist", (si2(ctx.f), si2(ctx.f_inv)))
-        cop._memo.setdefault("pq", (swap(ctx.p_l), swap(ctx.q_l),
-                                    swap(ctx.p_r), swap(ctx.q_r)))
 
 
 def double_antipode_inverse(D: DoublePresentation) -> LinearOperator:
@@ -226,15 +178,11 @@ def double_antipode_inverse(D: DoublePresentation) -> LinearOperator:
          Hole(S(Si(r("p", 2), r("f", 1)), r("xx", 1), r("p", 1, 1),
                 Si(r("q", 2), r("g", 2)))),
          VarIdx("xx")]).evaluate(base.ops)
-    pres_d = D.presentation
-
-    def dmultiply(a: TensorElement, b: TensorElement) -> TensorElement:
-        return mult_pointwise(pres_d.mult, a, b)
-
+    left = [multiplication_operator(D.presentation.mult, emb, "left").columns
+            for emb in D.embedding]
     cols: list[TensorElement] = [TensorElement.zero(1, nd) for _ in range(nd)]
     for (j, u, c, a, m), s in table.entries.items():
-        contribution = dmultiply(D.embedding[u],
-                                 TensorElement.basis(nd, _didx(n, m, c))).scale(s)
+        contribution = left[u][_didx(n, m, c)].scale(s)
         cols[_didx(n, a, j)] = cols[_didx(n, a, j)] + contribution
     return LinearOperator(nd, cols)
 
@@ -340,8 +288,8 @@ def is_double_semisimple(D: DoublePresentation) -> bool:
 # -- the umbrella verification suite --------------------------------------------
 
 
-# identities re-checked on the double itself; for large doubles this also
-# certifies the transported canonical elements against their definitions
+# identities re-checked on the double itself, with its canonical elements
+# derived from its own structure constants
 DOUBLE_SUITE_NAMES = [
     "ca", "gdf-gamma", "gdf-delta", "f-counit",
     "pqra", "pqr", "pql", "pqla", "qqlv", "pplu",
@@ -366,10 +314,10 @@ def double_report(D: DoublePresentation, exhaustive: bool | None = None) -> Veri
     e = H.basis_element
 
     # unit law over every basis element
-    def unit_law(k: int):
-        d = pres_d.basis_element(k)
-        return [(pres_d.multiply(pres_d.unit, d), d), (pres_d.multiply(d, pres_d.unit), d)]
-    report.check_all("double:unit-law", range(nd), unit_law)
+    unit_d = multiplication_operator(pres_d.mult, pres_d.unit, "left").columns
+    d_unit = multiplication_operator(pres_d.mult, pres_d.unit, "right").columns
+    report.check_all("double:unit-law", range(nd), lambda k: [
+        (unit_d[k], pres_d.basis_element(k)), (d_unit[k], pres_d.basis_element(k))])
 
     # the embedding is an injective morphism of quasi-Hopf structures
     rows = [[D.embedding[j].coeff(k) for j in range(n)] for k in range(nd)]
@@ -396,14 +344,15 @@ def double_report(D: DoublePresentation, exhaustive: bool | None = None) -> Veri
         (closed.apply(D.embedding[a]), embed(base.s_inv.apply(e(a))))])
 
     # the explicit two-sided integral
-    ctx_d = double_context(D)
+    ctx_d = get_context(pres_d)
     big_t = double_integral(D)
     eps_d = pres_d.counit
+    d_t = multiplication_operator(pres_d.mult, big_t, "right").columns
+    t_d = multiplication_operator(pres_d.mult, big_t, "left").columns
 
     def two_sided(k: int):
-        d = pres_d.basis_element(k)
-        scaled = big_t.scale(eps_d(d))
-        return [(pres_d.multiply(d, big_t), scaled), (pres_d.multiply(big_t, d), scaled)]
+        scaled = big_t.scale(eps_d.coords[k])
+        return [(d_t[k], scaled), (t_d[k], scaled)]
     report.check_all("double:T-two-sided-integral", range(nd), two_sided)
     t_pairing = base.mu_inv(H.beta) * base.lam(base.r)
     report.add("double:T-nonzero", not big_t.is_zero() and not t_pairing.is_zero())

@@ -14,9 +14,10 @@ from itertools import product
 
 from .exactnum import ONE, ZERO
 from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
-from .multilinear import (Functional, LinearOperator, TensorElement, apply_on_leg,
-                          contract, invert_operator, solve_constraints)
-from .qha import hit_functional_left, hit_functional_right
+from .multilinear import (Functional, LinearOperator, SingularOperator, TensorElement,
+                          apply_on_leg, columns_of, contract, invert_operator,
+                          multiplication_operator, solve_constraints)
+from .qha import _compose_functional, hit_functional_left, hit_functional_right
 from .report import VerificationReport, first_difference
 
 
@@ -89,14 +90,10 @@ def integral_space(pres, side: str) -> list[TensorElement]:
         for d in range(n):
             e_d = pres.basis_element(d)
             eps_d = eps(e_d)
-            cols = []
-            for j in range(n):
-                e_j = pres.basis_element(j)
-                prod = pres.multiply(e_d, e_j) if side == "left" else pres.multiply(e_j, e_d)
-                cols.append(prod)
+            # column j is e_d e_j (left) or e_j e_d (right)
+            cols = multiplication_operator(pres.mult, e_d, side).columns
             for m in range(n):
-                row = [cols[j].coeff(m) - (eps_d if m == j else ZERO) for j in range(n)]
-                yield row
+                yield [cols[j].coeff(m) - (eps_d if m == j else ZERO) for j in range(n)]
 
     basis = solve_constraints(rows(), n)
     return [TensorElement.vector(vec) for vec in basis]
@@ -113,8 +110,7 @@ def compute_integral_data(ctx) -> IntegralData:
     t = left[0]
     anchor = min(t.entries)  # first nonzero coordinate (scaled to 1 already)
     coords = []
-    for i in range(pres.dim):
-        prod = pres.multiply(t, pres.basis_element(i))
+    for prod in multiplication_operator(pres.mult, t, "left").columns:
         coords.append(prod.coeff(*anchor) / t.coeff(*anchor))
         # consistency across every coordinate of t
         if prod != t.scale(coords[-1]):
@@ -241,13 +237,6 @@ def _filled(ctx, lhs: Expression, rhs: Expression, functional: Functional):
                              contract(functional, rhs.evaluate(ctx.ops, binding, fns), 0))]
 
 
-def _columns(table: TensorElement) -> list[TensorElement]:
-    """The rank-1 tensors m |-> table[i, m] of a two-leg table, one per i."""
-    n = table.dim
-    return [TensorElement(1, n, {(m,): table.coeff(i, m) for m in range(n)})
-            for i in range(n)]
-
-
 def compute_cointegral_data(ctx) -> CointegralData:
     pres = ctx.pres
     left = cointegral_space(ctx, "left")
@@ -328,16 +317,11 @@ def comparison_elements(ctx) -> ComparisonElements:
 # -- Frobenius systems ---------------------------------------------------------------
 
 
-def _compose_functional(ctx, f: Functional, operator: LinearOperator) -> Functional:
-    return Functional([f(operator.apply(ctx.pres.basis_element(i)))
-                       for i in range(ctx.pres.dim)])
-
-
 def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
     ctx = _ctx_of(ctx)
     pres = ctx.pres
     if which == "left":
-        phi = _compose_functional(ctx, ctx.lam, ctx.s_inv)
+        phi = _compose_functional(ctx.lam, ctx.s_inv)
         e = Expression({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
                        [Leg(r("q", 1), r("t", 1, 1), r("p", 1)),
                         Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))]).evaluate(ctx.ops)
@@ -351,7 +335,7 @@ def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
         if scale.is_zero():
             raise DegeneratePairing(f"{pres.name}: lambda(r) = 0")
         lam_op = ctx.lam.scale(scale.inverse())
-        phi = _compose_functional(ctx, lam_op, pres.antipode)
+        phi = _compose_functional(lam_op, pres.antipode)
         d = ctx.comparison.d
         # transporting the opposite-algebra system back swaps the two legs
         # and lands the comparison element at the end of the first one
@@ -360,34 +344,23 @@ def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
                         Leg(r("q", 1), r("rr", 1, 1), r("p", 1))]).evaluate(ctx.ops)
     else:
         raise ValueError(f"unknown Frobenius system {which!r}")
-    chi_cols, chi_inv_cols = [], []
-    for i in range(pres.dim):
-        e_i = pres.basis_element(i)
-        acc = TensorElement.zero(1, pres.dim)
-        acc_inv = TensorElement.zero(1, pres.dim)
-        for (a, b), value in e.entries.items():
-            c = phi(pres.multiply(TensorElement.basis(pres.dim, a), e_i))
-            if not c.is_zero():
-                acc = acc + TensorElement.basis(pres.dim, b).scale(value * c)
-            c2 = phi(pres.multiply(e_i, TensorElement.basis(pres.dim, b)))
-            if not c2.is_zero():
-                acc_inv = acc_inv + TensorElement.basis(pres.dim, a).scale(value * c2)
-        chi_cols.append(acc)
-        chi_inv_cols.append(acc_inv)
-    chi = LinearOperator(pres.dim, chi_cols)
-    chi_inv = LinearOperator(pres.dim, chi_inv_cols)
+    # chi(h) = (h -> phi)(e1) e2 and chi^-1(h) = (phi <- h)(e2) e1
+    basis = [pres.basis_element(i) for i in range(pres.dim)]
+    chi = LinearOperator(pres.dim, [contract(hit_functional_left(pres, h, phi), e, 0)
+                                    for h in basis])
+    chi_inv = LinearOperator(pres.dim, [contract(hit_functional_right(pres, phi, h), e, 1)
+                                        for h in basis])
     return FrobeniusSystem(phi=phi, e=e, nakayama=chi, nakayama_inv=chi_inv)
 
 
 def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationReport:
-    from .context import _mult_operator
     pres = ctx.pres
     report = VerificationReport(pres.name)
     basis = pres.basis_element
     # a e1 x e2 vs e1 x e2 a, computed leg-wise
     report.check_all(f"frobenius:{label}:centrality", range(pres.dim), lambda i: [
-        (apply_on_leg(_mult_operator(pres, basis(i), side="left"), system.e, 0),
-         apply_on_leg(_mult_operator(pres, basis(i), side="right"), system.e, 1))])
+        (apply_on_leg(multiplication_operator(pres.mult, basis(i), "left"), system.e, 0),
+         apply_on_leg(multiplication_operator(pres.mult, basis(i), "right"), system.e, 1))])
     report.check_zero(f"frobenius:{label}:phi(e1)e2=1",
                       contract(system.phi, system.e, 0) - pres.unit)
     report.check_zero(f"frobenius:{label}:phi(e2)e1=1",
@@ -413,21 +386,19 @@ def nakayama_report(ctx) -> VerificationReport:
     closed = Expression({"h": VAR},
                         [Fn("mu", r("h", 1, 1)), Leg(op("S2", r("h", 1, 2)))]
                         ).evaluate(ctx.ops, None, ctx.lazy_functionals())
-    expected = _columns(closed)
+    expected = columns_of(closed)
     report.check_all("nakayama:closed-form", range(pres.dim),
                      lambda i: [(expected[i], left.nakayama.columns[i])])
 
     # chi^-1(h) = mu(Si(u h u^-1)_2) Si(Si(u h u^-1)_1)
-    conj_cols = [ctx.s_inv.apply(
-        pres.multiply(pres.multiply(ctx.u_el, pres.basis_element(i)), ctx.u_inv))
-        for i in range(pres.dim)]
-    conj = LinearOperator(pres.dim, conj_cols)
+    conj = ctx.s_inv.compose(multiplication_operator(pres.mult, ctx.u_el, "left").compose(
+        multiplication_operator(pres.mult, ctx.u_inv, "right")))
     ops = ctx.ops.with_extra(operators={"C": conj})
     closed_inv = Expression({"h": VAR},
                             [Fn("mu", r("h", 1, "C", 2)),
                              Leg(r("h", 1, "C", 1, "Si"))]).evaluate(
                                  ops, None, ctx.lazy_functionals())
-    expected_inv = _columns(closed_inv)
+    expected_inv = columns_of(closed_inv)
     report.check_all("nakayama:inverse-closed-form", range(pres.dim),
                      lambda i: [(expected_inv[i], left.nakayama_inv.columns[i])])
 
@@ -510,10 +481,9 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
                                ctx.ops, None, fns)
     results: dict[str, bool | None] = {}
     try:
-        from .context import _mult_operator
-        left = _mult_operator(pres, f_mu, side="left")
-        f_mu_inv = invert_operator(left).apply(pres.unit)
-    except Exception:
+        f_mu_inv = invert_operator(
+            multiplication_operator(pres.mult, f_mu, "left")).apply(pres.unit)
+    except SingularOperator:
         f_mu_inv = None
     s2 = ctx.s_squared
     s3 = s2.compose(pres.antipode)
@@ -735,7 +705,7 @@ def xi_operator(ctx) -> LinearOperator:
     table = Expression({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
                        [Hole(S(r("q", 2), r("t", 1, 2), r("p", 2))),
                         Leg(r("q", 1), r("t", 1, 1), r("p", 1))]).evaluate(ctx.ops)
-    return LinearOperator(ctx.pres.dim, _columns(table))
+    return LinearOperator(ctx.pres.dim, columns_of(table))
 
 
 def xi_report(ctx) -> VerificationReport:
@@ -743,14 +713,11 @@ def xi_report(ctx) -> VerificationReport:
     n = pres.dim
     report = VerificationReport(pres.name)
     xi = xi_operator(ctx)
-    phi = _compose_functional(ctx, ctx.lam, ctx.s_inv)
+    phi = _compose_functional(ctx.lam, ctx.s_inv)
     # claimed inverse: h |-> h -> (lam o Si), i.e. coords a of the functional
-    inv_cols = []
-    for j in range(n):
-        e_j = pres.basis_element(j)
-        coords = [phi(pres.multiply(pres.basis_element(a), e_j)) for a in range(n)]
-        inv_cols.append(TensorElement.vector(coords))
-    xi_inv = LinearOperator(n, inv_cols)
+    xi_inv = LinearOperator(n, [
+        TensorElement.vector(hit_functional_left(pres, pres.basis_element(j), phi).coords)
+        for j in range(n)])
     ident = LinearOperator.identity(n)
     ok = xi.compose(xi_inv) == ident and xi_inv.compose(xi) == ident
     report.add("xi:bijective-with-stated-inverse", ok)
@@ -765,7 +732,7 @@ def s_mu_operator(ctx) -> LinearOperator:
     table = Expression({"h": VAR},
                        [Fn("mu", r("h", 1, "S", 1)), Leg(r("h", 1, "S", 2))]
                        ).evaluate(ctx.ops, None, ctx.lazy_functionals())
-    return LinearOperator(ctx.pres.dim, _columns(table))
+    return LinearOperator(ctx.pres.dim, columns_of(table))
 
 
 # -- umbrella report ---------------------------------------------------------------------------
@@ -781,17 +748,20 @@ def integral_report(ctx) -> VerificationReport:
     report.add("integrals:right-dimension-one", True)
 
     e = pres.basis_element
+    t_h = multiplication_operator(pres.mult, ctx.t, "left").columns
+    h_r = multiplication_operator(pres.mult, ctx.r, "right").columns
     report.check_all("integrals:t*h=mu(h)t", range(n), lambda i: [
-        (pres.multiply(ctx.t, e(i)), ctx.t.scale(ctx.mu(e(i))))])
+        (t_h[i], ctx.t.scale(ctx.mu(e(i))))])
     report.check_all("integrals:h*r=mui(h)r", range(n), lambda i: [
-        (pres.multiply(e(i), ctx.r), ctx.r.scale(ctx.mu_inv(e(i))))])
+        (h_r[i], ctx.r.scale(ctx.mu_inv(e(i))))])
+    mu_after = [hit_functional_right(pres, ctx.mu, e(i)) for i in range(n)]    # mu(e_i -)
     report.check_all("integrals:mu-is-algebra-map", product(range(n), repeat=2), lambda ij: [
-        (ctx.mu(pres.multiply(e(ij[0]), e(ij[1]))), ctx.mu(e(ij[0])) * ctx.mu(e(ij[1])))])
+        (mu_after[ij[0]].coords[ij[1]], ctx.mu(e(ij[0])) * ctx.mu(e(ij[1])))])
 
-    mu_si = _compose_functional(ctx, ctx.mu, ctx.s_inv)
+    mu_si = _compose_functional(ctx.mu, ctx.s_inv)
     report.add("integrals:mui=mu.S=mu.Si",
                data.mu_inv == mu_si and data.mu_inv ==
-               _compose_functional(ctx, ctx.mu, pres.antipode))
+               _compose_functional(ctx.mu, pres.antipode))
 
     def convolution(i: int):
         d = pres.coproduct.apply(e(i))

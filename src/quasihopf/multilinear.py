@@ -580,6 +580,33 @@ def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> Tenso
     return TensorElement(rank, a.dim, _lower(t), _trust=True)
 
 
+def columns_of(table: TensorElement) -> list[TensorElement]:
+    """The rank-1 tensors m |-> table[i, m] of a two-leg table, one per i."""
+    cols: list[Entries] = [{} for _ in range(table.dim)]
+    for (i, m), value in table.entries.items():
+        cols[i][(m,)] = value
+    return [TensorElement(1, table.dim, c, _trust=True) for c in cols]
+
+
+def multiplication_operator(mult: MultTable, a: TensorElement, side: str) -> LinearOperator:
+    """L_a (h |-> a h, side "left") or R_a (h |-> h a, side "right").
+
+    One ``_merge`` over a tensor whose first leg indexes the basis gives the
+    products with every basis element at once; column i is the product with
+    e_i.
+    """
+    if side not in ("left", "right"):
+        raise ValueError(f"unknown side {side!r}")
+    if a.rank != 1:
+        raise RankMismatch("a multiplication operator needs a rank-1 element")
+    n = a.dim
+    nums, den, qi = _lift(a.entries)
+    domain = ({(i, k, i): v for i in range(n) for (k,), v in nums.items()}, den, qi)
+    pa, pb = (1, 2) if side == "left" else (2, 1)       # legs: index, a, e_index
+    products = _lower(_merge(domain, _lift_table(mult), pa, pb))
+    return LinearOperator(n, columns_of(TensorElement(2, n, products, _trust=True)))
+
+
 def _check_leg(t: TensorElement, dim: int, leg: int) -> None:
     if leg < 0 or leg >= t.rank:
         raise LegOutOfRange(f"leg {leg} out of range for rank {t.rank}")

@@ -19,7 +19,8 @@ from .expr import VAR, AlgebraOps, Expression, Leg, S, r
 from .multilinear import (Functional, LinearOperator, MultTable,
                           SingularOperator, TensorElement, _lift_table, _lower,
                           _merge, apply_on_leg, contract, invert_operator,
-                          mult_pointwise, permute_legs, tensor_product)
+                          mult_pointwise, multiplication_operator, permute_legs,
+                          tensor_product)
 from .report import VerificationReport
 
 # Presentations up to this dimension get exhaustive axiom checks by default;
@@ -383,20 +384,19 @@ def iterated_coproduct(pres: QhaPresentation, t: TensorElement, plan) -> TensorE
 # -- actions between H and H* --------------------------------------------------
 
 
+def _compose_functional(f: Functional, operator: LinearOperator) -> Functional:
+    """f o operator."""
+    return Functional([f(col) for col in operator.columns])
+
+
 def hit_functional_left(pres: QhaPresentation, h: TensorElement, f: Functional) -> Functional:
-    """h -> f: the functional x |-> f(x * h)."""
-    coords = []
-    for j in range(pres.dim):
-        coords.append(f(pres.multiply(pres.basis_element(j), h)))
-    return Functional(coords)
+    """h -> f: the functional x |-> f(x * h), that is f o R_h."""
+    return _compose_functional(f, multiplication_operator(pres.mult, h, "right"))
 
 
 def hit_functional_right(pres: QhaPresentation, f: Functional, h: TensorElement) -> Functional:
-    """f <- h: the functional x |-> f(h * x)."""
-    coords = []
-    for j in range(pres.dim):
-        coords.append(f(pres.multiply(h, pres.basis_element(j))))
-    return Functional(coords)
+    """f <- h: the functional x |-> f(h * x), that is f o L_h."""
+    return _compose_functional(f, multiplication_operator(pres.mult, h, "left"))
 
 
 def hit_element_left(pres: QhaPresentation, f: Functional, h: TensorElement) -> TensorElement:

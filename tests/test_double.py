@@ -5,10 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from quasihopf.context import get_context
-from quasihopf.double import (build_double, double_antipode_inverse,
-                              double_context, double_integral,
-                              double_left_cointegral, double_modular,
+from quasihopf.context import AlgebraContext, get_context
+from quasihopf.double import (_transport2, build_double, double_antipode_inverse,
+                              double_integral, double_left_cointegral, double_modular,
                               double_report, double_right_cointegral,
                               is_double_semisimple, semisimplicity_check)
 from quasihopf.exactnum import ONE, Scalar, ZERO
@@ -130,7 +129,7 @@ def test_d8_full_report(d8_report):
 
 
 def test_d8_cointegrals_direct(d8):
-    ctx_d = double_context(d8)
+    ctx_d = get_context(d8.presentation)
     gamma = double_left_cointegral(d8)
     assert cointegral_residual(ctx_d, gamma, "left").is_zero()
     right = double_right_cointegral(d8)
@@ -140,13 +139,29 @@ def test_d8_cointegrals_direct(d8):
 def test_d8_transported_context_matches_generic_on_small_double(d2):
     """On the small double the transported canonical elements coincide with
     the generically derived ones."""
-    from quasihopf.double import _transport2
     ctx = get_context(d2.presentation)
     base = get_context(d2.base)
     assert ctx.f == _transport2(d2, base.f)
     assert ctx.gamma == _transport2(d2, base.gamma)
     assert ctx.p_r == _transport2(d2, base.p_r)
     assert ctx.u_cap == _transport2(d2, base.u_cap)
+
+
+CANONICAL_TWO_LEG = ("gamma", "delta_el", "f", "f_inv", "p_r", "q_r", "p_l", "q_l")
+
+
+@pytest.mark.parametrize("variant", [None, "cop"])
+def test_large_double_derives_the_transported_canonical_elements(d8, variant):
+    """On D(H8+) a fresh context derives gamma, delta, f, f^-1, p_R, q_R,
+    p_L and q_L from the double's own structure constants, and each equals
+    the base element carried along the embedding (which is a morphism of
+    quasi-Hopf algebras, also between the coopposite algebras)."""
+    ctx = AlgebraContext(d8.presentation)
+    base = get_context(d8.base)
+    if variant:
+        ctx, base = ctx.variant_ctx(variant), base.variant_ctx(variant)
+    for name in CANONICAL_TWO_LEG:
+        assert getattr(ctx, name) == _transport2(d8, getattr(base, name)), name
 
 
 def test_mutated_double_axioms_fail(d2):
@@ -166,7 +181,7 @@ def test_exhaustive_identity_loop_on_large_double(d8):
     """On a dimension-64 presentation an identity walks every basis binding
     instead of sampling."""
     from quasihopf.canonical import evaluate_identity
-    ctx = double_context(d8)
+    ctx = get_context(d8.presentation)
     assert evaluate_identity(ctx, "rint4").is_zero()
 
 
@@ -175,7 +190,7 @@ def test_identity_rows_bind_every_basis_element_on_large_double(d8, monkeypatch)
     bindings of its variable, each once and in basis order."""
     from quasihopf.canonical import REGISTRY, evaluate_identity
     from quasihopf.expr import Expression
-    ctx = double_context(d8)
+    ctx = get_context(d8.presentation)
     REGISTRY["rint4"].build(ctx)        # computes r and U before recording
     bound = []
     original = Expression.evaluate

@@ -320,6 +320,19 @@ def test_s4_display_readings_reported(ctx_h2, ctx_h8p):
         assert readings["reading-a"] in (True, False, None)
 
 
+def test_s4_display_readings_propagates_internal_faults(h2, monkeypatch):
+    """Only a singular element makes reading a "undefined"; any other
+    fault while inverting it propagates."""
+    from quasihopf import intcoint
+
+    def broken(op):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(intcoint, "invert_operator", broken)
+    with pytest.raises(RuntimeError, match="injected"):
+        s4_display_readings(AlgebraContext(h2))
+
+
 # -- coactions and the Frobenius isomorphism -------------------------------------------------
 
 

@@ -15,7 +15,8 @@ from quasihopf.multilinear import (DimMismatch, Functional, LegOutOfRange,
                                    TensorElement, _lift, _lift_columns, _lift_table,
                                    _lower, _map_leg, _merge, _outer, apply_on_leg,
                                    contract, invert_operator, kernel_basis,
-                                   mult_pointwise, solve_constraints, tensor_product)
+                                   mult_pointwise, multiplication_operator,
+                                   solve_constraints, tensor_product)
 from quasihopf.qha import make_mult
 
 
@@ -78,6 +79,28 @@ def test_mult_pointwise_associative_random(h2, h8p, h8m, baseline):
             left = mult_pointwise(pres.mult, mult_pointwise(pres.mult, a, b), c)
             right = mult_pointwise(pres.mult, a, mult_pointwise(pres.mult, b, c))
             assert left == right
+
+
+@pytest.mark.parametrize("name", ["H2", "H8+", "H8-", "kZ2-hopf", "D(H2)"])
+def test_multiplication_operator_matches_basis_products(name, request):
+    """Column i of L_a is a e_i and column i of R_a is e_i a, for a random
+    element a over Q(i)."""
+    from quasihopf.workbench import catalog_build
+    pres = request.getfixturevalue("d2").presentation if name == "D(H2)" else catalog_build(name)
+    n = pres.dim
+    rng = random.Random(f"mult-op:{name}")
+
+    def rand() -> Fraction:
+        return Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+    a = TensorElement(1, n, {(rng.randrange(n),): Scalar.gaussian(rand(), rand())
+                             for _ in range(4)})
+    assert any(not v.is_rational() for v in a.entries.values())
+    left = multiplication_operator(pres.mult, a, "left")
+    right = multiplication_operator(pres.mult, a, "right")
+    for i in range(n):
+        e_i = pres.basis_element(i)
+        assert left.columns[i] == mult_pointwise(pres.mult, a, e_i)
+        assert right.columns[i] == mult_pointwise(pres.mult, e_i, a)
 
 
 def test_apply_on_leg_antipode(h8p):

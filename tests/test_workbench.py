@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import gc
 import json
 import subprocess
@@ -10,11 +11,14 @@ import weakref
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from quasihopf import canonical, cli, double, expr, intcoint, qha
 from quasihopf.cli import main as cli_main
 from quasihopf.context import get_context
-from quasihopf.exactnum import FIELD_Q, FIELD_QI
-from quasihopf.qha import AxiomViolation
+from quasihopf.exactnum import FIELD_Q, FIELD_QI, ParseError
+from quasihopf.qha import AxiomViolation, BadCounitNormalization, NonInvertiblePhi
 from quasihopf.workbench import (CATALOG_NAMES, SchemaError, UnknownCatalogName,
                                  catalog_build, export_document, import_document,
                                  render_document, resolve_target)
@@ -213,6 +217,64 @@ def test_cli_schema_error_exit_2(tmp_path, capsys):
     path.write_text("{\"name\": 3}")
     assert cli_main(["verify", str(path)]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("error", [
+    intcoint.CrossCheckMismatch, intcoint.DegeneratePairing, intcoint.FrobeniusCheckFailed,
+    canonical.TwistNotInvertible, canonical.InternalIdentityFailure,
+    double.DoubleBuildError, qha.SingularAntipode, expr.ExpressionError])
+def test_cli_internal_error_exit_3(monkeypatch, capsys, error):
+    """An internal error exits 3 with its name on stderr, apart from a
+    failed row (1) and bad input (2), instead of escaping as a traceback."""
+
+    def failing(ctx):
+        raise error("injected")
+
+    monkeypatch.setattr(cli, "integral_report", failing)
+    assert cli_main(["verify", "catalog:H2", "--suite", "integrals"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {error.__name__}: injected\n"
+
+
+_H2_DOC = export_document(catalog_build("H2"))
+
+
+def _doc_paths(value, path=()):
+    """Every path below the root of a JSON document, parents first."""
+    children = value.items() if isinstance(value, dict) else (
+        enumerate(value) if isinstance(value, list) else ())
+    for key, child in children:
+        yield path + (key,)
+        yield from _doc_paths(child, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=6) | st.sampled_from(["0", "1", "-1/2", "1+i", "+0*i", "Q", "Q(i)"]),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner,
+                                                                 max_size=3),
+    max_leaves=8)
+_DELETE = object()
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(path=st.sampled_from(list(_doc_paths(_H2_DOC))), value=st.just(_DELETE) | _JSON_VALUES)
+def test_import_document_fuzz_raises_only_input_errors(path, value):
+    """Replacing one value of the H2 document by any JSON value, or deleting
+    it, either imports or is refused with one of the input errors."""
+    doc = copy.deepcopy(_H2_DOC)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    try:
+        import_document(doc)
+    except (SchemaError, ParseError, AxiomViolation, NonInvertiblePhi, BadCounitNormalization):
+        pass
 
 
 def test_cli_integrals(capsys):
