@@ -14,7 +14,7 @@ from .multilinear import (DimMismatch, Functional, LegOutOfRange,
                           tensor_product)
 from .qha import (AxiomViolation, BadCounitNormalization, BadPlan,
                   NonInvertiblePhi, QhaPresentation, SingularAntipode,
-                  antipode_inverse, dual_action, iterated_coproduct,
+                  antipode_inverse, dual_action, generating_set, iterated_coproduct,
                   load_and_validate, variant, verify_axioms)
 from .canonical import (CanonicalElements, IdentityRegistry, UnknownIdentity,
                         canonical_elements, check_identity, identity_suite)

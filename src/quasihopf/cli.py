@@ -46,30 +46,28 @@ def _emit(report: VerificationReport, fmt: str, extra: dict | None = None) -> in
     return 0 if report.passed() else 1
 
 
-def _run_suites(pres, suites: list[str], exhaustive: bool,
+def _run_suites(pres, suites: list[str],
                 identities: list[str] | None = None) -> VerificationReport:
     ctx = get_context(pres)
-    scope = True if exhaustive else None
     reports = []
     if identities:
         reports.append(identity_suite(ctx, identities))
         suites = []
     if "axioms" in suites:
-        reports.append(ctx.axiom_report(scope))
+        reports.append(ctx.axiom_report())
     if "canonical" in suites:
         reports.append(identity_suite(ctx))
     if "integrals" in suites:
         reports.append(integral_report(ctx))
     if "double" in suites:
-        reports.append(double_report(build_double(pres, scope), scope))
+        reports.append(double_report(build_double(pres)))
     return merge_reports(pres.name, reports)
 
 
 def cmd_verify(args) -> int:
     pres = resolve_target(args.target)
     suites = list(SUITES[:-1]) if args.suite == "all" else [args.suite]
-    report = _run_suites(pres, suites, args.exhaustive,
-                         identities=args.identity or None)
+    report = _run_suites(pres, suites, args.identity or None)
     extra = {}
     if not args.identity and args.suite in ("integrals", "all"):
         readings = s4_display_readings(get_context(pres))
@@ -127,9 +125,8 @@ def cmd_cointegrals(args) -> int:
 
 def cmd_double(args) -> int:
     pres = resolve_target(args.target)
-    scope = True if args.exhaustive else None
-    D = build_double(pres, scope)
-    report = double_report(D, scope)
+    D = build_double(pres)
+    report = double_report(D)
     if args.export:
         doc = export_document(D.presentation)
         with open(args.export, "w", encoding="utf-8") as fh:
@@ -156,14 +153,9 @@ def build_parser() -> argparse.ArgumentParser:
                     "quasi-Hopf algebras presented by structure constants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, exhaustive: bool = True):
+    def add_common(p):
         p.add_argument("target", help="catalog:NAME or a presentation document path")
         p.add_argument("--format", choices=("text", "json"), default="text")
-        if exhaustive:
-            p.add_argument("--exhaustive", action="store_true",
-                           help="check the axioms on every basis instance of a large "
-                                "algebra instead of a sample (identities are always "
-                                "checked on every instance)")
 
     p = sub.add_parser("verify", help="run verification suites")
     add_common(p)
@@ -178,11 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_identities)
 
     p = sub.add_parser("integrals", help="solve the integral spaces")
-    add_common(p, exhaustive=False)
+    add_common(p)
     p.set_defaults(func=cmd_integrals)
 
     p = sub.add_parser("cointegrals", help="solve the cointegral spaces")
-    add_common(p, exhaustive=False)
+    add_common(p)
     p.add_argument("--side", choices=("left", "right"))
     p.set_defaults(func=cmd_cointegrals)
 

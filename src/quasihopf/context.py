@@ -16,8 +16,7 @@ from . import canonical, intcoint
 from .expr import AlgebraOps
 from .multilinear import (Functional, LinearOperator, TensorElement, invert_operator,
                           multiplication_operator)
-from .qha import (QhaPresentation, antipode_inverse, exhaustive_scope, variant,
-                  verify_axioms)
+from .qha import QhaPresentation, antipode_inverse, variant, verify_axioms
 from .report import VerificationReport
 
 
@@ -57,14 +56,11 @@ class AlgebraContext:
 
     # -- axioms --------------------------------------------------------------
 
-    def axiom_report(self, exhaustive: bool | None = None,
-                     known: VerificationReport | None = None) -> VerificationReport:
-        """``verify_axioms`` of the presentation, run at most once per resolved
-        scope (exhaustive or sampled); ``known`` stores a report the caller
-        has already computed for that scope."""
-        full = exhaustive_scope(self.pres, exhaustive)
-        return self._get(f"axioms:{'exhaustive' if full else 'sampled'}",
-                         lambda: known if known is not None else verify_axioms(self.pres, full))
+    def axiom_report(self, known: VerificationReport | None = None) -> VerificationReport:
+        """``verify_axioms`` of the presentation, run at most once; ``known``
+        stores a report the caller has already computed."""
+        return self._get("axioms",
+                         lambda: known if known is not None else verify_axioms(self.pres))
 
     # -- operator registry ---------------------------------------------------
 

@@ -62,7 +62,7 @@ def _double_element(n: int, func_coords, elem: TensorElement) -> TensorElement:
     return TensorElement(1, n * n, out, _trust=True)
 
 
-def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePresentation:
+def build_double(H: QhaPresentation) -> DoublePresentation:
     ctx = get_context(H)
     n = H.dim
     nd = n * n
@@ -150,7 +150,7 @@ def build_double(H: QhaPresentation, exhaustive: bool | None = None) -> DoublePr
         mult=dmult, unit=unit_d, counit=counit_d, coproduct=coproduct_d,
         phi=phi_d, phi_inv=phi_inv_d, antipode=antipode_d,
         alpha=embed(H.alpha), beta=embed(H.beta))
-    report = get_context(pres_d).axiom_report(exhaustive)
+    report = get_context(pres_d).axiom_report()
     if not report.passed():
         failed = ", ".join(row.name for row in report.failures())
         raise DoubleBuildError(f"double of {H.name} violates axioms: {failed}")
@@ -299,14 +299,14 @@ DOUBLE_SUITE_NAMES = [
 ]
 
 
-def double_report(D: DoublePresentation, exhaustive: bool | None = None) -> VerificationReport:
+def double_report(D: DoublePresentation) -> VerificationReport:
     H = D.base
     base = get_context(H)
     pres_d = D.presentation
     n, nd = H.dim, H.dim * H.dim
     report = VerificationReport(pres_d.name)
 
-    report.extend(get_context(pres_d).axiom_report(exhaustive))
+    report.extend(get_context(pres_d).axiom_report())
 
     def embed(h: TensorElement) -> TensorElement:
         return _double_element(n, H.counit.coords, h)

@@ -87,9 +87,6 @@ class Scalar:
     def is_zero(self) -> bool:
         return self._a == 0 and self._b == 0
 
-    def is_one(self) -> bool:
-        return self._b == 0 and self._a == self._d
-
     def is_rational(self) -> bool:
         return self._b == 0
 

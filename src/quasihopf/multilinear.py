@@ -237,15 +237,6 @@ class LinearOperator:
     def identity(cls, dim: int) -> "LinearOperator":
         return cls(dim, [TensorElement.basis(dim, i) for i in range(dim)])
 
-    @classmethod
-    def from_matrix(cls, rows: Sequence[Sequence[Scalar]]) -> "LinearOperator":
-        dim = len(rows)
-        cols = []
-        for j in range(dim):
-            cols.append(TensorElement(1, dim, {(i,): rows[i][j] for i in range(dim)
-                                               if not rows[i][j].is_zero()}, _trust=True))
-        return cls(dim, cols)
-
     def matrix(self) -> list[list[Scalar]]:
         return [[self.columns[j].coeff(i) for j in range(self.dim)] for i in range(self.dim)]
 

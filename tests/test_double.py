@@ -205,16 +205,20 @@ def test_identity_rows_bind_every_basis_element_on_large_double(d8, monkeypatch)
     assert bound == [{"h": e} for e in basis for _side in (0, 1)]
 
 
-def test_sampled_axiom_rows_visit_the_sampled_domains(d8, monkeypatch):
-    """Each "(sampled)" axiom row of D(H8+) quantifies over exactly the
-    instances that ``_domains`` draws for its arity, in order.  The rows are
-    recorded, not evaluated (q1 alone takes seconds here); that a row visits
+def test_reduced_axiom_rows_visit_the_generator_domains(d8, monkeypatch):
+    """On D(H8+) ``mult:unit`` quantifies over the whole basis and every other
+    quantified axiom row over G, G x basis or G x basis x basis, in order,
+    where G is the generating set.  The rows are recorded, not evaluated
+    (``coproduct:morphism`` alone takes seconds here); that a row visits
     every instance it is given is pinned in ``test_report``."""
-    from quasihopf import qha
+    from quasihopf.qha import generating_set
     from quasihopf.report import VerificationReport
     pres = d8.presentation
-    singles, pairs, triples, full = qha._domains(pres, None)
-    assert not full
+    n = pres.dim
+    gens, rank = generating_set(pres)
+    assert rank == n
+    pairs = [(g, j) for g in gens for j in range(n)]
+    triples = [(g, j, k) for g, j in pairs for k in range(n)]
     quantified: dict[str, list] = {}
 
     def recording(self, name, instances, sides):
@@ -223,16 +227,20 @@ def test_sampled_axiom_rows_visit_the_sampled_domains(d8, monkeypatch):
 
     monkeypatch.setattr(VerificationReport, "check_all", recording)
     verify_axioms(pres)
-    sampled = {name.removesuffix(" (sampled)"): instances
-               for name, instances in quantified.items() if name.endswith(" (sampled)")}
-    assert sampled == {
-        "mult:unit": singles, "mult:assoc": triples,
+    assert {name: quantified[name] for name in quantified
+            if name not in ("q7", "phi:invertible")} == {
+        "mult:unit": list(range(n)), "mult:assoc": triples,
         "counit:morphism": pairs, "coproduct:morphism": pairs,
-        "q2": singles, "q1": singles, "q5": singles,
-        "antipode:anti-morphism": pairs, "counit-of-antipode": singles}
+        "q2": gens, "q1": gens, "q5": gens,
+        "antipode:anti-morphism": pairs, "counit-of-antipode": gens}
 
 
-def test_sampled_axiom_mode_on_small_algebra(h8p):
-    report = verify_axioms(h8p, exhaustive=False)
+def test_reduced_axiom_rows_on_small_algebra(h8p):
+    """H8+ passes, and the row names carry no scope."""
+    report = verify_axioms(h8p)
     assert report.passed()
-    assert any("(sampled)" in row.name for row in report.rows)
+    assert [row.name for row in report.rows] == [
+        "mult:unit", "mult:assoc", "counit:unit", "counit:morphism", "coproduct:unit",
+        "coproduct:morphism", "q2", "q1", "q3", "q4", "q7", "q5", "q6:left", "q6:right",
+        "phi:invertible", "antipode:unit", "antipode:anti-morphism", "counit-of-antipode",
+        "alpha-beta:normalized"]

@@ -9,10 +9,13 @@ import pytest
 
 from conftest import all_mutations, mutate_presentation
 from quasihopf.exactnum import HALF, ONE, Scalar, ZERO
-from quasihopf.multilinear import Functional, TensorElement, tensor_product
-from quasihopf.qha import (AxiomViolation, BadCounitNormalization, BadPlan,
-                           QhaPresentation, SingularAntipode, antipode_inverse,
-                           dual_action, hit_element_left, hit_element_right,
+from quasihopf.expr import VAR, AlgebraOps, Expression, Leg, S, r
+from quasihopf.multilinear import (Functional, TensorElement, apply_on_leg, contract,
+                                   tensor_product)
+from quasihopf.qha import (PREREQUISITES, AxiomViolation, BadCounitNormalization,
+                           BadPlan, QhaPresentation, SingularAntipode,
+                           antipode_inverse, dual_action, generating_set,
+                           hit_element_left, hit_element_right,
                            hit_functional_left, hit_functional_right,
                            iterated_coproduct, load_and_validate, variant,
                            verify_axioms)
@@ -120,6 +123,87 @@ def test_sampled_mutations_fail_axioms_h8(h8p):
         assert not report.passed(), f"mutation {mutated.name} went unnoticed"
 
 
+# -- axiom rows on a generating set against full enumeration ---------------------
+
+
+def _full_enumeration(pres: QhaPresentation) -> dict[str, bool]:
+    """The reference: each quantified axiom row over every basis instance,
+    every product and coproduct computed on its own."""
+    n = pres.dim
+    basis = [pres.basis_element(i) for i in range(n)]
+    pairs = [(a, b) for a in basis for b in basis]
+    mul, eps = pres.multiply, pres.counit
+    delta, s = pres.coproduct.apply, pres.antipode.apply
+    ops = AlgebraOps(n, pres.mult, pres.unit, pres.coproduct, operators={"S": pres.antipode})
+    q5_alpha = Expression({"h": VAR, "a": pres.alpha},
+                          [Leg(S(r("h", 1, 1)), r("a"), r("h", 1, 2))])
+    q5_beta = Expression({"h": VAR, "b": pres.beta},
+                         [Leg(r("h", 1, 1), r("b"), S(r("h", 1, 2)))])
+
+    def q1(h: TensorElement) -> bool:
+        d = delta(h)
+        nested = apply_on_leg(pres.coproduct, d, 0)
+        return apply_on_leg(pres.coproduct, d, 1) == mul(mul(pres.phi, nested), pres.phi_inv)
+
+    return {
+        "mult:unit": all(mul(pres.unit, a) == a == mul(a, pres.unit) for a in basis),
+        "mult:assoc": all(mul(mul(a, b), c) == mul(a, mul(b, c)) for a, b in pairs for c in basis),
+        "counit:morphism": all(eps(mul(a, b)) == eps(a) * eps(b) for a, b in pairs),
+        "coproduct:morphism": all(delta(mul(a, b)) == mul(delta(a), delta(b)) for a, b in pairs),
+        "q2": all(contract(eps, delta(h), leg) == h for h in basis for leg in (1, 0)),
+        "q1": all(q1(h) for h in basis),
+        "q5": all(q5_alpha.evaluate(ops, {"h": h}) == pres.alpha.scale(eps(h))
+                  and q5_beta.evaluate(ops, {"h": h}) == pres.beta.scale(eps(h)) for h in basis),
+        "antipode:anti-morphism": all(s(mul(a, b)) == mul(s(b), s(a)) for a, b in pairs),
+        "counit-of-antipode": all(eps(s(h)) == eps(h) for h in basis),
+    }
+
+
+def test_generator_rows_agree_with_full_enumeration(h2, h8p, h8m, baseline, d2):
+    """On the catalog algebras, their op/cop/opcop variants, D(H2), all 36
+    single-constant mutants of H2 and 20 of H8+, ``verify_axioms`` gives the
+    verdict of full enumeration, and every row full enumeration fails also
+    fails there.  The rows that are not quantified run the same code in
+    both, so the reference takes them from the report."""
+    import random
+    catalog = [h2, h8p, h8m, baseline]
+    subjects = [*catalog, *(variant(p, w) for p in catalog for w in ("op", "cop", "opcop")),
+                d2.presentation, *all_mutations(h2),
+                *random.Random(13).sample(list(all_mutations(h8p)), 20)]
+    assert len(subjects) == 4 * 4 + 1 + 36 + 20
+    for pres in subjects:
+        report = verify_axioms(pres)
+        rows = {row.name: row.passed for row in report.rows}
+        reference = {**rows, **_full_enumeration(pres)}
+        assert report.passed() == all(reference.values()), pres.name
+        assert [name for name, ok in reference.items() if not ok and rows[name]] == [], pres.name
+
+
+def test_generating_sets_of_the_catalog(h2, h8p, h8m, baseline, d8):
+    def labels(pres):
+        gens, rank = generating_set(pres)
+        assert rank == pres.dim
+        return [pres.basis[i] for i in gens]
+
+    assert labels(h2) == labels(baseline) == ["g"]
+    assert labels(h8p) == labels(h8m) == ["g", "x"]
+    assert labels(d8.presentation) == ["P_1><1", "P_1><x", "P_1><x^2", "P_g><x",
+                                       "P_x><1", "P_gx><1"]
+
+
+def test_broken_unit_fails_every_generator_row(h2):
+    """With unit 1 + g the closure of span{unit} stops at rank 1 of 2; the
+    search still ends, and every row checked on generators fails, naming a
+    failed prerequisite where its own instances pass."""
+    broken = mutate_presentation(h2, "unit", 1)
+    assert generating_set(broken)[1] == 1
+    rows = {row.name: row for row in verify_axioms(broken).rows}
+    assert not rows["mult:unit"].passed
+    for name in PREREQUISITES:
+        assert not rows[name].passed, name
+    assert rows["q1"].witness == "prerequisite mult:unit failed"
+
+
 # -- variants -------------------------------------------------------------------
 
 
@@ -213,7 +297,6 @@ def test_iterated_coproduct_plans_differ_by_phi(h8p):
 def test_iterated_coproduct_x_expansion(h8p):
     """plan (., (., .)) on x agrees with substituting the stored
     coproduct of x into itself (oracle built with public tensor ops)."""
-    from quasihopf.multilinear import apply_on_leg
     x = h8p.basis_element(2)
     expected = apply_on_leg(h8p.coproduct, h8p.coproduct.apply(x), 1)
     assert iterated_coproduct(h8p, x, (".", (".", "."))) == expected
@@ -243,7 +326,6 @@ def test_dual_action_posts(h8p):
         hp = h8p.basis_element(j)
         assert lhit(hp) == f(h8p.multiply(hp, h))
         assert rhit(hp) == f(h8p.multiply(h, hp))
-    from quasihopf.multilinear import contract
     d = h8p.coproduct.apply(h)
     assert dual_action(h8p, "lhit_on_dual", f, h) == contract(f, d, 1)
     assert dual_action(h8p, "rhit_on_dual", h, f) == contract(f, d, 0)
@@ -267,7 +349,6 @@ def test_mu_hits_integral(ctx_h8p):
     integral; cross-checked against a direct contraction."""
     h8p = ctx_h8p.pres
     left = hit_element_left(h8p, ctx_h8p.mu, ctx_h8p.t)
-    from quasihopf.multilinear import contract
     assert left == contract(ctx_h8p.mu, h8p.coproduct.apply(ctx_h8p.t), 1)
     right = hit_element_right(h8p, ctx_h8p.t, ctx_h8p.mu)
     assert right == contract(ctx_h8p.mu, h8p.coproduct.apply(ctx_h8p.t), 0)

@@ -322,31 +322,30 @@ def test_cli_verify_canonical_suite(capsys):
     capsys.readouterr()
 
 
-def test_cli_verifies_each_presentation_once_per_scope(tmp_path, monkeypatch, capsys):
+def test_cli_verifies_each_presentation_once(tmp_path, monkeypatch, capsys):
     """``double`` and ``verify --suite axioms`` reuse the axiom report that
-    the build or the import already computed for the same scope."""
+    the build or the import already computed."""
     from quasihopf import qha
     original = qha.verify_axioms
     calls = []
 
-    def counting(pres, exhaustive=None):
-        full = exhaustive if exhaustive is not None else pres.dim <= qha.EXHAUSTIVE_DIM
-        calls.append((pres.name, full))
-        return original(pres, exhaustive)
+    def counting(pres):
+        calls.append(pres.name)
+        return original(pres)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("quasihopf") and getattr(module, "verify_axioms", None) is original:
             monkeypatch.setattr(module, "verify_axioms", counting)
 
     assert cli_main(["double", "catalog:H2", "--format", "json"]) == 0
-    assert ("D(H2)", True) in calls
+    assert "D(H2)" in calls
     assert len(calls) == len(set(calls))
 
     path = tmp_path / "H2.json"
     assert cli_main(["export", "catalog:H2", str(path)]) == 0
     calls.clear()
     assert cli_main(["verify", str(path), "--suite", "axioms"]) == 0
-    assert calls == [("H2", True)]
+    assert calls == ["H2"]
     capsys.readouterr()
 
 
