@@ -10,8 +10,8 @@ from .exactnum import (DivisionByZero, ParseError, Scalar, arith, invert,
                        parse_scalar, render_scalar)
 from .multilinear import (DimMismatch, Functional, LegOutOfRange,
                           LinearOperator, RankMismatch, TensorElement,
-                          apply_on_leg, contract, kernel_basis, mult_pointwise,
-                          tensor_product)
+                          apply_on_leg, contract, mult_pointwise,
+                          solve_constraints, tensor_product)
 from .qha import (AxiomViolation, BadCounitNormalization, BadPlan,
                   NonInvertiblePhi, QhaPresentation, SingularAntipode,
                   antipode_inverse, dual_action, generating_set, iterated_coproduct,

@@ -4,7 +4,9 @@ antipode-power laws.
 Integral spaces are found as exact nullspaces of the defining linear
 systems; cointegrals come from the full coinvariance relation (a system of
 dim^2 scalar equations), with every shortcut characterization kept as an
-independent cross-check rather than used for solving.
+independent cross-check rather than used for solving.  Each system is a
+stream of two-leg tables whose rows, read sparsely with ``columns_of``,
+go straight to ``multilinear.solve_constraints``.
 """
 
 from __future__ import annotations
@@ -12,21 +14,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .exactnum import ONE, ZERO
+from .canonical import _ctx_of, evaluate_identity
+from .exactnum import ONE, Scalar
 from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
 from .multilinear import (Functional, LinearOperator, SingularOperator, TensorElement,
                           apply_on_leg, columns_of, contract, invert_operator,
-                          multiplication_operator, solve_constraints)
+                          multiplication_operator, permute_legs, solve_constraints)
 from .qha import _compose_functional, hit_functional_left, hit_functional_right
 from .report import VerificationReport, first_difference
-
-
-def _ctx_of(obj):
-    """Accept either a presentation or an algebra context."""
-    if hasattr(obj, "pres"):
-        return obj
-    from .context import get_context
-    return get_context(obj)
 
 
 class DimensionNotOne(ArithmeticError):
@@ -81,22 +76,28 @@ class FrobeniusSystem:
 # -- integrals -------------------------------------------------------------------
 
 
+def _nullspace(n: int, tables) -> list[list[Scalar]]:
+    """The x with sum_a x_a table[a, m] = 0 for every m of every (a, m)
+    table: row m of a table is one equation."""
+    return solve_constraints((row for table in tables
+                              for row in columns_of(permute_legs(table, (1, 0)))), n)
+
+
 def integral_space(pres, side: str) -> list[TensorElement]:
     """Basis of { t : h t = eps(h) t } (left) or { t : t h = eps(h) t }."""
     n = pres.dim
-    eps = pres.counit
+    identity = TensorElement(2, n, {(j, j): ONE for j in range(n)})
 
-    def rows():
-        for d in range(n):
-            e_d = pres.basis_element(d)
-            eps_d = eps(e_d)
-            # column j is e_d e_j (left) or e_j e_d (right)
-            cols = multiplication_operator(pres.mult, e_d, side).columns
-            for m in range(n):
-                yield [cols[j].coeff(m) - (eps_d if m == j else ZERO) for j in range(n)]
+    def table(h: TensorElement) -> TensorElement:
+        # [j, m]: the e_m coefficient of h e_j (left) or e_j h (right), less
+        # eps(h) when j = m
+        cols = multiplication_operator(pres.mult, h, side).columns
+        products = TensorElement(2, n, {(j, m): v for j, col in enumerate(cols)
+                                        for (m,), v in col.entries.items()})
+        return products - identity.scale(pres.counit(h))
 
-    basis = solve_constraints(rows(), n)
-    return [TensorElement.vector(vec) for vec in basis]
+    return [TensorElement.vector(vec)
+            for vec in _nullspace(n, (table(pres.basis_element(d)) for d in range(n)))]
 
 
 def compute_integral_data(ctx) -> IntegralData:
@@ -168,18 +169,12 @@ def _right_coint_direct_system(ctx):
     return lhs, rhs
 
 
-def _solve_hole_system(ctx, lhs: Expression, rhs: Expression) -> list[Functional]:
-    pres = ctx.pres
-    n = pres.dim
+def _solve_hole_system(ctx, lhs: Expression, rhs: Expression,
+                       bindings: list[dict]) -> list[Functional]:
+    """The functionals that make both sides agree on every binding."""
     fns = ctx.lazy_functionals()
-
-    def rows():
-        for binding in _bindings(pres):
-            table = lhs.evaluate(ctx.ops, binding, fns) - rhs.evaluate(ctx.ops, binding, fns)
-            for m in range(n):
-                yield [table.coeff(a, m) for a in range(n)]
-
-    return [Functional(vec) for vec in solve_constraints(rows(), n)]
+    return [Functional(vec) for vec in _nullspace(ctx.pres.dim, (
+        lhs.evaluate(ctx.ops, b, fns) - rhs.evaluate(ctx.ops, b, fns) for b in bindings))]
 
 
 def cointegral_space(ctx, side: str) -> list[Functional]:
@@ -189,11 +184,11 @@ def cointegral_space(ctx, side: str) -> list[Functional]:
     ctx = _ctx_of(ctx)
     if side == "left":
         lhs, rhs = _left_coint_system(ctx)
-        return _solve_hole_system(ctx, lhs, rhs)
+        return _solve_hole_system(ctx, lhs, rhs, _bindings(ctx.pres))
     cop = ctx.variant_ctx("cop")
     via_cop = cointegral_space(cop, "left")
     lhs, rhs = _right_coint_direct_system(ctx)
-    direct = _solve_hole_system(ctx, lhs, rhs)
+    direct = _solve_hole_system(ctx, lhs, rhs, _bindings(ctx.pres))
     if len(via_cop) != len(direct) or not all(
             _proportional_fn(a, b) for a, b in zip(via_cop, direct)):
         raise CrossCheckMismatch(
@@ -203,14 +198,7 @@ def cointegral_space(ctx, side: str) -> list[Functional]:
 
 
 def _proportional_fn(a: Functional, b: Functional) -> bool:
-    pivot = next((i for i, c in enumerate(a.coords) if not c.is_zero()), None)
-    pivot_b = next((i for i, c in enumerate(b.coords) if not c.is_zero()), None)
-    if pivot is None or pivot_b is None:
-        return pivot == pivot_b
-    if pivot != pivot_b:
-        return False
-    ratio = b.coords[pivot] / a.coords[pivot]
-    return all((c * ratio) == d for c, d in zip(a.coords, b.coords))
+    return _proportional_el(TensorElement.vector(a.coords), TensorElement.vector(b.coords))
 
 
 def cointegral_residual(ctx, functional: Functional, side: str = "left") -> TensorElement:
@@ -450,7 +438,6 @@ def antipode_on_integrals(ctx) -> tuple[VerificationReport, dict[str, TensorElem
 
 def s4_suite(ctx) -> VerificationReport:
     ctx = _ctx_of(ctx)
-    from .canonical import evaluate_identity
     pres = ctx.pres
     report = VerificationReport(pres.name)
     report.check_zero("s4:equiv-version", evaluate_identity(ctx, "s4equivversion"))
@@ -583,17 +570,7 @@ def _condition_systems(ctx) -> dict[str, tuple[Expression, Expression, bool]]:
 def solve_condition(ctx, name: str) -> list[Functional]:
     """Solve one single-condition characterization as a linear system."""
     lhs, rhs, quantified = _condition_systems(ctx)[name]
-    pres = ctx.pres
-    n = pres.dim
-    fns = ctx.lazy_functionals()
-
-    def rows():
-        for binding in _bindings(pres) if quantified else [{}]:
-            table = lhs.evaluate(ctx.ops, binding, fns) - rhs.evaluate(ctx.ops, binding, fns)
-            for m in range(n):
-                yield [table.coeff(a, m) for a in range(n)]
-
-    return [Functional(vec) for vec in solve_constraints(rows(), n)]
+    return _solve_hole_system(ctx, lhs, rhs, _bindings(ctx.pres) if quantified else [{}])
 
 
 def characterization_suite(ctx) -> VerificationReport:
@@ -613,7 +590,6 @@ def characterization_suite(ctx) -> VerificationReport:
         report.add(f"characterization:{name}:line", _line_matches(ctx, solved, functional),
                    None if _line_matches(ctx, solved, functional)
                    else f"solution space has dimension {len(solved)}")
-    from .canonical import evaluate_identity
     report.check_zero("characterization:qqt-left", evaluate_identity(ctx, "qqt-left"))
     report.check_zero("characterization:qqt-right", evaluate_identity(ctx, "qqt-right"))
     if is_unimodular(ctx):
@@ -663,19 +639,13 @@ def dual_coactions(ctx) -> tuple[TensorElement, TensorElement]:
 def coinvariants_via_rho(ctx) -> list[Functional]:
     """Solve the coinvariance condition directly from the right-coaction
     table (an independent code path from the cointegral solver)."""
-    pres = ctx.pres
-    n = pres.dim
     _, rho = dual_coactions(ctx)
     _, rhs_expr = _left_coint_system(ctx)
     fns = ctx.lazy_functionals()
-
-    def rows():
-        for h_idx in range(n):
-            rhs = rhs_expr.evaluate(ctx.ops, {"h": pres.basis_element(h_idx)}, fns)
-            for m in range(n):
-                yield [rho.coeff(h_idx, a, m) - rhs.coeff(a, m) for a in range(n)]
-
-    return [Functional(vec) for vec in solve_constraints(rows(), n)]
+    # rho's (a, m) table at each basis h, less the relation's other side
+    return [Functional(vec) for vec in _nullspace(ctx.pres.dim, (
+        table - rhs_expr.evaluate(ctx.ops, {"h": ctx.pres.basis_element(h)}, fns)
+        for h, table in enumerate(columns_of(rho))))]
 
 
 def coaction_report(ctx) -> VerificationReport:
@@ -769,7 +739,6 @@ def integral_report(ctx) -> VerificationReport:
                 (ctx.mu_inv(contract(ctx.mu, d, 1)), pres.counit(e(i)))]
     report.check_all("integrals:mu-convolution-inverse", range(n), convolution)
 
-    from .canonical import evaluate_identity
     report.check_zero("integrals:mu(ab)mui(ab)=1", evaluate_identity(ctx, "mumuinv"))
 
     unimod = is_unimodular(ctx)

@@ -1,5 +1,5 @@
-"""Sparse exact tensors on H^(x)k, functionals, linear operators and an
-exact nullspace solver.
+"""Sparse exact tensors on H^(x)k, functionals, linear operators and the
+one exact linear solver.
 
 Tensor entries map k-tuples of basis indices to nonzero scalars; the empty
 table is the zero tensor.  Multi-indices are ordered big-endian in leg order,
@@ -13,6 +13,11 @@ chains the kernels and lowers the result into lowest-terms Scalars once;
 the expression evaluator (``expr``) keeps its whole evaluation in it.
 Multiplication tables, operators and functionals keep their own numerator
 form once a kernel has asked for it.
+
+Every nullspace, inverse and rank comes from one incremental echelon,
+``_Echelon``, whose rows are rank-1 tensors kept as sparse (re, im)
+integer pairs and combined fraction-free; ``solve_constraints``,
+``invert_operator`` and ``row_rank`` are its three uses.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from __future__ import annotations
 from math import gcd
 from typing import Iterable, Mapping, Sequence
 
-from .exactnum import (ONE, Scalar, ZERO, common_denominator, from_numerator,
-                       numerator)
+from .exactnum import (MINUS_ONE, ONE, Scalar, ZERO, common_denominator,
+                       from_numerator, numerator)
 
 
 class DimMismatch(ValueError):
@@ -211,15 +216,12 @@ class Functional:
 
 
 class LinearOperator:
-    """A linear map H^(x)src_rank -> H^(x)dst_rank given by its columns.
+    """A linear map H -> H^(x)dst_rank given by its columns: columns[i] is
+    the image of e_i."""
 
-    Only src_rank = 1 is needed anywhere; columns[i] is the image of e_i.
-    """
-
-    __slots__ = ("src_rank", "dst_rank", "dim", "columns", "_lifted")
+    __slots__ = ("dst_rank", "dim", "columns", "_lifted")
 
     def __init__(self, dim: int, columns: Sequence[TensorElement], dst_rank: int | None = None):
-        self.src_rank = 1
         self.dim = dim
         self.columns = tuple(columns)
         if len(self.columns) != dim:
@@ -236,9 +238,6 @@ class LinearOperator:
     @classmethod
     def identity(cls, dim: int) -> "LinearOperator":
         return cls(dim, [TensorElement.basis(dim, i) for i in range(dim)])
-
-    def matrix(self) -> list[list[Scalar]]:
-        return [[self.columns[j].coeff(i) for j in range(self.dim)] for i in range(self.dim)]
 
     def apply(self, t: TensorElement) -> TensorElement:
         if t.rank != 1:
@@ -572,11 +571,12 @@ def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> Tenso
 
 
 def columns_of(table: TensorElement) -> list[TensorElement]:
-    """The rank-1 tensors m |-> table[i, m] of a two-leg table, one per i."""
+    """The tensors rest |-> table[i, *rest] of the table's other legs, one
+    per index i of its first leg."""
     cols: list[Entries] = [{} for _ in range(table.dim)]
-    for (i, m), value in table.entries.items():
-        cols[i][(m,)] = value
-    return [TensorElement(1, table.dim, c, _trust=True) for c in cols]
+    for key, value in table.entries.items():
+        cols[key[0]][key[1:]] = value
+    return [TensorElement(table.rank - 1, table.dim, c, _trust=True) for c in cols]
 
 
 def multiplication_operator(mult: MultTable, a: TensorElement, side: str) -> LinearOperator:
@@ -623,165 +623,184 @@ def contract(f: Functional, t: TensorElement, leg: int) -> TensorElement | Scala
                          _trust=True)
 
 
-# -- exact nullspace ----------------------------------------------------------
+# -- exact linear algebra -------------------------------------------------------
 #
-# Fraction-free elimination: rows are rescaled to Gaussian-integer form and
-# combined as p*row - r*pivot_row, so no denominators appear until the final
-# back-substitution.  Content reduction after each combination keeps the
-# coefficients small.
+# One incremental echelon does every elimination: nullspaces, inverses and
+# ranks.  A row is a rank-1 TensorElement, lifted into numerator form as
+# (re, im) integer pairs (over Q as over Q(i)) and reduced fraction-free:
+# row <- p*row - c*pivot, with p the pivot's leading entry and c the row's
+# entry in that column, then divided by its content.  Kernel vectors come
+# from the same fraction-free back-substitution; Scalars are made only for
+# the vectors returned.
+
+Pairs = dict[int, tuple[int, int]]
 
 
-def _integerize(row: Sequence[Scalar]) -> list[Scalar]:
-    """The row times the one positive rational that makes its entries
-    Gaussian integers with no common factor."""
-    den, qi = common_denominator(row)
-    nums = [numerator(s, den, qi) for s in row]
-    g = _content(nums, qi)
+def _primitive(v: Pairs) -> Pairs:
+    """Divide ``v`` (in place) by the gcd of its integer parts."""
+    g = _content(v.values(), True)
     if g > 1:
-        nums = [(re // g, im // g) for re, im in nums] if qi else [v // g for v in nums]
-    return [from_numerator(v, 1, qi) for v in nums]
+        for k, (re, im) in v.items():
+            v[k] = (re // g, im // g)
+    return v
+
+
+def _lift_row(row: TensorElement, width: int) -> Pairs:
+    """The row's primitive Gaussian-integer multiple, keyed by column."""
+    if row.dim != width:
+        raise DimMismatch(f"row width {row.dim} != {width}")
+    den, _ = common_denominator(row.entries.values())
+    return _primitive({k: numerator(s, den, True) for (k,), s in row.entries.items()})
+
+
+def _scale(p: tuple[int, int], v: Pairs) -> Pairs:
+    """p * v for a Gaussian integer p."""
+    pr, pi = p
+    return {k: (pr * re - pi * im, pr * im + pi * re) for k, (re, im) in v.items()}
+
+
+def _pair_dot(row: Pairs, vec: Pairs) -> tuple[int, int]:
+    """The sum of row[k] * vec[k] over the row's support."""
+    re = im = 0
+    for k, (ar, ai) in row.items():
+        b = vec.get(k)
+        if b is not None:
+            re += ar * b[0] - ai * b[1]
+            im += ar * b[1] + ai * b[0]
+    return re, im
+
+
+def _combine(p: tuple[int, int], row: Pairs, c: tuple[int, int], piv: Pairs) -> Pairs:
+    """The primitive form of p*row - c*piv."""
+    out = _scale(p, row)
+    for k, (sr, si) in _scale(c, piv).items():
+        acc = out.get(k)
+        if acc is None:
+            out[k] = (-sr, -si)
+        elif acc != (sr, si):
+            out[k] = (acc[0] - sr, acc[1] - si)
+        else:
+            del out[k]
+    return _primitive(out)
+
+
+def _normalized(vec: Pairs, at: int, width: int) -> list[Scalar]:
+    """Coordinates 0..width-1 of ``vec`` over its coordinate ``at``, as
+    Scalars: v / l = v conj(l) / |l|^2."""
+    lr, li = vec[at]
+    nums = {k: v for k, v in _scale((lr, -li), vec).items() if k < width}
+    qi = any(im for _, im in nums.values())
+    out = [ZERO] * width
+    for k, v in nums.items():
+        out[k] = from_numerator(v if qi else v[0], lr * lr + li * li, qi)
+    return out
 
 
 class _Echelon:
-    """Incremental fraction-free row echelon over Q(i)."""
+    """Incremental fraction-free row echelon over Z[i]: each pivot row is
+    primitive and keyed by its leading column."""
 
     def __init__(self, width: int):
         self.width = width
-        self.pivots: dict[int, list[Scalar]] = {}
+        self.pivots: dict[int, Pairs] = {}
+        self._null: list[Pairs] | None = None
 
-    def reduce(self, row: Sequence[Scalar]) -> list[Scalar] | None:
-        work = _integerize(row)
+    def reduce(self, row: TensorElement) -> Pairs | None:
+        """The row reduced by every pivot; None when it lies in their span."""
+        work = _lift_row(row, self.width)
         for col in sorted(self.pivots):
-            c = work[col]
-            if c.is_zero():
-                continue
-            piv = self.pivots[col]
-            p = piv[col]
-            work = [p * w - c * q for w, q in zip(work, piv)]
-            work = _integerize(work)
-        if all(s.is_zero() for s in work):
-            return None
-        return work
+            if col in work:
+                piv = self.pivots[col]
+                work = _combine(piv[col], work, work[col], piv)
+        return work or None
 
-    def insert(self, row: Sequence[Scalar]) -> bool:
+    def insert(self, row: TensorElement) -> bool:
         work = self.reduce(row)
         if work is None:
             return False
-        lead = next(i for i, s in enumerate(work) if not s.is_zero())
-        self.pivots[lead] = work
+        self.pivots[min(work)] = work
+        self._null = None
         return True
 
     @property
     def rank(self) -> int:
         return len(self.pivots)
 
-    def kernel(self) -> list[list[Scalar]]:
-        pivot_cols = sorted(self.pivots)
-        free_cols = [c for c in range(self.width) if c not in self.pivots]
-        basis = []
-        for free in free_cols:
-            sol: list[Scalar] = [ZERO] * self.width
-            sol[free] = ONE
-            for col in reversed(pivot_cols):
-                if col > free:
+    def null_vectors(self) -> list[Pairs]:
+        """One Gaussian-integer kernel vector per free column, in order: 1
+        there and 0 on the other free columns.  Back-substitution scales
+        the vector by each pivot entry instead of dividing by it."""
+        if self._null is None:
+            self._null = []
+            for free in range(self.width):
+                if free in self.pivots:
                     continue
-                piv = self.pivots[col]
-                acc = ZERO
-                for j in range(col + 1, self.width):
-                    if not piv[j].is_zero() and not sol[j].is_zero():
-                        acc = acc + piv[j] * sol[j]
-                sol[col] = -(acc / piv[col])
-            lead = next(s for s in sol if not s.is_zero())
-            inv = lead.inverse()
-            basis.append([s * inv for s in sol])
-        return basis
+                sol = {free: (1, 0)}
+                for col in sorted((c for c in self.pivots if c < free), reverse=True):
+                    re, im = _pair_dot(self.pivots[col], sol)
+                    if re or im:
+                        sol = _scale(self.pivots[col][col], sol)
+                        sol[col] = (-re, -im)
+                        _primitive(sol)
+                self._null.append(sol)
+        return self._null
+
+    def kernel(self) -> list[list[Scalar]]:
+        """A basis of the solution space, one vector per free column, each
+        scaled so its first nonzero coordinate is 1."""
+        return [_normalized(vec, min(vec), self.width) for vec in self.null_vectors()]
 
 
-def kernel_basis(rows: Iterable[Sequence[Scalar]], width: int | None = None) -> list[list[Scalar]]:
-    """Exact basis of the solution space of ``rows * x = 0``.
+def solve_constraints(rows: Iterable[TensorElement], width: int) -> list[list[Scalar]]:
+    """``_Echelon.kernel`` of a (possibly huge) stream of rank-1 rows of
+    dim ``width``; the empty list means only the zero solution exists.
 
-    Each returned vector is scaled so its first nonzero coordinate is 1;
-    the empty list means only the zero solution exists.
+    Seeds an echelon with the first ``width`` rows, then certifies each
+    remaining row by its integer dot product with every kernel vector,
+    folding a row into the echelon only when it cuts the space down.
+    Adding rows only shrinks the kernel, so rows certified earlier stay
+    satisfied.
     """
-    rows = list(rows)
-    if width is None:
-        if not rows:
-            raise ValueError("width required when no rows are given")
-        width = len(rows[0])
     ech = _Echelon(width)
-    for row in rows:
-        if len(row) != width:
-            raise DimMismatch(f"row width {len(row)} != {width}")
-        if ech.rank < width:
+    for count, row in enumerate(rows):
+        if count < width:
             ech.insert(row)
-        else:
+            continue
+        null = ech.null_vectors()
+        if not null:
             break
+        lifted = _lift_row(row, width)
+        if any(_pair_dot(lifted, vec) != (0, 0) for vec in null):
+            ech.insert(row)
     return ech.kernel()
 
 
-def solve_constraints(row_source: Iterable[Sequence[Scalar]],
-                      width: int) -> list[list[Scalar]]:
-    """Exact solution space of a (possibly huge) homogeneous system.
-
-    Seeds an echelon with the first ``width`` rows, then certifies each
-    remaining row against the current kernel by substitution, folding a row
-    into the echelon only when it actually cuts the space down.  Adding rows
-    only shrinks the kernel, so rows certified earlier stay satisfied.
-    """
+def row_rank(rows: Iterable[TensorElement], width: int) -> int:
+    """The rank of a family of rank-1 rows of dim ``width``."""
     ech = _Echelon(width)
-    kernel: list[list[Scalar]] | None = None
-    for count, row in enumerate(row_source):
-        if len(row) != width:
-            raise DimMismatch(f"row width {len(row)} != {width}")
-        if kernel is None:
-            ech.insert(row)
-            if count + 1 >= width:
-                kernel = ech.kernel()
-            continue
-        if not kernel:
-            break
-        violated = any(
-            not _dot(row, vec).is_zero() for vec in kernel)
-        if violated:
-            ech.insert(row)
-            kernel = ech.kernel()
-    if kernel is None:
-        kernel = ech.kernel()
-    return kernel
-
-
-def _dot(row: Sequence[Scalar], vec: Sequence[Scalar]) -> Scalar:
-    acc = ZERO
-    for a, b in zip(row, vec):
-        if not a.is_zero() and not b.is_zero():
-            acc = acc + a * b
-    return acc
+    for row in rows:
+        ech.insert(row)
+    return ech.rank
 
 
 def invert_operator(op: LinearOperator) -> LinearOperator:
-    """Exact inverse of a rank 1 -> 1 operator; raises SingularOperator."""
+    """Exact inverse of a rank 1 -> 1 operator; raises SingularOperator.
+
+    Eliminates the rows [M | -I].  M is invertible exactly when every pivot
+    lies in the first block, and then the kernel vector of free column
+    n + j, scaled to 1 there, is column j of M^-1 over column j of I.
+    """
     if op.dst_rank != 1:
         raise RankMismatch("only rank 1 -> 1 operators are invertible here")
     n = op.dim
-    # Gauss-Jordan on [M | I]; field division is exact.
-    aug = [list(row) + [ONE if i == j else ZERO for j in range(n)]
-           for i, row in enumerate(op.matrix())]
-    for col in range(n):
-        pivot_row = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-        if pivot_row is None:
-            raise SingularOperator("operator matrix is singular")
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        inv = aug[col][col].inverse()
-        aug[col] = [v * inv for v in aug[col]]
-        for r in range(n):
-            if r == col:
-                continue
-            factor = aug[r][col]
-            if factor.is_zero():
-                continue
-            aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
-    cols = []
-    for j in range(n):
-        cols.append(TensorElement(1, n, {(i,): aug[i][n + j] for i in range(n)
-                                         if not aug[i][n + j].is_zero()}, _trust=True))
-    return LinearOperator(n, cols)
+    rows: list[Entries] = [{(n + i,): MINUS_ONE} for i in range(n)]
+    for j, col in enumerate(op.columns):
+        for (i,), value in col.entries.items():
+            rows[i][(j,)] = value
+    ech = _Echelon(2 * n)
+    for row in rows:
+        ech.insert(TensorElement(1, 2 * n, row, _trust=True))
+    if any(col >= n for col in ech.pivots):
+        raise SingularOperator("operator matrix is singular")
+    return LinearOperator(n, [TensorElement.vector(_normalized(vec, n + j, n))
+                              for j, vec in enumerate(ech.null_vectors())])

@@ -139,13 +139,13 @@ def generating_set(pres: QhaPresentation) -> tuple[list[int], int]:
     def close(pending: list[TensorElement]) -> None:
         while pending:
             v = pending.pop()
-            if closure.insert(v.coords()):
+            if closure.insert(v):
                 found.append(v)
                 pending += [op.apply(v) for op in lefts]
 
     close([pres.unit])
     for i in range(n):
-        if closure.rank < n and closure.reduce(TensorElement.basis(n, i).coords()) is not None:
+        if closure.rank < n and closure.reduce(TensorElement.basis(n, i)) is not None:
             gens.append(i)
             lefts.append(multiplication_operator(pres.mult, pres.basis_element(i), "left"))
             close([lefts[-1].apply(v) for v in found])

@@ -5,11 +5,13 @@ from __future__ import annotations
 
 import pytest
 
+from quasihopf import double
 from quasihopf.context import AlgebraContext, get_context
 from quasihopf.double import (_transport2, build_double, double_antipode_inverse,
                               double_integral, double_left_cointegral, double_modular,
                               double_report, double_right_cointegral,
-                              is_double_semisimple, semisimplicity_check)
+                              is_double_semisimple, semisimplicity_check,
+                              trace_form_rank)
 from quasihopf.exactnum import ONE, Scalar, ZERO
 from quasihopf.intcoint import cointegral_residual
 from quasihopf.multilinear import Functional, LinearOperator, TensorElement, \
@@ -94,6 +96,27 @@ def test_semisimplicity_verdicts(d2, d8, h2, h8p):
     assert h8p.counit(base8.r).is_zero()
     report = semisimplicity_check(d2)
     assert report.passed()
+
+
+def test_trace_form_ranks(d2, d8, baseline):
+    """G_ab = Tr(L_{e_a e_b}) is nondegenerate exactly on the semisimple
+    doubles."""
+    assert trace_form_rank(d2.presentation) == 4
+    assert trace_form_rank(build_double(baseline).presentation) == 4
+    assert trace_form_rank(d8.presentation) == 20
+
+
+@pytest.mark.parametrize("name", ["d2", "d8"])
+def test_wrong_semisimplicity_verdict_fails_the_row(name, request, monkeypatch):
+    D = request.getfixturevalue(name)
+    eps_r, norm, semisimple = double._semisimplicity(D)
+    monkeypatch.setattr(double, "_semisimplicity", lambda _: (eps_r, norm, not semisimple))
+    rows = {row.name.split("=")[0]: row for row in semisimplicity_check(D).rows}
+    verdict = rows["semisimple:verdict"]
+    assert not verdict.passed
+    rank = 4 if name == "d2" else 20
+    assert verdict.witness == f"trace form rank {rank}/{D.presentation.dim}"
+    assert rows["semisimple:eps(r)"].passed
 
 
 def test_double_export_import_roundtrip(d2):

@@ -1,5 +1,6 @@
-"""Sparse tensor operations and the exact nullspace solver, with an
-independent dense Gauss-Jordan oracle."""
+"""Sparse tensor operations and the exact linear solver, with an
+independent dense Gauss-Jordan oracle and the earlier dense elimination as
+a reference."""
 
 from __future__ import annotations
 
@@ -9,13 +10,14 @@ from math import gcd
 
 import pytest
 
-from quasihopf.exactnum import HALF, ONE, Scalar, ZERO
+from quasihopf.exactnum import (HALF, ONE, Scalar, ZERO, common_denominator,
+                                from_numerator, numerator)
 from quasihopf.multilinear import (DimMismatch, Functional, LegOutOfRange,
                                    LinearOperator, RankMismatch, SingularOperator,
                                    TensorElement, _lift, _lift_columns, _lift_table,
                                    _lower, _map_leg, _merge, _outer, apply_on_leg,
-                                   contract, invert_operator, kernel_basis,
-                                   mult_pointwise, multiplication_operator,
+                                   contract, invert_operator, mult_pointwise,
+                                   multiplication_operator, row_rank,
                                    solve_constraints, tensor_product)
 from quasihopf.qha import make_mult
 
@@ -389,13 +391,107 @@ def dense_nullspace_oracle(rows, width):
     return basis
 
 
+# The dense elimination the solver had before it worked on sparse integer
+# rows, kept as the reference: Scalar rows rescaled to Gaussian integers
+# after every step, and a separate Gauss-Jordan for the inverse.
+
+
+def _ref_integerize(row):
+    den, qi = common_denominator(row)
+    nums = [numerator(s, den, qi) for s in row]
+    g = 0
+    for v in nums:
+        g = gcd(g, *v) if qi else gcd(g, v)
+    if g > 1:
+        nums = [(re // g, im // g) for re, im in nums] if qi else [v // g for v in nums]
+    return [from_numerator(v, 1, qi) for v in nums]
+
+
+class _RefEchelon:
+    def __init__(self, width):
+        self.width = width
+        self.pivots = {}
+
+    def insert(self, row):
+        work = _ref_integerize(row)
+        for col in sorted(self.pivots):
+            c = work[col]
+            if c.is_zero():
+                continue
+            piv = self.pivots[col]
+            p = piv[col]
+            work = _ref_integerize([p * w - c * q for w, q in zip(work, piv)])
+        if all(s.is_zero() for s in work):
+            return
+        self.pivots[next(i for i, s in enumerate(work) if not s.is_zero())] = work
+
+    def kernel(self):
+        pivot_cols = sorted(self.pivots)
+        basis = []
+        for free in (c for c in range(self.width) if c not in self.pivots):
+            sol = [ZERO] * self.width
+            sol[free] = ONE
+            for col in reversed(pivot_cols):
+                if col > free:
+                    continue
+                piv = self.pivots[col]
+                acc = ZERO
+                for j in range(col + 1, self.width):
+                    if not piv[j].is_zero() and not sol[j].is_zero():
+                        acc = acc + piv[j] * sol[j]
+                sol[col] = -(acc / piv[col])
+            inv = next(s for s in sol if not s.is_zero()).inverse()
+            basis.append([s * inv for s in sol])
+        return basis
+
+
+def ref_kernel_basis(rows, width):
+    ech = _RefEchelon(width)
+    for row in rows:
+        ech.insert(row)
+    return ech.kernel()
+
+
+def ref_invert(op):
+    """Gauss-Jordan on [M | I]; None when M is singular."""
+    n = op.dim
+    aug = [[op.columns[j].coeff(i) for j in range(n)] + [ONE if i == j else ZERO for j in range(n)]
+           for i in range(n)]
+    for col in range(n):
+        pivot_row = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
+        if pivot_row is None:
+            return None
+        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
+        inv = aug[col][col].inverse()
+        aug[col] = [v * inv for v in aug[col]]
+        for r in range(n):
+            factor = aug[r][col]
+            if r != col and not factor.is_zero():
+                aug[r] = [v - factor * p for v, p in zip(aug[r], aug[col])]
+    return LinearOperator(n, [TensorElement.vector([aug[i][n + j] for i in range(n)])
+                              for j in range(n)])
+
+
+def _rows(rows):
+    return [TensorElement.vector(row) for row in rows]
+
+
+def _residual_free(rows, basis):
+    for vec in basis:
+        for row in rows:
+            acc = ZERO
+            for a, b in zip(row, vec):
+                acc = acc + a * b
+            assert acc.is_zero()
+
+
 def test_kernel_identity_matrix():
     rows = [[ONE if i == j else ZERO for j in range(3)] for i in range(3)]
-    assert kernel_basis(rows, 3) == []
+    assert solve_constraints(_rows(rows), 3) == []
 
 
 def test_kernel_zero_row():
-    assert len(kernel_basis([[ZERO, ZERO]], 2)) == 2
+    assert len(solve_constraints(_rows([[ZERO, ZERO]]), 2)) == 2
 
 
 def test_kernel_matches_oracle_random():
@@ -405,20 +501,14 @@ def test_kernel_matches_oracle_random():
         rows = [[Scalar.gaussian(rng.randint(-3, 3), rng.randint(-2, 2))
                  if rng.random() < 0.7 else ZERO
                  for _ in range(width)] for _ in range(height)]
-        got = kernel_basis(rows, width)
+        got = solve_constraints(_rows(rows), width)
         expected = dense_nullspace_oracle(rows, width)
 
         def key(vec):
             return [str(v) for v in vec]
 
         assert sorted(got, key=key) == sorted(expected, key=key)
-        # residual property: every returned vector satisfies every row exactly
-        for vec in got:
-            for row in rows:
-                acc = ZERO
-                for a, b in zip(row, vec):
-                    acc = acc + a * b
-                assert acc.is_zero()
+        _residual_free(rows, got)
 
 
 def test_kernel_exact_with_huge_coefficients():
@@ -428,48 +518,114 @@ def test_kernel_exact_with_huge_coefficients():
         [Scalar.of(big), Scalar.of(big + 1), Scalar.of(0)],
         [Scalar.of(3), Scalar.rational(1, big), Scalar.of(-1)],
     ]
-    basis = kernel_basis(rows, 3)
+    basis = solve_constraints(_rows(rows), 3)
     assert len(basis) == 1
-    vec = basis[0]
-    for row in rows:
-        acc = ZERO
-        for a, b in zip(row, vec):
-            acc = acc + a * b
-        assert acc.is_zero()
-    oracle = dense_nullspace_oracle(rows, 3)
-    assert basis == oracle
+    _residual_free(rows, basis)
+    assert basis == dense_nullspace_oracle(rows, 3)
+
+
+def _integral_rows(pres):
+    n = pres.dim
+    rows = []
+    for d in range(n):
+        e_d = pres.basis_element(d)
+        eps_d = pres.counit(e_d)
+        cols = [pres.multiply(e_d, pres.basis_element(j)) for j in range(n)]
+        for m in range(n):
+            rows.append([cols[j].coeff(m) - (eps_d if m == j else ZERO)
+                         for j in range(n)])
+    return rows
 
 
 def test_kernel_h8_integral_system(h8p):
     """The system h*t = eps(h) t over all basis h pins down (1+g)x^3."""
-    n = h8p.dim
-    rows = []
-    for d in range(n):
-        e_d = h8p.basis_element(d)
-        eps_d = h8p.counit(e_d)
-        cols = [h8p.multiply(e_d, h8p.basis_element(j)) for j in range(n)]
-        for m in range(n):
-            rows.append([cols[j].coeff(m) - (eps_d if m == j else ZERO)
-                         for j in range(n)])
-    basis = kernel_basis(rows, n)
+    basis = solve_constraints(_rows(_integral_rows(h8p)), h8p.dim)
     assert len(basis) == 1
-    expected = [ZERO] * n
+    expected = [ZERO] * h8p.dim
     expected[6] = ONE   # x^3
     expected[7] = ONE   # g x^3
     assert basis[0] == expected
 
 
 def test_solve_constraints_streaming_agrees(h8p):
-    n = h8p.dim
+    rows = _integral_rows(h8p)
+    assert solve_constraints(iter(_rows(rows)), h8p.dim) == ref_kernel_basis(rows, h8p.dim)
+
+
+def test_solve_constraints_rejects_a_row_of_another_width():
+    with pytest.raises(DimMismatch):
+        solve_constraints(_rows([[ONE, ZERO], [ONE, ONE, ONE]]), 2)
+
+
+def _random_scalar(rng, qi, big):
+    num = rng.randint(-3, 3) * (10 ** 40 if big and rng.random() < 0.3 else 1)
+    den = rng.choice((1, 1, 2, 3, 10 ** 40 if big else 5))
+    if qi:
+        return Scalar.gaussian(Fraction(num, den), Fraction(rng.randint(-2, 2), den))
+    return Scalar.rational(num, den)
+
+
+def _random_system(rng, qi):
+    """A tall system: a low-rank seed of ``width`` rows (zero rows among
+    them), then rows that may cut the kernel further, so the certify path
+    has to insert rows after the seed."""
+    width = rng.randint(1, 7)
+    big = rng.random() < 0.3
+    basis = [[_random_scalar(rng, qi, big) if rng.random() < 0.7 else ZERO
+              for _ in range(width)] for _ in range(rng.randint(1, width))]
     rows = []
-    for d in range(n):
-        e_d = h8p.basis_element(d)
-        eps_d = h8p.counit(e_d)
-        cols = [h8p.multiply(e_d, h8p.basis_element(j)) for j in range(n)]
-        for m in range(n):
-            rows.append([cols[j].coeff(m) - (eps_d if m == j else ZERO)
-                         for j in range(n)])
-    assert solve_constraints(iter(rows), n) == kernel_basis(rows, n)
+    for _ in range(width):
+        if rng.random() < 0.2:
+            rows.append([ZERO] * width)
+            continue
+        coeffs = [Scalar.of(rng.randint(-2, 2)) for _ in basis]
+        row = [ZERO] * width
+        for c, b in zip(coeffs, basis):
+            row = [x + c * y for x, y in zip(row, b)]
+        rows.append(row)
+    for _ in range(rng.randint(0, 2 * width)):
+        rows.append([_random_scalar(rng, qi, big) if rng.random() < 0.5 else ZERO
+                     for _ in range(width)])
+    return rows, width
+
+
+def _random_operator(rng, qi):
+    n = rng.randint(1, 5)
+    big = rng.random() < 0.3
+    cols = [[_random_scalar(rng, qi, big) if rng.random() < 0.6 else ZERO
+             for _ in range(n)] for _ in range(n)]
+    if rng.random() < 0.3:          # singular: a column repeats or vanishes
+        j, k = rng.randrange(n), rng.randrange(n)
+        cols[j] = list(cols[k]) if j != k else [ZERO] * n
+    return LinearOperator(n, [TensorElement.vector(c) for c in cols])
+
+
+@pytest.mark.parametrize("qi", [False, True])
+def test_sparse_echelon_matches_the_dense_reference(qi):
+    """The same kernel vectors in the same order as the dense elimination,
+    and SingularOperator in exactly the cases Gauss-Jordan finds no pivot."""
+    rng = random.Random(7 + qi)
+    inserted_after_seed = singular = 0
+    for _ in range(150):
+        rows, width = _random_system(rng, qi)
+        expected = ref_kernel_basis(rows, width)
+        assert solve_constraints(iter(_rows(rows)), width) == expected
+        inserted_after_seed += len(ref_kernel_basis(rows[:width], width)) > len(expected)
+
+        op = _random_operator(rng, qi)
+        inverse = ref_invert(op)
+        if inverse is None:
+            singular += 1
+            with pytest.raises(SingularOperator):
+                invert_operator(op)
+        else:
+            assert invert_operator(op) == inverse
+    assert inserted_after_seed > 20 and singular > 20
+
+
+def test_row_rank():
+    rows = [[ONE, ONE, ZERO], [ZERO, ZERO, ZERO], [HALF, HALF, ZERO], [ZERO, ONE, ONE]]
+    assert row_rank(_rows(rows), 3) == 2
 
 
 from hypothesis import given, settings
