@@ -18,20 +18,29 @@ Output slot kinds:
 * ``VarIdx`` - the free-variable index of an unbound variable becomes an
   output leg.
 
-Evaluation is greedy: sources are pulled in on first use and every merge
-or contraction aggregates immediately, which keeps intermediate supports
-small even for the quantum double.  This module only plans the leg
-bookkeeping (which named leg sits where); the sparse arithmetic is done by
-the kernels of :mod:`multilinear`.
+Evaluation contracts the expression as a tensor network.  Every source
+(and every unbound variable, as the identity tensor on its index leg) is a
+component of its own, with its own tensor and named legs.  Steps that
+cannot grow a tensor run as soon as their legs exist: an operator token,
+a merge of two adjacent factors within one component, an operator on a
+finished sub-product and a functional on a finished slot.  Otherwise one
+greedy choice, in the spirit of the greedy path search of opt_einsum
+(Smith & Gray, JOSS 3(26), 2018), picks the growth step whose result has
+the smallest estimated support: a coproduct split, or a merge of two
+adjacent factors that joins two components, fused so that their outer
+product is never built.  Products are associative but not commutative, so
+any adjacent pair of ready factors may merge, in order.  Components that
+still have output legs are outer-multiplied at the end and permuted once.
+This module only plans the leg bookkeeping (which named leg sits where);
+the sparse arithmetic is done by the kernels of :mod:`multilinear`.
 """
 
 from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .multilinear import (Functional, LinearOperator, MultTable, Num, TensorElement,
-                          _lift, _lift_table, _lower, _map_leg, _merge, _outer,
-                          _permute)
+from .multilinear import (Functional, LinearOperator, Num, TensorElement, _join, _lift,
+                          _lift_table, _lower, _map_leg, _merge, _outer, _permute)
 
 
 class ExpressionError(ValueError):
@@ -144,72 +153,6 @@ class AlgebraOps:
         return AlgebraOps(self.dim, self.mult, self.unit, self.coproduct, ops, fns)
 
 
-class _State:
-    """Sparse tensor with named legs, replaced step by step during
-    evaluation.  Only the leg bookkeeping lives here; every loop over the
-    entries is one of :mod:`multilinear`'s kernels, and the tensor stays in
-    their numerator form from the first pull to ``finalize``."""
-
-    __slots__ = ("ops", "legs", "t")
-
-    def __init__(self, ops: AlgebraOps):
-        self.ops = ops
-        self.legs: list[object] = []
-        self.t: Num = ({(): 1}, 1, False)
-
-    def pull(self, tensor: TensorElement, keys: Sequence[object]) -> None:
-        self.t = _outer(self.t, _lift(tensor.entries))
-        self.legs.extend(keys)
-
-    def pull_variable(self, idx_key: object, expr_key: object) -> None:
-        n = self.ops.dim
-        nums, den, qi = self.t
-        self.t = ({base + (m, m): value for base, value in nums.items() for m in range(n)},
-                  den, qi)
-        self.legs.extend([idx_key, expr_key])
-
-    def pos(self, key: object) -> int:
-        try:
-            return self.legs.index(key)
-        except ValueError:
-            raise ExpressionError(f"unknown leg {key!r}") from None
-
-    def apply_operator(self, key: object, operator: LinearOperator) -> None:
-        self.t = _map_leg(self.t, operator.numerator_columns(), self.pos(key))
-
-    def split(self, key: object, key1: object, key2: object) -> None:
-        """Replace a leg in place by the two legs of its coproduct."""
-        p = self.pos(key)
-        self.t = _map_leg(self.t, self.ops.coproduct.numerator_columns(), p)
-        self.legs[p:p + 1] = [key1, key2]
-
-    def merge(self, key_a: object, key_b: object, dest: object) -> None:
-        """Multiply leg values a*b into a fresh last leg ``dest``."""
-        pa, pb = self.pos(key_a), self.pos(key_b)
-        self.t = _merge(self.t, _lift_table(self.ops.mult), pa, pb)
-        for p in sorted((pa, pb), reverse=True):
-            del self.legs[p]
-        self.legs.append(dest)
-
-    def contract(self, key: object, functional: Functional) -> None:
-        p = self.pos(key)
-        self.t = _map_leg(self.t, functional.numerator_columns(), p)
-        del self.legs[p]
-
-    def unit_leg(self, dest: object) -> None:
-        self.t = _outer(self.t, _lift(self.ops.unit.entries))
-        self.legs.append(dest)
-
-    def finalize(self, order: Sequence[object]) -> TensorElement:
-        if set(order) != set(self.legs) or len(order) != len(self.legs):
-            raise ExpressionError(f"leftover legs {self.legs!r} vs outputs {order!r}")
-        perm = [self.legs.index(key) for key in order]
-        nums, den, qi = self.t
-        self.t = None                   # so the unpermuted table is freed below
-        nums = _permute(nums, perm)
-        return TensorElement(len(order), self.ops.dim, _lower((nums, den, qi)), _trust=True)
-
-
 class Expression:
     """One tensor formula, transcribed leg by leg.
 
@@ -275,111 +218,291 @@ class Expression:
                  functionals: Mapping[str, Functional] | None = None,
                  ) -> TensorElement:
         bindings = dict(bindings or {})
-
-        def lookup_fn(name: str) -> Functional | None:
-            if functionals is not None:
-                found = functionals.get(name)
-                if found is not None:
-                    return found
-            return ops.functionals.get(name)
-
-        run = _Evaluation(self, ops, bindings)
-        final_order: list[object] = []
+        net = _Network(self, ops)
+        unbound = []
+        for name, src in self.sources.items():
+            if src == VAR:
+                bound = bindings.get(name)
+                if bound is None:
+                    net.add_variable(name)
+                    unbound.append(name)
+                elif bound.rank != 1:
+                    raise ExpressionError(f"binding for {name!r} must be rank 1")
+                else:
+                    net.add_source(name, bound)
+            elif (name, 1) in self._plans:
+                net.add_source(name, src)
+        slots: list[object] = []
         seen_varidx: set[str] = set()
         for out in self.outputs:
             if isinstance(out, VarIdx):
-                run.pull(out.name)
                 if out.name in bindings:
                     raise ExpressionError(f"VarIdx({out.name!r}) on a bound variable")
-                final_order.append(("idx", out.name))
+                slots.append(("idx", out.name))
                 seen_varidx.add(out.name)
                 continue
-            leg = run.merge_product(out.items)
+            functional = None
             if isinstance(out, Fn):
-                functional = lookup_fn(out.functional)
+                if functionals is not None:
+                    functional = functionals.get(out.functional)
+                if functional is None:
+                    functional = ops.functionals.get(out.functional)
                 if functional is None:
                     raise ExpressionError(f"unknown functional {out.functional!r}")
-                run.state.contract(leg, functional)
-            else:  # Leg or Hole
-                final_order.append(leg)
+            product = net.product(out.items, None, functional)
+            if functional is None:      # Leg or Hole
+                slots.append(product)
+        net.contract()
         # Implicit index legs for unbound variables without an explicit
         # VarIdx, prepended in source declaration order so both sides of an
         # identity agree on the layout.
-        implicit = [("idx", name) for name, src in self.sources.items()
-                    if src == VAR and name in run.unbound and name not in seen_varidx]
-        return run.state.finalize(implicit + final_order)
+        order = [("idx", name) for name in unbound if name not in seen_varidx]
+        order += [slot.leg if isinstance(slot, _Product) else slot for slot in slots]
+        return net.finalize(order)
 
 
-class _Evaluation:
-    """One run of :meth:`Expression.evaluate`: the state and what has been
-    pulled and prepared so far.  The steps are methods rather than nested
-    closures, so a run leaves no reference cycle behind."""
+class _Component:
+    """One connected part of the network: a sparse tensor in numerator form
+    and the names of its legs, in key order."""
 
-    def __init__(self, expr: Expression, ops: AlgebraOps,
-                 bindings: Mapping[str, TensorElement]):
+    __slots__ = ("t", "legs")
+
+    def __init__(self, t: Num, legs: list[object]):
+        self.t = t
+        self.legs = legs
+
+
+class _Product:
+    """An ordered product still to be formed.  A factor is a leg name or a
+    nested product under an operator; once the factors are one leg, the
+    operator or the functional is applied to it and ``leg`` is set."""
+
+    __slots__ = ("factors", "operator", "functional", "leg")
+
+    def __init__(self, factors: list, operator: LinearOperator | None,
+                 functional: Functional | None):
+        self.factors = factors
+        self.operator = operator
+        self.functional = functional
+        self.leg: object = None
+
+
+class _Network:
+    """One run of :meth:`Expression.evaluate`: the components, the open
+    products and the splits still to come, contracted in the order the
+    module docstring gives.  Only the leg bookkeeping lives here; every
+    loop over the entries is one of :mod:`multilinear`'s kernels.  The
+    state holds no reference cycle, so a run is freed by reference
+    counting alone."""
+
+    def __init__(self, expr: Expression, ops: AlgebraOps):
         self.expr = expr
         self.ops = ops
-        self.bindings = bindings
-        self.state = _State(ops)
-        self.pulled: set[str] = set()
-        self.prepared: set[tuple[str, int]] = set()
-        self.unbound: list[str] = []
+        self.components: list[_Component] = []
+        self.owner: dict[object, _Component] = {}
+        self.splits: dict[object, dict] = {}    # leg -> token tree below its split
+        self.open: list[_Product] = []          # nested products before their parent
         self.counter = 0
 
-    def pull(self, name: str) -> None:
-        if name in self.pulled:
-            return
-        self.pulled.add(name)
-        src = self.expr.sources[name]
-        if src == VAR:
-            bound = self.bindings.get(name)
-            if bound is None:
-                self.state.pull_variable(("idx", name), ("raw", name, 1))
-                self.unbound.append(name)
-            else:
-                if bound.rank != 1:
-                    raise ExpressionError(f"binding for {name!r} must be rank 1")
-                self.state.pull(bound, [("raw", name, 1)])
-        else:
-            self.state.pull(src, [("raw", name, c) for c in range(1, src.rank + 1)])
+    # -- building --------------------------------------------------------
 
-    def prepare(self, name: str, comp: int) -> None:
-        """Apply the token tree for one component: ops and splits."""
-        if (name, comp) in self.prepared:
-            return
-        self.prepared.add((name, comp))
-        tree = self.expr._plans.get((name, comp))
-        if tree is None:
-            raise ExpressionError(f"component {name}^{comp} unused")
-        _expand(self.state, ("raw", name, comp), (), tree, self.ops, name, comp)
+    def _add(self, t: Num, legs: list[object]) -> _Component:
+        comp = _Component(t, legs)
+        self.components.append(comp)
+        for leg in legs:
+            self.owner[leg] = comp
+        return comp
 
-    def leg_of(self, item: Ref | Op) -> object:
-        if isinstance(item, Ref):
-            self.pull(item.name)
-            self.prepare(item.name, item.comp)
-            return ("leaf", item.name, item.comp, item.tokens)
-        # an Op node: evaluate inner product to one leg, then transform
-        inner = self.merge_product(item.items)
-        operator = self.ops.operators.get(item.opname)
+    def add_source(self, name: str, tensor: TensorElement) -> None:
+        legs = [(name, c, ()) for c in range(1, tensor.rank + 1)]
+        comp = self._add(_lift(tensor.entries), legs)
+        for leg in legs:
+            self._expand(comp, leg, self.expr._plans[leg[:2]])
+
+    def add_variable(self, name: str) -> None:
+        """An unbound variable: the identity tensor sum_m e_m (x) e_m, whose
+        first leg is the variable's index."""
+        leg = (name, 1, ())
+        comp = self._add(({(m, m): 1 for m in range(self.ops.dim)}, 1, False),
+                         [("idx", name), leg])
+        self._expand(comp, leg, self.expr._plans[(name, 1)])
+
+    def _operator(self, opname: str) -> LinearOperator:
+        operator = self.ops.operators.get(opname)
         if operator is None:
-            raise ExpressionError(f"unknown operator {item.opname!r}")
-        self.state.apply_operator(inner, operator)
-        return inner
+            raise ExpressionError(f"unknown operator {opname!r}")
+        return operator
 
-    def merge_product(self, items: Sequence[Ref | Op]) -> object:
+    def _expand(self, comp: _Component, leg: tuple, tree: dict) -> None:
+        """Apply the operator tokens below ``leg`` now; a split waits for
+        its turn.  A leg's name is its source, component and token path."""
+        while True:
+            keys = [k for k in tree if k != "__leaf__"]
+            if not keys:
+                return
+            if not isinstance(keys[0], str):
+                self.splits[leg] = tree
+                return
+            p = comp.legs.index(leg)
+            comp.t = _map_leg(comp.t, self._operator(keys[0]).numerator_columns(), p)
+            del self.owner[leg]
+            leg = leg[:2] + (leg[2] + (keys[0],),)
+            comp.legs[p] = leg
+            self.owner[leg] = comp
+            tree = tree[keys[0]]
+
+    def product(self, items: Sequence[Ref | Op], operator: LinearOperator | None,
+                functional: Functional | None) -> _Product:
+        factors: list = []
+        for item in items:
+            if isinstance(item, Ref):
+                factors.append((item.name, item.comp, item.tokens))
+            else:
+                factors.append(self.product(item.items, self._operator(item.opname), None))
         if not items:
             self.counter += 1
-            dest = ("unit", self.counter)
-            self.state.unit_leg(dest)
-            return dest
-        acc = self.leg_of(items[0])
-        for item in items[1:]:
-            nxt = self.leg_of(item)
-            self.counter += 1
-            dest = ("prod", self.counter)
-            self.state.merge(acc, nxt, dest)
-            acc = dest
-        return acc
+            leg = ("unit", self.counter)
+            self._add(_lift(self.ops.unit.entries), [leg])
+            factors.append(leg)
+        prod = _Product(factors, operator, functional)
+        self.open.append(prod)
+        return prod
+
+    # -- contracting -----------------------------------------------------
+
+    def contract(self) -> None:
+        while True:
+            self._settle()
+            if not self.open:
+                return
+            if not self._grow():
+                raise ExpressionError("a product never became ready")
+
+    def _settle(self) -> None:
+        """Run every step that cannot grow a tensor.  Nested products come
+        before their parent, so one pass finishes a sub-product before its
+        parent reads it; no other step makes a further one free."""
+        owner = self.owner
+        still_open = []
+        for prod in self.open:
+            factors = prod.factors
+            i = 0
+            while i < len(factors):
+                f = factors[i]
+                if type(f) is _Product:
+                    if f.leg is None:
+                        i += 1
+                        continue
+                    factors[i] = f = f.leg
+                if i and f in owner and owner.get(factors[i - 1]) is owner[f]:
+                    factors[i - 1:i + 1] = [self._merge_legs(factors[i - 1], f)]
+                    continue
+                i += 1
+            if len(factors) == 1 and factors[0] in owner:
+                self._finish(prod, factors[0])
+            else:
+                still_open.append(prod)
+        self.open = still_open
+
+    def _finish(self, prod: _Product, leg: object) -> None:
+        comp = self.owner[leg]
+        p = comp.legs.index(leg)
+        if prod.operator is not None:
+            comp.t = _map_leg(comp.t, prod.operator.numerator_columns(), p)
+        elif prod.functional is not None:
+            comp.t = _map_leg(comp.t, prod.functional.numerator_columns(), p)
+            del comp.legs[p]
+            del self.owner[leg]
+        prod.leg = leg
+
+    def _merge_legs(self, a: object, b: object) -> object:
+        """Multiply leg values a*b within one component into a fresh last leg."""
+        comp = self.owner.pop(a)
+        del self.owner[b]
+        pa, pb = comp.legs.index(a), comp.legs.index(b)
+        comp.t = _merge(comp.t, _lift_table(self.ops.mult), pa, pb)
+        comp.legs = [leg for leg in comp.legs if leg != a and leg != b]
+        self.counter += 1
+        dest = ("prod", self.counter)
+        comp.legs.append(dest)
+        self.owner[dest] = comp
+        return dest
+
+    def _grow(self) -> bool:
+        """Run the split or joining merge with the smallest estimated result:
+        |C| times the mean coproduct column for a split of C, |A| |B| for a
+        join, each capped by n to the number of legs of the result."""
+        n = self.ops.dim
+        owner = self.owner
+        best, best_size, best_at = None, None, 0
+        if self.splits:
+            columns = self.ops.coproduct.numerator_columns()
+            fanout = sum(map(len, columns.form(columns.qi))) / n
+        for leg in self.splits:
+            comp = owner[leg]
+            size = min(len(comp.t[0]) * fanout, n ** (len(comp.legs) + 1))
+            if best_size is None or size < best_size:
+                best, best_size = leg, size
+        for prod in self.open:
+            factors = prod.factors
+            for i in range(1, len(factors)):
+                ca, cb = owner.get(factors[i - 1]), owner.get(factors[i])
+                if ca is None or cb is None:
+                    continue
+                size = min(len(ca.t[0]) * len(cb.t[0]),
+                           n ** (len(ca.legs) + len(cb.legs) - 1))
+                if best_size is None or size < best_size:
+                    best, best_size, best_at = prod, size, i
+        if best is None:
+            return False
+        if type(best) is _Product:
+            factors = best.factors
+            factors[best_at - 1:best_at + 1] = [self._join_legs(*factors[best_at - 1:best_at + 1])]
+        else:
+            self._split_leg(best)
+        return True
+
+    def _split_leg(self, leg: tuple) -> None:
+        """Replace a leg in place by the two legs of its coproduct."""
+        tree = self.splits.pop(leg)
+        comp = self.owner.pop(leg)
+        p = comp.legs.index(leg)
+        comp.t = _map_leg(comp.t, self.ops.coproduct.numerator_columns(), p)
+        halves = [leg[:2] + (leg[2] + (part,),) for part in (1, 2)]
+        comp.legs[p:p + 1] = halves
+        for part, half in zip((1, 2), halves):
+            self.owner[half] = comp
+            self._expand(comp, half, tree[part])
+
+    def _join_legs(self, a: object, b: object) -> object:
+        """Multiply leg values a*b of two components into one component."""
+        ca, cb = self.owner.pop(a), self.owner.pop(b)
+        pa, pb = ca.legs.index(a), cb.legs.index(b)
+        t = _join(ca.t, cb.t, _lift_table(self.ops.mult), pa, pb)
+        self.counter += 1
+        dest = ("prod", self.counter)
+        legs = ca.legs[:pa] + ca.legs[pa + 1:] + cb.legs[:pb] + cb.legs[pb + 1:] + [dest]
+        self.components = [c for c in self.components if c is not ca and c is not cb]
+        self._add(t, legs)
+        return dest
+
+    def finalize(self, order: Sequence[object]) -> TensorElement:
+        """Outer-multiply the components and permute their legs once."""
+        if not self.components:
+            self._add(({(): 1}, 1, False), [])
+        t, legs = self.components[0].t, list(self.components[0].legs)
+        for comp in self.components[1:]:
+            t = _outer(t, comp.t)
+            legs += comp.legs
+        self.components = []            # so the parts are freed below
+        self.owner.clear()
+        if set(order) != set(legs) or len(order) != len(legs):
+            raise ExpressionError(f"leftover legs {legs!r} vs outputs {order!r}")
+        perm = [legs.index(key) for key in order]
+        nums, den, qi = t
+        t = None
+        nums = _permute(nums, perm)
+        return TensorElement(len(order), self.ops.dim, _lower((nums, den, qi)), _trust=True)
 
 
 def _check_tree(tree: dict, label: str) -> None:
@@ -399,26 +522,3 @@ def _check_tree(tree: dict, label: str) -> None:
         raise ExpressionError(f"{label}: ambiguous operators {named}")
     for k in keys:
         _check_tree(tree[k], f"{label}.{k}")
-
-
-def _expand(state: _State, key: object, prefix: tuple, tree: dict,
-            ops: AlgebraOps, name: str, comp: int) -> None:
-    keys = [k for k in tree if k != "__leaf__"]
-    if not keys:
-        # rename to the canonical leaf key
-        p = state.pos(key)
-        state.legs[p] = ("leaf", name, comp, prefix)
-        return
-    if isinstance(keys[0], str):
-        opname = keys[0]
-        operator = ops.operators.get(opname)
-        if operator is None:
-            raise ExpressionError(f"unknown operator {opname!r}")
-        state.apply_operator(key, operator)
-        _expand(state, key, prefix + (opname,), tree[opname], ops, name, comp)
-        return
-    k1 = ("tmp", name, comp, prefix + (1,))
-    k2 = ("tmp", name, comp, prefix + (2,))
-    state.split(key, k1, k2)
-    _expand(state, k1, prefix + (1,), tree[1], ops, name, comp)
-    _expand(state, k2, prefix + (2,), tree[2], ops, name, comp)

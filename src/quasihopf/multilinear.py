@@ -441,6 +441,62 @@ def _merge(t: Num, table: _Lifted, pa: int, pb: int) -> Num:
     return _reduce(out, den * table.den, qi)
 
 
+def _join(a: Num, b: Num, table: _Lifted, pa: int, pb: int) -> Num:
+    """Multiply leg ``pa`` of ``a`` by leg ``pb`` of ``b`` (in that order)
+    through ``table`` without forming a (x) b: the other legs of ``a``, then
+    those of ``b``, then the product leg."""
+    an, ad, aq = a
+    bn, bd, bq = b
+    qi = aq or bq or table.qi
+    get = table.form(qi).get
+    if qi:
+        bn = bn if bq else _pairs(bn)
+    rows = [(kb[pb], kb[:pb] + kb[pb + 1:], vb) for kb, vb in bn.items()]
+    out: dict = {}
+    if qi:
+        for ka, va in an.items():
+            ar, ai = va if aq else (va, 0)
+            i, head = ka[pa], ka[:pa] + ka[pa + 1:]
+            for j, tail, (br, bi) in rows:
+                expansion = get((i, j))
+                if not expansion:
+                    continue
+                tr, ti = ar * br - ai * bi, ar * bi + ai * br
+                rest = head + tail
+                for k, (sr, si) in expansion:
+                    key = rest + (k,)
+                    re, im = tr * sr - ti * si, tr * si + ti * sr
+                    acc = out.get(key)
+                    if acc is not None:
+                        re += acc[0]
+                        im += acc[1]
+                        if not (re or im):
+                            del out[key]
+                            continue
+                    out[key] = (re, im)
+    else:
+        for ka, va in an.items():
+            i, head = ka[pa], ka[:pa] + ka[pa + 1:]
+            for j, tail, vb in rows:
+                expansion = get((i, j))
+                if not expansion:
+                    continue
+                term = va * vb
+                rest = head + tail
+                for k, s in expansion:
+                    key = rest + (k,)
+                    acc = out.get(key)
+                    if acc is None:
+                        out[key] = term * s
+                    else:
+                        acc += term * s
+                        if acc:
+                            out[key] = acc
+                        else:
+                            del out[key]
+    return _reduce(out, ad * bd * table.den, qi)
+
+
 def _map_leg(t: Num, columns: _Lifted, p: int) -> Num:
     """Replace leg ``p`` by the column its index selects: the image legs of
     a 1 -> 0, 1 -> 1 or 1 -> 2 map take the place of the leg."""
@@ -515,56 +571,10 @@ def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> Tenso
     """
     a._check_like(b)
     rank = a.rank
-    an, ad, aq = _lift(a.entries)
-    bn, bd, bq = _lift(b.entries)
     table = _lift_table(mult)
-    qi = aq or bq or table.qi
-    get = table.form(qi).get
-    # pairing step fused with the first leg merge (so a (x) b is never
-    # materialized); key layout is then a[1:] + b[1:] + (merged leg 0,)
-    cur: dict = {}
-    if qi:
-        an = an if aq else _pairs(an)
-        bn = bn if bq else _pairs(bn)
-        for ka, (ar, ai) in an.items():
-            for kb, (br, bi) in bn.items():
-                expansion = get((ka[0], kb[0]))
-                if not expansion:
-                    continue
-                tr, ti = ar * br - ai * bi, ar * bi + ai * br
-                rest = ka[1:] + kb[1:]
-                for k, (sr, si) in expansion:
-                    key = rest + (k,)
-                    re, im = tr * sr - ti * si, tr * si + ti * sr
-                    acc = cur.get(key)
-                    if acc is not None:
-                        re += acc[0]
-                        im += acc[1]
-                        if not (re or im):
-                            del cur[key]
-                            continue
-                    cur[key] = (re, im)
-    else:
-        for ka, va in an.items():
-            for kb, vb in bn.items():
-                expansion = get((ka[0], kb[0]))
-                if not expansion:
-                    continue
-                term = va * vb
-                rest = ka[1:] + kb[1:]
-                for k, s in expansion:
-                    key = rest + (k,)
-                    acc = cur.get(key)
-                    if acc is None:
-                        cur[key] = term * s
-                    else:
-                        acc += term * s
-                        if acc:
-                            cur[key] = acc
-                        else:
-                            del cur[key]
-    t = _reduce(cur, ad * bd * table.den, qi)
-    # after step j the layout is a[j:] + b[j:] + merged[:j]
+    # the pairing step is fused with the first leg merge, so a (x) b is never
+    # materialized; after step j the layout is a[j:] + b[j:] + merged[:j]
+    t = _join(_lift(a.entries), _lift(b.entries), table, 0, 0)
     for j in range(1, rank):
         t = _merge(t, table, 0, rank - j)
     return TensorElement(rank, a.dim, _lower(t), _trust=True)

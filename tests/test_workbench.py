@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import gc
 import json
+import os
 import subprocess
 import sys
 import weakref
@@ -309,10 +310,17 @@ def test_cli_double_export(tmp_path, capsys):
 
 
 def test_cli_entrypoint_subprocess():
+    """The child imports the same ``quasihopf`` as the tests, with or without
+    ``PYTHONPATH`` set by the caller."""
+    import quasihopf
+    src = os.path.dirname(os.path.dirname(os.path.abspath(quasihopf.__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
     proc = subprocess.run(
         [sys.executable, "-m", "quasihopf.cli", "verify", "catalog:H2",
          "--suite", "axioms", "--format", "json"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["failed"] == 0
 
