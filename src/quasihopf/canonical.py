@@ -150,8 +150,7 @@ def canonical_elements(ctx) -> CanonicalElements:
 class Identity:
     name: str
     formula: str
-    vars: tuple[str, ...]
-    build: Callable  # ctx -> (Expression, Expression) or ctx, bindings -> residual
+    build: Callable  # ctx -> (Expression, Expression), or ctx -> residual if custom
     custom: bool = False
 
 
@@ -182,16 +181,9 @@ def resolve_names(names) -> list[str]:
     return out
 
 
-def _register(name: str, formula: str, vars: tuple[str, ...] = ()):
+def _register(name: str, formula: str, custom: bool = False):
     def wrap(fn):
-        REGISTRY[name] = Identity(name, formula, vars, fn)
-        return fn
-    return wrap
-
-
-def _register_custom(name: str, formula: str, vars: tuple[str, ...] = ()):
-    def wrap(fn):
-        REGISTRY[name] = Identity(name, formula, vars, fn, custom=True)
+        REGISTRY[name] = Identity(name, formula, fn, custom)
         return fn
     return wrap
 
@@ -213,7 +205,7 @@ def _pq(ctx, names: str) -> dict:
 # --- relations among the p/q elements (no integrals required) -------------------
 
 
-@_register("qr1", "Delta(h1) pR (1 x S(h2)) = pR (h x 1)", ("h",))
+@_register("qr1", "Delta(h1) pR (1 x S(h2)) = pR (h x 1)")
 def _qr1(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "p")},
                      [Leg(r("h", 1, 1, 1), r("p", 1)),
@@ -223,7 +215,7 @@ def _qr1(ctx):
     return lhs, rhs
 
 
-@_register("qr1a", "(1 x Si(h2)) qR Delta(h1) = (h x 1) qR", ("h",))
+@_register("qr1a", "(1 x Si(h2)) qR Delta(h1) = (h x 1) qR")
 def _qr1a(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "q")},
                      [Leg(r("q", 1), r("h", 1, 1, 1)),
@@ -233,7 +225,7 @@ def _qr1a(ctx):
     return lhs, rhs
 
 
-@_register("ql1", "Delta(h2) pL (Si(h1) x 1) = pL (1 x h)", ("h",))
+@_register("ql1", "Delta(h2) pL (Si(h1) x 1) = pL (1 x h)")
 def _ql1(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "pl")},
                      [Leg(r("h", 1, 2, 1), r("pl", 1), Si(r("h", 1, 1))),
@@ -243,7 +235,7 @@ def _ql1(ctx):
     return lhs, rhs
 
 
-@_register("ql1a", "(S(h1) x 1) qL Delta(h2) = (1 x h) qL", ("h",))
+@_register("ql1a", "(S(h1) x 1) qL Delta(h2) = (1 x h) qL")
 def _ql1a(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "ql")},
                      [Leg(S(r("h", 1, 1)), r("ql", 1), r("h", 1, 2, 1)),
@@ -345,7 +337,7 @@ def _ql2(ctx):
 # --- the twist -------------------------------------------------------------------
 
 
-@_register("ca", "f Delta(S(h)) f^-1 = (S x S)(Delta^cop(h))", ("h",))
+@_register("ca", "f Delta(S(h)) f^-1 = (S x S)(Delta^cop(h))")
 def _ca(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "f g")},
                      [Leg(r("f", 1), r("h", 1, "S", 1), r("g", 1)),
@@ -420,7 +412,7 @@ def _f_counit(ctx):
 # --- U and V ---------------------------------------------------------------------
 
 
-@_register("fu1", "U (1 x S(h)) = Delta(S(h1)) U (h2 x 1)", ("h",))
+@_register("fu1", "U (1 x S(h)) = Delta(S(h1)) U (h2 x 1)")
 def _fu1(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "U")},
                      [Leg(r("U", 1)), Leg(r("U", 2), S(r("h")))])
@@ -430,7 +422,7 @@ def _fu1(ctx):
     return lhs, rhs
 
 
-@_register("fv1", "(1 x Si(h)) V = (h2 x 1) V Delta(Si(h1))", ("h",))
+@_register("fv1", "(1 x Si(h)) V = (h2 x 1) V Delta(Si(h1))")
 def _fv1(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "V")},
                      [Leg(r("V", 1)), Leg(Si(r("h")), r("V", 2))])
@@ -538,7 +530,7 @@ def _tplvspr(ctx):
     return lhs, rhs
 
 
-@_register("fdeltaDrinf", "Delta(h1) delta (S x S)(Delta^cop(h2)) = eps(h) delta", ("h",))
+@_register("fdeltaDrinf", "Delta(h1) delta (S x S)(Delta^cop(h2)) = eps(h) delta")
 def _fdeltadrinf(ctx):
     lhs = Expression({"h": VAR, "dl": ctx.delta_el},
                      [Leg(r("h", 1, 1, 1), r("dl", 1), S(r("h", 1, 2, 2))),
@@ -656,7 +648,7 @@ def _f2b(ctx):
     return lhs, rhs
 
 
-@_register("movingelem1", "t1 p1 h x t2 p2 = mu(h1) t1 p1 x t2 p2 S(h2)", ("h",))
+@_register("movingelem1", "t1 p1 h x t2 p2 = mu(h1) t1 p1 x t2 p2 S(h2)")
 def _movingelem1(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "t p")},
                      [Leg(r("t", 1, 1), r("p", 1), r("h")),
@@ -668,7 +660,7 @@ def _movingelem1(ctx):
     return lhs, rhs
 
 
-@_register("f4", "lam(Si(h) h') = mu(h1) lam(h' S(h2))", ("h", "hp"))
+@_register("f4", "lam(Si(h) h') = mu(h1) lam(h' S(h2))")
 def _f4(ctx):
     lhs = Expression({"h": VAR, "hp": VAR},
                      [Fn("lam", Si(r("h")), r("hp"))])
@@ -678,8 +670,7 @@ def _f4(ctx):
 
 
 @_register("lcointsimpl",
-           "lam(q2 h2 p2 S(h')) q1 h1 p1 = mu(x1) lam(Si(ql1) h S(x2 h'1 pl1)) ql2 x3 h'2 pl2",
-           ("h", "hp"))
+           "lam(q2 h2 p2 S(h')) q1 h1 p1 = mu(x1) lam(Si(ql1) h S(x2 h'1 pl1)) ql2 x3 h'2 pl2")
 def _lcointsimpl(ctx):
     lhs = Expression({"h": VAR, "hp": VAR, **_pq(ctx, "q p")},
                      [Fn("lam", r("q", 2), r("h", 1, 2), r("p", 2), S(r("hp"))),
@@ -720,7 +711,7 @@ def _qqt_right(ctx):
     return lhs, rhs
 
 
-@_register("f1", "h q1 t1 x q2 t2 = q1 t1 x Si(h) q2 t2", ("h",))
+@_register("f1", "h q1 t1 x q2 t2 = q1 t1 x Si(h) q2 t2")
 def _f1(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "q t")},
                      [Leg(r("h"), r("q", 1), r("t", 1, 1)),
@@ -731,7 +722,7 @@ def _f1(ctx):
     return lhs, rhs
 
 
-@_register("elemmovedbyrightint", "r1 p1 h x r2 p2 = r1 p1 x r2 p2 S(h)", ("h",))
+@_register("elemmovedbyrightint", "r1 p1 h x r2 p2 = r1 p1 x r2 p2 S(h)")
 def _elemmoved(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "rr p")},
                      [Leg(r("rr", 1, 1), r("p", 1), r("h")),
@@ -742,7 +733,7 @@ def _elemmoved(ctx):
     return lhs, rhs
 
 
-@_register("rint3", "h r1 x r2 = mui(h1 p1) q1 r1 x Si(h2 p2) q2 r2", ("h",))
+@_register("rint3", "h r1 x r2 = mui(h1 p1) q1 r1 x Si(h2 p2) q2 r2")
 def _rint3(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "rr")},
                      [Leg(r("h"), r("rr", 1, 1)), Leg(r("rr", 1, 2))])
@@ -753,7 +744,7 @@ def _rint3(ctx):
     return lhs, rhs
 
 
-@_register("rint4", "r1 U1 x r2 U2 S(h) = r1 U1 h x r2 U2", ("h",))
+@_register("rint4", "r1 U1 x r2 U2 S(h) = r1 U1 h x r2 U2")
 def _rint4(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "rr U")},
                      [Leg(r("rr", 1, 1), r("U", 1)),
@@ -764,7 +755,7 @@ def _rint4(ctx):
     return lhs, rhs
 
 
-@_register("rint5", "V1 r1 x Si(h) V2 r2 = mu(h1) h2 V1 r1 x V2 r2", ("h",))
+@_register("rint5", "V1 r1 x Si(h) V2 r2 = mu(h1) h2 V1 r1 x V2 r2")
 def _rint5(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "rr V")},
                      [Leg(r("V", 1), r("rr", 1, 1)),
@@ -776,7 +767,7 @@ def _rint5(ctx):
     return lhs, rhs
 
 
-@_register("firstRad-fn", "lam o Si = lam <- gmod", ("h",))
+@_register("firstRad-fn", "lam o Si = lam <- gmod")
 def _firstrad_fn(ctx):
     lhs = Expression({"h": VAR}, [Fn("lam", Si(r("h")))])
     rhs = Expression({"h": VAR, "gmod": ctx.g_mod}, [Fn("lam", r("gmod"), r("h"))])
@@ -794,7 +785,7 @@ def _firstrad_el(ctx):
     return lhs, rhs
 
 
-@_register("lamSm2", "lam o S^-2 = S(gmod) -> lam <- gmod", ("h",))
+@_register("lamSm2", "lam o S^-2 = S(gmod) -> lam <- gmod")
 def _lam_sm2(ctx):
     lhs = Expression({"h": VAR}, [Fn("lam", op("Si2", r("h")))])
     rhs = Expression({"h": VAR, "gmod": ctx.g_mod, "G2": ctx.g_mod},
@@ -802,7 +793,7 @@ def _lam_sm2(ctx):
     return lhs, rhs
 
 
-@_register("qtr-fn", "lam o Si = Lam <- u", ("h",))
+@_register("qtr-fn", "lam o Si = Lam <- u")
 def _qtr_fn(ctx):
     lhs = Expression({"h": VAR}, [Fn("lam", Si(r("h")))])
     rhs = Expression({"h": VAR, "u": ctx.u_el}, [Fn("Lam", r("u"), r("h"))])
@@ -820,7 +811,7 @@ def _qtr_el(ctx):
     return lhs, rhs
 
 
-@_register("lamS-v", "lam o S = Lam <- v", ("h",))
+@_register("lamS-v", "lam o S = Lam <- v")
 def _lams_v(ctx):
     lhs = Expression({"h": VAR}, [Fn("lam", S(r("h")))])
     rhs = Expression({"h": VAR, "v": ctx.v_el}, [Fn("Lam", r("v"), r("h"))])
@@ -880,8 +871,7 @@ def _app3b(ctx):
 
 
 @_register("inchileftcoint",
-           "mui(ql1 h1 pl1) lam <- Si(ql2 h2 pl2) = mui(alpha) mu(beta) S(h) -> lam",
-           ("h", "x"))
+           "mui(ql1 h1 pl1) lam <- Si(ql2 h2 pl2) = mui(alpha) mu(beta) S(h) -> lam")
 def _inchi(ctx):
     lhs = Expression({"h": VAR, "x": VAR, **_pq(ctx, "ql pl")},
                      [Fn("mui", r("ql", 1), r("h", 1, 1), r("pl", 1)),
@@ -893,8 +883,7 @@ def _inchi(ctx):
 
 
 @_register("s4equivversion",
-           "mu(f1) S^-2(h) Si(gmod^-1) S(f2) = mu(h1 f1) mui(h22) Si(gmod^-1) S(S(h21) f2)",
-           ("h",))
+           "mu(f1) S^-2(h) Si(gmod^-1) S(f2) = mu(h1 f1) mui(h22) Si(gmod^-1) S(S(h21) f2)")
 def _s4equiv(ctx):
     lhs = Expression({"h": VAR, "f": ctx.f, "gmodi": ctx.g_mod_inv},
                      [Fn("mu", r("f", 1)),
@@ -908,8 +897,7 @@ def _s4equiv(ctx):
 
 @_register("normdefmodelem",
            "lam(Si(f2) h1 g1 S(h')) Si(f1) h2 g2 = mu(F1) mui(U22 W2 alpha) mu(beta) "
-           "mu(U1 y12 x2) lam(h S(y3 x32 h'2 pl2)) Si(gmod^-1 y11 x1) S(S(U21 W1 y2 x31 h'1 pl1) F2)",
-           ("h", "hp"))
+           "mu(U1 y12 x2) lam(h S(y3 x32 h'2 pl2)) Si(gmod^-1 y11 x1) S(S(U21 W1 y2 x31 h'1 pl1) F2)")
 def _normdef(ctx):
     lhs = Expression({"h": VAR, "hp": VAR, "f": ctx.f, "g": ctx.f_inv},
                      [Fn("lam", Si(r("f", 2)), r("h", 1, 1), r("g", 1), S(r("hp"))),
@@ -931,8 +919,7 @@ def _normdef(ctx):
 
 @_register("fvfformunim",
            "lam(Si(f2) h1 g1 S(h')) Si(f1) h2 g2 = mu(beta F1) mui(Y3 U2 alpha) "
-           "mu(Y1 U11 y21 x1) lam(h S(y3 x3 h'2 pl2)) Si(gmod^-1 y1) S(S(Y2 U12 y22 x2 h'1 pl1) F2)",
-           ("h", "hp"))
+           "mu(Y1 U11 y21 x1) lam(h S(y3 x3 h'2 pl2)) Si(gmod^-1 y1) S(S(Y2 U12 y22 x2 h'1 pl1) F2)")
 def _fvfformunim(ctx):
     lhs = Expression({"h": VAR, "hp": VAR, "f": ctx.f, "g": ctx.f_inv},
                      [Fn("lam", Si(r("f", 2)), r("h", 1, 1), r("g", 1), S(r("hp"))),
@@ -951,39 +938,39 @@ def _fvfformunim(ctx):
     return lhs, rhs
 
 
-@_register_custom("mumuinv", "mu(alpha beta) mui(alpha beta) = 1")
-def _mumuinv(ctx, bindings):
+@_register("mumuinv", "mu(alpha beta) mui(alpha beta) = 1", custom=True)
+def _mumuinv(ctx):
     ab = ctx.pres.multiply(ctx.pres.alpha, ctx.pres.beta)
     value = ctx.mu(ab) * ctx.mu_inv(ab)
     return TensorElement(0, ctx.pres.dim, {(): value - ONE})
 
 
-@_register_custom("cop-gamma", "gamma_cop = (Si x Si)(gamma)")
-def _cop_gamma(ctx, bindings):
+@_register("cop-gamma", "gamma_cop = (Si x Si)(gamma)", custom=True)
+def _cop_gamma(ctx):
     cop = ctx.variant_ctx("cop")
     expected = Expression({"gm": ctx.gamma},
                           [Leg(Si(r("gm", 1))), Leg(Si(r("gm", 2)))]).evaluate(ctx.ops)
     return cop.gamma - expected
 
 
-@_register_custom("cop-f", "f_cop = (Si x Si)(f)")
-def _cop_f(ctx, bindings):
+@_register("cop-f", "f_cop = (Si x Si)(f)", custom=True)
+def _cop_f(ctx):
     cop = ctx.variant_ctx("cop")
     expected = Expression({"f": ctx.f},
                           [Leg(Si(r("f", 1))), Leg(Si(r("f", 2)))]).evaluate(ctx.ops)
     return cop.f - expected
 
 
-@_register_custom("cop-pr", "(pR)_cop = pl2 x pl1")
-def _cop_pr(ctx, bindings):
+@_register("cop-pr", "(pR)_cop = pl2 x pl1", custom=True)
+def _cop_pr(ctx):
     cop = ctx.variant_ctx("cop")
     expected = Expression({"pl": ctx.p_l},
                           [Leg(r("pl", 2)), Leg(r("pl", 1))]).evaluate(ctx.ops)
     return cop.p_r - expected
 
 
-@_register_custom("cop-qr", "(qR)_cop = ql2 x ql1")
-def _cop_qr(ctx, bindings):
+@_register("cop-qr", "(qR)_cop = ql2 x ql1", custom=True)
+def _cop_qr(ctx):
     cop = ctx.variant_ctx("cop")
     expected = Expression({"ql": ctx.q_l},
                           [Leg(r("ql", 2)), Leg(r("ql", 1))]).evaluate(ctx.ops)
@@ -995,17 +982,17 @@ def _cop_qr(ctx, bindings):
 
 def evaluate_identity(ctx, name: str) -> TensorElement:
     """Residual of a registered identity: the zero tensor when it holds,
-    else lhs - rhs.  Free variables stay unbound, so one evaluation of each
-    side covers every binding: each contributes an index leg."""
+    else lhs - rhs.  Each free variable contributes an index leg, so one
+    evaluation of each side covers every basis element."""
     ctx = _ctx_of(ctx)
     ident = REGISTRY.get(name)
     if ident is None:
         raise UnknownIdentity(name)
     if ident.custom:
-        return ident.build(ctx, {})
+        return ident.build(ctx)
     lhs, rhs = ident.build(ctx)
     fns = ctx.lazy_functionals()
-    left, right = lhs.evaluate(ctx.ops, None, fns), rhs.evaluate(ctx.ops, None, fns)
+    left, right = lhs.evaluate(ctx.ops, fns), rhs.evaluate(ctx.ops, fns)
     return TensorElement.zero(0, ctx.pres.dim) if left == right else left - right
 
 

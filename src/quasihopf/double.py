@@ -68,24 +68,20 @@ def build_double(H: QhaPresentation) -> DoublePresentation:
     nd = n * n
     omega = build_omega(ctx)
 
-    # multiplication: one evaluation per central basis element h = e_j gives
-    # the coefficient table over (result element, phi-slot, psi-slot, argument)
-    mult_entries: list[tuple[int, int, int, Scalar]] = []
-    mult_expr = Expression(
+    # multiplication: one evaluation, with the central element h on an index
+    # leg, gives the coefficient table over (central basis element j, result
+    # element, phi-slot, psi-slot, argument)
+    mult_table = Expression(
         {"h": VAR, "Om": omega, "xx": VAR},
-        [Leg(r("Om", 3), r("h", 1, 1, 2)),
+        [VarIdx("h"),
+         Leg(r("Om", 3), r("h", 1, 1, 2)),
          Hole(r("Om", 5), r("xx", 1, 1), r("Om", 1)),
          Hole(Si(r("h", 1, 2)), r("Om", 4), r("xx", 1, 2), r("Om", 2), r("h", 1, 1, 1)),
-         VarIdx("xx")])
-    for j in range(n):
-        table = mult_expr.evaluate(ctx.ops, {"h": H.basis_element(j)})
-        # legs: (out o, phi-arg a, psi-arg b, result-functional m)
-        for (o, a, b, m), s in table.entries.items():
-            for l in range(n):
-                for k, c in H.mult.get((o, l), ()):
-                    mult_entries.append((_didx(n, a, j), _didx(n, b, l),
-                                         _didx(n, m, k), s * c))
-    dmult = make_mult(nd, mult_entries)
+         VarIdx("xx")]).evaluate(ctx.ops)
+    # legs: (j, out o, phi-arg a, psi-arg b, result-functional m)
+    dmult = make_mult(nd, [(_didx(n, a, j), _didx(n, b, l), _didx(n, m, k), s * c)
+                           for (j, o, a, b, m), s in mult_table.entries.items()
+                           for l in range(n) for k, c in H.mult.get((o, l), ())])
 
     unit_d = _double_element(n, H.counit.coords, H.unit)
     counit_d = Functional([H.counit(H.basis_element(j)) * ctx.s_inv.apply(H.alpha).coeff(i)
@@ -101,22 +97,22 @@ def build_double(H: QhaPresentation) -> DoublePresentation:
     # column k of left[u] is embed(e_u) times the k-th basis element of the double
     left = [multiplication_operator(dmult, emb, "left").columns for emb in embedding]
 
-    # coproduct: evaluated with the two functional slots of the result left
-    # open (w for the first factor, z for the second)
-    cop_expr = Expression(
+    # coproduct: one evaluation covering all basis pairs, with the two
+    # functional slots of the result left open (w for the first factor, z
+    # for the second)
+    cop_table = Expression(
         {"h": VAR, "X": H.phi, "Y": H.phi, "x": H.phi_inv, "p": ctx.p_r,
          "w": VAR, "z": VAR},
-        [Leg(r("X", 1), r("Y", 1)),                                  # u
+        [VarIdx("h"),
+         Leg(r("X", 1), r("Y", 1)),                                  # u
          Leg(r("p", 1, 2), r("x", 2), r("h", 1, 1)),                 # c
          Leg(r("X", 2, 2), r("Y", 3), r("x", 3), r("h", 1, 2)),      # e
          Hole(Si(r("X", 3)), r("z", 1), r("X", 2, 1),
               r("Y", 2), Si(r("p", 2)), r("w", 1), r("p", 1, 1), r("x", 1)),
-         VarIdx("w"), VarIdx("z")])
-    # legs of each table: (u, c, e, hole a, w, z)
-    tables = ((j, cop_expr.evaluate(ctx.ops, {"h": H.basis_element(j)})) for j in range(n))
+         VarIdx("w"), VarIdx("z")]).evaluate(ctx.ops)
+    # legs: (j, u, c, e, hole a, w, z)
     coproduct_d = _scatter(nd, ((_didx(n, a, j), s, left[u][_didx(n, w, c)], (_didx(n, z, e),))
-                                for j, table in tables
-                                for (u, c, e, a, w, z), s in table.entries.items()), 2)
+                                for (j, u, c, e, a, w, z), s in cop_table.entries.items()), 2)
 
     # antipode: one evaluation covering all basis pairs
     s_expr = Expression(
@@ -196,7 +192,7 @@ def double_integral(D: DoublePresentation) -> TensorElement:
                           [VarIdx("ea"),
                            Fn("mui", r("dl", 2)),
                            Fn("lam", r("ea", 1), r("dl", 1))]).evaluate(
-                              base.ops, None, base.lazy_functionals())
+                              base.ops, base.lazy_functionals())
     t_func = [coords_t.coeff(a) for a in range(n)]
     return _double_element(n, t_func, base.r)
 
@@ -210,7 +206,7 @@ def double_left_cointegral(D: DoublePresentation) -> Functional:
                            [VarIdx("h"),
                             Fn("mu", r("pl", 1)), Fn("mui", r("f", 1)),
                             Fn("lam", Si(r("f", 2)), r("h", 1), S(r("pl", 2)))]
-                           ).evaluate(base.ops, None, base.lazy_functionals())
+                           ).evaluate(base.ops, base.lazy_functionals())
     r_coords = base.r.coords()
     return Functional([r_coords[i] * lam_prime.coeff(j)
                        for i in range(n) for j in range(n)])
@@ -237,7 +233,7 @@ def double_modular(D: DoublePresentation) -> tuple[TensorElement, TensorElement]
     inner = Expression({"g": base.f_inv, "gi": base.g_mod_inv},
                        [Fn("mu", r("g", 1, 1)), Fn("mui", r("g", 2)),
                         Leg(r("g", 1, 2), op("Si2", r("gi")))]).evaluate(
-                           base.ops, None, base.lazy_functionals())
+                           base.ops, base.lazy_functionals())
     first = s_d_inv.apply(_double_element(n, base.mu.coords, inner))
 
     # second form: mu(ql1 g1) mui(pl1)
@@ -252,7 +248,7 @@ def double_modular(D: DoublePresentation) -> tuple[TensorElement, TensorElement]
          Fn("mui", r("pl", 1)),
          Fn("mui", r("g", 2, "Si", 1), r("ql", 2, "Si", 1)),
          Leg(r("g", 2, "Si", 2), r("ql", 2, "Si", 2), r("pl", 2))]).evaluate(
-            base.ops, None, base.lazy_functionals())
+            base.ops, base.lazy_functionals())
     lhs_factor = _double_element(n, H.counit.coords,
                                  si3.apply(base.g_mod_inv))
     rhs_factor = _double_element(n, base.mu_inv.coords, second_elem)
@@ -376,7 +372,7 @@ def double_report(D: DoublePresentation) -> VerificationReport:
     if intcoint.is_unimodular(base):
         delta_pair = Expression({"dl": base.delta_el},
                                 [Fn("mui", r("dl", 2)), Leg(r("dl", 1))]).evaluate(
-                                    base.ops, None, base.lazy_functionals())
+                                    base.ops, base.lazy_functionals())
         report.check_zero("double:unimodular-conjecture", delta_pair - H.beta)
 
     # cointegrals of the double

@@ -2,11 +2,14 @@
 
 An :class:`Expression` is a list of output slots over named sources.  A
 source is a tensor whose components are summed over (a reassociator, a
-canonical two-leg element, a constant, or a free variable standing for an
-arbitrary algebra element).  Each slot is an ordered product of atoms; an
-atom references one component of one source, transformed by a token path
-that interleaves unary operators with coproduct-part selection, or wraps a
-whole sub-product in a unary operator.
+canonical two-leg element, a constant, or a free variable).  A variable is
+never bound to one element: it is the identity tensor sum_m e_m (x) e_m,
+whose first leg, the variable's index leg, becomes an output leg, so one
+evaluation covers every basis element at once and
+``multilinear.columns_of`` splits the result along that leg.  Each slot is
+an ordered product of atoms; an atom references one component of one
+source, transformed by a token path that interleaves unary operators with
+coproduct-part selection, or wraps a whole sub-product in a unary operator.
 
 Output slot kinds:
 
@@ -15,11 +18,10 @@ Output slot kinds:
 * ``Hole`` - the product becomes a leg indexed by the argument of an
   unknown functional (used to assemble linear systems and multiplication
   tables in one pass);
-* ``VarIdx`` - the free-variable index of an unbound variable becomes an
-  output leg.
+* ``VarIdx`` - places the index leg of a variable among the output legs.
 
 Evaluation contracts the expression as a tensor network.  Every source
-(and every unbound variable, as the identity tensor on its index leg) is a
+(and every variable, as the identity tensor on its index leg) is a
 component of its own, with its own tensor and named legs.  Steps that
 cannot grow a tensor run as soon as their legs exist: an operator token,
 a merge of two adjacent factors within one component, an operator on a
@@ -157,9 +159,9 @@ class Expression:
     """One tensor formula, transcribed leg by leg.
 
     ``sources`` maps names to tensors or to :data:`VAR` for free variables.
-    Unbound variables contribute an implicit index leg; declare where it
-    lands with :class:`VarIdx` (or omit it to have it prepended in variable
-    declaration order).
+    Every variable contributes an index leg that runs over the basis;
+    declare where it lands with :class:`VarIdx` (or omit it to have it
+    prepended in variable declaration order).
     """
 
     def __init__(self, sources: Mapping[str, TensorElement | str],
@@ -214,30 +216,20 @@ class Expression:
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, ops: AlgebraOps,
-                 bindings: Mapping[str, TensorElement] | None = None,
                  functionals: Mapping[str, Functional] | None = None,
                  ) -> TensorElement:
-        bindings = dict(bindings or {})
         net = _Network(self, ops)
-        unbound = []
+        variables = []
         for name, src in self.sources.items():
             if src == VAR:
-                bound = bindings.get(name)
-                if bound is None:
-                    net.add_variable(name)
-                    unbound.append(name)
-                elif bound.rank != 1:
-                    raise ExpressionError(f"binding for {name!r} must be rank 1")
-                else:
-                    net.add_source(name, bound)
+                net.add_variable(name)
+                variables.append(name)
             elif (name, 1) in self._plans:
                 net.add_source(name, src)
         slots: list[object] = []
         seen_varidx: set[str] = set()
         for out in self.outputs:
             if isinstance(out, VarIdx):
-                if out.name in bindings:
-                    raise ExpressionError(f"VarIdx({out.name!r}) on a bound variable")
                 slots.append(("idx", out.name))
                 seen_varidx.add(out.name)
                 continue
@@ -253,10 +245,10 @@ class Expression:
             if functional is None:      # Leg or Hole
                 slots.append(product)
         net.contract()
-        # Implicit index legs for unbound variables without an explicit
-        # VarIdx, prepended in source declaration order so both sides of an
-        # identity agree on the layout.
-        order = [("idx", name) for name in unbound if name not in seen_varidx]
+        # Implicit index legs for variables without an explicit VarIdx,
+        # prepended in source declaration order so both sides of an identity
+        # agree on the layout.
+        order = [("idx", name) for name in variables if name not in seen_varidx]
         order += [slot.leg if isinstance(slot, _Product) else slot for slot in slots]
         return net.finalize(order)
 
@@ -320,8 +312,8 @@ class _Network:
             self._expand(comp, leg, self.expr._plans[leg[:2]])
 
     def add_variable(self, name: str) -> None:
-        """An unbound variable: the identity tensor sum_m e_m (x) e_m, whose
-        first leg is the variable's index."""
+        """A variable: the identity tensor sum_m e_m (x) e_m, whose first
+        leg is the variable's index."""
         leg = (name, 1, ())
         comp = self._add(({(m, m): 1 for m in range(self.ops.dim)}, 1, False),
                          [("idx", name), leg])

@@ -4,9 +4,12 @@ antipode-power laws.
 Integral spaces are found as exact nullspaces of the defining linear
 systems; cointegrals come from the full coinvariance relation (a system of
 dim^2 scalar equations), with every shortcut characterization kept as an
-independent cross-check rather than used for solving.  Each system is a
-stream of two-leg tables whose rows, read sparsely with ``columns_of``,
-go straight to ``multilinear.solve_constraints``.
+independent cross-check rather than used for solving.  A relation that
+must hold for every h leaves h a free variable: one evaluation of each side
+gives a table whose first leg is h's index, and ``columns_of`` splits it
+into one (functional-argument, output-leg) table per basis element, in
+basis order.  The rows of those tables, read sparsely with ``columns_of``
+again, go straight to ``multilinear.solve_constraints``.
 """
 
 from __future__ import annotations
@@ -130,8 +133,9 @@ def is_unimodular(ctx) -> bool:
 
 
 def _left_coint_system(ctx):
-    """The coinvariance relation as hole expressions: for each basis h both
-    sides become (functional-argument, output-leg) tables."""
+    """The coinvariance relation as hole expressions over the free variable
+    h: each side evaluates to an (h, functional-argument, output-leg)
+    table."""
     pres = ctx.pres
     lhs = Expression({"h": VAR, "V": ctx.v_cap, "U": ctx.u_cap},
                      [Hole(r("V", 2), r("h", 1, 2), r("U", 2)),
@@ -169,12 +173,19 @@ def _right_coint_direct_system(ctx):
     return lhs, rhs
 
 
-def _solve_hole_system(ctx, lhs: Expression, rhs: Expression,
-                       bindings: list[dict]) -> list[Functional]:
-    """The functionals that make both sides agree on every binding."""
+def _per_h(expr: Expression, table: TensorElement) -> list[TensorElement]:
+    """``table`` split along the index leg of the variable h, in basis
+    order, when ``expr`` has h; else ``table`` alone."""
+    return columns_of(table) if expr.sources.get("h") == VAR else [table]
+
+
+def _solve_hole_system(ctx, lhs: Expression, rhs: Expression) -> list[Functional]:
+    """The functionals that make both sides agree, for every basis element
+    h when the sides have the variable h: one evaluation per side, and one
+    table of equations per h."""
     fns = ctx.lazy_functionals()
-    return [Functional(vec) for vec in _nullspace(ctx.pres.dim, (
-        lhs.evaluate(ctx.ops, b, fns) - rhs.evaluate(ctx.ops, b, fns) for b in bindings))]
+    difference = lhs.evaluate(ctx.ops, fns) - rhs.evaluate(ctx.ops, fns)
+    return [Functional(vec) for vec in _nullspace(ctx.pres.dim, _per_h(lhs, difference))]
 
 
 def cointegral_space(ctx, side: str) -> list[Functional]:
@@ -183,12 +194,10 @@ def cointegral_space(ctx, side: str) -> list[Functional]:
     relation stated over the original structure maps."""
     ctx = _ctx_of(ctx)
     if side == "left":
-        lhs, rhs = _left_coint_system(ctx)
-        return _solve_hole_system(ctx, lhs, rhs, _bindings(ctx.pres))
+        return _solve_hole_system(ctx, *_left_coint_system(ctx))
     cop = ctx.variant_ctx("cop")
     via_cop = cointegral_space(cop, "left")
-    lhs, rhs = _right_coint_direct_system(ctx)
-    direct = _solve_hole_system(ctx, lhs, rhs, _bindings(ctx.pres))
+    direct = _solve_hole_system(ctx, *_right_coint_direct_system(ctx))
     if len(via_cop) != len(direct) or not all(
             _proportional_fn(a, b) for a, b in zip(via_cop, direct)):
         raise CrossCheckMismatch(
@@ -202,27 +211,24 @@ def _proportional_fn(a: Functional, b: Functional) -> bool:
 
 
 def cointegral_residual(ctx, functional: Functional, side: str = "left") -> TensorElement:
-    """Residual of the defining relation for a candidate cointegral; zero
-    exactly when the functional satisfies it for every basis element."""
-    pres = ctx.pres
-    n = pres.dim
+    """Residual of the defining relation for a candidate cointegral at the
+    first basis element h where it fails; zero exactly when the functional
+    satisfies it for every basis element."""
     lhs, rhs = (_left_coint_system(ctx) if side == "left"
                 else _right_coint_direct_system(ctx))
-    witness = first_difference(_bindings(pres), _filled(ctx, lhs, rhs, functional))
-    return TensorElement.zero(1, n) if witness is None else witness
+    witness = first_difference(_filled(ctx, lhs, rhs, functional), lambda pair: [pair])
+    return TensorElement.zero(1, ctx.pres.dim) if witness is None else witness
 
 
-def _bindings(pres) -> list[dict[str, TensorElement]]:
-    """The variable h bound to each basis element in turn."""
-    return [{"h": pres.basis_element(i)} for i in range(pres.dim)]
-
-
-def _filled(ctx, lhs: Expression, rhs: Expression, functional: Functional):
-    """Both sides of a hole system, per binding, with the hole leg paired
-    against ``functional``."""
+def _filled(ctx, lhs: Expression, rhs: Expression,
+            functional: Functional) -> list[tuple[TensorElement, TensorElement]]:
+    """Both sides of a hole system with the hole leg paired against
+    ``functional``: one pair per basis element h, in basis order, when the
+    sides have the variable h, else one pair."""
     fns = ctx.lazy_functionals()
-    return lambda binding: [(contract(functional, lhs.evaluate(ctx.ops, binding, fns), 0),
-                             contract(functional, rhs.evaluate(ctx.ops, binding, fns), 0))]
+    hole = 1 if lhs.sources.get("h") == VAR else 0
+    return list(zip(*(_per_h(lhs, contract(functional, side.evaluate(ctx.ops, fns), hole))
+                      for side in (lhs, rhs))))
 
 
 def compute_cointegral_data(ctx) -> CointegralData:
@@ -248,11 +254,11 @@ def compute_cointegral_data(ctx) -> CointegralData:
     g_mod = Expression({"q": ctx.q_r, "t": t, "p": ctx.p_r},
                        [Fn("lam", Si(r("q", 2), r("t", 1, 2), r("p", 2))),
                         Leg(Si(r("q", 1), r("t", 1, 1), r("p", 1)))]
-                       ).evaluate(ctx.ops, None, fns)
+                       ).evaluate(ctx.ops, fns)
     g_inv = Expression({"q": ctx.q_r, "t": t, "p": ctx.p_r},
                        [Fn("lam", r("q", 1), r("t", 1, 1), r("p", 1)),
                         Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))]
-                       ).evaluate(ctx.ops, None, fns)
+                       ).evaluate(ctx.ops, fns)
     if pres.multiply(g_mod, g_inv) != pres.unit or pres.multiply(g_inv, g_mod) != pres.unit:
         raise DegeneratePairing(f"{pres.name}: modular element is not invertible")
     return CointegralData(left_basis=lam, right_basis=big_lam,
@@ -276,29 +282,29 @@ def comparison_elements(ctx) -> ComparisonElements:
     pres = ctx.pres
     u = Expression({"V": ctx.v_cap},
                    [Fn("mu", r("V", 1)), Leg(op("S2", r("V", 2)))]).evaluate(
-                       ctx.ops, None, ctx.lazy_functionals())
+                       ctx.ops, ctx.lazy_functionals())
     u_inv = Expression({"q": ctx.q_r, "g": ctx.f_inv},
                        [Fn("mui", r("q", 1, 2), r("g", 2), S(r("q", 2))),
                         Leg(S(r("q", 1, 1), r("g", 1)))]).evaluate(
-                            ctx.ops, None, ctx.lazy_functionals())
+                            ctx.ops, ctx.lazy_functionals())
     if pres.multiply(u, u_inv) != pres.unit or pres.multiply(u_inv, u) != pres.unit:
         raise FrobeniusCheckFailed(f"{pres.name}: u * u_inv != 1")
     scalar = ctx.mu_inv(ctx.g_mod) * ctx.mu(pres.beta)
     v_base = Expression({"p": ctx.p_r, "f": ctx.f},
                         [Fn("mu", S(r("p", 2)), r("f", 1)),
                          Leg(S(r("p", 1)), r("f", 2))]).evaluate(
-                             ctx.ops, None, ctx.lazy_functionals())
+                             ctx.ops, ctx.lazy_functionals())
     v = v_base.scale(scalar.inverse())
     vi_base = Expression({"q": ctx.q_r, "g": ctx.f_inv, "be": pres.beta},
                          [Fn("mu", r("be"), r("q", 2), r("g", 1), S(r("q", 1, 2))),
                           Leg(r("g", 2), S(r("q", 1, 1)))]).evaluate(
-                              ctx.ops, None, ctx.lazy_functionals())
+                              ctx.ops, ctx.lazy_functionals())
     v_inv = vi_base.scale(ctx.mu_inv(ctx.g_mod))
     if pres.multiply(v, v_inv) != pres.unit or pres.multiply(v_inv, v) != pres.unit:
         raise FrobeniusCheckFailed(f"{pres.name}: v * v_inv != 1")
     d = Expression({"pl": ctx.p_l},
                    [Fn("mui", r("pl", 1)), Leg(op("Si2", r("pl", 2)))]).evaluate(
-                       ctx.ops, None, ctx.lazy_functionals())
+                       ctx.ops, ctx.lazy_functionals())
     return ComparisonElements(u=u, u_inv=u_inv, v=v, v_inv=v_inv, d=d)
 
 
@@ -373,7 +379,7 @@ def nakayama_report(ctx) -> VerificationReport:
     # chi(h) = mu(h1) S^2(h2), column by column
     closed = Expression({"h": VAR},
                         [Fn("mu", r("h", 1, 1)), Leg(op("S2", r("h", 1, 2)))]
-                        ).evaluate(ctx.ops, None, ctx.lazy_functionals())
+                        ).evaluate(ctx.ops, ctx.lazy_functionals())
     expected = columns_of(closed)
     report.check_all("nakayama:closed-form", range(pres.dim),
                      lambda i: [(expected[i], left.nakayama.columns[i])])
@@ -385,7 +391,7 @@ def nakayama_report(ctx) -> VerificationReport:
     closed_inv = Expression({"h": VAR},
                             [Fn("mu", r("h", 1, "C", 2)),
                              Leg(r("h", 1, "C", 1, "Si"))]).evaluate(
-                                 ops, None, ctx.lazy_functionals())
+                                 ops, ctx.lazy_functionals())
     expected_inv = columns_of(closed_inv)
     report.check_all("nakayama:inverse-closed-form", range(pres.dim),
                      lambda i: [(expected_inv[i], left.nakayama_inv.columns[i])])
@@ -407,11 +413,11 @@ def antipode_on_integrals(ctx) -> tuple[VerificationReport, dict[str, TensorElem
     base_t = Expression({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
                         [Fn("mu", r("q", 2), r("t", 1, 2), r("p", 2)),
                          Leg(r("q", 1), r("t", 1, 1), r("p", 1))]).evaluate(
-                             ctx.ops, None, fns)
+                             ctx.ops, fns)
     base_r = Expression({"q": ctx.q_r, "rr": ctx.r, "p": ctx.p_r},
                         [Fn("mui", r("q", 2), r("rr", 1, 2), r("p", 2)),
                          Leg(r("q", 1), r("rr", 1, 1), r("p", 1))]).evaluate(
-                             ctx.ops, None, fns)
+                             ctx.ops, fns)
     mu_beta = ctx.mu(pres.beta)
     mui_g = ctx.mu_inv(ctx.g_mod)
     mu_ab = ctx.mu(pres.multiply(pres.alpha, pres.beta))
@@ -462,10 +468,10 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
     pres = ctx.pres
     fns = ctx.lazy_functionals()
     f_mu = Expression({"f": ctx.f},
-                      [Fn("mu", r("f", 1)), Leg(r("f", 2))]).evaluate(ctx.ops, None, fns)
+                      [Fn("mu", r("f", 1)), Leg(r("f", 2))]).evaluate(ctx.ops, fns)
     reading_b = Expression({"g": ctx.f_inv},
                            [Fn("mui", r("g", 1)), Leg(r("g", 2))]).evaluate(
-                               ctx.ops, None, fns)
+                               ctx.ops, fns)
     results: dict[str, bool | None] = {}
     try:
         f_mu_inv = invert_operator(
@@ -478,7 +484,7 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
     ops = ctx.ops.with_extra(operators={"S4": s4})
     lhs = Expression({"h": VAR},
                      [Fn("mu", r("h", 1, 1)), Fn("mui", r("h", 1, 2, 2)),
-                      Leg(op("S4", r("h", 1, 2, 1)))]).evaluate(ops, None, fns)
+                      Leg(op("S4", r("h", 1, 2, 1)))]).evaluate(ops, fns)
     s_g = pres.antipode.apply(ctx.g_mod)
     s_g_inv = pres.antipode.apply(ctx.g_mod_inv)
     d_const = s3.apply(f_mu)
@@ -489,7 +495,7 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
         a_const = s3.apply(candidate)
         rhs = Expression({"h": VAR, "A": a_const, "B": s_g, "C": s_g_inv, "D": d_const},
                          [Leg(r("A"), r("B"), r("h"), r("C"), r("D"))]).evaluate(
-                             ctx.ops, None, fns)
+                             ctx.ops, fns)
         results[label] = (lhs - rhs).is_zero()
     return results
 
@@ -501,9 +507,9 @@ def _line_matches(ctx, solutions: list[Functional], reference: Functional) -> bo
     return len(solutions) == 1 and _proportional_fn(solutions[0], reference)
 
 
-def _condition_systems(ctx) -> dict[str, tuple[Expression, Expression, bool]]:
+def _condition_systems(ctx) -> dict[str, tuple[Expression, Expression]]:
     """Single-condition linear systems for the equivalent characterizations;
-    the boolean marks systems quantified over h."""
+    those of the form "for every h" have the variable h."""
     pres = ctx.pres
     base = {"t": ctx.t, "p": ctx.p_r, "q": ctx.q_r,
             "pl": ctx.p_l, "ql": ctx.q_l,
@@ -522,23 +528,20 @@ def _condition_systems(ctx) -> dict[str, tuple[Expression, Expression, bool]]:
                        [Hole(r("q", 2), r("t", 1, 2), r("p", 2)),
                         Leg(r("q", 1), r("t", 1, 1), r("p", 1))]),
             Expression(pick("be t"),
-                       [Fn("mu", r("be")), Hole(r("t")), Leg()]),
-            False),
+                       [Fn("mu", r("be")), Hole(r("t")), Leg()])),
         "left-iii": (
             Expression(pick("t p"),
                        [Hole(r("t", 1, 2), r("p", 2)),
                         Leg(r("t", 1, 1), r("p", 1))]),
             Expression(pick("be t be2"),
-                       [Fn("mu", r("be")), Hole(r("t")), Leg(r("be2"))]),
-            False),
+                       [Fn("mu", r("be")), Hole(r("t")), Leg(r("be2"))])),
         "left-iv": (
             Expression(pick("t p", {"h": VAR}),
                        [Hole(r("h"), r("t", 1, 2), r("p", 2)),
                         Leg(r("t", 1, 1), r("p", 1))]),
             Expression(pick("be t be2", {"h": VAR}),
                        [Fn("mu", r("be")), Hole(r("t")),
-                        Leg(r("be2"), S(r("h")))]),
-            True),
+                        Leg(r("be2"), S(r("h")))])),
         # The right-hand conditions are the left ones transported through the
         # coopposite algebra, which turns the beta-scalars into mui(beta) and
         # Si(beta); checked exactly on every built-in example.
@@ -547,30 +550,26 @@ def _condition_systems(ctx) -> dict[str, tuple[Expression, Expression, bool]]:
                        [Hole(r("ql", 1), r("t", 1, 1), r("pl", 1)),
                         Leg(r("ql", 2), r("t", 1, 2), r("pl", 2))]),
             Expression(pick("be t"),
-                       [Fn("mui", r("be")), Hole(r("t")), Leg()]),
-            False),
+                       [Fn("mui", r("be")), Hole(r("t")), Leg()])),
         "right-ii": (
             Expression(pick("t pl"),
                        [Hole(r("t", 1, 1), r("pl", 1)),
                         Leg(r("t", 1, 2), r("pl", 2))]),
             Expression(pick("be t be2"),
-                       [Fn("mui", r("be")), Hole(r("t")), Leg(Si(r("be2")))]),
-            False),
+                       [Fn("mui", r("be")), Hole(r("t")), Leg(Si(r("be2")))])),
         "right-iii": (
             Expression(pick("t pl", {"h": VAR}),
                        [Hole(r("h"), r("t", 1, 1), r("pl", 1)),
                         Leg(r("t", 1, 2), r("pl", 2))]),
             Expression(pick("be t be2", {"h": VAR}),
                        [Fn("mui", r("be")), Hole(r("t")),
-                        Leg(Si(r("h"), r("be2")))]),
-            True),
+                        Leg(Si(r("h"), r("be2")))])),
     }
 
 
 def solve_condition(ctx, name: str) -> list[Functional]:
     """Solve one single-condition characterization as a linear system."""
-    lhs, rhs, quantified = _condition_systems(ctx)[name]
-    return _solve_hole_system(ctx, lhs, rhs, _bindings(ctx.pres) if quantified else [{}])
+    return _solve_hole_system(ctx, *_condition_systems(ctx)[name])
 
 
 def characterization_suite(ctx) -> VerificationReport:
@@ -581,11 +580,11 @@ def characterization_suite(ctx) -> VerificationReport:
     report = VerificationReport(pres.name)
     fns = ctx.lazy_functionals()
     systems = _condition_systems(ctx)
-    for name, (lhs, rhs, quantified) in systems.items():
+    for name, (lhs, rhs) in systems.items():
         # the hole leg is paired with the actual cointegral
         functional = ctx.lam if name.startswith("left") else ctx.big_lam
-        report.check_all(f"characterization:{name}", _bindings(pres) if quantified else [{}],
-                         _filled(ctx, lhs, rhs, functional))
+        report.check_all(f"characterization:{name}", _filled(ctx, lhs, rhs, functional),
+                         lambda pair: [pair])
         solved = solve_condition(ctx, name)
         report.add(f"characterization:{name}:line", _line_matches(ctx, solved, functional),
                    None if _line_matches(ctx, solved, functional)
@@ -595,10 +594,10 @@ def characterization_suite(ctx) -> VerificationReport:
     if is_unimodular(ctx):
         lhs = Expression({"t": ctx.t},
                          [Fn("lam", r("t", 1, 2)), Leg(r("t", 1, 1))]).evaluate(
-                             ctx.ops, None, fns)
+                             ctx.ops, fns)
         rhs = Expression({"t": ctx.t, "be": pres.beta, "al": pres.alpha},
                          [Fn("lam", r("t")), Leg(r("be"), r("al"))]).evaluate(
-                             ctx.ops, None, fns)
+                             ctx.ops, fns)
         report.check_zero("characterization:unimodular-shortcut", lhs - rhs)
     return report
 
@@ -641,11 +640,9 @@ def coinvariants_via_rho(ctx) -> list[Functional]:
     table (an independent code path from the cointegral solver)."""
     _, rho = dual_coactions(ctx)
     _, rhs_expr = _left_coint_system(ctx)
-    fns = ctx.lazy_functionals()
-    # rho's (a, m) table at each basis h, less the relation's other side
-    return [Functional(vec) for vec in _nullspace(ctx.pres.dim, (
-        table - rhs_expr.evaluate(ctx.ops, {"h": ctx.pres.basis_element(h)}, fns)
-        for h, table in enumerate(columns_of(rho))))]
+    # rho's (h, a, m) table less the relation's other side, one table per h
+    return [Functional(vec) for vec in _nullspace(ctx.pres.dim, columns_of(
+        rho - rhs_expr.evaluate(ctx.ops, ctx.lazy_functionals())))]
 
 
 def coaction_report(ctx) -> VerificationReport:
@@ -659,12 +656,12 @@ def coaction_report(ctx) -> VerificationReport:
     # the left coaction applied to the right cointegral reproduces the
     # direct right-cointegral relation
     left_table, _ = dual_coactions(ctx)
-    applied_all = contract(ctx.big_lam, left_table, 1)
     _, rhs_expr = _right_coint_direct_system(ctx)
-    fns = ctx.lazy_functionals()
+    rhs_table = rhs_expr.evaluate(ctx.ops, ctx.lazy_functionals())
+    applied, direct = (columns_of(contract(ctx.big_lam, table, 1))
+                       for table in (left_table, rhs_table))
     report.check_all("coaction:left-applied-to-right-cointegral", range(n), lambda h: [
-        (contract(Functional.dual_basis(n, h), applied_all, 0),
-         contract(ctx.big_lam, rhs_expr.evaluate(ctx.ops, {"h": pres.basis_element(h)}, fns), 0))])
+        (applied[h], direct[h])])
     return report
 
 
@@ -701,7 +698,7 @@ def s_mu_operator(ctx) -> LinearOperator:
     """S_mu(h) := mu(S(h)_1) S(h)_2."""
     table = Expression({"h": VAR},
                        [Fn("mu", r("h", 1, "S", 1)), Leg(r("h", 1, "S", 2))]
-                       ).evaluate(ctx.ops, None, ctx.lazy_functionals())
+                       ).evaluate(ctx.ops, ctx.lazy_functionals())
     return LinearOperator(ctx.pres.dim, columns_of(table))
 
 

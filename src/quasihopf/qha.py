@@ -17,9 +17,9 @@ from .exactnum import ONE, Scalar, ZERO
 from .expr import VAR, AlgebraOps, Expression, Leg, S, r
 from .multilinear import (Functional, LinearOperator, MultTable,
                           SingularOperator, TensorElement, _Echelon, _lift_table,
-                          _lower, _merge, apply_on_leg, contract, invert_operator,
-                          mult_pointwise, multiplication_operator, permute_legs,
-                          tensor_product)
+                          _lower, _merge, apply_on_leg, columns_of, contract,
+                          invert_operator, mult_pointwise, multiplication_operator,
+                          permute_legs, tensor_product)
 from .report import VerificationReport
 
 
@@ -106,7 +106,7 @@ def make_mult(dim: int, entries: Sequence[tuple[int, int, int, Scalar]]) -> Mult
 
 # -- axiom verification --------------------------------------------------------
 #
-# Each quantified axiom says that a map is an algebra (anti-)morphism or
+# Each for-all axiom says that a map is an algebra (anti-)morphism or
 # agrees with conjugation by phi.  Given the rows in its PREREQUISITES, the
 # elements on which it holds contain 1 and are closed under left
 # multiplication by every g on which it was checked; checked on a generating
@@ -154,8 +154,8 @@ def generating_set(pres: QhaPresentation) -> tuple[list[int], int]:
 
 def verify_axioms(pres: QhaPresentation) -> VerificationReport:
     """One report row per axiom; a valid presentation passes every row.
-    ``mult:unit`` runs over the whole basis and the other quantified rows
-    with their first argument in the ``generating_set``."""
+    ``mult:unit`` runs over the whole basis and the other for-all rows with
+    their first argument in the ``generating_set``."""
     n = pres.dim
     gens, _ = generating_set(pres)
     pairs = [(g, j) for g in gens for j in range(n)]
@@ -204,25 +204,32 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
         return [(apply_on_leg(delta_op, delta[g], 1), product(product(phi, nested), phi_inv))]
     report.check_all("q1", gens, q1)
 
-    # q3: the reassociator is a 3-cocycle
-    one_phi = tensor_product(unit, phi)
-    phi_one = tensor_product(phi, unit)
-    mid = apply_on_leg(delta_op, phi, 1)
-    lhs = product(product(one_phi, mid), phi_one)
-    rhs = product(apply_on_leg(delta_op, phi, 2), apply_on_leg(delta_op, phi, 0))
-    report.check_zero("q3", lhs - rhs)
+    # q3: the reassociator is a 3-cocycle,
+    # (1 x phi)(id x Delta x id)(phi)(phi x 1) = (id x id x Delta)(phi)(Delta x id x id)(phi)
+    q3_lhs = Expression({"Z": phi, "X": phi, "Y": phi},
+                        [Leg(r("X", 1), r("Y", 1)),
+                         Leg(r("Z", 1), r("X", 2, 1), r("Y", 2)),
+                         Leg(r("Z", 2), r("X", 2, 2), r("Y", 3)),
+                         Leg(r("Z", 3), r("X", 3))])
+    q3_rhs = Expression({"A": phi, "B": phi},
+                        [Leg(r("A", 1), r("B", 1, 1)),
+                         Leg(r("A", 2), r("B", 1, 2)),
+                         Leg(r("A", 3, 1), r("B", 2)),
+                         Leg(r("A", 3, 2), r("B", 3))])
+    report.check_zero("q3", q3_lhs.evaluate(ops) - q3_rhs.evaluate(ops))
 
     # q4 / q7: counit legs of the reassociator
     report.check_zero("q4", contract(eps, phi, 1) - unit2)
     report.check_all("q7", (0, 2), lambda leg: [(contract(eps, phi, leg), unit2)])
 
     # q5: the antipode equations S(h1) alpha h2 = eps(h) alpha and
-    # h1 beta S(h2) = eps(h) beta
-    q5_alpha = Expression({"h": VAR, "a": alpha}, [Leg(S(r("h", 1, 1)), r("a"), r("h", 1, 2))])
-    q5_beta = Expression({"h": VAR, "b": beta}, [Leg(r("h", 1, 1), r("b"), S(r("h", 1, 2)))])
+    # h1 beta S(h2) = eps(h) beta; column g of each side is its value at e_g
+    q5_alpha = columns_of(Expression({"h": VAR, "a": alpha},
+                                     [Leg(S(r("h", 1, 1)), r("a"), r("h", 1, 2))]).evaluate(ops))
+    q5_beta = columns_of(Expression({"h": VAR, "b": beta},
+                                    [Leg(r("h", 1, 1), r("b"), S(r("h", 1, 2)))]).evaluate(ops))
     report.check_all("q5", gens, lambda g: [
-        (q5_alpha.evaluate(ops, {"h": basis[g]}), alpha.scale(eps_of[g])),
-        (q5_beta.evaluate(ops, {"h": basis[g]}), beta.scale(eps_of[g]))])
+        (q5_alpha[g], alpha.scale(eps_of[g])), (q5_beta[g], beta.scale(eps_of[g]))])
 
     # q6: the two zig-zag normalizations X1 beta S(X2) alpha X3 = 1 and
     # S(x1) alpha x2 beta S(x3) = 1

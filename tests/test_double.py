@@ -215,16 +215,16 @@ def test_identity_rows_evaluate_each_side_once_on_large_double(d8, monkeypatch):
     from quasihopf.expr import Expression
     ctx = get_context(d8.presentation)
     REGISTRY["rint4"].build(ctx)        # computes r and U before recording
-    bound = []
+    calls = []
     original = Expression.evaluate
 
-    def recording(self, ops, bindings=None, functionals=None):
-        bound.append(bindings)
-        return original(self, ops, bindings, functionals)
+    def recording(self, *args):
+        calls.append(self)
+        return original(self, *args)
 
     monkeypatch.setattr(Expression, "evaluate", recording)
     assert evaluate_identity(ctx, "rint4").is_zero()
-    assert bound == [None, None]
+    assert len(calls) == 2
 
 
 def test_reduced_axiom_rows_visit_the_generator_domains(d8, monkeypatch):

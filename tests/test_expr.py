@@ -34,7 +34,7 @@ def test_planned_evaluation_matches_reference_on_registry(name, d2):
         if ident.custom:
             continue
         for side in ident.build(ctx):
-            planned = side.evaluate(ctx.ops, None, fns)
+            planned = side.evaluate(ctx.ops, fns)
             assert planned == ref_evaluate(side, ctx.ops, None, fns), ident_name
             compared += 1
     assert compared == 2 * sum(not ident.custom for ident in REGISTRY.values())
@@ -47,9 +47,9 @@ def against_reference(monkeypatch):
     seen: list[Expression] = []
     planned = Expression.evaluate
 
-    def checked(self, ops, bindings=None, functionals=None):
-        result = planned(self, ops, bindings, functionals)
-        assert result == ref_evaluate(self, ops, bindings, functionals)
+    def checked(self, ops, functionals=None):
+        result = planned(self, ops, functionals)
+        assert result == ref_evaluate(self, ops, None, functionals)
         seen.append(self)
         return result
 
@@ -99,8 +99,8 @@ def test_peak_support_on_double(d2, name, peak_support):
     lhs, rhs = REGISTRY[name].build(ctx)
     results = []
     for side in (lhs, rhs):
-        side.evaluate(ctx.ops, None, fns)       # builds the lazy operands once
+        side.evaluate(ctx.ops, fns)       # builds the lazy operands once
         peak_support[0] = 0
-        results.append(side.evaluate(ctx.ops, None, fns))
+        results.append(side.evaluate(ctx.ops, fns))
         assert 0 < peak_support[0] <= 65_536
     assert results[0] == results[1]

@@ -165,11 +165,11 @@ def test_expression_evaluate_leaves_no_reference_cycle(ctx_h8p):
 
     lhs, _ = REGISTRY["rint4"].build(ctx_h8p)
     fns = ctx_h8p.lazy_functionals()
-    lhs.evaluate(ctx_h8p.ops, None, fns)    # builds the lazy operands once
+    lhs.evaluate(ctx_h8p.ops, fns)    # builds the lazy operands once
     gc.collect()
     gc.disable()
     try:
-        lhs.evaluate(ctx_h8p.ops, None, fns)
+        lhs.evaluate(ctx_h8p.ops, fns)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -212,8 +212,8 @@ def test_expression_leg_bookkeeping_matches_kernels(name):
         for fname, fn in (("eps", pres.counit), ("f", f)):
             first = Expression({"x": x}, [Fn(fname, r("x", 1, 1)), Leg(r("x", 1, 2))])
             second = Expression({"x": x}, [Leg(r("x", 1, 1)), Fn(fname, r("x", 1, 2))])
-            assert first.evaluate(ops, None, {"f": f}) == contract(fn, delta, 0)
-            assert second.evaluate(ops, None, {"f": f}) == contract(fn, delta, 1)
+            assert first.evaluate(ops, {"f": f}) == contract(fn, delta, 0)
+            assert second.evaluate(ops, {"f": f}) == contract(fn, delta, 1)
         # an operator on one leg
         s_inv = ops.operators["Si"]
         assert (Expression({"t": t}, [Leg(Si(r("t", 1))), Leg(r("t", 2))]).evaluate(ops)

@@ -20,6 +20,7 @@ from quasihopf.qha import (PREREQUISITES, AxiomViolation, BadCounitNormalization
                            iterated_coproduct, load_and_validate, variant,
                            verify_axioms)
 from quasihopf.workbench import catalog_build
+from ref_evaluate import ref_evaluate
 
 
 def test_catalog_presentations_pass_axioms(h2, h8p, h8m, baseline):
@@ -152,8 +153,9 @@ def _full_enumeration(pres: QhaPresentation) -> dict[str, bool]:
         "coproduct:morphism": all(delta(mul(a, b)) == mul(delta(a), delta(b)) for a, b in pairs),
         "q2": all(contract(eps, delta(h), leg) == h for h in basis for leg in (1, 0)),
         "q1": all(q1(h) for h in basis),
-        "q5": all(q5_alpha.evaluate(ops, {"h": h}) == pres.alpha.scale(eps(h))
-                  and q5_beta.evaluate(ops, {"h": h}) == pres.beta.scale(eps(h)) for h in basis),
+        "q5": all(ref_evaluate(q5_alpha, ops, {"h": h}) == pres.alpha.scale(eps(h))
+                  and ref_evaluate(q5_beta, ops, {"h": h}) == pres.beta.scale(eps(h))
+                  for h in basis),
         "antipode:anti-morphism": all(s(mul(a, b)) == mul(s(b), s(a)) for a, b in pairs),
         "counit-of-antipode": all(eps(s(h)) == eps(h) for h in basis),
     }
@@ -177,6 +179,33 @@ def test_generator_rows_agree_with_full_enumeration(h2, h8p, h8m, baseline, d2):
         reference = {**rows, **_full_enumeration(pres)}
         assert report.passed() == all(reference.values()), pres.name
         assert [name for name, ok in reference.items() if not ok and rows[name]] == [], pres.name
+
+
+def _q3_kernel_chain(pres: QhaPresentation) -> TensorElement:
+    """The reference for q3: (1 x phi)(id x Delta x id)(phi)(phi x 1) less
+    (id x id x Delta)(phi)(Delta x id x id)(phi), one kernel call per step."""
+    mul, delta, phi, unit = pres.multiply, pres.coproduct, pres.phi, pres.unit
+    lhs = mul(mul(tensor_product(unit, phi), apply_on_leg(delta, phi, 1)),
+              tensor_product(phi, unit))
+    return lhs - mul(apply_on_leg(delta, phi, 2), apply_on_leg(delta, phi, 0))
+
+
+def test_q3_residual_matches_kernel_chain(h8p, d2):
+    """The q3 row's witness is the kernel chain's residual: zero on H8+ and
+    D(H2), and the same nonzero tensor on seeded random reassociators."""
+    import random
+    rng = random.Random(5)
+    for pres in (h8p, d2.presentation):
+        assert _q3_kernel_chain(pres).is_zero()
+        n = pres.dim
+        for _ in range(3):
+            keys = rng.sample([(a, b, c) for a in range(n) for b in range(n) for c in range(n)],
+                              3 * n)
+            phi = TensorElement(3, n, {key: Scalar.of(rng.randint(1, 4)) for key in keys})
+            rows = {row.name: row for row in verify_axioms(dataclasses.replace(pres, phi=phi)).rows}
+            expected = _q3_kernel_chain(dataclasses.replace(pres, phi=phi))
+            assert not expected.is_zero()
+            assert not rows["q3"].passed and rows["q3"].witness == expected
 
 
 def test_generating_sets_of_the_catalog(h2, h8p, h8m, baseline, d8):
