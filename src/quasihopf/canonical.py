@@ -5,17 +5,27 @@ Everything here is computed from structure constants through the expression
 evaluator; each constructor double-checks itself (both closed forms of
 the gamma/delta elements, invertibility of the twist) and the registry
 evaluates every identity to an exact residual tensor.
+
+Every closed form and every identity is written once, as a formula in the
+grammar of :mod:`expr`, and parsed when this module is imported; the text
+``quasihopf identities`` prints is the text that is evaluated.  The letters
+of the formulas are the table :data:`LETTERS`: each maps to the context
+attribute it reads (X, Y, Z to phi, x, y, z to phi^-1, g and G to f^-1, and
+so on) and to its number of legs.  Binding a formula to a context reads
+only the attributes of the letters it uses, so an identity among p_R and
+q_R computes no integral.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from operator import attrgetter
+from typing import Callable, Sequence
 
 from .exactnum import ONE
-from .expr import VAR, Expression, Fn, Leg, S, Si, op, r
+from .expr import VAR, Expression, ExpressionError
 from .multilinear import TensorElement, mult_pointwise, tensor_product
-from .report import VerificationReport, first_difference
+from .report import VerificationReport
 
 class InternalIdentityFailure(ArithmeticError):
     pass
@@ -51,54 +61,81 @@ class CanonicalElements:
     v_cap: TensorElement  # V
 
 
+# -- the letters of the formulas ---------------------------------------------------
+
+# letter -> (the context attribute it reads, its number of legs).  A second
+# independent copy of an element is a second letter for the same attribute.
+# h and h' are the free variables, in this order.
+LETTERS: dict[str, tuple[str, int]] = {
+    **dict.fromkeys("XYZ", ("pres.phi", 3)), **dict.fromkeys("xyz", ("pres.phi_inv", 3)),
+    "f": ("f", 2), "F": ("f", 2), "g": ("f_inv", 2), "G": ("f_inv", 2),
+    "p": ("p_r", 2), "P": ("p_r", 2), "pl": ("p_l", 2), "Pl": ("p_l", 2),
+    "q": ("q_r", 2), "Q": ("q_r", 2), "ql": ("q_l", 2), "Ql": ("q_l", 2),
+    "U": ("u_cap", 2), "W": ("u_cap", 2), "V": ("v_cap", 2),
+    "gamma": ("gamma", 2), "delta": ("delta_el", 2),
+    "alpha": ("pres.alpha", 1), "alpha'": ("pres.alpha", 1),
+    "beta": ("pres.beta", 1), "beta'": ("pres.beta", 1),
+    "t": ("t", 1), "r": ("r", 1),
+    "gmod": ("g_mod", 1), "gmod'": ("g_mod", 1), "gmod^-1": ("g_mod_inv", 1),
+    "u": ("u_el", 1), "u^-1": ("u_inv", 1), "v": ("v_el", 1), "v^-1": ("v_inv", 1),
+}
+_RANKS = {"h": VAR, "h'": VAR, **{letter: rank for letter, (_, rank) in LETTERS.items()}}
+
+
+def _parse(name: str, formula: str, sides: Sequence[str]) -> tuple[Expression, ...]:
+    try:
+        return tuple(Expression.parse(side, _RANKS) for side in sides)
+    except ExpressionError as err:
+        raise ExpressionError(f"{name} {formula!r}: {err}") from None
+
+
+def _bind(ctx, side: Expression) -> Expression:
+    """``side`` with each letter it uses bound to its context attribute;
+    no other attribute is read."""
+    return side.bind({name: attrgetter(LETTERS[name][0])(ctx)
+                      for name, src in side.sources.items() if src != VAR})
+
+
 # -- constructors ----------------------------------------------------------------
+
+# closed forms of the canonical elements; gamma and delta have two each
+FORMS = {name: _parse(name, " = ".join(texts), texts) for name, texts in {
+    "gamma": ("S(x1 X2) alpha x2 X3_1 x S(X1) alpha' x3 X3_2",
+              "S(X2 x1_2) alpha X3 x2 x S(X1 x1_1) alpha' x3"),
+    "delta": ("X1_1 x1 beta S(X3) x X1_2 x2 beta' S(X2 x3)",
+              "x1 beta S(x3_2 X3) x x2 X1 beta' S(x3_1 X2)"),
+    "f": ("S(x1_2) gamma1 x2_1 beta_1 S(x3)_1 x S(x1_1) gamma2 x2_2 beta_2 S(x3)_2",),
+    "f^-1": ("S(x1)_1 alpha_1 x2_1 delta1 S(x3_2) x S(x1)_2 alpha_2 x2_2 delta2 S(x3_1)",),
+    "pR": ("x1 x x2 beta S(x3)",),
+    "qR": ("X1 x Si(alpha X3) X2",),
+    "pL": ("X2 Si(X1 beta) x X3",),
+    "qL": ("S(x1) alpha x2 x x3",),
+    "U": ("g1 S(q2) x g2 S(q1)",),
+    "V": ("Si(f2 p2) x Si(f1 p1)",),
+}.items()}
+
+
+def _element(ctx, name: str, form: int = 0) -> TensorElement:
+    return _bind(ctx, FORMS[name][form]).evaluate(ctx.ops)
 
 
 def gamma_delta(ctx) -> tuple[TensorElement, TensorElement]:
     """Both closed forms of each element are evaluated; a mismatch means
     the presentation is corrupted."""
     ctx = _ctx_of(ctx)
-    pres = ctx.pres
-    gamma1 = Expression(
-        {"x": pres.phi_inv, "X": pres.phi, "a1": pres.alpha, "a2": pres.alpha},
-        [Leg(S(r("x", 1), r("X", 2)), r("a1"), r("x", 2), r("X", 3, 1)),
-         Leg(S(r("X", 1)), r("a2"), r("x", 3), r("X", 3, 2))])
-    gamma2 = Expression(
-        {"x": pres.phi_inv, "X": pres.phi, "a1": pres.alpha, "a2": pres.alpha},
-        [Leg(S(r("X", 2), r("x", 1, 2)), r("a1"), r("X", 3), r("x", 2)),
-         Leg(S(r("X", 1), r("x", 1, 1)), r("a2"), r("x", 3))])
-    g1 = gamma1.evaluate(ctx.ops)
-    g2 = gamma2.evaluate(ctx.ops)
-    if g1 != g2:
-        raise InternalIdentityFailure(f"{pres.name}: the two gamma forms disagree")
-    delta1 = Expression(
-        {"x": pres.phi_inv, "X": pres.phi, "b1": pres.beta, "b2": pres.beta},
-        [Leg(r("X", 1, 1), r("x", 1), r("b1"), S(r("X", 3))),
-         Leg(r("X", 1, 2), r("x", 2), r("b2"), S(r("X", 2), r("x", 3)))])
-    delta2 = Expression(
-        {"x": pres.phi_inv, "X": pres.phi, "b1": pres.beta, "b2": pres.beta},
-        [Leg(r("x", 1), r("b1"), S(r("x", 3, 2), r("X", 3))),
-         Leg(r("x", 2), r("X", 1), r("b2"), S(r("x", 3, 1), r("X", 2)))])
-    d1 = delta1.evaluate(ctx.ops)
-    d2 = delta2.evaluate(ctx.ops)
-    if d1 != d2:
-        raise InternalIdentityFailure(f"{pres.name}: the two delta forms disagree")
-    return g1, d1
+    elements = []
+    for name in ("gamma", "delta"):
+        first, second = _element(ctx, name), _element(ctx, name, 1)
+        if first != second:
+            raise InternalIdentityFailure(f"{ctx.pres.name}: the two {name} forms disagree")
+        elements.append(first)
+    return elements[0], elements[1]
 
 
 def drinfeld_twist(ctx) -> tuple[TensorElement, TensorElement]:
     ctx = _ctx_of(ctx)
     pres = ctx.pres
-    f_expr = Expression(
-        {"x": pres.phi_inv, "g": ctx.gamma, "b": pres.beta},
-        [Leg(S(r("x", 1, 2)), r("g", 1), r("x", 2, 1), r("b", 1, 1), r("x", 3, "S", 1)),
-         Leg(S(r("x", 1, 1)), r("g", 2), r("x", 2, 2), r("b", 1, 2), r("x", 3, "S", 2))])
-    f_inv_expr = Expression(
-        {"x": pres.phi_inv, "d": ctx.delta_el, "a": pres.alpha},
-        [Leg(r("x", 1, "S", 1), r("a", 1, 1), r("x", 2, 1), r("d", 1), S(r("x", 3, 2))),
-         Leg(r("x", 1, "S", 2), r("a", 1, 2), r("x", 2, 2), r("d", 2), S(r("x", 3, 1)))])
-    f = f_expr.evaluate(ctx.ops)
-    f_inv = f_inv_expr.evaluate(ctx.ops)
+    f, f_inv = _element(ctx, "f"), _element(ctx, "f^-1")
     unit2 = tensor_product(pres.unit, pres.unit)
     if (mult_pointwise(pres.mult, f, f_inv) != unit2
             or mult_pointwise(pres.mult, f_inv, f) != unit2):
@@ -108,31 +145,12 @@ def drinfeld_twist(ctx) -> tuple[TensorElement, TensorElement]:
 
 def pq_elements(ctx) -> tuple[TensorElement, TensorElement, TensorElement, TensorElement]:
     ctx = _ctx_of(ctx)
-    pres = ctx.pres
-    p_r = Expression(
-        {"x": pres.phi_inv, "b": pres.beta},
-        [Leg(r("x", 1)), Leg(r("x", 2), r("b"), S(r("x", 3)))]).evaluate(ctx.ops)
-    q_r = Expression(
-        {"X": pres.phi, "a": pres.alpha},
-        [Leg(r("X", 1)), Leg(Si(r("a"), r("X", 3)), r("X", 2))]).evaluate(ctx.ops)
-    p_l = Expression(
-        {"X": pres.phi, "b": pres.beta},
-        [Leg(r("X", 2), Si(r("X", 1), r("b"))), Leg(r("X", 3))]).evaluate(ctx.ops)
-    q_l = Expression(
-        {"x": pres.phi_inv, "a": pres.alpha},
-        [Leg(S(r("x", 1)), r("a"), r("x", 2)), Leg(r("x", 3))]).evaluate(ctx.ops)
-    return p_r, q_r, p_l, q_l
+    return tuple(_element(ctx, name) for name in ("pR", "qR", "pL", "qL"))
 
 
 def uv_elements(ctx) -> tuple[TensorElement, TensorElement]:
     ctx = _ctx_of(ctx)
-    u_cap = Expression(
-        {"g": ctx.f_inv, "q": ctx.q_r},
-        [Leg(r("g", 1), S(r("q", 2))), Leg(r("g", 2), S(r("q", 1)))]).evaluate(ctx.ops)
-    v_cap = Expression(
-        {"f": ctx.f, "p": ctx.p_r},
-        [Leg(Si(r("f", 2), r("p", 2))), Leg(Si(r("f", 1), r("p", 1)))]).evaluate(ctx.ops)
-    return u_cap, v_cap
+    return _element(ctx, "U"), _element(ctx, "V")
 
 
 def canonical_elements(ctx) -> CanonicalElements:
@@ -148,13 +166,26 @@ def canonical_elements(ctx) -> CanonicalElements:
 
 @dataclass(frozen=True)
 class Identity:
+    """A named identity and the formula it is parsed from.  A custom one
+    computes its own residual from the context and its parsed sides."""
+
     name: str
     formula: str
-    build: Callable  # ctx -> (Expression, Expression), or ctx -> residual if custom
-    custom: bool = False
+    sides: tuple[Expression, ...]
+    residual: Callable | None = None
+
+    @property
+    def custom(self) -> bool:
+        return self.residual is not None
+
+    def build(self, ctx):
+        """(lhs, rhs) bound to ``ctx``, or the residual if custom."""
+        if self.custom:
+            return self.residual(ctx, *self.sides)
+        return tuple(_bind(ctx, side) for side in self.sides)
 
 
-# name -> recipe producing both sides of one named identity
+# name -> one named identity
 IdentityRegistry = dict[str, Identity]
 
 REGISTRY: IdentityRegistry = {}
@@ -181,800 +212,143 @@ def resolve_names(names) -> list[str]:
     return out
 
 
-def _register(name: str, formula: str, custom: bool = False):
-    def wrap(fn):
-        REGISTRY[name] = Identity(name, formula, fn, custom)
-        return fn
-    return wrap
-
-
-def _pq(ctx, names: str) -> dict:
-    table = {"f": ctx.f, "F": ctx.f, "g": ctx.f_inv, "G": ctx.f_inv,
-             "p": ctx.p_r, "P": ctx.p_r, "pl": ctx.p_l, "Pl": ctx.p_l,
-             "q": ctx.q_r, "Q": ctx.q_r, "ql": ctx.q_l, "Ql": ctx.q_l,
-             "U": ctx.u_cap, "W": ctx.u_cap, "V": ctx.v_cap,
-             "X": ctx.pres.phi, "Y": ctx.pres.phi, "Z": ctx.pres.phi,
-             "x": ctx.pres.phi_inv, "y": ctx.pres.phi_inv, "z": ctx.pres.phi_inv,
-             "al": ctx.pres.alpha, "be": ctx.pres.beta,
-             "gm": ctx.gamma, "dl": ctx.delta_el,
-             "t": ctx.t, "rr": ctx.r, "gmod": ctx.g_mod, "gmodi": ctx.g_mod_inv,
-             "u": ctx.u_el, "ui": ctx.u_inv, "v": ctx.v_el, "vi": ctx.v_inv}
-    return {n: table[n] for n in names.split()}
+def _identity(name: str, formula: str) -> None:
+    """Parse ``formula`` now, so that a malformed one fails at import."""
+    sides = formula.split(" = ")
+    if len(sides) != 2:
+        raise ExpressionError(f"{name} {formula!r}: not one equation")
+    REGISTRY[name] = Identity(name, formula, _parse(name, formula, sides))
 
 
 # --- relations among the p/q elements (no integrals required) -------------------
 
-
-@_register("qr1", "Delta(h1) pR (1 x S(h2)) = pR (h x 1)")
-def _qr1(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "p")},
-                     [Leg(r("h", 1, 1, 1), r("p", 1)),
-                      Leg(r("h", 1, 1, 2), r("p", 2), S(r("h", 1, 2)))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "p")},
-                     [Leg(r("p", 1), r("h")), Leg(r("p", 2))])
-    return lhs, rhs
-
-
-@_register("qr1a", "(1 x Si(h2)) qR Delta(h1) = (h x 1) qR")
-def _qr1a(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "q")},
-                     [Leg(r("q", 1), r("h", 1, 1, 1)),
-                      Leg(Si(r("h", 1, 2)), r("q", 2), r("h", 1, 1, 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "q")},
-                     [Leg(r("h"), r("q", 1)), Leg(r("q", 2))])
-    return lhs, rhs
-
-
-@_register("ql1", "Delta(h2) pL (Si(h1) x 1) = pL (1 x h)")
-def _ql1(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "pl")},
-                     [Leg(r("h", 1, 2, 1), r("pl", 1), Si(r("h", 1, 1))),
-                      Leg(r("h", 1, 2, 2), r("pl", 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "pl")},
-                     [Leg(r("pl", 1)), Leg(r("pl", 2), r("h"))])
-    return lhs, rhs
-
-
-@_register("ql1a", "(S(h1) x 1) qL Delta(h2) = (1 x h) qL")
-def _ql1a(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "ql")},
-                     [Leg(S(r("h", 1, 1)), r("ql", 1), r("h", 1, 2, 1)),
-                      Leg(r("ql", 2), r("h", 1, 2, 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "ql")},
-                     [Leg(r("ql", 1)), Leg(r("h"), r("ql", 2))])
-    return lhs, rhs
-
-
-@_register("pqra", "(1 x Si(p2)) qR Delta(p1) = 1 x 1")
-def _pqra(ctx):
-    lhs = Expression(_pq(ctx, "p q"),
-                     [Leg(r("q", 1), r("p", 1, 1)),
-                      Leg(Si(r("p", 2)), r("q", 2), r("p", 1, 2))])
-    rhs = _unit2_expr(ctx)
-    return lhs, rhs
-
-
-@_register("pqr", "Delta(q1) pR (1 x S(q2)) = 1 x 1")
-def _pqr(ctx):
-    lhs = Expression(_pq(ctx, "p q"),
-                     [Leg(r("q", 1, 1), r("p", 1)),
-                      Leg(r("q", 1, 2), r("p", 2), S(r("q", 2)))])
-    return lhs, _unit2_expr(ctx)
-
-
-@_register("pql", "(S(pl1) x 1) qL Delta(pl2) = 1 x 1")
-def _pql(ctx):
-    lhs = Expression(_pq(ctx, "pl ql"),
-                     [Leg(S(r("pl", 1)), r("ql", 1), r("pl", 2, 1)),
-                      Leg(r("ql", 2), r("pl", 2, 2))])
-    return lhs, _unit2_expr(ctx)
-
-
-@_register("pqla", "Delta(ql2) pL (Si(ql1) x 1) = 1 x 1")
-def _pqla(ctx):
-    lhs = Expression(_pq(ctx, "pl ql"),
-                     [Leg(r("ql", 2, 1), r("pl", 1), Si(r("ql", 1))),
-                      Leg(r("ql", 2, 2), r("pl", 2))])
-    return lhs, _unit2_expr(ctx)
-
-
-def _unit2_expr(ctx):
-    return Expression({}, [Leg(), Leg()])
-
-
-@_register("pr1", "X1 p1_1 P1 x X2 p1_2 P2 x X3 p2 = x1_1 p1 x ... (twist form)")
-def _pr1(ctx):
-    lhs = Expression(_pq(ctx, "X p P"),
-                     [Leg(r("X", 1), r("p", 1, 1), r("P", 1)),
-                      Leg(r("X", 2), r("p", 1, 2), r("P", 2)),
-                      Leg(r("X", 3), r("p", 2))])
-    rhs = Expression(_pq(ctx, "x p g"),
-                     [Leg(r("x", 1, 1), r("p", 1)),
-                      Leg(r("x", 1, 2, 1), r("p", 2, 1), r("g", 1), S(r("x", 3))),
-                      Leg(r("x", 1, 2, 2), r("p", 2, 2), r("g", 2), S(r("x", 2)))])
-    return lhs, rhs
-
-
-@_register("qr2", "q1 Q1_1 x1 x q2 Q1_2 x2 x Q2 x3 = q1 X1_1 x ... (twist form)")
-def _qr2(ctx):
-    lhs = Expression(_pq(ctx, "q Q x"),
-                     [Leg(r("q", 1), r("Q", 1, 1), r("x", 1)),
-                      Leg(r("q", 2), r("Q", 1, 2), r("x", 2)),
-                      Leg(r("Q", 2), r("x", 3))])
-    rhs = Expression(_pq(ctx, "q f X"),
-                     [Leg(r("q", 1), r("X", 1, 1)),
-                      Leg(Si(r("f", 2), r("X", 3)), r("q", 2, 1), r("X", 1, 2, 1)),
-                      Leg(Si(r("f", 1), r("X", 2)), r("q", 2, 2), r("X", 1, 2, 2))])
-    return lhs, rhs
-
-
-@_register("pl1", "x1 pl1 x x2 pl2_1 Pl1 x x3 pl2_2 Pl2 = X3_(1,1) pl1_1 ... (twist form)")
-def _pl1(ctx):
-    lhs = Expression(_pq(ctx, "x pl Pl"),
-                     [Leg(r("x", 1), r("pl", 1)),
-                      Leg(r("x", 2), r("pl", 2, 1), r("Pl", 1)),
-                      Leg(r("x", 3), r("pl", 2, 2), r("Pl", 2))])
-    rhs = Expression(_pq(ctx, "X pl g"),
-                     [Leg(r("X", 3, 1, 1), r("pl", 1, 1), Si(r("X", 2), r("g", 2))),
-                      Leg(r("X", 3, 1, 2), r("pl", 1, 2), Si(r("X", 1), r("g", 1))),
-                      Leg(r("X", 3, 2), r("pl", 2))])
-    return lhs, rhs
-
-
-@_register("ql2", "Ql1 X1 x ql1 Ql2_1 X2 x ql2 Ql2_2 X3 = S(x2) f1 ql1_1 ... (twist form)")
-def _ql2(ctx):
-    lhs = Expression(_pq(ctx, "Ql ql X"),
-                     [Leg(r("Ql", 1), r("X", 1)),
-                      Leg(r("ql", 1), r("Ql", 2, 1), r("X", 2)),
-                      Leg(r("ql", 2), r("Ql", 2, 2), r("X", 3))])
-    rhs = Expression(_pq(ctx, "x f ql"),
-                     [Leg(S(r("x", 2)), r("f", 1), r("ql", 1, 1), r("x", 3, 1, 1)),
-                      Leg(S(r("x", 1)), r("f", 2), r("ql", 1, 2), r("x", 3, 1, 2)),
-                      Leg(r("ql", 2), r("x", 3, 2))])
-    return lhs, rhs
-
+_identity("qr1", "h_11 p1 x h_12 p2 S(h_2) = p1 h x p2")
+_identity("qr1a", "q1 h_11 x Si(h_2) q2 h_12 = h q1 x q2")
+_identity("ql1", "h_21 pl1 Si(h_1) x h_22 pl2 = pl1 x pl2 h")
+_identity("ql1a", "S(h_1) ql1 h_21 x ql2 h_22 = ql1 x h ql2")
+_identity("pqra", "q1 p1_1 x Si(p2) q2 p1_2 = 1 x 1")
+_identity("pqr", "q1_1 p1 x q1_2 p2 S(q2) = 1 x 1")
+_identity("pql", "S(pl1) ql1 pl2_1 x ql2 pl2_2 = 1 x 1")
+_identity("pqla", "ql2_1 pl1 Si(ql1) x ql2_2 pl2 = 1 x 1")
+_identity("pr1", "X1 p1_1 P1 x X2 p1_2 P2 x X3 p2 "
+                 "= x1_1 p1 x x1_21 p2_1 g1 S(x3) x x1_22 p2_2 g2 S(x2)")
+_identity("qr2", "q1 Q1_1 x1 x q2 Q1_2 x2 x Q2 x3 "
+                 "= q1 X1_1 x Si(f2 X3) q2_1 X1_21 x Si(f1 X2) q2_2 X1_22")
+_identity("pl1", "x1 pl1 x x2 pl2_1 Pl1 x x3 pl2_2 Pl2 "
+                 "= X3_11 pl1_1 Si(X2 g2) x X3_12 pl1_2 Si(X1 g1) x X3_2 pl2")
+_identity("ql2", "Ql1 X1 x ql1 Ql2_1 X2 x ql2 Ql2_2 X3 "
+                 "= S(x2) f1 ql1_1 x3_11 x S(x1) f2 ql1_2 x3_12 x ql2 x3_2")
 
 # --- the twist -------------------------------------------------------------------
 
-
-@_register("ca", "f Delta(S(h)) f^-1 = (S x S)(Delta^cop(h))")
-def _ca(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "f g")},
-                     [Leg(r("f", 1), r("h", 1, "S", 1), r("g", 1)),
-                      Leg(r("f", 2), r("h", 1, "S", 2), r("g", 2))])
-    rhs = Expression({"h": VAR},
-                     [Leg(S(r("h", 1, 2))), Leg(S(r("h", 1, 1)))])
-    return lhs, rhs
-
-
-@_register("gdf-gamma", "f Delta(alpha) = gamma")
-def _gdf_gamma(ctx):
-    lhs = Expression(_pq(ctx, "f al"),
-                     [Leg(r("f", 1), r("al", 1, 1)), Leg(r("f", 2), r("al", 1, 2))])
-    rhs = Expression({"gm": ctx.gamma}, [Leg(r("gm", 1)), Leg(r("gm", 2))])
-    return lhs, rhs
-
-
-@_register("gdf-delta", "Delta(beta) f^-1 = delta")
-def _gdf_delta(ctx):
-    lhs = Expression(_pq(ctx, "g be"),
-                     [Leg(r("be", 1, 1), r("g", 1)), Leg(r("be", 1, 2), r("g", 2))])
-    rhs = Expression({"dl": ctx.delta_el}, [Leg(r("dl", 1)), Leg(r("dl", 2))])
-    return lhs, rhs
-
-
-@_register("pf", "f1 X1 x F1 f2_1 X2 x F2 f2_2 X3 = S(X3) f1 F1_1 x S(X2) f2 F1_2 x S(X1) F2")
-def _pf(ctx):
-    lhs = Expression(_pq(ctx, "f F X"),
-                     [Leg(r("f", 1), r("X", 1)),
-                      Leg(r("F", 1), r("f", 2, 1), r("X", 2)),
-                      Leg(r("F", 2), r("f", 2, 2), r("X", 3))])
-    rhs = Expression(_pq(ctx, "f F X"),
-                     [Leg(S(r("X", 3)), r("f", 1), r("F", 1, 1)),
-                      Leg(S(r("X", 2)), r("f", 2), r("F", 1, 2)),
-                      Leg(S(r("X", 1)), r("F", 2))])
-    return lhs, rhs
-
-
-@_register("fgab-beta", "g1 S(g2 alpha) = beta")
-def _fgab_beta(ctx):
-    lhs = Expression(_pq(ctx, "g al"),
-                     [Leg(r("g", 1), S(r("g", 2), r("al")))])
-    rhs = Expression({"be": ctx.pres.beta}, [Leg(r("be"))])
-    return lhs, rhs
-
-
-@_register("fgab-alpha", "S(beta f1) f2 = alpha")
-def _fgab_alpha(ctx):
-    lhs = Expression(_pq(ctx, "f be"),
-                     [Leg(S(r("be"), r("f", 1)), r("f", 2))])
-    rhs = Expression({"al": ctx.pres.alpha}, [Leg(r("al"))])
-    return lhs, rhs
-
-
-@_register("fgab-salpha", "f1 beta S(f2) = S(alpha)")
-def _fgab_salpha(ctx):
-    lhs = Expression(_pq(ctx, "f be"),
-                     [Leg(r("f", 1), r("be"), S(r("f", 2)))])
-    rhs = Expression({"al": ctx.pres.alpha}, [Leg(S(r("al")))])
-    return lhs, rhs
-
-
-@_register("f-counit", "(eps x id)(f) = 1 = (id x eps)(f)")
-def _f_counit(ctx):
-    lhs = Expression({"f": ctx.f, "F": ctx.f},
-                     [Fn("eps", r("f", 1)), Leg(r("f", 2)),
-                      Fn("eps", r("F", 2)), Leg(r("F", 1))])
-    rhs = Expression({}, [Leg(), Leg()])
-    return lhs, rhs
-
+_identity("ca", "f1 S(h)_1 g1 x f2 S(h)_2 g2 = S(h_2) x S(h_1)")
+_identity("gdf-gamma", "f1 alpha_1 x f2 alpha_2 = gamma1 x gamma2")
+_identity("gdf-delta", "beta_1 g1 x beta_2 g2 = delta1 x delta2")
+_identity("pf", "f1 X1 x F1 f2_1 X2 x F2 f2_2 X3 = S(X3) f1 F1_1 x S(X2) f2 F1_2 x S(X1) F2")
+_identity("fgab-beta", "g1 S(g2 alpha) = beta")
+_identity("fgab-alpha", "S(beta f1) f2 = alpha")
+_identity("fgab-salpha", "f1 beta S(f2) = S(alpha)")
+_identity("f-counit", "eps(f1) f2 x eps(F2) F1 = 1 x 1")
 
 # --- U and V ---------------------------------------------------------------------
 
-
-@_register("fu1", "U (1 x S(h)) = Delta(S(h1)) U (h2 x 1)")
-def _fu1(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "U")},
-                     [Leg(r("U", 1)), Leg(r("U", 2), S(r("h")))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "U")},
-                     [Leg(r("h", 1, 1, "S", 1), r("U", 1), r("h", 1, 2)),
-                      Leg(r("h", 1, 1, "S", 2), r("U", 2))])
-    return lhs, rhs
-
-
-@_register("fv1", "(1 x Si(h)) V = (h2 x 1) V Delta(Si(h1))")
-def _fv1(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "V")},
-                     [Leg(r("V", 1)), Leg(Si(r("h")), r("V", 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "V")},
-                     [Leg(r("h", 1, 2), r("V", 1), r("h", 1, 1, "Si", 1)),
-                      Leg(r("V", 2), r("h", 1, 1, "Si", 2))])
-    return lhs, rhs
-
-
-@_register("qqlv", "qR = (ql2 x 1) V Delta(Si(ql1))")
-def _qqlv(ctx):
-    lhs = Expression(_pq(ctx, "q"), [Leg(r("q", 1)), Leg(r("q", 2))])
-    rhs = Expression(_pq(ctx, "ql V"),
-                     [Leg(r("ql", 2), r("V", 1), r("ql", 1, "Si", 1)),
-                      Leg(r("V", 2), r("ql", 1, "Si", 2))])
-    return lhs, rhs
-
-
-@_register("pplu", "pR = Delta(S(pl1)) U (pl2 x 1)")
-def _pplu(ctx):
-    lhs = Expression(_pq(ctx, "p"), [Leg(r("p", 1)), Leg(r("p", 2))])
-    rhs = Expression(_pq(ctx, "pl U"),
-                     [Leg(r("pl", 1, "S", 1), r("U", 1), r("pl", 2)),
-                      Leg(r("pl", 1, "S", 2), r("U", 2))])
-    return lhs, rhs
-
-
-@_register("uvpql-u", "U = ql1_1 p1 x ql1_2 p2 S(ql2)")
-def _uvpql_u(ctx):
-    lhs = Expression(_pq(ctx, "U"), [Leg(r("U", 1)), Leg(r("U", 2))])
-    rhs = Expression(_pq(ctx, "ql p"),
-                     [Leg(r("ql", 1, 1), r("p", 1)),
-                      Leg(r("ql", 1, 2), r("p", 2), S(r("ql", 2)))])
-    return lhs, rhs
-
-
-@_register("uvpql-v", "V = q1 pl1_1 x Si(pl2) q2 pl1_2")
-def _uvpql_v(ctx):
-    lhs = Expression(_pq(ctx, "V"), [Leg(r("V", 1)), Leg(r("V", 2))])
-    rhs = Expression(_pq(ctx, "q pl"),
-                     [Leg(r("q", 1), r("pl", 1, 1)),
-                      Leg(Si(r("pl", 2)), r("q", 2), r("pl", 1, 2))])
-    return lhs, rhs
-
-
-@_register("formtplfversusqg", "S(pl2) f1 x S(pl1) f2 = q1 g1_1 x Si(g2) q2 g1_2")
-def _formtplf(ctx):
-    lhs = Expression(_pq(ctx, "pl f"),
-                     [Leg(S(r("pl", 2)), r("f", 1)), Leg(S(r("pl", 1)), r("f", 2))])
-    rhs = Expression(_pq(ctx, "q g"),
-                     [Leg(r("q", 1), r("g", 1, 1)),
-                      Leg(Si(r("g", 2)), r("q", 2), r("g", 1, 2))])
-    return lhs, rhs
-
-
-@_register("fpformula", "S(g1) ql1 g2_1 x ql2 g2_2 = S(p2) f1 x S(p1) f2")
-def _fpformula(ctx):
-    lhs = Expression(_pq(ctx, "g ql"),
-                     [Leg(S(r("g", 1)), r("ql", 1), r("g", 2, 1)),
-                      Leg(r("ql", 2), r("g", 2, 2))])
-    rhs = Expression(_pq(ctx, "p f"),
-                     [Leg(S(r("p", 2)), r("f", 1)), Leg(S(r("p", 1)), r("f", 2))])
-    return lhs, rhs
-
+_identity("fu1", "U1 x U2 S(h) = S(h_1)_1 U1 h_2 x S(h_1)_2 U2")
+_identity("fv1", "V1 x Si(h) V2 = h_2 V1 Si(h_1)_1 x V2 Si(h_1)_2")
+_identity("qqlv", "q1 x q2 = ql2 V1 Si(ql1)_1 x V2 Si(ql1)_2")
+_identity("pplu", "p1 x p2 = S(pl1)_1 U1 pl2 x S(pl1)_2 U2")
+_identity("uvpql-u", "U1 x U2 = ql1_1 p1 x ql1_2 p2 S(ql2)")
+_identity("uvpql-v", "V1 x V2 = q1 pl1_1 x Si(pl2) q2 pl1_2")
+_identity("formtplfversusqg", "S(pl2) f1 x S(pl1) f2 = q1 g1_1 x Si(g2) q2 g1_2")
+_identity("fpformula", "S(g1) ql1 g2_1 x ql2 g2_2 = S(p2) f1 x S(p1) f2")
 
 # --- reassociator shuffles used by the double -------------------------------------
 
-
-@_register("peq", "X1 p1_1 x X2 p1_2 x X3 p2 = x1 x x2_1 p1 x x2_2 p2 S(x3)")
-def _peq(ctx):
-    lhs = Expression(_pq(ctx, "X p"),
-                     [Leg(r("X", 1), r("p", 1, 1)),
-                      Leg(r("X", 2), r("p", 1, 2)),
-                      Leg(r("X", 3), r("p", 2))])
-    rhs = Expression(_pq(ctx, "x p"),
-                     [Leg(r("x", 1)),
-                      Leg(r("x", 2, 1), r("p", 1)),
-                      Leg(r("x", 2, 2), r("p", 2), S(r("x", 3)))])
-    return lhs, rhs
-
-
-@_register("qlqr", "X1 x S(X2) ql1 X3_1 x ql2 X3_2 = q1 x1_1 x S(q2 x1_2) x2 x x3")
-def _qlqr(ctx):
-    lhs = Expression(_pq(ctx, "X ql"),
-                     [Leg(r("X", 1)),
-                      Leg(S(r("X", 2)), r("ql", 1), r("X", 3, 1)),
-                      Leg(r("ql", 2), r("X", 3, 2))])
-    rhs = Expression(_pq(ctx, "q x"),
-                     [Leg(r("q", 1), r("x", 1, 1)),
-                      Leg(S(r("q", 2), r("x", 1, 2)), r("x", 2)),
-                      Leg(r("x", 3))])
-    return lhs, rhs
-
-
-@_register("tplvspr", "x1 x x2 S(x3_1 pl1) x x3_2 pl2 = X1_1 p1 x X1_2 p2 S(X2) x X3")
-def _tplvspr(ctx):
-    lhs = Expression(_pq(ctx, "x pl"),
-                     [Leg(r("x", 1)),
-                      Leg(r("x", 2), S(r("x", 3, 1), r("pl", 1))),
-                      Leg(r("x", 3, 2), r("pl", 2))])
-    rhs = Expression(_pq(ctx, "X p"),
-                     [Leg(r("X", 1, 1), r("p", 1)),
-                      Leg(r("X", 1, 2), r("p", 2), S(r("X", 2))),
-                      Leg(r("X", 3))])
-    return lhs, rhs
-
-
-@_register("fdeltaDrinf", "Delta(h1) delta (S x S)(Delta^cop(h2)) = eps(h) delta")
-def _fdeltadrinf(ctx):
-    lhs = Expression({"h": VAR, "dl": ctx.delta_el},
-                     [Leg(r("h", 1, 1, 1), r("dl", 1), S(r("h", 1, 2, 2))),
-                      Leg(r("h", 1, 1, 2), r("dl", 2), S(r("h", 1, 2, 1)))])
-    rhs = Expression({"h": VAR, "dl": ctx.delta_el},
-                     [Fn("eps", r("h")), Leg(r("dl", 1)), Leg(r("dl", 2))])
-    return lhs, rhs
-
-
-@_register("foressleftintqd", "Y1 d1 S(Y3_2) x Y2 d2 S(Y3_1) = beta S(pl2) x S(pl1)")
-def _foress1(ctx):
-    lhs = Expression({"Y": ctx.pres.phi, "dl": ctx.delta_el},
-                     [Leg(r("Y", 1), r("dl", 1), S(r("Y", 3, 2))),
-                      Leg(r("Y", 2), r("dl", 2), S(r("Y", 3, 1)))])
-    rhs = Expression(_pq(ctx, "pl be"),
-                     [Leg(r("be"), S(r("pl", 2))), Leg(S(r("pl", 1)))])
-    return lhs, rhs
-
-
-@_register("foressleftintqd2", "z1 pl1 x z2 pl2_1 x z3 pl2_2 = Y2_1 Z2 Si(Y1 Z1 beta) x Y2_2 Z3 x Y3")
-def _foress2(ctx):
-    lhs = Expression(_pq(ctx, "z pl"),
-                     [Leg(r("z", 1), r("pl", 1)),
-                      Leg(r("z", 2), r("pl", 2, 1)),
-                      Leg(r("z", 3), r("pl", 2, 2))])
-    rhs = Expression(_pq(ctx, "Y Z be"),
-                     [Leg(r("Y", 2, 1), r("Z", 2), Si(r("Y", 1), r("Z", 1), r("be"))),
-                      Leg(r("Y", 2, 2), r("Z", 3)),
-                      Leg(r("Y", 3))])
-    return lhs, rhs
-
-
-@_register("foressleftintqd3", "X1 x q1 X2_1 x Si(X3) q2 X2_2 = q1_1 x1 x q1_2 x2 x q2 x3")
-def _foress3(ctx):
-    lhs = Expression(_pq(ctx, "X q"),
-                     [Leg(r("X", 1)),
-                      Leg(r("q", 1), r("X", 2, 1)),
-                      Leg(Si(r("X", 3)), r("q", 2), r("X", 2, 2))])
-    rhs = Expression(_pq(ctx, "x q"),
-                     [Leg(r("q", 1, 1), r("x", 1)),
-                      Leg(r("q", 1, 2), r("x", 2)),
-                      Leg(r("q", 2), r("x", 3))])
-    return lhs, rhs
-
+_identity("peq", "X1 p1_1 x X2 p1_2 x X3 p2 = x1 x x2_1 p1 x x2_2 p2 S(x3)")
+_identity("qlqr", "X1 x S(X2) ql1 X3_1 x ql2 X3_2 = q1 x1_1 x S(q2 x1_2) x2 x x3")
+_identity("tplvspr", "x1 x x2 S(x3_1 pl1) x x3_2 pl2 = X1_1 p1 x X1_2 p2 S(X2) x X3")
+_identity("fdeltaDrinf", "h_11 delta1 S(h_22) x h_12 delta2 S(h_21) = eps(h) delta1 x delta2")
+_identity("foressleftintqd", "Y1 delta1 S(Y3_2) x Y2 delta2 S(Y3_1) = beta S(pl2) x S(pl1)")
+_identity("foressleftintqd2",
+          "z1 pl1 x z2 pl2_1 x z3 pl2_2 = Y2_1 Z2 Si(Y1 Z1 beta) x Y2_2 Z3 x Y3")
+_identity("foressleftintqd3", "X1 x q1 X2_1 x Si(X3) q2 X2_2 = q1_1 x1 x q1_2 x2 x q2 x3")
 
 # --- auxiliary element shuffles ------------------------------------------------------
 
-
-@_register("app2", "X1_1 x1 d1 S(X3_2) x X1_2 x2 d2_1 S(X3_1)_1 x X2 x3 d2_2 S(X3_1)_2 "
-                   "= (beta S(X3))_1 g1 S(x3) x (beta S(X3))_2 g2 S(x2) f1 x X1 beta S(x1 X2) f2")
-def _app2(ctx):
-    lhs = Expression({"X": ctx.pres.phi, "x": ctx.pres.phi_inv, "dl": ctx.delta_el},
-                     [Leg(r("X", 1, 1), r("x", 1), r("dl", 1), S(r("X", 3, 2))),
-                      Leg(r("X", 1, 2), r("x", 2), r("dl", 2, 1), r("X", 3, 1, "S", 1)),
-                      Leg(r("X", 2), r("x", 3), r("dl", 2, 2), r("X", 3, 1, "S", 2))])
-    # (beta S(X3))_i expanded through Delta being an algebra morphism; a
-    # common rendering of the right side repeats one inverse-reassociator
-    # component, which cannot type-check, so this balanced form is used
-    rhs = Expression({"X": ctx.pres.phi, "x": ctx.pres.phi_inv,
-                      "g": ctx.f_inv, "f": ctx.f, "be": ctx.pres.beta,
-                      "b2": ctx.pres.beta},
-                     [Leg(r("be", 1, 1), r("X", 3, "S", 1), r("g", 1), S(r("x", 3))),
-                      Leg(r("be", 1, 2), r("X", 3, "S", 2), r("g", 2), S(r("x", 2)), r("f", 1)),
-                      Leg(r("X", 1), r("b2"), S(r("x", 1), r("X", 2)), r("f", 2))])
-    return lhs, rhs
-
-
-@_register("app2a", "f2 V1 Si(f1)_1 x V2 Si(f1)_2 = qL")
-def _app2a(ctx):
-    lhs = Expression(_pq(ctx, "f V"),
-                     [Leg(r("f", 2), r("V", 1), r("f", 1, "Si", 1)),
-                      Leg(r("V", 2), r("f", 1, "Si", 2))])
-    rhs = Expression(_pq(ctx, "ql"), [Leg(r("ql", 1)), Leg(r("ql", 2))])
-    return lhs, rhs
-
-
-@_register("app2aa", "S(U1) ql1 U2_1 x ql2 U2_2 = f")
-def _app2aa(ctx):
-    lhs = Expression(_pq(ctx, "U ql"),
-                     [Leg(S(r("U", 1)), r("ql", 1), r("U", 2, 1)),
-                      Leg(r("ql", 2), r("U", 2, 2))])
-    rhs = Expression(_pq(ctx, "f"), [Leg(r("f", 1)), Leg(r("f", 2))])
-    return lhs, rhs
-
-
-@_register("app2b", "S(p1) F2 f2_2 X3 x S(p2 f1 X1) F1 f2_1 X2 = 1 x alpha")
-def _app2b(ctx):
-    lhs = Expression(_pq(ctx, "p f F X"),
-                     [Leg(S(r("p", 1)), r("F", 2), r("f", 2, 2), r("X", 3)),
-                      Leg(S(r("p", 2), r("f", 1), r("X", 1)), r("F", 1), r("f", 2, 1), r("X", 2))])
-    rhs = Expression({"al": ctx.pres.alpha}, [Leg(), Leg(r("al"))])
-    return lhs, rhs
-
+_identity("app2", "X1_1 x1 delta1 S(X3_2) x X1_2 x2 delta2_1 S(X3_1)_1 "
+                  "x X2 x3 delta2_2 S(X3_1)_2 = beta_1 S(X3)_1 g1 S(x3) "
+                  "x beta_2 S(X3)_2 g2 S(x2) f1 x X1 beta' S(x1 X2) f2")
+_identity("app2a", "f2 V1 Si(f1)_1 x V2 Si(f1)_2 = ql1 x ql2")
+_identity("app2aa", "S(U1) ql1 U2_1 x ql2 U2_2 = f1 x f2")
+_identity("app2b", "S(p1) F2 f2_2 X3 x S(p2 f1 X1) F1 f2_1 X2 = 1 x alpha")
 
 # --- identities that need integrals and cointegrals --------------------------------
 
+_identity("f2a", "t_1 x S(t_2) = q1 t_1 x S(q2 t_2) beta")
+_identity("f2b", "t_1 x S(t_2) = beta q1 t_1 x S(q2 t_2)")
+_identity("movingelem1", "t_1 p1 h x t_2 p2 = mu(h_1) t_1 p1 x t_2 p2 S(h_2)")
+_identity("f4", "lam(Si(h) h') = mu(h_1) lam(h' S(h_2))")
+_identity("lcointsimpl", "lam(q2 h_2 p2 S(h')) q1 h_1 p1 "
+                         "= mu(x1) lam(Si(ql1) h S(x2 h'_1 pl1)) ql2 x3 h'_2 pl2")
+_identity("prelimpobs", "lam(q2 t_2 p2) q1 t_1 p1 = mu(beta) lam(t) 1")
+_identity("qqt-left", "q1 t_1 x q2 t_2 = ql1 t_1 x ql2 t_2")
+_identity("qqt-right", "r_1 p1 x r_2 p2 = r_1 pl1 x r_2 pl2")
+_identity("f1", "h q1 t_1 x q2 t_2 = q1 t_1 x Si(h) q2 t_2")
+_identity("elemmovedbyrightint", "r_1 p1 h x r_2 p2 = r_1 p1 x r_2 p2 S(h)")
+_identity("rint3", "h r_1 x r_2 = mui(h_1 p1) q1 r_1 x Si(h_2 p2) q2 r_2")
+_identity("rint4", "r_1 U1 x r_2 U2 S(h) = r_1 U1 h x r_2 U2")
+_identity("rint5", "V1 r_1 x Si(h) V2 r_2 = mu(h_1) h_2 V1 r_1 x V2 r_2")
+_identity("firstRad-fn", "lam(Si(h)) = lam(gmod h)")
+_identity("firstRad-el", "q1 t_1 p1 x S(q2 t_2 p2) = q2 t_2 p2 x gmod^-1 Si(q1 t_1 p1)")
+_identity("lamSm2", "lam(Si2(h)) = lam(gmod h S(gmod'))")
+_identity("qtr-fn", "lam(Si(h)) = Lam(u h)")
+_identity("qtr-el", "q1 t_1 p1 x S(q2 t_2 p2) = ql1 t_1 pl1 x u^-1 S(ql2 t_2 pl2)")
+_identity("lamS-v", "lam(S(h)) = Lam(v h)")
+_identity("tsFrobelem", "V1 r_1 U1 x V2 r_2 U2 = Si(q2 S(r)_2 p2) x Si(q1 S(r)_1 p1)")
+_identity("qrpversusqtp",
+          "q1 r_1 p1 x q2 r_2 p2 = mu(ql1) ql2 Si(q2 S(r)_2 p2) x Si(q1 S(r)_1 p1)")
+_identity("app4", "V1 r_1 x gmod^-1 V2 r_2 = V2 r_2 p2 x S2(V1 r_1 p1) alpha")
+_identity("app3b", "S(pl2) f1 r_1 x gmod^-1 S(pl1) f2 r_2 "
+                   "= mu(S(p2) f1) S(p1) f2 V2 r_2 P2 x S2(V1 r_1 P1) alpha")
+_identity("inchileftcoint",
+          "mui(ql1 h_1 pl1) lam(Si(ql2 h_2 pl2) h') = mui(alpha) mu(beta) lam(h' S(h))")
+_identity("s4equivversion", "mu(f1) Si2(h) Si(gmod^-1) S(f2) "
+                            "= mu(h_1 f1) mui(h_22) Si(gmod^-1) S(S(h_21) f2)")
+_identity("normdefmodelem",
+          "lam(Si(f2) h_1 g1 S(h')) Si(f1) h_2 g2 = mu(F1) mui(U2_2 W2 alpha) mu(beta) "
+          "mu(U1 y1_2 x2) lam(h S(y3 x3_2 h'_2 pl2)) Si(gmod^-1 y1_1 x1) "
+          "S(S(U2_1 W1 y2 x3_1 h'_1 pl1) F2)")
+_identity("fvfformunim",
+          "lam(Si(f2) h_1 g1 S(h')) Si(f1) h_2 g2 = mu(beta F1) mui(Y3 U2 alpha) "
+          "mu(Y1 U1_1 y2_1 x1) lam(h S(y3 x3 h'_2 pl2)) Si(gmod^-1 y1) "
+          "S(S(Y2 U1_2 y2_2 x2 h'_1 pl1) F2)")
 
-@_register("f2a", "t1 x S(t2) = q1 t1 x S(q2 t2) beta")
-def _f2a(ctx):
-    lhs = Expression({"t": ctx.t},
-                     [Leg(r("t", 1, 1)), Leg(S(r("t", 1, 2)))])
-    rhs = Expression(_pq(ctx, "q t be"),
-                     [Leg(r("q", 1), r("t", 1, 1)),
-                      Leg(S(r("q", 2), r("t", 1, 2)), r("be"))])
-    return lhs, rhs
-
-
-@_register("f2b", "t1 x S(t2) = beta q1 t1 x S(q2 t2)")
-def _f2b(ctx):
-    lhs = Expression({"t": ctx.t},
-                     [Leg(r("t", 1, 1)), Leg(S(r("t", 1, 2)))])
-    rhs = Expression(_pq(ctx, "q t be"),
-                     [Leg(r("be"), r("q", 1), r("t", 1, 1)),
-                      Leg(S(r("q", 2), r("t", 1, 2)))])
-    return lhs, rhs
-
-
-@_register("movingelem1", "t1 p1 h x t2 p2 = mu(h1) t1 p1 x t2 p2 S(h2)")
-def _movingelem1(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "t p")},
-                     [Leg(r("t", 1, 1), r("p", 1), r("h")),
-                      Leg(r("t", 1, 2), r("p", 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "t p")},
-                     [Fn("mu", r("h", 1, 1)),
-                      Leg(r("t", 1, 1), r("p", 1)),
-                      Leg(r("t", 1, 2), r("p", 2), S(r("h", 1, 2)))])
-    return lhs, rhs
-
-
-@_register("f4", "lam(Si(h) h') = mu(h1) lam(h' S(h2))")
-def _f4(ctx):
-    lhs = Expression({"h": VAR, "hp": VAR},
-                     [Fn("lam", Si(r("h")), r("hp"))])
-    rhs = Expression({"h": VAR, "hp": VAR},
-                     [Fn("mu", r("h", 1, 1)), Fn("lam", r("hp"), S(r("h", 1, 2)))])
-    return lhs, rhs
-
-
-@_register("lcointsimpl",
-           "lam(q2 h2 p2 S(h')) q1 h1 p1 = mu(x1) lam(Si(ql1) h S(x2 h'1 pl1)) ql2 x3 h'2 pl2")
-def _lcointsimpl(ctx):
-    lhs = Expression({"h": VAR, "hp": VAR, **_pq(ctx, "q p")},
-                     [Fn("lam", r("q", 2), r("h", 1, 2), r("p", 2), S(r("hp"))),
-                      Leg(r("q", 1), r("h", 1, 1), r("p", 1))])
-    rhs = Expression({"h": VAR, "hp": VAR, **_pq(ctx, "x ql pl")},
-                     [Fn("mu", r("x", 1)),
-                      Fn("lam", Si(r("ql", 1)), r("h"),
-                         S(r("x", 2), r("hp", 1, 1), r("pl", 1))),
-                      Leg(r("ql", 2), r("x", 3), r("hp", 1, 2), r("pl", 2))])
-    return lhs, rhs
+# --- custom identities ----------------------------------------------------------------
 
 
-@_register("prelimpobs", "lam(q2 t2 p2) q1 t1 p1 = mu(beta) lam(t) 1")
-def _prelimpobs(ctx):
-    lhs = Expression(_pq(ctx, "q t p"),
-                     [Fn("lam", r("q", 2), r("t", 1, 2), r("p", 2)),
-                      Leg(r("q", 1), r("t", 1, 1), r("p", 1))])
-    rhs = Expression({"be": ctx.pres.beta, "t": ctx.t},
-                     [Fn("mu", r("be")), Fn("lam", r("t")), Leg()])
-    return lhs, rhs
-
-
-@_register("qqt-left", "q1 t1 x q2 t2 = ql1 t1 x ql2 t2")
-def _qqt_left(ctx):
-    lhs = Expression(_pq(ctx, "q t"),
-                     [Leg(r("q", 1), r("t", 1, 1)), Leg(r("q", 2), r("t", 1, 2))])
-    rhs = Expression(_pq(ctx, "ql t"),
-                     [Leg(r("ql", 1), r("t", 1, 1)), Leg(r("ql", 2), r("t", 1, 2))])
-    return lhs, rhs
-
-
-@_register("qqt-right", "r1 p1 x r2 p2 = r1 pl1 x r2 pl2")
-def _qqt_right(ctx):
-    lhs = Expression(_pq(ctx, "rr p"),
-                     [Leg(r("rr", 1, 1), r("p", 1)), Leg(r("rr", 1, 2), r("p", 2))])
-    rhs = Expression(_pq(ctx, "rr pl"),
-                     [Leg(r("rr", 1, 1), r("pl", 1)), Leg(r("rr", 1, 2), r("pl", 2))])
-    return lhs, rhs
-
-
-@_register("f1", "h q1 t1 x q2 t2 = q1 t1 x Si(h) q2 t2")
-def _f1(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "q t")},
-                     [Leg(r("h"), r("q", 1), r("t", 1, 1)),
-                      Leg(r("q", 2), r("t", 1, 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "q t")},
-                     [Leg(r("q", 1), r("t", 1, 1)),
-                      Leg(Si(r("h")), r("q", 2), r("t", 1, 2))])
-    return lhs, rhs
-
-
-@_register("elemmovedbyrightint", "r1 p1 h x r2 p2 = r1 p1 x r2 p2 S(h)")
-def _elemmoved(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "rr p")},
-                     [Leg(r("rr", 1, 1), r("p", 1), r("h")),
-                      Leg(r("rr", 1, 2), r("p", 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "rr p")},
-                     [Leg(r("rr", 1, 1), r("p", 1)),
-                      Leg(r("rr", 1, 2), r("p", 2), S(r("h")))])
-    return lhs, rhs
-
-
-@_register("rint3", "h r1 x r2 = mui(h1 p1) q1 r1 x Si(h2 p2) q2 r2")
-def _rint3(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "rr")},
-                     [Leg(r("h"), r("rr", 1, 1)), Leg(r("rr", 1, 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "p q rr")},
-                     [Fn("mui", r("h", 1, 1), r("p", 1)),
-                      Leg(r("q", 1), r("rr", 1, 1)),
-                      Leg(Si(r("h", 1, 2), r("p", 2)), r("q", 2), r("rr", 1, 2))])
-    return lhs, rhs
-
-
-@_register("rint4", "r1 U1 x r2 U2 S(h) = r1 U1 h x r2 U2")
-def _rint4(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "rr U")},
-                     [Leg(r("rr", 1, 1), r("U", 1)),
-                      Leg(r("rr", 1, 2), r("U", 2), S(r("h")))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "rr U")},
-                     [Leg(r("rr", 1, 1), r("U", 1), r("h")),
-                      Leg(r("rr", 1, 2), r("U", 2))])
-    return lhs, rhs
-
-
-@_register("rint5", "V1 r1 x Si(h) V2 r2 = mu(h1) h2 V1 r1 x V2 r2")
-def _rint5(ctx):
-    lhs = Expression({"h": VAR, **_pq(ctx, "rr V")},
-                     [Leg(r("V", 1), r("rr", 1, 1)),
-                      Leg(Si(r("h")), r("V", 2), r("rr", 1, 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "rr V")},
-                     [Fn("mu", r("h", 1, 1)),
-                      Leg(r("h", 1, 2), r("V", 1), r("rr", 1, 1)),
-                      Leg(r("V", 2), r("rr", 1, 2))])
-    return lhs, rhs
-
-
-@_register("firstRad-fn", "lam o Si = lam <- gmod")
-def _firstrad_fn(ctx):
-    lhs = Expression({"h": VAR}, [Fn("lam", Si(r("h")))])
-    rhs = Expression({"h": VAR, "gmod": ctx.g_mod}, [Fn("lam", r("gmod"), r("h"))])
-    return lhs, rhs
-
-
-@_register("firstRad-el", "q1 t1 p1 x S(q2 t2 p2) = q2 t2 p2 x gmod^-1 Si(q1 t1 p1)")
-def _firstrad_el(ctx):
-    lhs = Expression(_pq(ctx, "q t p"),
-                     [Leg(r("q", 1), r("t", 1, 1), r("p", 1)),
-                      Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))])
-    rhs = Expression(_pq(ctx, "q t p gmodi"),
-                     [Leg(r("q", 2), r("t", 1, 2), r("p", 2)),
-                      Leg(r("gmodi"), Si(r("q", 1), r("t", 1, 1), r("p", 1)))])
-    return lhs, rhs
-
-
-@_register("lamSm2", "lam o S^-2 = S(gmod) -> lam <- gmod")
-def _lam_sm2(ctx):
-    lhs = Expression({"h": VAR}, [Fn("lam", op("Si2", r("h")))])
-    rhs = Expression({"h": VAR, "gmod": ctx.g_mod, "G2": ctx.g_mod},
-                     [Fn("lam", r("gmod"), r("h"), S(r("G2")))])
-    return lhs, rhs
-
-
-@_register("qtr-fn", "lam o Si = Lam <- u")
-def _qtr_fn(ctx):
-    lhs = Expression({"h": VAR}, [Fn("lam", Si(r("h")))])
-    rhs = Expression({"h": VAR, "u": ctx.u_el}, [Fn("Lam", r("u"), r("h"))])
-    return lhs, rhs
-
-
-@_register("qtr-el", "q1 t1 p1 x S(q2 t2 p2) = ql1 t1 pl1 x u^-1 S(ql2 t2 pl2)")
-def _qtr_el(ctx):
-    lhs = Expression(_pq(ctx, "q t p"),
-                     [Leg(r("q", 1), r("t", 1, 1), r("p", 1)),
-                      Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))])
-    rhs = Expression(_pq(ctx, "ql t pl ui"),
-                     [Leg(r("ql", 1), r("t", 1, 1), r("pl", 1)),
-                      Leg(r("ui"), S(r("ql", 2), r("t", 1, 2), r("pl", 2)))])
-    return lhs, rhs
-
-
-@_register("lamS-v", "lam o S = Lam <- v")
-def _lams_v(ctx):
-    lhs = Expression({"h": VAR}, [Fn("lam", S(r("h")))])
-    rhs = Expression({"h": VAR, "v": ctx.v_el}, [Fn("Lam", r("v"), r("h"))])
-    return lhs, rhs
-
-
-@_register("tsFrobelem", "V1 r1 U1 x V2 r2 U2 = Si(q2 t2 p2) x Si(q1 t1 p1) with t = S(r)")
-def _tsfrob(ctx):
-    t_of_r = ctx.pres.antipode.apply(ctx.r)
-    lhs = Expression(_pq(ctx, "V rr U"),
-                     [Leg(r("V", 1), r("rr", 1, 1), r("U", 1)),
-                      Leg(r("V", 2), r("rr", 1, 2), r("U", 2))])
-    rhs = Expression({"t": t_of_r, **_pq(ctx, "q p")},
-                     [Leg(Si(r("q", 2), r("t", 1, 2), r("p", 2))),
-                      Leg(Si(r("q", 1), r("t", 1, 1), r("p", 1)))])
-    return lhs, rhs
-
-
-@_register("qrpversusqtp",
-           "q1 r1 p1 x q2 r2 p2 = mu(ql1) ql2 Si(q2 t2 p2) x Si(q1 t1 p1) with t = S(r)")
-def _qrpversusqtp(ctx):
-    t_of_r = ctx.pres.antipode.apply(ctx.r)
-    lhs = Expression(_pq(ctx, "q rr p"),
-                     [Leg(r("q", 1), r("rr", 1, 1), r("p", 1)),
-                      Leg(r("q", 2), r("rr", 1, 2), r("p", 2))])
-    rhs = Expression({"t": t_of_r, **_pq(ctx, "ql q p")},
-                     [Fn("mu", r("ql", 1)),
-                      Leg(r("ql", 2), Si(r("q", 2), r("t", 1, 2), r("p", 2))),
-                      Leg(Si(r("q", 1), r("t", 1, 1), r("p", 1)))])
-    return lhs, rhs
-
-
-@_register("app4", "V1 r1 x gmod^-1 V2 r2 = V2 r2 p2 x S^2(V1 r1 p1) alpha")
-def _app4(ctx):
-    lhs = Expression(_pq(ctx, "V rr gmodi"),
-                     [Leg(r("V", 1), r("rr", 1, 1)),
-                      Leg(r("gmodi"), r("V", 2), r("rr", 1, 2))])
-    rhs = Expression(_pq(ctx, "V rr p al"),
-                     [Leg(r("V", 2), r("rr", 1, 2), r("p", 2)),
-                      Leg(op("S2", r("V", 1), r("rr", 1, 1), r("p", 1)), r("al"))])
-    return lhs, rhs
-
-
-@_register("app3b", "S(pl2) f1 r1 x gmod^-1 S(pl1) f2 r2 "
-                    "= mu(S(p2) f1) S(p1) f2 V2 r2 P2 x S^2(V1 r1 P1) alpha")
-def _app3b(ctx):
-    lhs = Expression(_pq(ctx, "pl f rr gmodi"),
-                     [Leg(S(r("pl", 2)), r("f", 1), r("rr", 1, 1)),
-                      Leg(r("gmodi"), S(r("pl", 1)), r("f", 2), r("rr", 1, 2))])
-    rhs = Expression(
-        {"p": ctx.p_r, "f": ctx.f, "V": ctx.v_cap, "rr": ctx.r,
-         "P": ctx.p_r, "al": ctx.pres.alpha},
-        [Fn("mu", S(r("p", 2)), r("f", 1)),
-         Leg(S(r("p", 1)), r("f", 2), r("V", 2), r("rr", 1, 2), r("P", 2)),
-         Leg(op("S2", r("V", 1), r("rr", 1, 1), r("P", 1)), r("al"))])
-    return lhs, rhs
-
-
-@_register("inchileftcoint",
-           "mui(ql1 h1 pl1) lam <- Si(ql2 h2 pl2) = mui(alpha) mu(beta) S(h) -> lam")
-def _inchi(ctx):
-    lhs = Expression({"h": VAR, "x": VAR, **_pq(ctx, "ql pl")},
-                     [Fn("mui", r("ql", 1), r("h", 1, 1), r("pl", 1)),
-                      Fn("lam", Si(r("ql", 2), r("h", 1, 2), r("pl", 2)), r("x"))])
-    rhs = Expression({"h": VAR, "x": VAR, "al": ctx.pres.alpha, "be": ctx.pres.beta},
-                     [Fn("mui", r("al")), Fn("mu", r("be")),
-                      Fn("lam", r("x"), S(r("h")))])
-    return lhs, rhs
-
-
-@_register("s4equivversion",
-           "mu(f1) S^-2(h) Si(gmod^-1) S(f2) = mu(h1 f1) mui(h22) Si(gmod^-1) S(S(h21) f2)")
-def _s4equiv(ctx):
-    lhs = Expression({"h": VAR, "f": ctx.f, "gmodi": ctx.g_mod_inv},
-                     [Fn("mu", r("f", 1)),
-                      Leg(op("Si2", r("h")), Si(r("gmodi")), S(r("f", 2)))])
-    rhs = Expression({"h": VAR, "f": ctx.f, "gmodi": ctx.g_mod_inv},
-                     [Fn("mu", r("h", 1, 1), r("f", 1)),
-                      Fn("mui", r("h", 1, 2, 2)),
-                      Leg(Si(r("gmodi")), S(S(r("h", 1, 2, 1)), r("f", 2)))])
-    return lhs, rhs
-
-
-@_register("normdefmodelem",
-           "lam(Si(f2) h1 g1 S(h')) Si(f1) h2 g2 = mu(F1) mui(U22 W2 alpha) mu(beta) "
-           "mu(U1 y12 x2) lam(h S(y3 x32 h'2 pl2)) Si(gmod^-1 y11 x1) S(S(U21 W1 y2 x31 h'1 pl1) F2)")
-def _normdef(ctx):
-    lhs = Expression({"h": VAR, "hp": VAR, "f": ctx.f, "g": ctx.f_inv},
-                     [Fn("lam", Si(r("f", 2)), r("h", 1, 1), r("g", 1), S(r("hp"))),
-                      Leg(Si(r("f", 1)), r("h", 1, 2), r("g", 2))])
-    rhs = Expression(
-        {"h": VAR, "hp": VAR, "F": ctx.f, "U": ctx.u_cap, "W": ctx.u_cap,
-         "y": ctx.pres.phi_inv, "x": ctx.pres.phi_inv, "pl": ctx.p_l,
-         "al": ctx.pres.alpha, "be": ctx.pres.beta, "gmodi": ctx.g_mod_inv},
-        [Fn("mu", r("F", 1)),
-         Fn("mui", r("U", 2, 2), r("W", 2), r("al")),
-         Fn("mu", r("be")),
-         Fn("mu", r("U", 1), r("y", 1, 2), r("x", 2)),
-         Fn("lam", r("h"), S(r("y", 3), r("x", 3, 2), r("hp", 1, 2), r("pl", 2))),
-         Leg(Si(r("gmodi"), r("y", 1, 1), r("x", 1)),
-             S(S(r("U", 2, 1), r("W", 1), r("y", 2), r("x", 3, 1),
-                 r("hp", 1, 1), r("pl", 1)), r("F", 2)))])
-    return lhs, rhs
-
-
-@_register("fvfformunim",
-           "lam(Si(f2) h1 g1 S(h')) Si(f1) h2 g2 = mu(beta F1) mui(Y3 U2 alpha) "
-           "mu(Y1 U11 y21 x1) lam(h S(y3 x3 h'2 pl2)) Si(gmod^-1 y1) S(S(Y2 U12 y22 x2 h'1 pl1) F2)")
-def _fvfformunim(ctx):
-    lhs = Expression({"h": VAR, "hp": VAR, "f": ctx.f, "g": ctx.f_inv},
-                     [Fn("lam", Si(r("f", 2)), r("h", 1, 1), r("g", 1), S(r("hp"))),
-                      Leg(Si(r("f", 1)), r("h", 1, 2), r("g", 2))])
-    rhs = Expression(
-        {"h": VAR, "hp": VAR, "F": ctx.f, "Y": ctx.pres.phi, "U": ctx.u_cap,
-         "y": ctx.pres.phi_inv, "x": ctx.pres.phi_inv, "pl": ctx.p_l,
-         "al": ctx.pres.alpha, "be": ctx.pres.beta, "gmodi": ctx.g_mod_inv},
-        [Fn("mu", r("be"), r("F", 1)),
-         Fn("mui", r("Y", 3), r("U", 2), r("al")),
-         Fn("mu", r("Y", 1), r("U", 1, 1), r("y", 2, 1), r("x", 1)),
-         Fn("lam", r("h"), S(r("y", 3), r("x", 3), r("hp", 1, 2), r("pl", 2))),
-         Leg(Si(r("gmodi"), r("y", 1)),
-             S(S(r("Y", 2), r("U", 1, 2), r("y", 2, 2), r("x", 2),
-                 r("hp", 1, 1), r("pl", 1)), r("F", 2)))])
-    return lhs, rhs
-
-
-@_register("mumuinv", "mu(alpha beta) mui(alpha beta) = 1", custom=True)
 def _mumuinv(ctx):
     ab = ctx.pres.multiply(ctx.pres.alpha, ctx.pres.beta)
     value = ctx.mu(ab) * ctx.mu_inv(ab)
     return TensorElement(0, ctx.pres.dim, {(): value - ONE})
 
 
-@_register("cop-gamma", "gamma_cop = (Si x Si)(gamma)", custom=True)
-def _cop_gamma(ctx):
-    cop = ctx.variant_ctx("cop")
-    expected = Expression({"gm": ctx.gamma},
-                          [Leg(Si(r("gm", 1))), Leg(Si(r("gm", 2)))]).evaluate(ctx.ops)
-    return cop.gamma - expected
+REGISTRY["mumuinv"] = Identity("mumuinv", "mu(alpha beta) mui(alpha beta) = 1", (), _mumuinv)
 
 
-@_register("cop-f", "f_cop = (Si x Si)(f)", custom=True)
-def _cop_f(ctx):
-    cop = ctx.variant_ctx("cop")
-    expected = Expression({"f": ctx.f},
-                          [Leg(Si(r("f", 1))), Leg(Si(r("f", 2)))]).evaluate(ctx.ops)
-    return cop.f - expected
+def _cop_identity(name: str, letter: str, expected: str) -> None:
+    """The element ``letter`` of H^cop against its closed form in H, the
+    parsed ``expected``."""
+    formula = f"{letter}1 x {letter}2 of H^cop = {expected}"
+    cop_element = attrgetter(LETTERS[letter][0])
+
+    def residual(ctx, side: Expression) -> TensorElement:
+        return cop_element(ctx.variant_ctx("cop")) - _bind(ctx, side).evaluate(ctx.ops)
+    REGISTRY[name] = Identity(name, formula, _parse(name, formula, [expected]), residual)
 
 
-@_register("cop-pr", "(pR)_cop = pl2 x pl1", custom=True)
-def _cop_pr(ctx):
-    cop = ctx.variant_ctx("cop")
-    expected = Expression({"pl": ctx.p_l},
-                          [Leg(r("pl", 2)), Leg(r("pl", 1))]).evaluate(ctx.ops)
-    return cop.p_r - expected
-
-
-@_register("cop-qr", "(qR)_cop = ql2 x ql1", custom=True)
-def _cop_qr(ctx):
-    cop = ctx.variant_ctx("cop")
-    expected = Expression({"ql": ctx.q_l},
-                          [Leg(r("ql", 2)), Leg(r("ql", 1))]).evaluate(ctx.ops)
-    return cop.q_r - expected
+_cop_identity("cop-gamma", "gamma", "Si(gamma1) x Si(gamma2)")
+_cop_identity("cop-f", "f", "Si(f1) x Si(f2)")
+_cop_identity("cop-pr", "p", "pl2 x pl1")
+_cop_identity("cop-qr", "q", "ql2 x ql1")
 
 
 # -- running the registry -----------------------------------------------------------

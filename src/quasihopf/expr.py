@@ -35,10 +35,34 @@ any adjacent pair of ready factors may merge, in order.  Components that
 still have output legs are outer-multiplied at the end and permuted once.
 This module only plans the leg bookkeeping (which named leg sits where);
 the sparse arithmetic is done by the kernels of :mod:`multilinear`.
+
+Grammar
+-------
+:meth:`Expression.parse` reads one side of a formula in the leg notation of
+Hausser and Nill (arXiv:math/9904164) and maps it one to one onto ``Leg``,
+``Fn``, ``Op`` and ``Ref``:
+
+* legs are separated by `` x ``; ``1`` alone is an empty leg (the unit);
+* a factor is a letter, declared with its number of legs.  A letter with
+  more than one leg is followed by its component digit (``X3``); a one-leg
+  letter has none (``h``, ``t``, ``gmod^-1``).  Then ``_`` and a split path
+  of 1s and 2s may follow: ``X3_12`` is ``r("X", 3, 1, 2)`` and ``h_21``
+  is ``r("h", 1, 2, 1)``;
+* ``S( )``, ``Si( )``, ``S2( )`` and ``Si2( )`` around a product give an
+  ``Op``.  Around one factor and followed by ``_path`` they are a token of
+  that factor instead: ``S(x3)_1`` is ``r("x", 3, "S", 1)``;
+* ``eps( ) mu( ) mui( ) lam( ) Lam( )`` around a product give an ``Fn``
+  slot; the functionals of a leg come before it, in text order.  A side
+  whose only slot holds no factor is a scalar;
+* the free variables (letters declared :data:`VAR`) become sources in the
+  order of the declaration, the other letters in the order they first
+  appear.  A parsed expression is bound to tensors by
+  :meth:`Expression.bind`.
 """
 
 from __future__ import annotations
 
+import re
 from typing import Mapping, Sequence
 
 from .multilinear import (Functional, LinearOperator, Num, TensorElement, _join, _lift,
@@ -50,6 +74,20 @@ class ExpressionError(ValueError):
 
 
 VAR = "__var__"  # sentinel marking a free-variable source
+OPERATORS = ("S", "Si", "S2", "Si2")
+FUNCTIONALS = ("eps", "mu", "mui", "lam", "Lam")
+_TOKEN = re.compile(r"\w+\(|\)(?:_\w*)?|\(|[^\s()]+")
+_FACTOR = re.compile(r"([A-Za-z]+(?:\^-1)?'?)(\d*)(?:_(\w*))?")
+_UNIT = "1"
+
+
+class Unbound:
+    """A source of a parsed expression, known by its rank until bound."""
+
+    __slots__ = ("rank",)
+
+    def __init__(self, rank: int):
+        self.rank = rank
 
 
 class Ref:
@@ -170,6 +208,35 @@ class Expression:
         self.outputs = list(outputs)
         self._plans = self._validate()
 
+    @classmethod
+    def parse(cls, text: str, letters: Mapping[str, int | str]) -> "Expression":
+        """One side of a formula in the grammar of the module docstring.
+        ``letters`` maps each letter to its number of legs, or to
+        :data:`VAR` for a free variable; every other source is
+        :class:`Unbound` until :meth:`bind`."""
+        reader = _Reader(text, letters)
+        outputs = reader.side()
+        variables = [name for name in reader.used if letters[name] == VAR]
+        variables.sort(key=list(letters).index)
+        sources = dict.fromkeys(variables, VAR)
+        sources.update((name, Unbound(letters[name])) for name in reader.used
+                       if name not in sources)
+        return cls(sources, outputs)
+
+    def bind(self, tensors: Mapping[str, TensorElement]) -> "Expression":
+        """This expression with every :class:`Unbound` source replaced by
+        the tensor of the same name."""
+        bound = object.__new__(type(self))
+        bound.sources = dict(self.sources)
+        for name, src in self.sources.items():
+            if type(src) is Unbound:
+                tensor = bound.sources[name] = tensors[name]
+                if tensor.rank != src.rank:
+                    raise ExpressionError(f"{name!r} bound to a rank {tensor.rank} tensor, "
+                                          f"expected rank {src.rank}")
+        bound.outputs, bound._plans = self.outputs, self._plans
+        return bound
+
     # -- validation --------------------------------------------------------
 
     def _walk(self, items, found: list[Ref]) -> None:
@@ -200,8 +267,8 @@ class Expression:
                 node = node.setdefault(tok, {})
             if node.setdefault("__leaf__", ref) is not ref:
                 raise ExpressionError(f"component {ref.name}^{ref.comp} used twice")
-        for (name, comp), tree in plans.items():
-            _check_tree(tree, f"{name}^{comp}")
+        for node, tree in plans.items():
+            _check_tree(tree, node)
         # every component of every non-variable source must be consumed
         for name, src in self.sources.items():
             if src == VAR:
@@ -224,6 +291,8 @@ class Expression:
             if src == VAR:
                 net.add_variable(name)
                 variables.append(name)
+            elif type(src) is Unbound:
+                raise ExpressionError(f"source {name!r} is unbound")
             elif (name, 1) in self._plans:
                 net.add_source(name, src)
         slots: list[object] = []
@@ -251,6 +320,111 @@ class Expression:
         order = [("idx", name) for name in variables if name not in seen_varidx]
         order += [slot.leg if isinstance(slot, _Product) else slot for slot in slots]
         return net.finalize(order)
+
+
+class _Reader:
+    """Recursive descent over the tokens of one side (see the grammar of
+    the module docstring); ``used`` collects the letters in the order they
+    first appear."""
+
+    def __init__(self, text: str, letters: Mapping[str, int | str]):
+        self.text = text
+        self.letters = letters
+        self.tokens = _TOKEN.findall(text)[::-1]    # next token last
+        self.used: dict[str, None] = {}
+
+    def error(self, what: str, token: str) -> ExpressionError:
+        return ExpressionError(f"{what}: {token!r} in {self.text!r}")
+
+    def side(self) -> list[Output]:
+        slots = []
+        while True:
+            fns: list[Fn] = []
+            slots.append((fns, self.product(fns)))
+            if not self.tokens:
+                break
+            token = self.tokens.pop()
+            if token != "x":
+                raise self.error("unbalanced parenthesis", token)
+        outputs: list[Output] = []
+        for fns, items in slots:
+            outputs += fns
+            if _UNIT in items:
+                if len(items) > 1:
+                    raise self.error("1 must stand alone in its leg", _UNIT)
+                outputs.append(Leg())
+            elif items:
+                outputs.append(Leg(*items))
+            elif len(slots) > 1 or not fns:
+                raise self.error("empty leg next to", "x" if len(slots) > 1 else "")
+        return outputs
+
+    def product(self, fns: list[Fn] | None) -> list:
+        """Factors up to the closing parenthesis or, at the top of a leg
+        (where ``fns`` collects the functionals), up to `` x ``."""
+        items: list = []
+        tokens = self.tokens
+        stop = ")" if fns is None else "x"
+        while tokens and tokens[-1] != stop and tokens[-1][0] != ")":
+            token = tokens.pop()
+            if token[-1] == "(":
+                self.call(token, fns, items)
+            elif token == _UNIT and fns is not None:
+                items.append(_UNIT)
+            else:
+                items.append(self.factor(token))
+        return items
+
+    def call(self, token: str, fns: list[Fn] | None, items: list) -> None:
+        name = token[:-1]
+        inner = self.product(None)
+        if not self.tokens:
+            raise self.error("unbalanced parenthesis", token)
+        close = self.tokens.pop()
+        path = close[2:] if len(close) > 1 else None
+        whole = f"{token}...{close}"
+        if name in FUNCTIONALS and fns is not None and path is None:
+            fns.append(Fn(name, *inner))
+        elif name in FUNCTIONALS:
+            raise self.error("a functional takes no _path and stands at the top of a leg", whole)
+        elif name not in OPERATORS:
+            raise self.error("unknown operator or functional", token)
+        elif path is None:
+            items.append(Op(name, *inner))
+        elif len(inner) != 1 or type(inner[0]) is not Ref:
+            raise self.error("_path after an operator on more than one factor", whole)
+        else:
+            ref = inner[0]
+            items.append(Ref(ref.name, ref.comp, *ref.tokens, name, *self.path(path, whole)))
+
+    def factor(self, token: str) -> Ref:
+        match = _FACTOR.fullmatch(token)
+        if match is None:
+            raise self.error("bad token", token)
+        name, comp, path = match.groups()
+        rank = self.letters.get(name)
+        if rank is None:
+            raise self.error("unknown letter", token)
+        legs = 1 if type(rank) is str else rank        # a variable has one leg
+        if not comp:
+            if legs > 1:
+                raise self.error(f"{name} has {legs} legs and no component", token)
+            comp = 1
+        elif legs == 1:
+            raise self.error("component on a one-leg letter", token)
+        elif not 1 <= int(comp) <= legs:
+            raise self.error(f"component above the {legs} legs of {name}", token)
+        else:
+            comp = int(comp)
+        self.used[name] = None
+        if path is None:
+            return Ref(name, comp)
+        return Ref(name, comp, *self.path(path, token))
+
+    def path(self, path: str, token: str) -> tuple[int, ...]:
+        if not path or path.strip("12"):
+            raise self.error("split digit other than 1 or 2", token)
+        return tuple(map(int, path))
 
 
 class _Component:
@@ -497,20 +671,24 @@ class _Network:
         return TensorElement(len(order), self.ops.dim, _lower((nums, den, qi)), _trust=True)
 
 
-def _check_tree(tree: dict, label: str) -> None:
-    keys = [k for k in tree if k != "__leaf__"]
-    if "__leaf__" in tree and keys:
-        raise ExpressionError(f"{label}: used both split and unsplit")
-    if not keys:
+def _check_tree(tree: dict, node: tuple) -> None:
+    """``node`` is (source, component, *tokens) of ``tree``, named only in
+    an error."""
+    if len(tree) == 1 and "__leaf__" in tree:
         return
-    numeric = [k for k in keys if isinstance(k, int)]
-    named = [k for k in keys if isinstance(k, str)]
-    if numeric and named:
-        raise ExpressionError(f"{label}: mixed operator and split at one level")
-    if numeric:
-        if sorted(numeric) != [1, 2]:
-            raise ExpressionError(f"{label}: splits must use both parts 1 and 2")
-    elif len(named) != 1:
-        raise ExpressionError(f"{label}: ambiguous operators {named}")
-    for k in keys:
-        _check_tree(tree[k], f"{label}.{k}")
+    keys = [k for k in tree if k != "__leaf__"]
+    numeric = [k for k in keys if type(k) is int]
+    if "__leaf__" in tree:
+        error = "used both split and unsplit"
+    elif numeric and len(numeric) < len(keys):
+        error = "mixed operator and split at one level"
+    elif numeric and sorted(numeric) != [1, 2]:
+        error = "splits must use both parts 1 and 2"
+    elif not numeric and len(keys) != 1:
+        error = f"ambiguous operators {keys}"
+    else:
+        for k in keys:
+            _check_tree(tree[k], node + (k,))
+        return
+    label = f"{node[0]}^{node[1]}" + "".join(f".{k}" for k in node[2:])
+    raise ExpressionError(f"{label}: {error}")

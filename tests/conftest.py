@@ -158,3 +158,18 @@ def all_mutations(pres: QhaPresentation):
 
 def scalars_of(*values) -> list[Scalar]:
     return [v if isinstance(v, Scalar) else Scalar.of(v) for v in values]
+
+
+# the names of the identity registry, in sorted order; they are stable
+REGISTRY_NAMES = [
+    "app2", "app2a", "app2aa", "app2b", "app3b", "app4", "ca", "cop-f", "cop-gamma",
+    "cop-pr", "cop-qr", "elemmovedbyrightint", "f-counit", "f1", "f2a", "f2b", "f4",
+    "fdeltaDrinf", "fgab-alpha", "fgab-beta", "fgab-salpha", "firstRad-el",
+    "firstRad-fn", "foressleftintqd", "foressleftintqd2", "foressleftintqd3",
+    "formtplfversusqg", "fpformula", "fu1", "fv1", "fvfformunim", "gdf-delta",
+    "gdf-gamma", "inchileftcoint", "lamS-v", "lamSm2", "lcointsimpl", "movingelem1",
+    "mumuinv", "normdefmodelem", "peq", "pf", "pl1", "pplu", "pql", "pqla", "pqr",
+    "pqra", "pr1", "prelimpobs", "ql1", "ql1a", "ql2", "qlqr", "qqlv", "qqt-left",
+    "qqt-right", "qr1", "qr1a", "qr2", "qrpversusqtp", "qtr-el", "qtr-fn", "rint3",
+    "rint4", "rint5", "s4equivversion", "tplvspr", "tsFrobelem", "uvpql-u", "uvpql-v",
+]

@@ -4,19 +4,53 @@ from __future__ import annotations
 
 import pytest
 
-from conftest import swap_alpha_beta
+from conftest import REGISTRY_NAMES, swap_alpha_beta
+from quasihopf import canonical
 from quasihopf.canonical import (REGISTRY, InternalIdentityFailure,
                                  UnknownIdentity, canonical_elements,
                                  check_identity, evaluate_identity,
                                  identity_suite)
 from quasihopf.context import AlgebraContext, get_context
 from quasihopf.exactnum import HALF, ONE, Scalar
+from quasihopf.expr import ExpressionError
 from quasihopf.multilinear import (TensorElement, apply_on_leg, contract,
                                    mult_pointwise, tensor_product)
 
 
 def test_registry_size():
-    assert len(REGISTRY) >= 35
+    assert sorted(REGISTRY) == REGISTRY_NAMES
+
+
+@pytest.mark.parametrize("formula, token", [
+    ("k1 h = h", "k1"),                       # an unknown letter
+    ("q3 h = h", "q3"),                       # a component above the letter's rank
+    ("q h = h", "q"),                         # a multi-leg letter without its component
+    ("h_13 = h", "h_13"),                     # a split digit other than 1 or 2
+    ("S(h = h", "S("),                        # an unbalanced parenthesis
+    ("h) = h", ")"),
+    ("S(h p1)_1 x p2 = h x 1", "S(...)_1"),   # _path after an operator on two factors
+    ("h x = h", "x"),                         # an empty leg
+    ("h 1 x p1 p2 = h x 1", "1"),             # 1 next to a factor
+    ("S(mu(h)) = h", "mu(...)"),              # a functional inside a product
+    ("Sj(h) = h", "Sj("),                     # an unknown operator
+    ("(h) = h", "("),                         # a parenthesis without an operator
+])
+def test_malformed_formula_is_refused(formula, token):
+    """A malformed formula fails when it is registered, that is at import,
+    naming the identity, the formula and the offending token."""
+    with pytest.raises(ExpressionError) as err:
+        canonical._identity("malformed", formula)
+    message = str(err.value)
+    assert "malformed" in message and formula in message and repr(token) in message
+    assert "malformed" not in REGISTRY
+
+
+def test_identity_reads_only_its_letters(h8p):
+    """pqr uses p_R and q_R only: no integral, cointegral or comparison data
+    is computed for it."""
+    ctx = AlgebraContext(h8p)
+    assert evaluate_identity(ctx, "pqr").is_zero()
+    assert not {"integral_data", "cointegral_data", "comparison"} & set(ctx._memo)
 
 
 def test_gamma_via_public_ops_oracle(ctx_h2):

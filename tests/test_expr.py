@@ -7,13 +7,14 @@ from __future__ import annotations
 import pytest
 
 import quasihopf.expr as expr
-from quasihopf.canonical import REGISTRY
+from quasihopf.canonical import FORMS, REGISTRY, _bind
 from quasihopf.context import AlgebraContext, get_context
 from quasihopf.double import build_double, double_integral
-from quasihopf.expr import Expression, Fn, Hole, VarIdx
+from quasihopf.expr import VAR, Expression, Fn, Hole, Op, VarIdx
 from quasihopf.intcoint import cointegral_space
 from quasihopf.workbench import catalog_build
 from ref_evaluate import ref_evaluate
+from ref_registry import REF, REF_FORMS
 
 KERNELS = ("_join", "_merge", "_map_leg", "_outer")
 
@@ -38,6 +39,35 @@ def test_planned_evaluation_matches_reference_on_registry(name, d2):
             assert planned == ref_evaluate(side, ctx.ops, None, fns), ident_name
             compared += 1
     assert compared == 2 * sum(not ident.custom for ident in REGISTRY.values())
+
+
+def _spelled(outputs) -> list:
+    """Outputs as nested tuples of their kinds, names and reprs."""
+    def items(seq):
+        return tuple((item.opname, items(item.items)) if type(item) is Op else repr(item)
+                     for item in seq)
+    return [(type(out).__name__, getattr(out, "functional", None), items(out.items))
+            for out in outputs]
+
+
+def test_parse_reads_the_grammar():
+    """Each construct of the grammar maps onto its part of an Expression;
+    the variables come first, in declaration order, then the letters in
+    the order they first appear."""
+    letters = {"h": VAR, "h'": VAR, "X": 3, "x": 3, "t": 1}
+    side = Expression.parse("mu(h') X1 S(x3)_1 x x1 Si(X3_11 h_21) x X2 x2 S(x3)_2 X3_12 h_22 "
+                            "x t S2(X3_2 h_1) x 1", letters)
+    assert list(side.sources) == ["h", "h'", "X", "x", "t"]
+    assert _spelled(side.outputs) == [
+        ("Fn", "mu", ("r(\"h'\",1)",)),
+        ("Leg", None, ("r('X',1)", "r('x',3,S,1)")),
+        ("Leg", None, ("r('x',1)", ("Si", ("r('X',3,1,1)", "r('h',1,2,1)")))),
+        ("Leg", None, ("r('X',2)", "r('x',2)", "r('x',3,S,2)", "r('X',3,1,2)",
+                       "r('h',1,2,2)")),
+        ("Leg", None, ("r('t',1)", ("S2", ("r('X',3,2)", "r('h',1,1)")))),
+        ("Leg", None, ())]
+    assert _spelled(Expression.parse("lam(h) mu(h')", letters).outputs) == [
+        ("Fn", "lam", ("r('h',1)",)), ("Fn", "mu", ("r(\"h'\",1)",))]
 
 
 @pytest.fixture
@@ -104,3 +134,30 @@ def test_peak_support_on_double(d2, name, peak_support):
         results.append(side.evaluate(ctx.ops, fns))
         assert 0 < peak_support[0] <= 65_536
     assert results[0] == results[1]
+
+
+@pytest.mark.parametrize("name", ["H2", "H8+", "H8-", "kZ2-hopf", "D(H2)"])
+def test_parsed_sides_match_hand_built_reference(name, d2, peak_support):
+    """Every side parsed from a formula, of a non-custom identity or of a
+    closed form of a canonical element, evaluates to the same tensor as the
+    side written out by hand in ``ref_registry``; on H8+ and D(H2) its peak
+    kernel support is no larger."""
+    ctx = _context(name, d2)
+    fns = ctx.lazy_functionals()
+    pairs = [(f"{form}[{i}]", _bind(ctx, parsed), ref)
+             for form, build in REF_FORMS.items()
+             for i, (parsed, ref) in enumerate(zip(FORMS[form], build(ctx), strict=True))]
+    pairs += [(f"{ident}[{i}]", parsed, ref)
+              for ident, build in sorted(REF.items())
+              for i, (parsed, ref) in enumerate(zip(REGISTRY[ident].build(ctx), build(ctx),
+                                                    strict=True))]
+    assert len(pairs) == 12 + 2 * sum(not ident.custom for ident in REGISTRY.values())
+    for label, parsed, ref in pairs:        # the operands are built, so peaks are the sides'
+        results, peaks = [], []
+        for side in (parsed, ref):
+            peak_support[0] = 0
+            results.append(side.evaluate(ctx.ops, fns))
+            peaks.append(peak_support[0])
+        assert results[0] == results[1], label
+        if name in ("H8+", "D(H2)"):
+            assert peaks[0] <= peaks[1], (label, peaks)

@@ -367,10 +367,13 @@ def test_cli_all_suites_many_rows(capsys):
 
 
 def test_cli_identities_listing(capsys):
+    """The listing prints, for every identity, the formula it is parsed from."""
+    from conftest import REGISTRY_NAMES
     assert cli_main(["identities", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
-    assert len(payload) >= 35
-    assert "qqlv" in payload and "rint4" in payload
+    assert sorted(payload) == REGISTRY_NAMES
+    assert payload == {name: ident.formula for name, ident in canonical.REGISTRY.items()}
+    assert not any("..." in formula or "twist form" in formula for formula in payload.values())
 
 
 def test_cli_single_identity(capsys):
@@ -379,6 +382,13 @@ def test_cli_single_identity(capsys):
     payload = json.loads(capsys.readouterr().out)
     names = {row["name"] for row in payload["rows"]}
     assert names == {"identity:rint4", "identity:pqr"}
+
+
+def test_cli_identity_alias_expands(capsys):
+    assert cli_main(["verify", "catalog:H8+", "--identity", "fgab", "--format", "json"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    names = {row["name"] for row in payload["rows"]}
+    assert names == {"identity:fgab-beta", "identity:fgab-alpha", "identity:fgab-salpha"}
 
 
 def test_cli_unknown_identity(capsys):
