@@ -82,18 +82,42 @@ LETTERS: dict[str, tuple[str, int]] = {
 _RANKS = {"h": VAR, "h'": VAR, **{letter: rank for letter, (_, rank) in LETTERS.items()}}
 
 
-def _parse(name: str, formula: str, sides: Sequence[str]) -> tuple[Expression, ...]:
+def _parse(name: str, formula: str, sides: Sequence[str],
+           letters: dict[str, int | str] = _RANKS) -> tuple[Expression, ...]:
     try:
-        return tuple(Expression.parse(side, _RANKS) for side in sides)
+        return tuple(Expression.parse(side, letters) for side in sides)
     except ExpressionError as err:
         raise ExpressionError(f"{name} {formula!r}: {err}") from None
 
 
-def _bind(ctx, side: Expression) -> Expression:
-    """``side`` with each letter it uses bound to its context attribute;
-    no other attribute is read."""
-    return side.bind({name: attrgetter(LETTERS[name][0])(ctx)
+def parse(formula: str, **extra: int | str) -> tuple[Expression, ...]:
+    """The sides of ``formula``, split at `` = ``, in the letters of
+    :data:`LETTERS`, the variables h and h', and ``extra``: the letters of
+    this formula alone, each with its number of legs or :data:`VAR`.  An
+    extra letter replaces a letter of the table, and the extra variables
+    come first among the index legs, in the order given."""
+    letters = {**extra, **{name: rank for name, rank in _RANKS.items() if name not in extra}}
+    return _parse("formula", formula, formula.split(" = "), letters)
+
+
+def _bind(ctx, side: Expression, **tensors: TensorElement) -> Expression:
+    """``side`` with each letter it uses bound to ``tensors`` or else to its
+    context attribute; no other attribute is read."""
+    return side.bind({name: tensors[name] if name in tensors
+                      else attrgetter(LETTERS[name][0])(ctx)
                       for name, src in side.sources.items() if src != VAR})
+
+
+def _bind_all(ctx, sides: Sequence[Expression], **tensors: TensorElement
+              ) -> tuple[Expression, ...]:
+    return tuple(_bind(ctx, side, **tensors) for side in sides)
+
+
+def _value(ctx, sides: Sequence[Expression], **tensors: TensorElement) -> TensorElement:
+    """The one side of a parsed formula, bound and evaluated with the
+    functionals of ``ctx``."""
+    (side,) = sides
+    return _bind(ctx, side, **tensors).evaluate(ctx.ops, ctx.lazy_functionals())
 
 
 # -- constructors ----------------------------------------------------------------

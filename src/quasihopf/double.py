@@ -6,6 +6,12 @@ D(H) lives on the dual space tensor H; basis index (i, j) -> i*dim + j
 with the dual index major.  The multiplication is driven by a rank-5
 element contracted against both functional legs; the table is materialized
 eagerly because every solver downstream consumes it.
+
+Every expression is a formula in the grammar of :mod:`expr`, parsed when
+this module is imported (:data:`FORMS`), in the letters of
+``canonical.LETTERS`` and the few declared beside their formula.  A table
+over basis pairs has a variable for each basis index it runs over; its
+index legs come first, in the order the variables are declared.
 """
 
 from __future__ import annotations
@@ -16,7 +22,8 @@ from itertools import product
 from . import canonical, intcoint
 from .context import AlgebraContext, get_context
 from .exactnum import Scalar, ZERO
-from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
+from .canonical import _value, parse
+from .expr import VAR, Expression
 from .multilinear import (Functional, LinearOperator, TensorElement, embed_legs,
                           invert_operator, mult_pointwise, multiplication_operator,
                           row_rank)
@@ -36,19 +43,35 @@ class DoublePresentation:
     embedding: tuple[TensorElement, ...]  # image of each base basis vector
 
 
+FORMS: dict[str, tuple[Expression, ...]] = {
+    "omega": parse("X1_11 y1 x1 x X1_12 y2 x2_1 x X1_2 y3 x2_2 x Si(f1 X2 x3) x Si(f2 X3)"),
+    # the multiplication over omega: legs (central basis element j,
+    # result-functional m, result element o, phi-slot a, psi-slot b)
+    "mult": parse("Om3 h_12 x Om5 h'_1 Om1 x Si(h_2) Om4 h'_2 Om2 h_11", Om=5),
+    # the coproduct, with the functional slots of the result left open (w
+    # for the first factor, z for the second): legs (j, w, z, u, c, e, a)
+    "coproduct": parse("X1 Y1 x p1_2 x2 h_1 x X2_2 Y3 x3 h_2 "
+                       "x Si(X3) z X2_1 Y2 Si(p2) w p1_1 x1", h=VAR, w=VAR, z=VAR),
+    # the antipode and its closed-form inverse: legs (j, m, u, c, a)
+    "antipode": parse("S(h) f1 x p1_2 U2 x Si(f2 Si(p2) h' p1_1 U1)"),
+    "antipode^-1": parse("Si(f2 h) x p1_2 Si(q1 g1) x S(Si(p2 f1) h' p1_1 Si(q2 g2))"),
+    "integral": parse("mui(delta2) lam(h delta1)"),
+    "left-cointegral": parse("mu(pl1) mui(f1) lam(Si(f2) h S(pl2))"),
+    "modular": parse("mu(g1_1) mui(g2) g1_2 Si2(gmod^-1)"),
+    # (Si(ql2 g2) <- mui) = mui(Si(ql2 g2)_1) Si(ql2 g2)_2, and the split of
+    # the product expands through Si being an anti-morphism:
+    # Si(ql2 g2) = Si(g2) Si(ql2)
+    "modular-second": parse("mu(ql1 g1) mui(pl1) mui(Si(g2)_1 Si(ql2)_1) Si(g2)_2 Si(ql2)_2 pl2"),
+    "unimodular-conjecture": parse("mui(delta2) delta1"),
+}
+
+
 def _didx(n: int, i: int, j: int) -> int:
     return i * n + j
 
 
 def build_omega(ctx: AlgebraContext) -> TensorElement:
-    pres = ctx.pres
-    return Expression(
-        {"X": pres.phi, "y": pres.phi_inv, "x": pres.phi_inv, "f": ctx.f},
-        [Leg(r("X", 1, 1, 1), r("y", 1), r("x", 1)),
-         Leg(r("X", 1, 1, 2), r("y", 2), r("x", 2, 1)),
-         Leg(r("X", 1, 2), r("y", 3), r("x", 2, 2)),
-         Leg(Si(r("f", 1), r("X", 2), r("x", 3))),
-         Leg(Si(r("f", 2), r("X", 3)))]).evaluate(ctx.ops)
+    return _value(ctx, FORMS["omega"])
 
 
 def _double_element(n: int, func_coords, elem: TensorElement) -> TensorElement:
@@ -68,19 +91,11 @@ def build_double(H: QhaPresentation) -> DoublePresentation:
     nd = n * n
     omega = build_omega(ctx)
 
-    # multiplication: one evaluation, with the central element h on an index
-    # leg, gives the coefficient table over (central basis element j, result
-    # element, phi-slot, psi-slot, argument)
-    mult_table = Expression(
-        {"h": VAR, "Om": omega, "xx": VAR},
-        [VarIdx("h"),
-         Leg(r("Om", 3), r("h", 1, 1, 2)),
-         Hole(r("Om", 5), r("xx", 1, 1), r("Om", 1)),
-         Hole(Si(r("h", 1, 2)), r("Om", 4), r("xx", 1, 2), r("Om", 2), r("h", 1, 1, 1)),
-         VarIdx("xx")]).evaluate(ctx.ops)
-    # legs: (j, out o, phi-arg a, psi-arg b, result-functional m)
+    # multiplication: one evaluation, with the central element h and the
+    # result functional on index legs, gives the coefficient table
+    mult_table = _value(ctx, FORMS["mult"], Om=omega)
     dmult = make_mult(nd, [(_didx(n, a, j), _didx(n, b, l), _didx(n, m, k), s * c)
-                           for (j, o, a, b, m), s in mult_table.entries.items()
+                           for (j, m, o, a, b), s in mult_table.entries.items()
                            for l in range(n) for k, c in H.mult.get((o, l), ())])
 
     unit_d = _double_element(n, H.counit.coords, H.unit)
@@ -97,33 +112,15 @@ def build_double(H: QhaPresentation) -> DoublePresentation:
     # column k of left[u] is embed(e_u) times the k-th basis element of the double
     left = [multiplication_operator(dmult, emb, "left").columns for emb in embedding]
 
-    # coproduct: one evaluation covering all basis pairs, with the two
-    # functional slots of the result left open (w for the first factor, z
-    # for the second)
-    cop_table = Expression(
-        {"h": VAR, "X": H.phi, "Y": H.phi, "x": H.phi_inv, "p": ctx.p_r,
-         "w": VAR, "z": VAR},
-        [VarIdx("h"),
-         Leg(r("X", 1), r("Y", 1)),                                  # u
-         Leg(r("p", 1, 2), r("x", 2), r("h", 1, 1)),                 # c
-         Leg(r("X", 2, 2), r("Y", 3), r("x", 3), r("h", 1, 2)),      # e
-         Hole(Si(r("X", 3)), r("z", 1), r("X", 2, 1),
-              r("Y", 2), Si(r("p", 2)), r("w", 1), r("p", 1, 1), r("x", 1)),
-         VarIdx("w"), VarIdx("z")]).evaluate(ctx.ops)
-    # legs: (j, u, c, e, hole a, w, z)
+    # coproduct: one evaluation covering all basis pairs
+    cop_table = _value(ctx, FORMS["coproduct"])
     coproduct_d = _scatter(nd, ((_didx(n, a, j), s, left[u][_didx(n, w, c)], (_didx(n, z, e),))
-                                for (j, u, c, e, a, w, z), s in cop_table.entries.items()), 2)
+                                for (j, w, z, u, c, e, a), s in cop_table.entries.items()), 2)
 
     # antipode: one evaluation covering all basis pairs
-    s_expr = Expression(
-        {"h": VAR, "f": ctx.f, "p": ctx.p_r, "U": ctx.u_cap, "xx": VAR},
-        [Leg(S(r("h")), r("f", 1)),                                  # u
-         Leg(r("p", 1, 2), r("U", 2)),                               # c
-         Hole(Si(r("f", 2), Si(r("p", 2)), r("xx", 1), r("p", 1, 1), r("U", 1))),
-         VarIdx("xx")])
-    # legs: (h, u, c, hole a, m)
     antipode_d = _scatter(nd, ((_didx(n, a, j), s, left[u][_didx(n, m, c)], ())
-                               for (j, u, c, a, m), s in s_expr.evaluate(ctx.ops).entries.items()))
+                               for (j, m, u, c, a), s in
+                               _value(ctx, FORMS["antipode"]).entries.items()))
 
     labels = tuple(f"P_{H.basis[i]}><{H.basis[j]}" for i in range(n) for j in range(n))
     pres_d = QhaPresentation(
@@ -166,18 +163,11 @@ def double_antipode_inverse(D: DoublePresentation) -> LinearOperator:
     against the exact matrix inverse by ``double_report``."""
     base = get_context(D.base)
     n = D.base.dim
-    table = Expression(
-        {"h": VAR, "f": base.f, "p": base.p_r, "q": base.q_r, "g": base.f_inv,
-         "xx": VAR},
-        [Leg(Si(r("f", 2), r("h", 1))),                             # u
-         Leg(r("p", 1, 2), Si(r("q", 1), r("g", 1))),               # c
-         Hole(S(Si(r("p", 2), r("f", 1)), r("xx", 1), r("p", 1, 1),
-                Si(r("q", 2), r("g", 2)))),
-         VarIdx("xx")]).evaluate(base.ops)
+    table = _value(base, FORMS["antipode^-1"])
     left = [multiplication_operator(D.presentation.mult, emb, "left").columns
             for emb in D.embedding]
     return _scatter(n * n, ((_didx(n, a, j), s, left[u][_didx(n, m, c)], ())
-                            for (j, u, c, a, m), s in table.entries.items()))
+                            for (j, m, u, c, a), s in table.entries.items()))
 
 
 # -- integrals, cointegrals, modular data of the double -----------------------------
@@ -188,11 +178,7 @@ def double_integral(D: DoublePresentation) -> TensorElement:
     base = get_context(D.base)
     H = D.base
     n = H.dim
-    coords_t = Expression({"ea": VAR, "dl": base.delta_el},
-                          [VarIdx("ea"),
-                           Fn("mui", r("dl", 2)),
-                           Fn("lam", r("ea", 1), r("dl", 1))]).evaluate(
-                              base.ops, base.lazy_functionals())
+    coords_t = _value(base, FORMS["integral"])
     t_func = [coords_t.coeff(a) for a in range(n)]
     return _double_element(n, t_func, base.r)
 
@@ -202,11 +188,7 @@ def double_left_cointegral(D: DoublePresentation) -> Functional:
     base = get_context(D.base)
     H = D.base
     n = H.dim
-    lam_prime = Expression({"h": VAR, "pl": base.p_l, "f": base.f},
-                           [VarIdx("h"),
-                            Fn("mu", r("pl", 1)), Fn("mui", r("f", 1)),
-                            Fn("lam", Si(r("f", 2)), r("h", 1), S(r("pl", 2)))]
-                           ).evaluate(base.ops, base.lazy_functionals())
+    lam_prime = _value(base, FORMS["left-cointegral"])
     r_coords = base.r.coords()
     return Functional([r_coords[i] * lam_prime.coeff(j)
                        for i in range(n) for j in range(n)])
@@ -230,25 +212,12 @@ def double_modular(D: DoublePresentation) -> tuple[TensorElement, TensorElement]
     s_d_inv = double_antipode_inverse(D)
 
     # first form: mu(g1_1) mui(g2) SDi( mu |><| g1_2 S^-2(gmod^-1) )
-    inner = Expression({"g": base.f_inv, "gi": base.g_mod_inv},
-                       [Fn("mu", r("g", 1, 1)), Fn("mui", r("g", 2)),
-                        Leg(r("g", 1, 2), op("Si2", r("gi")))]).evaluate(
-                           base.ops, base.lazy_functionals())
-    first = s_d_inv.apply(_double_element(n, base.mu.coords, inner))
+    first = s_d_inv.apply(_double_element(n, base.mu.coords, _value(base, FORMS["modular"])))
 
     # second form: mu(ql1 g1) mui(pl1)
-    #   (eps |><| S^-3(gmod^-1)) (mui |><| (Si(ql2 g2) <- mui) pl2).
-    # (Si(ql2 g2) <- mui) = mui(Si(ql2 g2)_1) Si(ql2 g2)_2, and the split of
-    # the product expands through Si being an anti-morphism:
-    # Si(ql2 g2) = Si(g2) Si(ql2).
+    #   (eps |><| S^-3(gmod^-1)) (mui |><| (Si(ql2 g2) <- mui) pl2)
     si3 = base.ops.operators["Si"].compose(base.ops.operators["Si2"])
-    second_elem = Expression(
-        {"ql": base.q_l, "g": base.f_inv, "pl": base.p_l},
-        [Fn("mu", r("ql", 1), r("g", 1)),
-         Fn("mui", r("pl", 1)),
-         Fn("mui", r("g", 2, "Si", 1), r("ql", 2, "Si", 1)),
-         Leg(r("g", 2, "Si", 2), r("ql", 2, "Si", 2), r("pl", 2))]).evaluate(
-            base.ops, base.lazy_functionals())
+    second_elem = _value(base, FORMS["modular-second"])
     lhs_factor = _double_element(n, H.counit.coords,
                                  si3.apply(base.g_mod_inv))
     rhs_factor = _double_element(n, base.mu_inv.coords, second_elem)
@@ -370,9 +339,7 @@ def double_report(D: DoublePresentation) -> VerificationReport:
     report.add(f"double:epsD(T)={eps_of_t}",
                (not eps_of_t.is_zero()) == is_double_semisimple(D))
     if intcoint.is_unimodular(base):
-        delta_pair = Expression({"dl": base.delta_el},
-                                [Fn("mui", r("dl", 2)), Leg(r("dl", 1))]).evaluate(
-                                    base.ops, base.lazy_functionals())
+        delta_pair = _value(base, FORMS["unimodular-conjecture"])
         report.check_zero("double:unimodular-conjecture", delta_pair - H.beta)
 
     # cointegrals of the double

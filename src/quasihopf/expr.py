@@ -14,11 +14,12 @@ coproduct-part selection, or wraps a whole sub-product in a unary operator.
 Output slot kinds:
 
 * ``Leg`` - the product becomes one leg of the resulting tensor;
-* ``Fn`` - the product is contracted against a known functional;
-* ``Hole`` - the product becomes a leg indexed by the argument of an
-  unknown functional (used to assemble linear systems and multiplication
-  tables in one pass);
-* ``VarIdx`` - places the index leg of a variable among the output legs.
+* ``Fn`` - the product is contracted against a known functional.
+
+The result's legs are the index legs first, in the declaration order of the
+variables, then one leg per ``Leg`` slot, in slot order.  The argument leg
+of an unknown functional (a "hole", used to assemble linear systems and
+multiplication tables in one pass) is an ordinary leg.
 
 Evaluation contracts the expression as a tensor network.  Every source
 (and every variable, as the identity tensor on its index leg) is a
@@ -46,11 +47,11 @@ Hausser and Nill (arXiv:math/9904164) and maps it one to one onto ``Leg``,
 * a factor is a letter, declared with its number of legs.  A letter with
   more than one leg is followed by its component digit (``X3``); a one-leg
   letter has none (``h``, ``t``, ``gmod^-1``).  Then ``_`` and a split path
-  of 1s and 2s may follow: ``X3_12`` is ``r("X", 3, 1, 2)`` and ``h_21``
-  is ``r("h", 1, 2, 1)``;
+  of 1s and 2s may follow: ``X3_12`` is ``Ref("X", 3, 1, 2)`` and ``h_21``
+  is ``Ref("h", 1, 2, 1)``;
 * ``S( )``, ``Si( )``, ``S2( )`` and ``Si2( )`` around a product give an
   ``Op``.  Around one factor and followed by ``_path`` they are a token of
-  that factor instead: ``S(x3)_1`` is ``r("x", 3, "S", 1)``;
+  that factor instead: ``S(x3)_1`` is ``Ref("x", 3, "S", 1)``;
 * ``eps( ) mu( ) mui( ) lam( ) Lam( )`` around a product give an ``Fn``
   slot; the functionals of a leg come before it, in text order.  A side
   whose only slot holds no factor is a scalar;
@@ -120,22 +121,6 @@ class Op:
         return f"{self.opname}({', '.join(map(repr, self.items))})"
 
 
-def r(name: str, comp: int = 1, *tokens: int | str) -> Ref:
-    return Ref(name, comp, *tokens)
-
-
-def S(*items: Ref | Op) -> Op:
-    return Op("S", *items)
-
-
-def Si(*items: Ref | Op) -> Op:
-    return Op("Si", *items)
-
-
-def op(name: str, *items: Ref | Op) -> Op:
-    return Op(name, *items)
-
-
 class Leg:
     __slots__ = ("items",)
 
@@ -151,21 +136,7 @@ class Fn:
         self.items = items
 
 
-class Hole:
-    __slots__ = ("items",)
-
-    def __init__(self, *items: Ref | Op):
-        self.items = items
-
-
-class VarIdx:
-    __slots__ = ("name",)
-
-    def __init__(self, name: str):
-        self.name = name
-
-
-Output = Leg | Fn | Hole | VarIdx
+Output = Leg | Fn
 
 
 class AlgebraOps:
@@ -184,22 +155,13 @@ class AlgebraOps:
         self.operators = dict(operators or {})
         self.functionals = dict(functionals or {})
 
-    def with_extra(self, operators: Mapping[str, LinearOperator] = (),
-                   functionals: Mapping[str, Functional] = ()) -> "AlgebraOps":
-        ops = dict(self.operators)
-        ops.update(operators)
-        fns = dict(self.functionals)
-        fns.update(functionals)
-        return AlgebraOps(self.dim, self.mult, self.unit, self.coproduct, ops, fns)
-
 
 class Expression:
     """One tensor formula, transcribed leg by leg.
 
     ``sources`` maps names to tensors or to :data:`VAR` for free variables.
-    Every variable contributes an index leg that runs over the basis;
-    declare where it lands with :class:`VarIdx` (or omit it to have it
-    prepended in variable declaration order).
+    Every variable contributes an index leg that runs over the basis; the
+    index legs come first, in the order the variables are declared.
     """
 
     def __init__(self, sources: Mapping[str, TensorElement | str],
@@ -250,14 +212,8 @@ class Expression:
 
     def _validate(self) -> dict[tuple[str, int], dict]:
         refs: list[Ref] = []
-        declared_varidx = set()
         for out in self.outputs:
-            if isinstance(out, VarIdx):
-                if out.name not in self.sources or self.sources[out.name] != VAR:
-                    raise ExpressionError(f"VarIdx({out.name!r}) is not a variable")
-                declared_varidx.add(out.name)
-            else:
-                self._walk(out.items, refs)
+            self._walk(out.items, refs)
         plans: dict[tuple[str, int], dict] = {}
         for ref in refs:
             if ref.name not in self.sources:
@@ -266,13 +222,13 @@ class Expression:
             for tok in ref.tokens:
                 node = node.setdefault(tok, {})
             if node.setdefault("__leaf__", ref) is not ref:
-                raise ExpressionError(f"component {ref.name}^{ref.comp} used twice")
+                raise ExpressionError(f"{_label((ref.name, ref.comp, *ref.tokens))}: used twice")
         for node, tree in plans.items():
             _check_tree(tree, node)
         # every component of every non-variable source must be consumed
         for name, src in self.sources.items():
             if src == VAR:
-                if not any((name, c) in plans for c in (1,)):
+                if (name, 1) not in plans:
                     raise ExpressionError(f"variable {name!r} never used")
                 continue
             for comp in range(1, src.rank + 1):
@@ -286,22 +242,16 @@ class Expression:
                  functionals: Mapping[str, Functional] | None = None,
                  ) -> TensorElement:
         net = _Network(self, ops)
-        variables = []
+        legs: list[object] = []         # the index legs, then one per Leg slot
         for name, src in self.sources.items():
             if src == VAR:
                 net.add_variable(name)
-                variables.append(name)
+                legs.append(("idx", name))
             elif type(src) is Unbound:
                 raise ExpressionError(f"source {name!r} is unbound")
             elif (name, 1) in self._plans:
                 net.add_source(name, src)
-        slots: list[object] = []
-        seen_varidx: set[str] = set()
         for out in self.outputs:
-            if isinstance(out, VarIdx):
-                slots.append(("idx", out.name))
-                seen_varidx.add(out.name)
-                continue
             functional = None
             if isinstance(out, Fn):
                 if functionals is not None:
@@ -311,15 +261,10 @@ class Expression:
                 if functional is None:
                     raise ExpressionError(f"unknown functional {out.functional!r}")
             product = net.product(out.items, None, functional)
-            if functional is None:      # Leg or Hole
-                slots.append(product)
+            if functional is None:
+                legs.append(product)
         net.contract()
-        # Implicit index legs for variables without an explicit VarIdx,
-        # prepended in source declaration order so both sides of an identity
-        # agree on the layout.
-        order = [("idx", name) for name in variables if name not in seen_varidx]
-        order += [slot.leg if isinstance(slot, _Product) else slot for slot in slots]
-        return net.finalize(order)
+        return net.finalize([leg.leg if isinstance(leg, _Product) else leg for leg in legs])
 
 
 class _Reader:
@@ -690,5 +635,9 @@ def _check_tree(tree: dict, node: tuple) -> None:
         for k in keys:
             _check_tree(tree[k], node + (k,))
         return
-    label = f"{node[0]}^{node[1]}" + "".join(f".{k}" for k in node[2:])
-    raise ExpressionError(f"{label}: {error}")
+    raise ExpressionError(f"{_label(node)}: {error}")
+
+
+def _label(node: tuple) -> str:
+    """(source, component, *tokens) as ``source^component.token...``."""
+    return f"{node[0]}^{node[1]}" + "".join(f".{k}" for k in node[2:])

@@ -10,6 +10,13 @@ gives a table whose first leg is h's index, and ``columns_of`` splits it
 into one (functional-argument, output-leg) table per basis element, in
 basis order.  The rows of those tables, read sparsely with ``columns_of``
 again, go straight to ``multilinear.solve_constraints``.
+
+Every expression is a formula in the grammar of :mod:`expr`, parsed when
+this module is imported (:data:`FORMS`).  The letters are those of
+``canonical.LETTERS``; the few others (pre-merged pairs, constants) are
+declared with their number of legs beside the formula that uses them.  The
+argument leg of an unknown functional, the "hole" of a linear system, is
+an ordinary leg.
 """
 
 from __future__ import annotations
@@ -17,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .canonical import _ctx_of, evaluate_identity
+from .canonical import _bind, _bind_all, _ctx_of, _value, evaluate_identity, parse
 from .exactnum import ONE, Scalar
-from .expr import VAR, Expression, Fn, Hole, Leg, S, Si, VarIdx, op, r
+from .expr import VAR, Expression
 from .multilinear import (Functional, LinearOperator, SingularOperator, TensorElement,
                           apply_on_leg, columns_of, contract, invert_operator,
                           multiplication_operator, permute_legs, solve_constraints)
@@ -74,6 +81,64 @@ class FrobeniusSystem:
     e: TensorElement
     nakayama: LinearOperator
     nakayama_inv: LinearOperator
+
+
+# -- the formulas ----------------------------------------------------------------
+
+FORMS: dict[str, tuple[Expression, ...]] = {
+    # the coinvariance relation of a left cointegral, with its hole leg
+    "left-coint": parse("V2 h_2 U2 x V1 h_1 U1 = mu(x1) h S(x2) x x3"),
+    # the direct relation of a right cointegral over the pre-merged pairs
+    # A = S(pl2) f1 x S(pl1) f2 and B = Si(ql2 g2) x Si(ql1 g1)
+    "right-coint": parse("A1 h_1 B1 x A2 h_2 B2 = mu(X3) h Si(X2) x X1", A=2, B=2),
+    "pair-A": parse("S(pl2) f1 x S(pl1) f2"),
+    "pair-B": parse("Si(ql2 g2) x Si(ql1 g1)"),
+    # the right coaction over the pre-merged pairs C and D
+    "rho": parse("C1 h_2 D1 x C2 h_1 D2", C=2, D=2),
+    "pair-C": parse("Si(f1 p1) x Si(f2 p2)"),
+    "pair-D": parse("g2 S(q1) x g1 S(q2)"),
+    # the modular element and its inverse, from lambda
+    "gmod": parse("lam(Si(q2 t_2 p2)) Si(q1 t_1 p1)"),
+    "gmod^-1": parse("lam(q1 t_1 p1) S(q2 t_2 p2)"),
+    # the comparison elements, before their scalars
+    "u": parse("mu(V1) S2(V2)"),
+    "u^-1": parse("mui(q1_2 g2 S(q2)) S(q1_1 g1)"),
+    "v": parse("mu(S(p2) f1) S(p1) f2"),
+    "v^-1": parse("mu(beta q2 g1 S(q1_2)) g2 S(q1_1)"),
+    "d": parse("mui(pl1) Si2(pl2)"),
+    # the Frobenius elements e; d is the comparison element mui(pl1) Si2(pl2)
+    "e-left": parse("q1 t_1 p1 x S(q2 t_2 p2)"),
+    "e-cop": parse("ql1 t_1 pl1 x S(ql2 t_2 pl2)"),
+    "e-op": parse("Si(q2 r_2 p2) d x q1 r_1 p1", d=1),
+    # the Nakayama automorphism and its inverse, mu(C(h)_2) Si(C(h)_1) with
+    # C(h) = Si(u h u^-1) = Si(u^-1) Si(h) Si(u)
+    "nakayama": parse("mu(h_1) S2(h_2)"),
+    "nakayama^-1": parse("mu(Si(u^-1)_2 Si(h)_2 Si(u)_2) Si(Si(u^-1)_1 Si(h)_1 Si(u)_1)"),
+    # the antipode images of t and r, before their scalars
+    "S(t)": parse("mu(q2 t_2 p2) q1 t_1 p1"),
+    "S(r)": parse("mui(q2 r_2 p2) q1 r_1 p1"),
+    # the fourth-power relation, S^4 = S2(S2( )); A, B, C, D are the
+    # constant factors of its right side
+    "f-mu": parse("mu(f1) f2"),
+    "reading-b": parse("mui(g1) g2"),
+    "S4": parse("mu(h_1) mui(h_22) S2(S2(h_21))"),
+    "S4-rhs": parse("A B h C D", A=1, B=1, C=1, D=1),
+    # the single-condition characterizations of cointegrals.  The right-hand
+    # ones are the left ones transported through the coopposite algebra,
+    # which turns the beta-scalars into mui(beta) and Si(beta); checked
+    # exactly on every built-in example.
+    "left-ii": parse("q2 t_2 p2 x q1 t_1 p1 = mu(beta) t x 1"),
+    "left-iii": parse("t_2 p2 x t_1 p1 = mu(beta) t x beta'"),
+    "left-iv": parse("h t_2 p2 x t_1 p1 = mu(beta) t x beta' S(h)"),
+    "right-i": parse("ql1 t_1 pl1 x ql2 t_2 pl2 = mui(beta) t x 1"),
+    "right-ii": parse("t_1 pl1 x t_2 pl2 = mui(beta) t x Si(beta')"),
+    "right-iii": parse("h t_1 pl1 x t_2 pl2 = mui(beta) t x Si(h beta')"),
+    "unimodular-shortcut": parse("lam(t_2) t_1 = lam(t) beta alpha"),
+    # the Frobenius isomorphism, with the dual-basis coordinate as its hole
+    "xi": parse("S(q2 t_2 p2) x q1 t_1 p1"),
+    "S_mu": parse("mu(S(h)_1) S(h)_2"),
+}
+CONDITIONS = ("left-ii", "left-iii", "left-iv", "right-i", "right-ii", "right-iii")
 
 
 # -- integrals -------------------------------------------------------------------
@@ -133,44 +198,21 @@ def is_unimodular(ctx) -> bool:
 
 
 def _left_coint_system(ctx):
-    """The coinvariance relation as hole expressions over the free variable
-    h: each side evaluates to an (h, functional-argument, output-leg)
-    table."""
-    pres = ctx.pres
-    lhs = Expression({"h": VAR, "V": ctx.v_cap, "U": ctx.u_cap},
-                     [Hole(r("V", 2), r("h", 1, 2), r("U", 2)),
-                      Leg(r("V", 1), r("h", 1, 1), r("U", 1))])
-    rhs = Expression({"h": VAR, "x": pres.phi_inv},
-                     [Fn("mu", r("x", 1)),
-                      Hole(r("h"), S(r("x", 2))),
-                      Leg(r("x", 3))])
-    return lhs, rhs
+    """The coinvariance relation with a hole leg over the free variable h:
+    each side evaluates to an (h, functional-argument, output-leg) table."""
+    return _bind_all(ctx, FORMS["left-coint"])
 
 
 def _rc_pairs(ctx) -> tuple[TensorElement, TensorElement]:
-    """The constant two-leg combinations S(pl2) f1 x S(pl1) f2 and
-    Si(ql2 g2) x Si(ql1 g1), pre-merged so the per-basis-h system stays
-    small on large algebras."""
-    left = Expression({"pl": ctx.p_l, "f": ctx.f},
-                      [Leg(S(r("pl", 2)), r("f", 1)),
-                       Leg(S(r("pl", 1)), r("f", 2))]).evaluate(ctx.ops)
-    right = Expression({"ql": ctx.q_l, "g": ctx.f_inv},
-                       [Leg(Si(r("ql", 2), r("g", 2))),
-                        Leg(Si(r("ql", 1), r("g", 1)))]).evaluate(ctx.ops)
-    return left, right
+    """The constant two-leg combinations A and B of the right cointegral
+    relation, pre-merged so the per-basis-h system stays small on large
+    algebras."""
+    return _value(ctx, FORMS["pair-A"]), _value(ctx, FORMS["pair-B"])
 
 
 def _right_coint_direct_system(ctx):
-    pres = ctx.pres
     pair_a, pair_b = ctx._get("rc_pairs", lambda: _rc_pairs(ctx))
-    lhs = Expression({"h": VAR, "A": pair_a, "B": pair_b},
-                     [Hole(r("A", 1), r("h", 1, 1), r("B", 1)),
-                      Leg(r("A", 2), r("h", 1, 2), r("B", 2))])
-    rhs = Expression({"h": VAR, "X": pres.phi},
-                     [Fn("mu", r("X", 3)),
-                      Hole(r("h"), Si(r("X", 2))),
-                      Leg(r("X", 1))])
-    return lhs, rhs
+    return _bind_all(ctx, FORMS["right-coint"], A=pair_a, B=pair_b)
 
 
 def _per_h(expr: Expression, table: TensorElement) -> list[TensorElement]:
@@ -250,15 +292,9 @@ def compute_cointegral_data(ctx) -> CointegralData:
         raise DegeneratePairing(f"{pres.name}: Lambda(S(t)) = 0")
     big_lam = big0.scale(scale_r.inverse())
 
-    fns = {"lam": lam}
-    g_mod = Expression({"q": ctx.q_r, "t": t, "p": ctx.p_r},
-                       [Fn("lam", Si(r("q", 2), r("t", 1, 2), r("p", 2))),
-                        Leg(Si(r("q", 1), r("t", 1, 1), r("p", 1)))]
-                       ).evaluate(ctx.ops, fns)
-    g_inv = Expression({"q": ctx.q_r, "t": t, "p": ctx.p_r},
-                       [Fn("lam", r("q", 1), r("t", 1, 1), r("p", 1)),
-                        Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))]
-                       ).evaluate(ctx.ops, fns)
+    # lam is passed in: the context's own lam is what is being computed
+    g_mod, g_inv = (_bind(ctx, *FORMS[name]).evaluate(ctx.ops, {"lam": lam})
+                    for name in ("gmod", "gmod^-1"))
     if pres.multiply(g_mod, g_inv) != pres.unit or pres.multiply(g_inv, g_mod) != pres.unit:
         raise DegeneratePairing(f"{pres.name}: modular element is not invertible")
     return CointegralData(left_basis=lam, right_basis=big_lam,
@@ -280,32 +316,15 @@ def modular_element_g(ctx) -> tuple[TensorElement, TensorElement]:
 def comparison_elements(ctx) -> ComparisonElements:
     ctx = _ctx_of(ctx)
     pres = ctx.pres
-    u = Expression({"V": ctx.v_cap},
-                   [Fn("mu", r("V", 1)), Leg(op("S2", r("V", 2)))]).evaluate(
-                       ctx.ops, ctx.lazy_functionals())
-    u_inv = Expression({"q": ctx.q_r, "g": ctx.f_inv},
-                       [Fn("mui", r("q", 1, 2), r("g", 2), S(r("q", 2))),
-                        Leg(S(r("q", 1, 1), r("g", 1)))]).evaluate(
-                            ctx.ops, ctx.lazy_functionals())
+    u, u_inv = _value(ctx, FORMS["u"]), _value(ctx, FORMS["u^-1"])
     if pres.multiply(u, u_inv) != pres.unit or pres.multiply(u_inv, u) != pres.unit:
         raise FrobeniusCheckFailed(f"{pres.name}: u * u_inv != 1")
     scalar = ctx.mu_inv(ctx.g_mod) * ctx.mu(pres.beta)
-    v_base = Expression({"p": ctx.p_r, "f": ctx.f},
-                        [Fn("mu", S(r("p", 2)), r("f", 1)),
-                         Leg(S(r("p", 1)), r("f", 2))]).evaluate(
-                             ctx.ops, ctx.lazy_functionals())
-    v = v_base.scale(scalar.inverse())
-    vi_base = Expression({"q": ctx.q_r, "g": ctx.f_inv, "be": pres.beta},
-                         [Fn("mu", r("be"), r("q", 2), r("g", 1), S(r("q", 1, 2))),
-                          Leg(r("g", 2), S(r("q", 1, 1)))]).evaluate(
-                              ctx.ops, ctx.lazy_functionals())
-    v_inv = vi_base.scale(ctx.mu_inv(ctx.g_mod))
+    v = _value(ctx, FORMS["v"]).scale(scalar.inverse())
+    v_inv = _value(ctx, FORMS["v^-1"]).scale(ctx.mu_inv(ctx.g_mod))
     if pres.multiply(v, v_inv) != pres.unit or pres.multiply(v_inv, v) != pres.unit:
         raise FrobeniusCheckFailed(f"{pres.name}: v * v_inv != 1")
-    d = Expression({"pl": ctx.p_l},
-                   [Fn("mui", r("pl", 1)), Leg(op("Si2", r("pl", 2)))]).evaluate(
-                       ctx.ops, ctx.lazy_functionals())
-    return ComparisonElements(u=u, u_inv=u_inv, v=v, v_inv=v_inv, d=d)
+    return ComparisonElements(u=u, u_inv=u_inv, v=v, v_inv=v_inv, d=_value(ctx, FORMS["d"]))
 
 
 # -- Frobenius systems ---------------------------------------------------------------
@@ -316,26 +335,19 @@ def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
     pres = ctx.pres
     if which == "left":
         phi = _compose_functional(ctx.lam, ctx.s_inv)
-        e = Expression({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
-                       [Leg(r("q", 1), r("t", 1, 1), r("p", 1)),
-                        Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))]).evaluate(ctx.ops)
+        e = _value(ctx, FORMS["e-left"])
     elif which == "cop":
         phi = ctx.big_lam
-        e = Expression({"ql": ctx.q_l, "t": ctx.t, "pl": ctx.p_l},
-                       [Leg(r("ql", 1), r("t", 1, 1), r("pl", 1)),
-                        Leg(S(r("ql", 2), r("t", 1, 2), r("pl", 2)))]).evaluate(ctx.ops)
+        e = _value(ctx, FORMS["e-cop"])
     elif which == "op":
         scale = ctx.lam(ctx.r)
         if scale.is_zero():
             raise DegeneratePairing(f"{pres.name}: lambda(r) = 0")
         lam_op = ctx.lam.scale(scale.inverse())
         phi = _compose_functional(lam_op, pres.antipode)
-        d = ctx.comparison.d
         # transporting the opposite-algebra system back swaps the two legs
         # and lands the comparison element at the end of the first one
-        e = Expression({"q": ctx.q_r, "rr": ctx.r, "p": ctx.p_r, "d": d},
-                       [Leg(Si(r("q", 2), r("rr", 1, 2), r("p", 2)), r("d")),
-                        Leg(r("q", 1), r("rr", 1, 1), r("p", 1))]).evaluate(ctx.ops)
+        e = _value(ctx, FORMS["e-op"], d=ctx.comparison.d)
     else:
         raise ValueError(f"unknown Frobenius system {which!r}")
     # chi(h) = (h -> phi)(e1) e2 and chi^-1(h) = (phi <- h)(e2) e1
@@ -377,22 +389,12 @@ def nakayama_report(ctx) -> VerificationReport:
     report = VerificationReport(pres.name)
     left = ctx.frobenius("left")
     # chi(h) = mu(h1) S^2(h2), column by column
-    closed = Expression({"h": VAR},
-                        [Fn("mu", r("h", 1, 1)), Leg(op("S2", r("h", 1, 2)))]
-                        ).evaluate(ctx.ops, ctx.lazy_functionals())
-    expected = columns_of(closed)
+    expected = columns_of(_value(ctx, FORMS["nakayama"]))
     report.check_all("nakayama:closed-form", range(pres.dim),
                      lambda i: [(expected[i], left.nakayama.columns[i])])
 
     # chi^-1(h) = mu(Si(u h u^-1)_2) Si(Si(u h u^-1)_1)
-    conj = ctx.s_inv.compose(multiplication_operator(pres.mult, ctx.u_el, "left").compose(
-        multiplication_operator(pres.mult, ctx.u_inv, "right")))
-    ops = ctx.ops.with_extra(operators={"C": conj})
-    closed_inv = Expression({"h": VAR},
-                            [Fn("mu", r("h", 1, "C", 2)),
-                             Leg(r("h", 1, "C", 1, "Si"))]).evaluate(
-                                 ops, ctx.lazy_functionals())
-    expected_inv = columns_of(closed_inv)
+    expected_inv = columns_of(_value(ctx, FORMS["nakayama^-1"]))
     report.check_all("nakayama:inverse-closed-form", range(pres.dim),
                      lambda i: [(expected_inv[i], left.nakayama_inv.columns[i])])
 
@@ -409,15 +411,7 @@ def antipode_on_integrals(ctx) -> tuple[VerificationReport, dict[str, TensorElem
     ctx = _ctx_of(ctx)
     pres = ctx.pres
     report = VerificationReport(pres.name)
-    fns = ctx.lazy_functionals()
-    base_t = Expression({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
-                        [Fn("mu", r("q", 2), r("t", 1, 2), r("p", 2)),
-                         Leg(r("q", 1), r("t", 1, 1), r("p", 1))]).evaluate(
-                             ctx.ops, fns)
-    base_r = Expression({"q": ctx.q_r, "rr": ctx.r, "p": ctx.p_r},
-                        [Fn("mui", r("q", 2), r("rr", 1, 2), r("p", 2)),
-                         Leg(r("q", 1), r("rr", 1, 1), r("p", 1))]).evaluate(
-                             ctx.ops, fns)
+    base_t, base_r = _value(ctx, FORMS["S(t)"]), _value(ctx, FORMS["S(r)"])
     mu_beta = ctx.mu(pres.beta)
     mui_g = ctx.mu_inv(ctx.g_mod)
     mu_ab = ctx.mu(pres.multiply(pres.alpha, pres.beta))
@@ -466,12 +460,7 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
     (the element is not invertible)."""
     ctx = _ctx_of(ctx)
     pres = ctx.pres
-    fns = ctx.lazy_functionals()
-    f_mu = Expression({"f": ctx.f},
-                      [Fn("mu", r("f", 1)), Leg(r("f", 2))]).evaluate(ctx.ops, fns)
-    reading_b = Expression({"g": ctx.f_inv},
-                           [Fn("mui", r("g", 1)), Leg(r("g", 2))]).evaluate(
-                               ctx.ops, fns)
+    f_mu, reading_b = _value(ctx, FORMS["f-mu"]), _value(ctx, FORMS["reading-b"])
     results: dict[str, bool | None] = {}
     try:
         f_mu_inv = invert_operator(
@@ -480,11 +469,7 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
         f_mu_inv = None
     s2 = ctx.s_squared
     s3 = s2.compose(pres.antipode)
-    s4 = s2.compose(s2)
-    ops = ctx.ops.with_extra(operators={"S4": s4})
-    lhs = Expression({"h": VAR},
-                     [Fn("mu", r("h", 1, 1)), Fn("mui", r("h", 1, 2, 2)),
-                      Leg(op("S4", r("h", 1, 2, 1)))]).evaluate(ops, fns)
+    lhs = _value(ctx, FORMS["S4"])
     s_g = pres.antipode.apply(ctx.g_mod)
     s_g_inv = pres.antipode.apply(ctx.g_mod_inv)
     d_const = s3.apply(f_mu)
@@ -492,10 +477,7 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
         if candidate is None:
             results[label] = None
             continue
-        a_const = s3.apply(candidate)
-        rhs = Expression({"h": VAR, "A": a_const, "B": s_g, "C": s_g_inv, "D": d_const},
-                         [Leg(r("A"), r("B"), r("h"), r("C"), r("D"))]).evaluate(
-                             ctx.ops, fns)
+        rhs = _value(ctx, FORMS["S4-rhs"], A=s3.apply(candidate), B=s_g, C=s_g_inv, D=d_const)
         results[label] = (lhs - rhs).is_zero()
     return results
 
@@ -510,61 +492,7 @@ def _line_matches(ctx, solutions: list[Functional], reference: Functional) -> bo
 def _condition_systems(ctx) -> dict[str, tuple[Expression, Expression]]:
     """Single-condition linear systems for the equivalent characterizations;
     those of the form "for every h" have the variable h."""
-    pres = ctx.pres
-    base = {"t": ctx.t, "p": ctx.p_r, "q": ctx.q_r,
-            "pl": ctx.p_l, "ql": ctx.q_l,
-            "be": pres.beta, "be2": pres.beta,
-            "al": pres.alpha, "al2": pres.alpha}
-
-    def pick(names: str, extra: dict | None = None) -> dict:
-        out = {n: base[n] for n in names.split()}
-        if extra:
-            out.update(extra)
-        return out
-
-    return {
-        "left-ii": (
-            Expression(pick("q t p"),
-                       [Hole(r("q", 2), r("t", 1, 2), r("p", 2)),
-                        Leg(r("q", 1), r("t", 1, 1), r("p", 1))]),
-            Expression(pick("be t"),
-                       [Fn("mu", r("be")), Hole(r("t")), Leg()])),
-        "left-iii": (
-            Expression(pick("t p"),
-                       [Hole(r("t", 1, 2), r("p", 2)),
-                        Leg(r("t", 1, 1), r("p", 1))]),
-            Expression(pick("be t be2"),
-                       [Fn("mu", r("be")), Hole(r("t")), Leg(r("be2"))])),
-        "left-iv": (
-            Expression(pick("t p", {"h": VAR}),
-                       [Hole(r("h"), r("t", 1, 2), r("p", 2)),
-                        Leg(r("t", 1, 1), r("p", 1))]),
-            Expression(pick("be t be2", {"h": VAR}),
-                       [Fn("mu", r("be")), Hole(r("t")),
-                        Leg(r("be2"), S(r("h")))])),
-        # The right-hand conditions are the left ones transported through the
-        # coopposite algebra, which turns the beta-scalars into mui(beta) and
-        # Si(beta); checked exactly on every built-in example.
-        "right-i": (
-            Expression(pick("ql t pl"),
-                       [Hole(r("ql", 1), r("t", 1, 1), r("pl", 1)),
-                        Leg(r("ql", 2), r("t", 1, 2), r("pl", 2))]),
-            Expression(pick("be t"),
-                       [Fn("mui", r("be")), Hole(r("t")), Leg()])),
-        "right-ii": (
-            Expression(pick("t pl"),
-                       [Hole(r("t", 1, 1), r("pl", 1)),
-                        Leg(r("t", 1, 2), r("pl", 2))]),
-            Expression(pick("be t be2"),
-                       [Fn("mui", r("be")), Hole(r("t")), Leg(Si(r("be2")))])),
-        "right-iii": (
-            Expression(pick("t pl", {"h": VAR}),
-                       [Hole(r("h"), r("t", 1, 1), r("pl", 1)),
-                        Leg(r("t", 1, 2), r("pl", 2))]),
-            Expression(pick("be t be2", {"h": VAR}),
-                       [Fn("mui", r("be")), Hole(r("t")),
-                        Leg(Si(r("h"), r("be2")))])),
-    }
+    return {name: _bind_all(ctx, FORMS[name]) for name in CONDITIONS}
 
 
 def solve_condition(ctx, name: str) -> list[Functional]:
@@ -592,12 +520,8 @@ def characterization_suite(ctx) -> VerificationReport:
     report.check_zero("characterization:qqt-left", evaluate_identity(ctx, "qqt-left"))
     report.check_zero("characterization:qqt-right", evaluate_identity(ctx, "qqt-right"))
     if is_unimodular(ctx):
-        lhs = Expression({"t": ctx.t},
-                         [Fn("lam", r("t", 1, 2)), Leg(r("t", 1, 1))]).evaluate(
-                             ctx.ops, fns)
-        rhs = Expression({"t": ctx.t, "be": pres.beta, "al": pres.alpha},
-                         [Fn("lam", r("t")), Leg(r("be"), r("al"))]).evaluate(
-                             ctx.ops, fns)
+        lhs, rhs = (side.evaluate(ctx.ops, fns)
+                    for side in _bind_all(ctx, FORMS["unimodular-shortcut"]))
         report.check_zero("characterization:unimodular-shortcut", lhs - rhs)
     return report
 
@@ -614,24 +538,13 @@ def dual_coactions(ctx) -> tuple[TensorElement, TensorElement]:
       sum R[i, a, m] e^i x e_m  in H* x H.
 
     Both are built from the twist/p/q combinations directly (pre-merged into
-    constant pairs), independently of the solver's own combinations.
+    constant pairs), independently of the solver's own combinations.  The
+    left table is the left side of the direct right-cointegral relation.
     """
     ctx = _ctx_of(ctx)
-    pair_a, pair_b = ctx._get("rc_pairs", lambda: _rc_pairs(ctx))
-    left = Expression({"ei": VAR, "A": pair_a, "B": pair_b},
-                      [VarIdx("ei"),
-                       Hole(r("A", 1), r("ei", 1, 1), r("B", 1)),
-                       Leg(r("A", 2), r("ei", 1, 2), r("B", 2))]).evaluate(ctx.ops)
-    pair_c = Expression({"f": ctx.f, "p": ctx.p_r},
-                        [Leg(Si(r("f", 1), r("p", 1))),
-                         Leg(Si(r("f", 2), r("p", 2)))]).evaluate(ctx.ops)
-    pair_d = Expression({"g": ctx.f_inv, "q": ctx.q_r},
-                        [Leg(r("g", 2), S(r("q", 1))),
-                         Leg(r("g", 1), S(r("q", 2)))]).evaluate(ctx.ops)
-    right = Expression({"ei": VAR, "C": pair_c, "D": pair_d},
-                       [VarIdx("ei"),
-                        Hole(r("C", 1), r("ei", 1, 2), r("D", 1)),
-                        Leg(r("C", 2), r("ei", 1, 1), r("D", 2))]).evaluate(ctx.ops)
+    left = _right_coint_direct_system(ctx)[0].evaluate(ctx.ops)
+    right = _value(ctx, FORMS["rho"], C=_value(ctx, FORMS["pair-C"]),
+                   D=_value(ctx, FORMS["pair-D"]))
     return left, right
 
 
@@ -669,10 +582,7 @@ def xi_operator(ctx) -> LinearOperator:
     """The Frobenius isomorphism from the dual to the algebra,
     xi(h^*) = h^*(S(q2 t2 p2)) q1 t1 p1, as a dim x dim matrix on
     dual-basis coordinates."""
-    table = Expression({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
-                       [Hole(S(r("q", 2), r("t", 1, 2), r("p", 2))),
-                        Leg(r("q", 1), r("t", 1, 1), r("p", 1))]).evaluate(ctx.ops)
-    return LinearOperator(ctx.pres.dim, columns_of(table))
+    return LinearOperator(ctx.pres.dim, columns_of(_value(ctx, FORMS["xi"])))
 
 
 def xi_report(ctx) -> VerificationReport:
@@ -696,10 +606,7 @@ def xi_report(ctx) -> VerificationReport:
 
 def s_mu_operator(ctx) -> LinearOperator:
     """S_mu(h) := mu(S(h)_1) S(h)_2."""
-    table = Expression({"h": VAR},
-                       [Fn("mu", r("h", 1, "S", 1)), Leg(r("h", 1, "S", 2))]
-                       ).evaluate(ctx.ops, ctx.lazy_functionals())
-    return LinearOperator(ctx.pres.dim, columns_of(table))
+    return LinearOperator(ctx.pres.dim, columns_of(_value(ctx, FORMS["S_mu"])))
 
 
 # -- umbrella report ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactnum import ONE, Scalar, ZERO
-from .expr import VAR, AlgebraOps, Expression, Leg, S, r
+from .expr import VAR, AlgebraOps, Expression
 from .multilinear import (Functional, LinearOperator, MultTable,
                           SingularOperator, TensorElement, _Echelon, _lift_table,
                           _lower, _merge, apply_on_leg, columns_of, contract,
@@ -112,6 +112,19 @@ def make_mult(dim: int, entries: Sequence[tuple[int, int, int, Scalar]]) -> Mult
 # multiplication by every g on which it was checked; checked on a generating
 # set G, it therefore holds on all of H.
 
+# The axioms that are tensor formulas, in the grammar of ``expr``; X, Y and Z
+# are copies of phi and x is phi^-1.
+_LETTERS = {"h": VAR, "X": 3, "Y": 3, "Z": 3, "x": 3, "alpha": 1, "beta": 1}
+FORMS: dict[str, tuple[Expression, ...]] = {
+    name: tuple(Expression.parse(side, _LETTERS) for side in formula.split(" = "))
+    for name, formula in {
+        "q3": "X1 Y1 x Z1 X2_1 Y2 x Z2 X2_2 Y3 x Z3 X3 = X1 Y1_1 x X2 Y1_2 x X3_1 Y2 x X3_2 Y3",
+        "q5-alpha": "S(h_1) alpha h_2",
+        "q5-beta": "h_1 beta S(h_2)",
+        "q6-left": "X1 beta S(X2) alpha X3",
+        "q6-right": "S(x1) alpha x2 beta S(x3)",
+    }.items()}
+
 _ALGEBRA = ("mult:unit", "mult:assoc")
 _MORPHISMS = ("counit:unit", "counit:morphism", "coproduct:unit", "coproduct:morphism",
               "antipode:unit", "antipode:anti-morphism")
@@ -166,6 +179,10 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
     basis = [pres.basis_element(i) for i in range(n)]
     delta, s, eps_of = delta_op.columns, antipode.columns, eps.coords
     ops = AlgebraOps(n, mult, unit, delta_op, operators={"S": antipode})
+    structure = {"X": phi, "Y": phi, "Z": phi, "x": phi_inv, "alpha": alpha, "beta": beta}
+
+    def value(side: Expression) -> TensorElement:
+        return side.bind(structure).evaluate(ops)
     # column j of left[g] is e_g e_j
     left = {g: multiplication_operator(mult, basis[g], "left") for g in gens}
 
@@ -206,17 +223,8 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
 
     # q3: the reassociator is a 3-cocycle,
     # (1 x phi)(id x Delta x id)(phi)(phi x 1) = (id x id x Delta)(phi)(Delta x id x id)(phi)
-    q3_lhs = Expression({"Z": phi, "X": phi, "Y": phi},
-                        [Leg(r("X", 1), r("Y", 1)),
-                         Leg(r("Z", 1), r("X", 2, 1), r("Y", 2)),
-                         Leg(r("Z", 2), r("X", 2, 2), r("Y", 3)),
-                         Leg(r("Z", 3), r("X", 3))])
-    q3_rhs = Expression({"A": phi, "B": phi},
-                        [Leg(r("A", 1), r("B", 1, 1)),
-                         Leg(r("A", 2), r("B", 1, 2)),
-                         Leg(r("A", 3, 1), r("B", 2)),
-                         Leg(r("A", 3, 2), r("B", 3))])
-    report.check_zero("q3", q3_lhs.evaluate(ops) - q3_rhs.evaluate(ops))
+    q3_lhs, q3_rhs = map(value, FORMS["q3"])
+    report.check_zero("q3", q3_lhs - q3_rhs)
 
     # q4 / q7: counit legs of the reassociator
     report.check_zero("q4", contract(eps, phi, 1) - unit2)
@@ -224,21 +232,14 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
 
     # q5: the antipode equations S(h1) alpha h2 = eps(h) alpha and
     # h1 beta S(h2) = eps(h) beta; column g of each side is its value at e_g
-    q5_alpha = columns_of(Expression({"h": VAR, "a": alpha},
-                                     [Leg(S(r("h", 1, 1)), r("a"), r("h", 1, 2))]).evaluate(ops))
-    q5_beta = columns_of(Expression({"h": VAR, "b": beta},
-                                    [Leg(r("h", 1, 1), r("b"), S(r("h", 1, 2)))]).evaluate(ops))
+    q5_alpha, q5_beta = (columns_of(value(*FORMS[name])) for name in ("q5-alpha", "q5-beta"))
     report.check_all("q5", gens, lambda g: [
         (q5_alpha[g], alpha.scale(eps_of[g])), (q5_beta[g], beta.scale(eps_of[g]))])
 
     # q6: the two zig-zag normalizations X1 beta S(X2) alpha X3 = 1 and
     # S(x1) alpha x2 beta S(x3) = 1
-    q6_left = Expression({"X": phi, "b": beta, "a": alpha},
-                         [Leg(r("X", 1), r("b"), S(r("X", 2)), r("a"), r("X", 3))])
-    report.check_zero("q6:left", q6_left.evaluate(ops) - unit)
-    q6_right = Expression({"x": phi_inv, "a": alpha, "b": beta},
-                          [Leg(S(r("x", 1)), r("a"), r("x", 2), r("b"), S(r("x", 3)))])
-    report.check_zero("q6:right", q6_right.evaluate(ops) - unit)
+    report.check_zero("q6:left", value(*FORMS["q6-left"]) - unit)
+    report.check_zero("q6:right", value(*FORMS["q6-right"]) - unit)
 
     # reassociator invertibility, each product on its own
     unit3 = tensor_product(unit2, unit)

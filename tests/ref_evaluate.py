@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from quasihopf.expr import VAR, Expression, ExpressionError, Fn, Op, Ref, VarIdx
+from quasihopf.expr import VAR, Expression, ExpressionError, Fn, Op, Ref
 from quasihopf.multilinear import (Functional, LinearOperator, Num, TensorElement, _lift,
                                    _lift_table, _lower, _map_leg, _merge, _outer, _permute)
 
@@ -31,15 +31,7 @@ def ref_evaluate(expr: Expression, ops, bindings: Mapping[str, TensorElement] | 
 
     run = _Evaluation(expr, ops, bindings)
     final_order: list[object] = []
-    seen_varidx: set[str] = set()
     for out in expr.outputs:
-        if isinstance(out, VarIdx):
-            run.pull(out.name)
-            if out.name in bindings:
-                raise ExpressionError(f"VarIdx({out.name!r}) on a bound variable")
-            final_order.append(("idx", out.name))
-            seen_varidx.add(out.name)
-            continue
         leg = run.merge_product(out.items)
         if isinstance(out, Fn):
             functional = lookup_fn(out.functional)
@@ -49,7 +41,7 @@ def ref_evaluate(expr: Expression, ops, bindings: Mapping[str, TensorElement] | 
         else:
             final_order.append(leg)
     implicit = [("idx", name) for name, src in expr.sources.items()
-                if src == VAR and name in run.unbound and name not in seen_varidx]
+                if src == VAR and name in run.unbound]
     return run.state.finalize(implicit + final_order)
 
 

@@ -1,18 +1,40 @@
-"""Reference builders for the named identities and the canonical elements:
-each side written out by hand as an ``Expression``.
+"""Reference builders for the named identities, the canonical elements and
+the formulas of ``intcoint``, ``double`` and ``qha``: each side written out
+by hand as an ``Expression``.
 
-This is how ``canonical`` built its expressions before every one of them
-was parsed from the formula it prints.  It is kept only as the reference
-the parsed sides are compared against (``tests/test_canonical.py``).
-``REF`` maps each non-custom identity name to its builder, ctx -> (lhs,
-rhs); ``REF_FORMS`` maps each canonical element to its closed forms.
+This is how those modules built their expressions before every one of them
+was parsed from a formula.  It is kept only as the reference the parsed
+sides are compared against (``tests/test_expr.py``).  ``REF`` maps each
+non-custom identity name to its builder, ctx -> (lhs, rhs); ``REF_FORMS``
+maps each canonical element to its closed forms; ``REF_MODULES`` maps
+(module, form name) to ctx -> (the tensors of the form's extra letters,
+its sides).
 """
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
-from quasihopf.expr import VAR, Expression, Fn, Leg, S, Si, op, r
+from quasihopf.expr import VAR, Expression, Fn, Leg, Op, Ref
+from quasihopf.multilinear import TensorElement, multiplication_operator
+
+
+def r(name: str, comp: int = 1, *tokens: int | str) -> Ref:
+    return Ref(name, comp, *tokens)
+
+
+def S(*items: Ref | Op) -> Op:
+    return Op("S", *items)
+
+
+def Si(*items: Ref | Op) -> Op:
+    return Op("Si", *items)
+
+
+def op(name: str, *items: Ref | Op) -> Op:
+    return Op(name, *items)
+
 
 REF: dict[str, Callable] = {}
 
@@ -843,3 +865,384 @@ def _fvfformunim(ctx):
                  r("hp", 1, 1), r("pl", 1)), r("F", 2)))])
     return lhs, rhs
 
+
+
+# --- the formulas of intcoint, double and qha ------------------------------------------
+#
+# Each builder is the module's hand-built expression as it was, with the
+# tensors of the form's extra letters that both sides are bound to.  Two
+# more markers of the old notation appear in them:
+
+
+def Hole(*items: Ref | Op) -> Leg:
+    """The argument leg of an unknown functional: an ordinary leg."""
+    return Leg(*items)
+
+
+class VarIdx:
+    """Where a variable's index leg was placed among the output legs."""
+
+    def __init__(self, name: str):
+        self.name = name
+
+
+def _built(sources: dict, outputs: list) -> Expression:
+    """The expression without its ``VarIdx`` markers, so that every index
+    leg comes first, in the declaration order of the variables, where the
+    parsed side has it: the reference's keys reordered to the parsed
+    layout."""
+    return Expression(sources, [out for out in outputs if not isinstance(out, VarIdx)])
+
+
+REF_MODULES: dict[tuple[str, str], Callable] = {}
+# (module, form) -> ctx -> {name: operator}: the operators a reference used
+# beyond the context's, for the two forms that are rewrites, not transcriptions
+REF_OPERATORS: dict[tuple[str, str], Callable] = {}
+
+
+def _module(module: str, *names: str):
+    def wrap(fn):
+        for name in names:
+            REF_MODULES[module, name] = partial(fn, name=name)
+        return fn
+    return wrap
+
+
+def _single(sides: dict[str, Expression], name: str, tensors: dict | None = None):
+    return tensors or {}, (sides[name],)
+
+
+@_module("intcoint", "left-coint")
+def _left_coint(ctx, name):
+    pres = ctx.pres
+    lhs = _built({"h": VAR, "V": ctx.v_cap, "U": ctx.u_cap},
+                 [Hole(r("V", 2), r("h", 1, 2), r("U", 2)),
+                  Leg(r("V", 1), r("h", 1, 1), r("U", 1))])
+    rhs = _built({"h": VAR, "x": pres.phi_inv},
+                 [Fn("mu", r("x", 1)),
+                  Hole(r("h"), S(r("x", 2))),
+                  Leg(r("x", 3))])
+    return {}, (lhs, rhs)
+
+
+def _rc_pairs(ctx) -> dict[str, Expression]:
+    return {
+        "pair-A": _built({"pl": ctx.p_l, "f": ctx.f},
+                         [Leg(S(r("pl", 2)), r("f", 1)),
+                          Leg(S(r("pl", 1)), r("f", 2))]),
+        "pair-B": _built({"ql": ctx.q_l, "g": ctx.f_inv},
+                         [Leg(Si(r("ql", 2), r("g", 2))),
+                          Leg(Si(r("ql", 1), r("g", 1)))]),
+        "pair-C": _built({"f": ctx.f, "p": ctx.p_r},
+                         [Leg(Si(r("f", 1), r("p", 1))),
+                          Leg(Si(r("f", 2), r("p", 2)))]),
+        "pair-D": _built({"g": ctx.f_inv, "q": ctx.q_r},
+                         [Leg(r("g", 2), S(r("q", 1))),
+                          Leg(r("g", 1), S(r("q", 2)))]),
+    }
+
+
+@_module("intcoint", "pair-A", "pair-B", "pair-C", "pair-D")
+def _pairs(ctx, name):
+    return _single(_rc_pairs(ctx), name)
+
+
+def _pair_tensors(ctx, *names: str) -> dict[str, TensorElement]:
+    pairs = _rc_pairs(ctx)
+    return {name[-1]: pairs[name].evaluate(ctx.ops) for name in names}
+
+
+@_module("intcoint", "right-coint")
+def _right_coint(ctx, name):
+    pres = ctx.pres
+    tensors = _pair_tensors(ctx, "pair-A", "pair-B")
+    lhs = _built({"h": VAR, "A": tensors["A"], "B": tensors["B"]},
+                 [Hole(r("A", 1), r("h", 1, 1), r("B", 1)),
+                  Leg(r("A", 2), r("h", 1, 2), r("B", 2))])
+    rhs = _built({"h": VAR, "X": pres.phi},
+                 [Fn("mu", r("X", 3)),
+                  Hole(r("h"), Si(r("X", 2))),
+                  Leg(r("X", 1))])
+    return tensors, (lhs, rhs)
+
+
+@_module("intcoint", "rho")
+def _rho(ctx, name):
+    tensors = _pair_tensors(ctx, "pair-C", "pair-D")
+    right = _built({"ei": VAR, "C": tensors["C"], "D": tensors["D"]},
+                   [VarIdx("ei"),
+                    Hole(r("C", 1), r("ei", 1, 2), r("D", 1)),
+                    Leg(r("C", 2), r("ei", 1, 1), r("D", 2))])
+    return tensors, (right,)
+
+
+@_module("intcoint", "gmod", "gmod^-1", "u", "u^-1", "v", "v^-1", "d")
+def _modular_and_comparison(ctx, name):
+    pres = ctx.pres
+    t = ctx.t
+    return _single({
+        "gmod": _built({"q": ctx.q_r, "t": t, "p": ctx.p_r},
+                       [Fn("lam", Si(r("q", 2), r("t", 1, 2), r("p", 2))),
+                        Leg(Si(r("q", 1), r("t", 1, 1), r("p", 1)))]),
+        "gmod^-1": _built({"q": ctx.q_r, "t": t, "p": ctx.p_r},
+                          [Fn("lam", r("q", 1), r("t", 1, 1), r("p", 1)),
+                           Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))]),
+        "u": _built({"V": ctx.v_cap},
+                    [Fn("mu", r("V", 1)), Leg(op("S2", r("V", 2)))]),
+        "u^-1": _built({"q": ctx.q_r, "g": ctx.f_inv},
+                       [Fn("mui", r("q", 1, 2), r("g", 2), S(r("q", 2))),
+                        Leg(S(r("q", 1, 1), r("g", 1)))]),
+        "v": _built({"p": ctx.p_r, "f": ctx.f},
+                    [Fn("mu", S(r("p", 2)), r("f", 1)),
+                     Leg(S(r("p", 1)), r("f", 2))]),
+        "v^-1": _built({"q": ctx.q_r, "g": ctx.f_inv, "be": pres.beta},
+                       [Fn("mu", r("be"), r("q", 2), r("g", 1), S(r("q", 1, 2))),
+                        Leg(r("g", 2), S(r("q", 1, 1)))]),
+        "d": _built({"pl": ctx.p_l},
+                    [Fn("mui", r("pl", 1)), Leg(op("Si2", r("pl", 2)))]),
+    }, name)
+
+
+@_module("intcoint", "e-left", "e-cop", "e-op")
+def _frobenius_elements(ctx, name):
+    d = ctx.comparison.d
+    return _single({
+        "e-left": _built({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
+                         [Leg(r("q", 1), r("t", 1, 1), r("p", 1)),
+                          Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))]),
+        "e-cop": _built({"ql": ctx.q_l, "t": ctx.t, "pl": ctx.p_l},
+                        [Leg(r("ql", 1), r("t", 1, 1), r("pl", 1)),
+                         Leg(S(r("ql", 2), r("t", 1, 2), r("pl", 2)))]),
+        "e-op": _built({"q": ctx.q_r, "rr": ctx.r, "p": ctx.p_r, "d": d},
+                       [Leg(Si(r("q", 2), r("rr", 1, 2), r("p", 2)), r("d")),
+                        Leg(r("q", 1), r("rr", 1, 1), r("p", 1))]),
+    }, name, {"d": d} if name == "e-op" else None)
+
+
+@_module("intcoint", "nakayama", "nakayama^-1", "S(t)", "S(r)", "f-mu", "reading-b", "S4",
+         "xi", "S_mu")
+def _one_sided(ctx, name):
+    return _single({
+        "nakayama": _built({"h": VAR},
+                           [Fn("mu", r("h", 1, 1)), Leg(op("S2", r("h", 1, 2)))]),
+        "nakayama^-1": _built({"h": VAR},
+                              [Fn("mu", r("h", 1, "C", 2)),
+                               Leg(r("h", 1, "C", 1, "Si"))]),
+        "S(t)": _built({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
+                       [Fn("mu", r("q", 2), r("t", 1, 2), r("p", 2)),
+                        Leg(r("q", 1), r("t", 1, 1), r("p", 1))]),
+        "S(r)": _built({"q": ctx.q_r, "rr": ctx.r, "p": ctx.p_r},
+                       [Fn("mui", r("q", 2), r("rr", 1, 2), r("p", 2)),
+                        Leg(r("q", 1), r("rr", 1, 1), r("p", 1))]),
+        "f-mu": _built({"f": ctx.f}, [Fn("mu", r("f", 1)), Leg(r("f", 2))]),
+        "reading-b": _built({"g": ctx.f_inv}, [Fn("mui", r("g", 1)), Leg(r("g", 2))]),
+        "S4": _built({"h": VAR},
+                     [Fn("mu", r("h", 1, 1)), Fn("mui", r("h", 1, 2, 2)),
+                      Leg(op("S4", r("h", 1, 2, 1)))]),
+        "xi": _built({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
+                     [Hole(S(r("q", 2), r("t", 1, 2), r("p", 2))),
+                      Leg(r("q", 1), r("t", 1, 1), r("p", 1))]),
+        "S_mu": _built({"h": VAR},
+                       [Fn("mu", r("h", 1, "S", 1)), Leg(r("h", 1, "S", 2))]),
+    }, name)
+
+
+def _conjugation(ctx):
+    pres = ctx.pres
+    return {"C": ctx.s_inv.compose(multiplication_operator(pres.mult, ctx.u_el, "left").compose(
+        multiplication_operator(pres.mult, ctx.u_inv, "right")))}
+
+
+REF_OPERATORS["intcoint", "nakayama^-1"] = _conjugation
+REF_OPERATORS["intcoint", "S4"] = lambda ctx: {"S4": ctx.s_squared.compose(ctx.s_squared)}
+
+
+@_module("intcoint", "S4-rhs")
+def _s4_rhs(ctx, name):
+    pres = ctx.pres
+    s3 = ctx.s_squared.compose(pres.antipode)
+    f_mu, reading_b = (_one_sided(ctx, form)[1][0].evaluate(ctx.ops, ctx.lazy_functionals())
+                       for form in ("f-mu", "reading-b"))
+    tensors = {"A": s3.apply(reading_b), "B": pres.antipode.apply(ctx.g_mod),
+               "C": pres.antipode.apply(ctx.g_mod_inv), "D": s3.apply(f_mu)}
+    rhs = _built({"h": VAR, **tensors},
+                 [Leg(r("A"), r("B"), r("h"), r("C"), r("D"))])
+    return tensors, (rhs,)
+
+
+@_module("intcoint", "left-ii", "left-iii", "left-iv", "right-i", "right-ii", "right-iii")
+def _conditions(ctx, name):
+    pres = ctx.pres
+    base = {"t": ctx.t, "p": ctx.p_r, "q": ctx.q_r,
+            "pl": ctx.p_l, "ql": ctx.q_l,
+            "be": pres.beta, "be2": pres.beta,
+            "al": pres.alpha, "al2": pres.alpha}
+
+    def pick(names: str, extra: dict | None = None) -> dict:
+        out = {n: base[n] for n in names.split()}
+        if extra:
+            out.update(extra)
+        return out
+
+    return {}, {
+        "left-ii": (
+            _built(pick("q t p"),
+                   [Hole(r("q", 2), r("t", 1, 2), r("p", 2)),
+                    Leg(r("q", 1), r("t", 1, 1), r("p", 1))]),
+            _built(pick("be t"),
+                   [Fn("mu", r("be")), Hole(r("t")), Leg()])),
+        "left-iii": (
+            _built(pick("t p"),
+                   [Hole(r("t", 1, 2), r("p", 2)),
+                    Leg(r("t", 1, 1), r("p", 1))]),
+            _built(pick("be t be2"),
+                   [Fn("mu", r("be")), Hole(r("t")), Leg(r("be2"))])),
+        "left-iv": (
+            _built(pick("t p", {"h": VAR}),
+                   [Hole(r("h"), r("t", 1, 2), r("p", 2)),
+                    Leg(r("t", 1, 1), r("p", 1))]),
+            _built(pick("be t be2", {"h": VAR}),
+                   [Fn("mu", r("be")), Hole(r("t")),
+                    Leg(r("be2"), S(r("h")))])),
+        "right-i": (
+            _built(pick("ql t pl"),
+                   [Hole(r("ql", 1), r("t", 1, 1), r("pl", 1)),
+                    Leg(r("ql", 2), r("t", 1, 2), r("pl", 2))]),
+            _built(pick("be t"),
+                   [Fn("mui", r("be")), Hole(r("t")), Leg()])),
+        "right-ii": (
+            _built(pick("t pl"),
+                   [Hole(r("t", 1, 1), r("pl", 1)),
+                    Leg(r("t", 1, 2), r("pl", 2))]),
+            _built(pick("be t be2"),
+                   [Fn("mui", r("be")), Hole(r("t")), Leg(Si(r("be2")))])),
+        "right-iii": (
+            _built(pick("t pl", {"h": VAR}),
+                   [Hole(r("h"), r("t", 1, 1), r("pl", 1)),
+                    Leg(r("t", 1, 2), r("pl", 2))]),
+            _built(pick("be t be2", {"h": VAR}),
+                   [Fn("mui", r("be")), Hole(r("t")),
+                    Leg(Si(r("h"), r("be2")))])),
+    }[name]
+
+
+@_module("intcoint", "unimodular-shortcut")
+def _unimodular_shortcut(ctx, name):
+    pres = ctx.pres
+    lhs = _built({"t": ctx.t},
+                 [Fn("lam", r("t", 1, 2)), Leg(r("t", 1, 1))])
+    rhs = _built({"t": ctx.t, "be": pres.beta, "al": pres.alpha},
+                 [Fn("lam", r("t")), Leg(r("be"), r("al"))])
+    return {}, (lhs, rhs)
+
+
+def _omega(ctx) -> Expression:
+    pres = ctx.pres
+    return _built(
+        {"X": pres.phi, "y": pres.phi_inv, "x": pres.phi_inv, "f": ctx.f},
+        [Leg(r("X", 1, 1, 1), r("y", 1), r("x", 1)),
+         Leg(r("X", 1, 1, 2), r("y", 2), r("x", 2, 1)),
+         Leg(r("X", 1, 2), r("y", 3), r("x", 2, 2)),
+         Leg(Si(r("f", 1), r("X", 2), r("x", 3))),
+         Leg(Si(r("f", 2), r("X", 3)))])
+
+
+@_module("double", "omega")
+def _double_omega(ctx, name):
+    return {}, (_omega(ctx),)
+
+
+@_module("double", "mult")
+def _double_mult(ctx, name):
+    omega = _omega(ctx).evaluate(ctx.ops)
+    return {"Om": omega}, (_built(
+        {"h": VAR, "Om": omega, "xx": VAR},
+        [VarIdx("h"),
+         Leg(r("Om", 3), r("h", 1, 1, 2)),
+         Hole(r("Om", 5), r("xx", 1, 1), r("Om", 1)),
+         Hole(Si(r("h", 1, 2)), r("Om", 4), r("xx", 1, 2), r("Om", 2), r("h", 1, 1, 1)),
+         VarIdx("xx")]),)
+
+
+@_module("double", "coproduct", "antipode", "antipode^-1")
+def _double_tables(ctx, name):
+    H = ctx.pres
+    return _single({
+        "coproduct": _built(
+            {"h": VAR, "X": H.phi, "Y": H.phi, "x": H.phi_inv, "p": ctx.p_r,
+             "w": VAR, "z": VAR},
+            [VarIdx("h"),
+             Leg(r("X", 1), r("Y", 1)),                                  # u
+             Leg(r("p", 1, 2), r("x", 2), r("h", 1, 1)),                 # c
+             Leg(r("X", 2, 2), r("Y", 3), r("x", 3), r("h", 1, 2)),      # e
+             Hole(Si(r("X", 3)), r("z", 1), r("X", 2, 1),
+                  r("Y", 2), Si(r("p", 2)), r("w", 1), r("p", 1, 1), r("x", 1)),
+             VarIdx("w"), VarIdx("z")]),
+        "antipode": _built(
+            {"h": VAR, "f": ctx.f, "p": ctx.p_r, "U": ctx.u_cap, "xx": VAR},
+            [Leg(S(r("h")), r("f", 1)),                                  # u
+             Leg(r("p", 1, 2), r("U", 2)),                               # c
+             Hole(Si(r("f", 2), Si(r("p", 2)), r("xx", 1), r("p", 1, 1), r("U", 1))),
+             VarIdx("xx")]),
+        "antipode^-1": _built(
+            {"h": VAR, "f": ctx.f, "p": ctx.p_r, "q": ctx.q_r, "g": ctx.f_inv,
+             "xx": VAR},
+            [Leg(Si(r("f", 2), r("h", 1))),                             # u
+             Leg(r("p", 1, 2), Si(r("q", 1), r("g", 1))),               # c
+             Hole(S(Si(r("p", 2), r("f", 1)), r("xx", 1), r("p", 1, 1),
+                    Si(r("q", 2), r("g", 2)))),
+             VarIdx("xx")]),
+    }, name)
+
+
+@_module("double", "integral", "left-cointegral", "modular", "modular-second",
+         "unimodular-conjecture")
+def _double_elements(ctx, name):
+    base = ctx
+    return _single({
+        "integral": _built({"ea": VAR, "dl": base.delta_el},
+                           [VarIdx("ea"),
+                            Fn("mui", r("dl", 2)),
+                            Fn("lam", r("ea", 1), r("dl", 1))]),
+        "left-cointegral": _built({"h": VAR, "pl": base.p_l, "f": base.f},
+                                  [VarIdx("h"),
+                                   Fn("mu", r("pl", 1)), Fn("mui", r("f", 1)),
+                                   Fn("lam", Si(r("f", 2)), r("h", 1), S(r("pl", 2)))]),
+        "modular": _built({"g": base.f_inv, "gi": base.g_mod_inv},
+                          [Fn("mu", r("g", 1, 1)), Fn("mui", r("g", 2)),
+                           Leg(r("g", 1, 2), op("Si2", r("gi")))]),
+        "modular-second": _built(
+            {"ql": base.q_l, "g": base.f_inv, "pl": base.p_l},
+            [Fn("mu", r("ql", 1), r("g", 1)),
+             Fn("mui", r("pl", 1)),
+             Fn("mui", r("g", 2, "Si", 1), r("ql", 2, "Si", 1)),
+             Leg(r("g", 2, "Si", 2), r("ql", 2, "Si", 2), r("pl", 2))]),
+        "unimodular-conjecture": _built({"dl": base.delta_el},
+                                        [Fn("mui", r("dl", 2)), Leg(r("dl", 1))]),
+    }, name)
+
+
+@_module("qha", "q3", "q5-alpha", "q5-beta", "q6-left", "q6-right")
+def _axioms(ctx, name):
+    pres = ctx.pres
+    phi, phi_inv, alpha, beta = pres.phi, pres.phi_inv, pres.alpha, pres.beta
+    return {}, {
+        "q3": (_built({"Z": phi, "X": phi, "Y": phi},
+                      [Leg(r("X", 1), r("Y", 1)),
+                       Leg(r("Z", 1), r("X", 2, 1), r("Y", 2)),
+                       Leg(r("Z", 2), r("X", 2, 2), r("Y", 3)),
+                       Leg(r("Z", 3), r("X", 3))]),
+               _built({"A": phi, "B": phi},
+                      [Leg(r("A", 1), r("B", 1, 1)),
+                       Leg(r("A", 2), r("B", 1, 2)),
+                       Leg(r("A", 3, 1), r("B", 2)),
+                       Leg(r("A", 3, 2), r("B", 3))])),
+        "q5-alpha": (_built({"h": VAR, "a": alpha},
+                            [Leg(S(r("h", 1, 1)), r("a"), r("h", 1, 2))]),),
+        "q5-beta": (_built({"h": VAR, "b": beta},
+                           [Leg(r("h", 1, 1), r("b"), S(r("h", 1, 2)))]),),
+        "q6-left": (_built({"X": phi, "b": beta, "a": alpha},
+                           [Leg(r("X", 1), r("b"), S(r("X", 2)), r("a"), r("X", 3))]),),
+        "q6-right": (_built({"x": phi_inv, "a": alpha, "b": beta},
+                            [Leg(S(r("x", 1)), r("a"), r("x", 2), r("b"), S(r("x", 3)))]),),
+    }[name]

@@ -4,17 +4,21 @@ intermediate support it reaches."""
 
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 
 import quasihopf.expr as expr
-from quasihopf.canonical import FORMS, REGISTRY, _bind
+from quasihopf import double, intcoint, qha
+from quasihopf.canonical import FORMS, REGISTRY, _bind, _bind_all
 from quasihopf.context import AlgebraContext, get_context
 from quasihopf.double import build_double, double_integral
-from quasihopf.expr import VAR, Expression, Fn, Hole, Op, VarIdx
+from quasihopf.expr import VAR, AlgebraOps, Expression, ExpressionError, Op
 from quasihopf.intcoint import cointegral_space
 from quasihopf.workbench import catalog_build
 from ref_evaluate import ref_evaluate
-from ref_registry import REF, REF_FORMS
+from ref_registry import REF, REF_FORMS, REF_MODULES, REF_OPERATORS
 
 KERNELS = ("_join", "_merge", "_map_leg", "_outer")
 
@@ -88,17 +92,19 @@ def against_reference(monkeypatch):
 
 
 def test_planned_evaluation_matches_reference_in_constructions(h2, h8p, against_reference):
-    """The Hole, VarIdx and Fn expressions that build the double's tables,
-    its integral and the cointegral systems agree with the reference, on
-    fresh contexts so that every canonical element is evaluated again."""
+    """The expressions that build the double's tables, its integral and the
+    cointegral systems agree with the reference, on fresh contexts so that
+    every canonical element is evaluated again."""
     d2 = build_double(h2)
     double_integral(d2)
     for pres in (h8p, d2.presentation):
         ctx = AlgebraContext(pres)
         for side in ("left", "right"):
             assert len(cointegral_space(ctx, side)) == 1
-    outputs = [type(out) for e in against_reference for out in e.outputs]
-    assert {Hole, VarIdx, Fn} <= set(outputs)
+    forms = [double.FORMS[name] for name in ("mult", "coproduct", "antipode", "integral")]
+    forms += [intcoint.FORMS[name] for name in ("left-coint", "right-coint")]
+    for side in (side for form in forms for side in form):
+        assert any(e.outputs is side.outputs for e in against_reference), side.outputs
 
 
 @pytest.fixture
@@ -161,3 +167,72 @@ def test_parsed_sides_match_hand_built_reference(name, d2, peak_support):
         assert results[0] == results[1], label
         if name in ("H8+", "D(H2)"):
             assert peaks[0] <= peaks[1], (label, peaks)
+
+
+MODULES = {"intcoint": intcoint, "double": double, "qha": qha}
+# The two forms that rewrite an operator of their own (C = Si L_u R_u^-1
+# and S^4) rather than transcribe the hand-built side, and the peak support
+# of the parsed side on H8+ and D(H2), where the transcriptions are bounded
+# by their reference.
+REWRITES = {("intcoint", "nakayama^-1"): {"H8+": 62, "D(H2)": 128},
+            ("intcoint", "S4"): {"H8+": 50, "D(H2)": 64}}
+
+
+@pytest.mark.parametrize("name", ["H2", "H8+", "H8-", "kZ2-hopf", "D(H2)"])
+def test_module_formulas_match_hand_built_reference(name, d2, peak_support):
+    """Every side parsed from a formula of ``intcoint``, ``double`` or
+    ``qha`` evaluates to the same tensor as the side the module built by
+    hand (``ref_registry.REF_MODULES``); an index leg that the hand-built
+    side placed elsewhere is compared at the front.  On H8+ and D(H2) the
+    peak kernel support of a transcribed side is no larger than its
+    reference's, and that of a rewrite is pinned."""
+    ctx = _context(name, d2)
+    fns = ctx.lazy_functionals()
+    assert set(REF_MODULES) == {(module, form) for module, mod in MODULES.items()
+                                for form in mod.FORMS}
+    for functional in ("mu", "mui", "lam", "Lam"):      # built before any peak is read
+        fns.get(functional)
+    for (module, form), build in REF_MODULES.items():
+        tensors, refs = build(ctx)
+        ops = ctx.ops
+        if (module, form) in REF_OPERATORS:
+            ops = AlgebraOps(ops.dim, ops.mult, ops.unit, ops.coproduct,
+                             {**ops.operators, **REF_OPERATORS[module, form](ctx)},
+                             ops.functionals)
+        parsed = _bind_all(ctx, MODULES[module].FORMS[form], **tensors)
+        for i, (side, ref) in enumerate(zip(parsed, refs, strict=True)):
+            label = f"{module}.{form}[{i}]"
+            results, peaks = [], []
+            for expression, expression_ops in ((side, ctx.ops), (ref, ops)):
+                peak_support[0] = 0
+                results.append(expression.evaluate(expression_ops, fns))
+                peaks.append(peak_support[0])
+            assert results[0] == results[1], label
+            if name in ("H8+", "D(H2)"):
+                bound = REWRITES[module, form][name] if (module, form) in REWRITES else peaks[1]
+                assert peaks[0] <= bound, (label, peaks)
+
+
+def test_component_used_twice_names_its_path():
+    """A split path used twice is named in full, as the other errors of a
+    token tree are."""
+    letters = {"h": VAR, "p": 2}
+    with pytest.raises(ExpressionError, match=r"h\^1\.1\.2: used twice"):
+        Expression.parse("h_12 p1 x h_12 p2 S(h_2)", letters)
+
+
+def test_only_expr_builds_expressions_by_hand():
+    """Every expression outside ``expr`` is parsed from a formula: no other
+    module of the package imports the classes a formula is read into."""
+    by_hand = {"Leg", "Fn", "Op", "Ref", "*"}
+    found = []
+    for path in sorted(Path(expr.__file__).parent.glob("*.py")):
+        if path.name == "expr.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[-1] == "expr":
+                found += [(path.name, alias.name) for alias in node.names if alias.name in by_hand]
+            elif (isinstance(node, ast.Attribute) and node.attr in by_hand
+                  and isinstance(node.value, ast.Name) and node.value.id == "expr"):
+                found.append((path.name, node.attr))
+    assert found == []

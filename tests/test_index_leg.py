@@ -7,9 +7,10 @@ from __future__ import annotations
 
 import pytest
 
+from quasihopf.canonical import _bind
 from quasihopf.context import get_context
-from quasihopf.double import _didx, _scatter, build_double
-from quasihopf.expr import Expression, VarIdx
+from quasihopf.double import FORMS, _didx, _scatter, build_omega
+from quasihopf.expr import Expression
 from quasihopf.intcoint import (_condition_systems, _left_coint_system, _nullspace,
                                 _right_coint_direct_system, _solve_hole_system,
                                 coinvariants_via_rho, cointegral_residual,
@@ -101,32 +102,21 @@ def test_cointegral_residual_witness_matches_per_binding_loop(name, d2):
     assert first - {None, 0} or name in ("H2", "D(H2)")
 
 
-def test_double_tables_match_per_binding_loops(h2, d2, monkeypatch):
+def test_double_tables_match_per_binding_loops(h2, d2):
     """D(H2)'s multiplication and coproduct, each from one evaluation with
     h on an index leg, equal those assembled from one evaluation per
     central basis element h = e_j."""
-    recorded = []
-    original = Expression.evaluate
-
-    def recording(self, *args):
-        recorded.append(self)
-        return original(self, *args)
-
-    monkeypatch.setattr(Expression, "evaluate", recording)
-    build_double(h2)
-    monkeypatch.undo()
-    mult_expr, cop_expr = [e for e in recorded if isinstance(e.outputs[0], VarIdx)
-                           and e.outputs[0].name == "h"]
     ctx = get_context(h2)
     n, nd = h2.dim, h2.dim * h2.dim
+    (mult_form,), (cop_form,) = FORMS["mult"], FORMS["coproduct"]
 
     def per_j(expr: Expression) -> list[TensorElement]:
-        bound = Expression(expr.sources, expr.outputs[1:])     # h bound: no index leg
-        return [ref_evaluate(bound, ctx.ops, b) for b in _bindings(ctx)]
+        # h bound: no index leg of its own, the others first
+        return [ref_evaluate(expr, ctx.ops, b) for b in _bindings(ctx)]
 
     mult_entries = []
-    for j, table in enumerate(per_j(mult_expr)):
-        for (o, a, b, m), s in table.entries.items():
+    for j, table in enumerate(per_j(_bind(ctx, mult_form, Om=build_omega(ctx)))):
+        for (m, o, a, b), s in table.entries.items():
             for l in range(n):
                 for k, c in h2.mult.get((o, l), ()):
                     mult_entries.append((_didx(n, a, j), _didx(n, b, l), _didx(n, m, k), s * c))
@@ -135,6 +125,6 @@ def test_double_tables_match_per_binding_loops(h2, d2, monkeypatch):
     left = [multiplication_operator(d2.presentation.mult, emb, "left").columns
             for emb in d2.embedding]
     coproduct = _scatter(nd, ((_didx(n, a, j), s, left[u][_didx(n, w, c)], (_didx(n, z, e),))
-                              for j, table in enumerate(per_j(cop_expr))
-                              for (u, c, e, a, w, z), s in table.entries.items()), 2)
+                              for j, table in enumerate(per_j(_bind(ctx, cop_form)))
+                              for (w, z, u, c, e, a), s in table.entries.items()), 2)
     assert coproduct == d2.presentation.coproduct

@@ -180,8 +180,9 @@ def test_expression_leg_bookkeeping_matches_kernels(name):
     """Merges, splits, contractions and operators planned by ``Expression``
     agree with the public leg-wise functions on random sparse tensors."""
     from quasihopf.context import get_context
-    from quasihopf.expr import Expression, Fn, Leg, Si, r
+    from quasihopf.expr import Expression, Fn, Leg
     from quasihopf.workbench import catalog_build
+    from ref_registry import Si, r
 
     pres = catalog_build(name)
     ops = get_context(pres).ops

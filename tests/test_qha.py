@@ -9,7 +9,7 @@ import pytest
 
 from conftest import all_mutations, mutate_presentation
 from quasihopf.exactnum import HALF, ONE, Scalar, ZERO
-from quasihopf.expr import VAR, AlgebraOps, Expression, Leg, S, r
+from quasihopf.expr import VAR, AlgebraOps, Expression, Leg
 from quasihopf.multilinear import (Functional, TensorElement, apply_on_leg, contract,
                                    tensor_product)
 from quasihopf.qha import (PREREQUISITES, AxiomViolation, BadCounitNormalization,
@@ -21,6 +21,7 @@ from quasihopf.qha import (PREREQUISITES, AxiomViolation, BadCounitNormalization
                            verify_axioms)
 from quasihopf.workbench import catalog_build
 from ref_evaluate import ref_evaluate
+from ref_registry import S, r
 
 
 def test_catalog_presentations_pass_axioms(h2, h8p, h8m, baseline):
