@@ -24,18 +24,31 @@ multiplication tables in one pass) is an ordinary leg.
 Evaluation contracts the expression as a tensor network.  Every source
 (and every variable, as the identity tensor on its index leg) is a
 component of its own, with its own tensor and named legs.  Steps that
-cannot grow a tensor run as soon as their legs exist: an operator token,
-a merge of two adjacent factors within one component, an operator on a
-finished sub-product and a functional on a finished slot.  Otherwise one
-greedy choice, in the spirit of the greedy path search of opt_einsum
-(Smith & Gray, JOSS 3(26), 2018), picks the growth step whose result has
-the smallest estimated support: a coproduct split, or a merge of two
-adjacent factors that joins two components, fused so that their outer
-product is never built.  Products are associative but not commutative, so
+cannot add a leg run as soon as their legs exist: an operator token, a
+merge of two adjacent factors within one component, a join of two
+adjacent factors when one of their components has a single leg, an
+operator on a finished sub-product and a functional on a finished slot.
+The other steps, coproduct splits and joins of two adjacent factors in
+two components (fused so that their outer product is never built), are
+ordered by an exact search over the whole sequence, in the spirit of the
+exact contraction-order search of Pfeifer, Haegeman and Verstraete (Phys.
+Rev. E 90, 033315, 2014) and the optimal paths of opt_einsum (Smith &
+Gray, JOSS 3(26), 2018).  It minimises the summed estimated kernel work of
+every step: a join costs |A| |B| times one plus the multiplication fanout
+(the mean support of a product of two basis elements), a merge, operator
+or split costs its input support times one plus its column fanout (1 for
+a functional), and each support is estimated as the product of the source
+supports and the fanouts that went into it, capped by n to the number of
+its legs.  These estimates depend only on which steps a component has
+seen, not on their order, so each state of the search is solved once
+(dynamic programming).  Products are associative but not commutative, so
 any adjacent pair of ready factors may merge, in order.  Components that
 still have output legs are outer-multiplied at the end and permuted once.
-This module only plans the leg bookkeeping (which named leg sits where);
-the sparse arithmetic is done by the kernels of :mod:`multilinear`.
+The plan (the kernel steps with their leg positions) depends only on the
+expression, the algebra's profile and the source supports, so a parsed
+expression keeps it for the next call with the same ones.  This module
+only plans the leg bookkeeping (which named leg sits where); the sparse
+arithmetic is done by the kernels of :mod:`multilinear`.
 
 Grammar
 -------
@@ -66,7 +79,7 @@ from __future__ import annotations
 import re
 from typing import Mapping, Sequence
 
-from .multilinear import (Functional, LinearOperator, Num, TensorElement, _join, _lift,
+from .multilinear import (Functional, LinearOperator, TensorElement, _join, _lift,
                           _lift_table, _lower, _map_leg, _merge, _outer, _permute)
 
 
@@ -80,6 +93,8 @@ FUNCTIONALS = ("eps", "mu", "mui", "lam", "Lam")
 _TOKEN = re.compile(r"\w+\(|\)(?:_\w*)?|\(|[^\s()]+")
 _FACTOR = re.compile(r"([A-Za-z]+(?:\^-1)?'?)(\d*)(?:_(\w*))?")
 _UNIT = "1"
+_MEMO_PLANS = 64         # plans kept per parsed expression
+_SEARCH_STATES = 4096    # states the plan search solves before it stops branching
 
 
 class Unbound:
@@ -94,18 +109,26 @@ class Unbound:
 class Ref:
     """Component ``comp`` (1-based) of source ``name`` transformed by
     ``tokens``: an int token 1/2 selects a coproduct part, a str token names
-    a unary operator applied at that point."""
+    a unary operator applied at that point.  ``legs`` is the number of legs
+    of the letter when it is known (0 otherwise); the repr is the grammar's
+    spelling, which leaves out the component of a one-leg letter."""
 
-    __slots__ = ("name", "comp", "tokens")
+    __slots__ = ("name", "comp", "tokens", "legs")
 
-    def __init__(self, name: str, comp: int = 1, *tokens: int | str):
+    def __init__(self, name: str, comp: int = 1, *tokens: int | str, legs: int = 0):
         self.name = name
         self.comp = comp
         self.tokens = tuple(tokens)
+        self.legs = legs
 
     def __repr__(self) -> str:
-        toks = "".join(f",{t}" for t in self.tokens)
-        return f"r({self.name!r},{self.comp}{toks})"
+        text, path = self.name if self.legs == 1 else f"{self.name}{self.comp}", ""
+        for tok in self.tokens:
+            if type(tok) is int:
+                path += str(tok)
+            else:
+                text, path = f"{tok}({text}{'_' + path if path else ''})", ""
+        return f"{text}_{path}" if path else text
 
 
 class Op:
@@ -118,7 +141,7 @@ class Op:
         self.items = items
 
     def __repr__(self) -> str:
-        return f"{self.opname}({', '.join(map(repr, self.items))})"
+        return f"{self.opname}({' '.join(map(repr, self.items))})"
 
 
 class Leg:
@@ -154,6 +177,19 @@ class AlgebraOps:
         self.coproduct = coproduct
         self.operators = dict(operators or {})
         self.functionals = dict(functionals or {})
+        self._profile: tuple | None = None
+
+    def profile(self) -> tuple:
+        """What the plan search reads of the algebra: n, the support of
+        the unit, and the mean column support of the coproduct, of the
+        multiplication table (over all n^2 pairs) and of each operator."""
+        if self._profile is None:
+            n = self.dim
+            mean = lambda columns: sum(len(c.entries) for c in columns) / n
+            self._profile = (n, len(self.unit.entries), mean(self.coproduct.columns),
+                             sum(map(len, self.mult.values())) / (n * n),
+                             tuple((name, mean(op.columns)) for name, op in self.operators.items()))
+        return self._profile
 
 
 class Expression:
@@ -168,7 +204,8 @@ class Expression:
                  outputs: Sequence[Output]):
         self.sources = dict(sources)
         self.outputs = list(outputs)
-        self._plans = self._validate()
+        self._trees = self._validate()
+        self._memo: dict[tuple, _Plan] = {}
 
     @classmethod
     def parse(cls, text: str, letters: Mapping[str, int | str]) -> "Expression":
@@ -196,7 +233,7 @@ class Expression:
                 if tensor.rank != src.rank:
                     raise ExpressionError(f"{name!r} bound to a rank {tensor.rank} tensor, "
                                           f"expected rank {src.rank}")
-        bound.outputs, bound._plans = self.outputs, self._plans
+        bound.outputs, bound._trees, bound._memo = self.outputs, self._trees, self._memo
         return bound
 
     # -- validation --------------------------------------------------------
@@ -214,57 +251,66 @@ class Expression:
         refs: list[Ref] = []
         for out in self.outputs:
             self._walk(out.items, refs)
-        plans: dict[tuple[str, int], dict] = {}
+        trees: dict[tuple[str, int], dict] = {}
         for ref in refs:
             if ref.name not in self.sources:
                 raise ExpressionError(f"unknown source {ref.name!r}")
-            node = plans.setdefault((ref.name, ref.comp), {})
+            node = trees.setdefault((ref.name, ref.comp), {})
             for tok in ref.tokens:
                 node = node.setdefault(tok, {})
             if node.setdefault("__leaf__", ref) is not ref:
                 raise ExpressionError(f"{_label((ref.name, ref.comp, *ref.tokens))}: used twice")
-        for node, tree in plans.items():
+        for node, tree in trees.items():
             _check_tree(tree, node)
         # every component of every non-variable source must be consumed
         for name, src in self.sources.items():
             if src == VAR:
-                if (name, 1) not in plans:
+                if (name, 1) not in trees:
                     raise ExpressionError(f"variable {name!r} never used")
                 continue
             for comp in range(1, src.rank + 1):
-                if (name, comp) not in plans:
+                if (name, comp) not in trees:
                     raise ExpressionError(f"component {name}^{comp} unused")
-        return plans
+        return trees
 
     # -- evaluation --------------------------------------------------------
 
     def evaluate(self, ops: AlgebraOps,
                  functionals: Mapping[str, Functional] | None = None,
                  ) -> TensorElement:
-        net = _Network(self, ops)
-        legs: list[object] = []         # the index legs, then one per Leg slot
+        supports = []
         for name, src in self.sources.items():
-            if src == VAR:
-                net.add_variable(name)
-                legs.append(("idx", name))
-            elif type(src) is Unbound:
+            if type(src) is Unbound:
                 raise ExpressionError(f"source {name!r} is unbound")
-            elif (name, 1) in self._plans:
-                net.add_source(name, src)
+            if src != VAR:
+                supports.append(len(src.entries))
+        fns = []
         for out in self.outputs:
-            functional = None
             if isinstance(out, Fn):
+                functional = None
                 if functionals is not None:
                     functional = functionals.get(out.functional)
                 if functional is None:
                     functional = ops.functionals.get(out.functional)
                 if functional is None:
                     raise ExpressionError(f"unknown functional {out.functional!r}")
-            product = net.product(out.items, None, functional)
-            if functional is None:
-                legs.append(product)
-        net.contract()
-        return net.finalize([leg.leg if isinstance(leg, _Product) else leg for leg in legs])
+                fns.append(functional)
+        return self._plan(ops, tuple(supports)).run(self.sources, ops, fns)
+
+    def _plan(self, ops: AlgebraOps, supports: tuple[int, ...]) -> "_Plan":
+        """The evaluation order for ``ops`` and these source supports,
+        searched once and kept for the last :data:`_MEMO_PLANS` keys.  Keys
+        that share a plan share one object."""
+        key = (ops.profile(), supports)
+        plan = self._memo.get(key)
+        if plan is None:
+            plan = _search(_Network.start(self, ops, supports))
+            plan = next((known for known in self._memo.values() if known.steps == plan.steps),
+                        plan)
+            if len(self._memo) >= _MEMO_PLANS:
+                del self._memo[next(iter(self._memo))]
+            self._memo[key] = plan
+        return plan
 
 
 class _Reader:
@@ -340,7 +386,8 @@ class _Reader:
             raise self.error("_path after an operator on more than one factor", whole)
         else:
             ref = inner[0]
-            items.append(Ref(ref.name, ref.comp, *ref.tokens, name, *self.path(path, whole)))
+            items.append(Ref(ref.name, ref.comp, *ref.tokens, name, *self.path(path, whole),
+                             legs=ref.legs))
 
     def factor(self, token: str) -> Ref:
         match = _FACTOR.fullmatch(token)
@@ -362,9 +409,7 @@ class _Reader:
         else:
             comp = int(comp)
         self.used[name] = None
-        if path is None:
-            return Ref(name, comp)
-        return Ref(name, comp, *self.path(path, token))
+        return Ref(name, comp, *(() if path is None else self.path(path, token)), legs=legs)
 
     def path(self, path: str, token: str) -> tuple[int, ...]:
         if not path or path.strip("12"):
@@ -372,248 +417,394 @@ class _Reader:
         return tuple(map(int, path))
 
 
-class _Component:
-    """One connected part of the network: a sparse tensor in numerator form
-    and the names of its legs, in key order."""
+class _Shape:
+    """One planning problem: the cost model's view of the algebra and the
+    sources, and the layout :meth:`_Network.start` records.  ``init`` names
+    the source each register starts from (None for a unit), ``place`` gives
+    each original factor's product and index in it, ``finish`` the step
+    that ends each product (None, ("op", name) or ("fn", slot)), ``parent``
+    the product a nested one is a factor of and ``order`` the result's
+    legs."""
 
-    __slots__ = ("t", "legs")
+    __slots__ = ("n", "unit", "split_fanout", "mult_fanout", "op_fanouts", "trees", "init",
+                 "place", "finish", "parent", "order")
 
-    def __init__(self, t: Num, legs: list[object]):
-        self.t = t
-        self.legs = legs
-
-
-class _Product:
-    """An ordered product still to be formed.  A factor is a leg name or a
-    nested product under an operator; once the factors are one leg, the
-    operator or the functional is applied to it and ``leg`` is set."""
-
-    __slots__ = ("factors", "operator", "functional", "leg")
-
-    def __init__(self, factors: list, operator: LinearOperator | None,
-                 functional: Functional | None):
-        self.factors = factors
-        self.operator = operator
-        self.functional = functional
-        self.leg: object = None
+    def __init__(self, ops: AlgebraOps, trees: dict[tuple[str, int], dict]):
+        self.n, self.unit, self.split_fanout, self.mult_fanout, op_fanouts = ops.profile()
+        self.op_fanouts = dict(op_fanouts)
+        self.trees = trees
+        self.init: list[str | None] = []
+        self.place: dict[tuple, tuple[int, int]] = {}
+        self.finish: list[tuple | None] = []
+        self.parent: dict[int, int] = {}
+        self.order: list[tuple] = []
 
 
 class _Network:
-    """One run of :meth:`Expression.evaluate`: the components, the open
-    products and the splits still to come, contracted in the order the
-    module docstring gives.  Only the leg bookkeeping lives here; every
-    loop over the entries is one of :mod:`multilinear`'s kernels.  The
-    state holds no reference cycle, so a run is freed by reference
-    counting alone."""
+    """The leg bookkeeping of one evaluation order, on estimated supports
+    instead of tensors.  A component is a register number with its legs,
+    in key order, and its ``size``: the product of its sources' supports
+    and of the fanout of every step that went into it.  ``splits`` holds
+    the splits still to come and ``factors`` the factors of every open
+    product, nested ones first: a leg name, or the number of a nested
+    product not yet finished.  A leg is named by what it holds, so two
+    orders that reach the same state reach the same :meth:`key`; ``cost``
+    is the estimated kernel work so far, and the kernel steps are written
+    to ``steps`` when it is a list."""
 
-    def __init__(self, expr: Expression, ops: AlgebraOps):
-        self.expr = expr
-        self.ops = ops
-        self.components: list[_Component] = []
-        self.owner: dict[object, _Component] = {}
-        self.splits: dict[object, dict] = {}    # leg -> token tree below its split
-        self.open: list[_Product] = []          # nested products before their parent
-        self.counter = 0
+    __slots__ = ("shape", "legs", "size", "owner", "splits", "factors", "next", "cost",
+                 "steps")
+
+    def child(self, step) -> "_Network":
+        """The state after ``step``, with the cost of reaching it from
+        this one; it writes no steps."""
+        net = object.__new__(_Network)
+        net.shape, net.next = self.shape, self.next
+        net.legs, net.size, net.owner = dict(self.legs), dict(self.size), dict(self.owner)
+        net.splits, net.factors = dict(self.splits), dict(self.factors)
+        net.cost, net.steps = 0.0, None
+        net.grow(step)
+        return net
+
+    def key(self) -> tuple:
+        return tuple(self.factors.values()), frozenset(self.splits)
 
     # -- building --------------------------------------------------------
 
-    def _add(self, t: Num, legs: list[object]) -> _Component:
-        comp = _Component(t, legs)
-        self.components.append(comp)
+    @classmethod
+    def start(cls, expr: "Expression", ops: AlgebraOps, supports: Sequence[int]) -> "_Network":
+        """The components of ``expr``'s sources (a variable is the identity
+        tensor sum_m e_m (x) e_m, whose first leg is its index), then its
+        products, nested ones first, and every step that is free before
+        the first growth step; ``supports`` are those of the sources that
+        are not variables."""
+        net = object.__new__(cls)
+        net.shape = shape = _Shape(ops, expr._trees)
+        net.cost, net.steps = 0.0, []
+        net.legs, net.size, net.owner, net.splits, net.factors = {}, {}, {}, {}, {}
+        supports = iter(supports)
+        for name, src in expr.sources.items():
+            if src == VAR:
+                shape.order.append(("idx", name))
+                net._add(name, shape.n, [("idx", name), (name, 1, ())])
+            elif (name, 1) in expr._trees:
+                net._add(name, next(supports), [(name, c, ()) for c in range(1, src.rank + 1)])
+            else:
+                next(supports)
+        slot = 0
+        for out in expr.outputs:
+            if isinstance(out, Fn):
+                net._product(out.items, ("fn", slot))
+                slot += 1
+            else:
+                shape.order.append(("out", net._product(out.items, None)))
+        net.next = len(shape.init)
+        net._settle(set(net.factors))
+        return net
+
+    def _add(self, name: str | None, size: float, legs: list[tuple]) -> None:
+        cid = len(self.shape.init)
+        self.shape.init.append(name)
+        self.legs[cid], self.size[cid] = tuple(legs), size
         for leg in legs:
-            self.owner[leg] = comp
-        return comp
+            self.owner[leg] = cid
+            if len(leg) == 3:
+                self._expand(leg, self.shape.trees[leg[:2]])
 
-    def add_source(self, name: str, tensor: TensorElement) -> None:
-        legs = [(name, c, ()) for c in range(1, tensor.rank + 1)]
-        comp = self._add(_lift(tensor.entries), legs)
-        for leg in legs:
-            self._expand(comp, leg, self.expr._plans[leg[:2]])
-
-    def add_variable(self, name: str) -> None:
-        """A variable: the identity tensor sum_m e_m (x) e_m, whose first
-        leg is the variable's index."""
-        leg = (name, 1, ())
-        comp = self._add(({(m, m): 1 for m in range(self.ops.dim)}, 1, False),
-                         [("idx", name), leg])
-        self._expand(comp, leg, self.expr._plans[(name, 1)])
-
-    def _operator(self, opname: str) -> LinearOperator:
-        operator = self.ops.operators.get(opname)
-        if operator is None:
-            raise ExpressionError(f"unknown operator {opname!r}")
-        return operator
-
-    def _expand(self, comp: _Component, leg: tuple, tree: dict) -> None:
-        """Apply the operator tokens below ``leg`` now; a split waits for
-        its turn.  A leg's name is its source, component and token path."""
-        while True:
-            keys = [k for k in tree if k != "__leaf__"]
-            if not keys:
-                return
-            if not isinstance(keys[0], str):
-                self.splits[leg] = tree
-                return
-            p = comp.legs.index(leg)
-            comp.t = _map_leg(comp.t, self._operator(keys[0]).numerator_columns(), p)
-            del self.owner[leg]
-            leg = leg[:2] + (leg[2] + (keys[0],),)
-            comp.legs[p] = leg
-            self.owner[leg] = comp
-            tree = tree[keys[0]]
-
-    def product(self, items: Sequence[Ref | Op], operator: LinearOperator | None,
-                functional: Functional | None) -> _Product:
+    def _product(self, items: Sequence[Ref | Op], finish: tuple | None) -> int:
+        """Number the product of ``items`` after its nested products;
+        ``finish`` is the step that ends it."""
+        shape = self.shape
         factors: list = []
         for item in items:
             if isinstance(item, Ref):
                 factors.append((item.name, item.comp, item.tokens))
             else:
-                factors.append(self.product(item.items, self._operator(item.opname), None))
+                factors.append(self._product(item.items, ("op", item.opname)))
         if not items:
-            self.counter += 1
-            leg = ("unit", self.counter)
-            self._add(_lift(self.ops.unit.entries), [leg])
+            leg = ("unit", len(shape.init))
+            self._add(None, shape.unit, [leg])
             factors.append(leg)
-        prod = _Product(factors, operator, functional)
-        self.open.append(prod)
-        return prod
+        pid = len(shape.finish)
+        shape.finish.append(finish)
+        for i, f in enumerate(factors):
+            if type(f) is int:
+                shape.parent[f] = pid
+                f = ("out", f)
+            shape.place[f] = (pid, i)
+        self.factors[pid] = tuple(factors)
+        return pid
 
-    # -- contracting -----------------------------------------------------
+    # -- the steps -------------------------------------------------------
 
-    def contract(self) -> None:
+    def _estimate(self, cid: int) -> float:
+        """The support of a component: its size, capped by n to the number
+        of its legs."""
+        return min(self.size[cid], self.shape.n ** len(self.legs[cid]))
+
+    def _map(self, leg: tuple, step: tuple, fanout: float, image: tuple) -> int:
+        """Map ``leg`` through the columns ``step`` names; the legs of
+        ``image`` take its place.  Costs the input times one plus the
+        fanout."""
+        cid = self.owner.pop(leg)
+        legs = self.legs[cid]
+        p = legs.index(leg)
+        self.cost += self._estimate(cid) * (1 + fanout)
+        self.size[cid] *= fanout
+        self.legs[cid] = legs[:p] + image + legs[p + 1:]
+        for new in image:
+            self.owner[new] = cid
+        if self.steps is not None:
+            self.steps.append((step[0], cid, p, step[1]))
+        return cid
+
+    def _expand(self, leg: tuple, tree: dict) -> tuple:
+        """Apply the operator tokens below ``leg`` now; a split waits for
+        its turn.  A leg's name is its source, component and token path;
+        the name it ends with is returned."""
         while True:
-            self._settle()
-            if not self.open:
-                return
-            if not self._grow():
-                raise ExpressionError("a product never became ready")
+            keys = [k for k in tree if k != "__leaf__"]
+            if not keys:
+                return leg
+            if not isinstance(keys[0], str):
+                self.splits[leg] = tree
+                return leg
+            new = leg[:2] + (leg[2] + (keys[0],),)
+            self._map(leg, ("op", keys[0]), self._fanout(keys[0]), (new,))
+            leg, tree = new, tree[keys[0]]
 
-    def _settle(self) -> None:
-        """Run every step that cannot grow a tensor.  Nested products come
-        before their parent, so one pass finishes a sub-product before its
-        parent reads it; no other step makes a further one free."""
-        owner = self.owner
-        still_open = []
-        for prod in self.open:
-            factors = prod.factors
-            i = 0
-            while i < len(factors):
-                f = factors[i]
-                if type(f) is _Product:
-                    if f.leg is None:
-                        i += 1
-                        continue
-                    factors[i] = f = f.leg
-                if i and f in owner and owner.get(factors[i - 1]) is owner[f]:
-                    factors[i - 1:i + 1] = [self._merge_legs(factors[i - 1], f)]
-                    continue
-                i += 1
-            if len(factors) == 1 and factors[0] in owner:
-                self._finish(prod, factors[0])
-            else:
-                still_open.append(prod)
-        self.open = still_open
+    def _fanout(self, opname: str) -> float:
+        fanout = self.shape.op_fanouts.get(opname)
+        if fanout is None:
+            raise ExpressionError(f"unknown operator {opname!r}")
+        return fanout
 
-    def _finish(self, prod: _Product, leg: object) -> None:
-        comp = self.owner[leg]
-        p = comp.legs.index(leg)
-        if prod.operator is not None:
-            comp.t = _map_leg(comp.t, prod.operator.numerator_columns(), p)
-        elif prod.functional is not None:
-            comp.t = _map_leg(comp.t, prod.functional.numerator_columns(), p)
-            del comp.legs[p]
-            del self.owner[leg]
-        prod.leg = leg
-
-    def _merge_legs(self, a: object, b: object) -> object:
-        """Multiply leg values a*b within one component into a fresh last leg."""
-        comp = self.owner.pop(a)
-        del self.owner[b]
-        pa, pb = comp.legs.index(a), comp.legs.index(b)
-        comp.t = _merge(comp.t, _lift_table(self.ops.mult), pa, pb)
-        comp.legs = [leg for leg in comp.legs if leg != a and leg != b]
-        self.counter += 1
-        dest = ("prod", self.counter)
-        comp.legs.append(dest)
-        self.owner[dest] = comp
-        return dest
-
-    def _grow(self) -> bool:
-        """Run the split or joining merge with the smallest estimated result:
-        |C| times the mean coproduct column for a split of C, |A| |B| for a
-        join, each capped by n to the number of legs of the result."""
-        n = self.ops.dim
-        owner = self.owner
-        best, best_size, best_at = None, None, 0
-        if self.splits:
-            columns = self.ops.coproduct.numerator_columns()
-            fanout = sum(map(len, columns.form(columns.qi))) / n
-        for leg in self.splits:
-            comp = owner[leg]
-            size = min(len(comp.t[0]) * fanout, n ** (len(comp.legs) + 1))
-            if best_size is None or size < best_size:
-                best, best_size = leg, size
-        for prod in self.open:
-            factors = prod.factors
-            for i in range(1, len(factors)):
-                ca, cb = owner.get(factors[i - 1]), owner.get(factors[i])
-                if ca is None or cb is None:
-                    continue
-                size = min(len(ca.t[0]) * len(cb.t[0]),
-                           n ** (len(ca.legs) + len(cb.legs) - 1))
-                if best_size is None or size < best_size:
-                    best, best_size, best_at = prod, size, i
-        if best is None:
-            return False
-        if type(best) is _Product:
-            factors = best.factors
-            factors[best_at - 1:best_at + 1] = [self._join_legs(*factors[best_at - 1:best_at + 1])]
-        else:
-            self._split_leg(best)
-        return True
-
-    def _split_leg(self, leg: tuple) -> None:
-        """Replace a leg in place by the two legs of its coproduct."""
+    def _split(self, leg: tuple) -> set[int]:
+        """Replace a leg in place by the two legs of its coproduct; the
+        products they are factors of are returned."""
         tree = self.splits.pop(leg)
-        comp = self.owner.pop(leg)
-        p = comp.legs.index(leg)
-        comp.t = _map_leg(comp.t, self.ops.coproduct.numerator_columns(), p)
-        halves = [leg[:2] + (leg[2] + (part,),) for part in (1, 2)]
-        comp.legs[p:p + 1] = halves
-        for part, half in zip((1, 2), halves):
-            self.owner[half] = comp
-            self._expand(comp, half, tree[part])
+        halves = tuple(leg[:2] + (leg[2] + (part,),) for part in (1, 2))
+        self._map(leg, ("split", None), self.shape.split_fanout, halves)
+        place = self.shape.place
+        ends = [self._expand(half, tree[part]) for part, half in zip((1, 2), halves)]
+        return {place[end][0] for end in ends if end in place}
 
-    def _join_legs(self, a: object, b: object) -> object:
-        """Multiply leg values a*b of two components into one component."""
-        ca, cb = self.owner.pop(a), self.owner.pop(b)
-        pa, pb = ca.legs.index(a), cb.legs.index(b)
-        t = _join(ca.t, cb.t, _lift_table(self.ops.mult), pa, pb)
-        self.counter += 1
-        dest = ("prod", self.counter)
-        legs = ca.legs[:pa] + ca.legs[pa + 1:] + cb.legs[:pb] + cb.legs[pb + 1:] + [dest]
-        self.components = [c for c in self.components if c is not ca and c is not cb]
-        self._add(t, legs)
-        return dest
+    def _multiply(self, pid: int, i: int) -> int:
+        """Multiply factors i-1 and i of product ``pid`` into one leg: a
+        merge within one component, or a join of two into a new one, fused
+        so that their outer product is never built.  The leg is named by
+        the factors it spans."""
+        shape, owner = self.shape, self.owner
+        factors = self.factors[pid]
+        a, b = factors[i - 1], factors[i]
+        dest = ("prod", pid, a[2] if len(a) == 4 else shape.place[a][1],
+                b[3] if len(b) == 4 else shape.place[b][1])
+        self.factors[pid] = factors[:i - 1] + (dest,) + factors[i + 1:]
+        ca, cb = owner.pop(a), owner.pop(b)
+        la, lb = self.legs[ca], self.legs[cb]
+        pa, pb = la.index(a), lb.index(b)
+        fanout = shape.mult_fanout
+        if ca == cb:
+            self.cost += self._estimate(ca) * (1 + fanout)
+            self.size[ca] *= fanout
+            lo, hi = (pa, pb) if pa < pb else (pb, pa)
+            self.legs[ca] = la[:lo] + la[lo + 1:hi] + la[hi + 1:] + (dest,)
+            owner[dest] = ca
+            if self.steps is not None:
+                self.steps.append(("merge", ca, pa, pb))
+            return ca
+        self.cost += self._estimate(ca) * self._estimate(cb) * (1 + fanout)
+        cid, self.next = self.next, self.next + 1
+        legs = self.legs[cid] = la[:pa] + la[pa + 1:] + lb[:pb] + lb[pb + 1:] + (dest,)
+        self.size[cid] = self.size.pop(ca) * self.size.pop(cb) * fanout
+        del self.legs[ca], self.legs[cb]
+        for leg in legs:
+            owner[leg] = cid
+        if self.steps is not None:
+            self.steps.append(("join", ca, pa, cb, pb))
+        return cid
 
-    def finalize(self, order: Sequence[object]) -> TensorElement:
-        """Outer-multiply the components and permute their legs once."""
-        if not self.components:
-            self._add(({(): 1}, 1, False), [])
-        t, legs = self.components[0].t, list(self.components[0].legs)
-        for comp in self.components[1:]:
-            t = _outer(t, comp.t)
-            legs += comp.legs
-        self.components = []            # so the parts are freed below
-        self.owner.clear()
+    def _finish(self, pid: int, leg: tuple) -> set[int]:
+        """End product ``pid``, whose factors are the one leg ``leg``: its
+        operator or functional is applied, and what is left is the leg
+        ("out", pid), in place of the product among its parent's factors.
+        The products this may make a step free in are returned."""
+        finish = self.shape.finish[pid]
+        out = ("out", pid)
+        del self.factors[pid]
+        if finish is None:
+            cid = self.owner.pop(leg)
+            self.legs[cid] = tuple(out if x == leg else x for x in self.legs[cid])
+            self.owner[out] = cid
+            return set()
+        if finish[0] == "fn":
+            return self._shrunk(self._map(leg, finish, 1.0, ()))
+        self._map(leg, finish, self._fanout(finish[1]), (out,))
+        parent = self.shape.parent[pid]
+        self.factors[parent] = tuple(out if f == pid else f for f in self.factors[parent])
+        return {parent}
+
+    def _settle(self, todo: set[int]) -> None:
+        """Run every step that cannot add a leg, until none is left: two
+        adjacent ready factors in one component merge, and in two
+        components they join when one of the two has a single leg; a
+        product that is one leg is finished.  ``todo`` holds the products
+        to look at, nested ones before their parent; a step adds those it
+        may have made a step free in."""
+        owner, legs, factors_of = self.owner, self.legs, self.factors
+        while todo:
+            pid = min(todo)
+            todo.remove(pid)
+            factors = factors_of.get(pid)
+            if factors is None:
+                continue
+            i, ca = 1, owner.get(factors[0])
+            while i < len(factors):
+                cb = owner.get(factors[i])
+                if (ca is not None and cb is not None
+                        and (ca == cb or len(legs[ca]) == 1 or len(legs[cb]) == 1)):
+                    todo |= self._shrunk(self._multiply(pid, i))
+                    factors = factors_of[pid]
+                    i = max(i - 1, 1)
+                    ca = owner.get(factors[i - 1])
+                else:
+                    i, ca = i + 1, cb
+            if len(factors) == 1 and factors[0] in owner:
+                todo |= self._finish(pid, factors[0])
+
+    def _products(self, cid: int) -> set[int]:
+        """The open products with a factor among the legs of ``cid``."""
+        place = self.shape.place
+        return {leg[1] if len(leg) == 4 else place[leg][0]
+                for leg in self.legs[cid] if len(leg) == 4 or leg in place}
+
+    def _shrunk(self, cid: int) -> set[int]:
+        """The products a step that took a leg from ``cid`` may have made
+        a join free in: those of its last leg, if it has one left.  Its
+        other legs stay where they were."""
+        return self._products(cid) if len(self.legs[cid]) == 1 else set()
+
+    # -- the search ------------------------------------------------------
+
+    def growth(self) -> list:
+        """The steps that may add a leg: a pending split (named by its
+        leg), or a join of two adjacent ready factors (pid, i)."""
+        options: list = list(self.splits)
+        owner = self.owner
+        for pid, factors in self.factors.items():
+            options += [(pid, i) for i in range(1, len(factors))
+                        if factors[i - 1] in owner and factors[i] in owner]
+        return options
+
+    def grow(self, step) -> None:
+        """Run a growth step and every step it makes free: after a split,
+        in the products of the new legs; after a join, in those with a
+        factor in each of the two components."""
+        if type(step[0]) is int:
+            pid, i = step
+            both = set.intersection(*(self._products(self.owner[leg])
+                                      for leg in self.factors[pid][i - 1:i + 1]))
+            self._settle(both | self._shrunk(self._multiply(pid, i)))
+        else:
+            self._settle(self._split(step))
+
+    def plan(self, exact: bool, states: int) -> "_Plan":
+        """The finished network as a plan: the surviving components are
+        outer-multiplied in register order and permuted once."""
+        order = self.shape.order
+        final = sorted(self.legs)
+        legs = [leg for cid in final for leg in self.legs[cid]]
         if set(order) != set(legs) or len(order) != len(legs):
             raise ExpressionError(f"leftover legs {legs!r} vs outputs {order!r}")
-        perm = [legs.index(key) for key in order]
+        return _Plan(tuple(self.shape.init), tuple(self.steps), final,
+                     [legs.index(key) for key in order], exact, states)
+
+
+def _search(start: _Network) -> "_Plan":
+    """The growth steps of least total estimated cost from ``start``, by
+    dynamic programming over the states they reach: the cost to finish
+    from a state does not depend on how it was reached, so each state is
+    solved once.  After :data:`_SEARCH_STATES` states, a state tries only
+    its cheapest next step, and the plan is marked inexact."""
+    memo: dict[tuple, tuple[float, object]] = {}
+    exact = True
+
+    def best(net: _Network) -> float:
+        nonlocal exact
+        key = net.key()
+        found = memo.get(key)
+        if found is not None:
+            return found[0]
+        options = net.growth()
+        if not options:
+            if net.factors:
+                raise ExpressionError("a product never became ready")
+            memo[key] = (0.0, None)
+            return 0.0
+        if len(memo) >= _SEARCH_STATES and len(options) > 1:
+            exact = False
+            options = [min(options, key=lambda step: net.child(step).cost)]
+        value, choice = None, None
+        for step in options:
+            child = net.child(step)
+            total = child.cost + best(child)
+            if value is None or total < value:
+                value, choice = total, step
+        memo[key] = (value, choice)
+        return value
+
+    best(start)
+    net = start
+    while (step := memo[net.key()][1]) is not None:
+        net.grow(step)
+    return net.plan(exact, len(memo))
+
+
+class _Plan:
+    """The kernel steps of one evaluation order.  ``init`` names the
+    source each register starts from (None for the unit); a join appends
+    a register.  ``final`` lists the registers outer-multiplied at the end
+    and ``perm`` the permutation of their legs.  ``exact`` says whether the
+    search that found it ran to the end, over ``states`` states."""
+
+    __slots__ = ("init", "steps", "final", "perm", "exact", "states")
+
+    def __init__(self, init, steps, final, perm, exact, states):
+        self.init, self.steps, self.final, self.perm = init, steps, final, perm
+        self.exact, self.states = exact, states
+
+    def run(self, sources: Mapping[str, TensorElement | str], ops: AlgebraOps,
+            functionals: Sequence[Functional]) -> TensorElement:
+        """Every loop over the entries is one of :mod:`multilinear`'s kernels."""
+        regs: list = []
+        for name in self.init:
+            src = ops.unit if name is None else sources[name]
+            if src == VAR:
+                regs.append(({(m, m): 1 for m in range(ops.dim)}, 1, False))
+            else:
+                regs.append(_lift(src.entries))
+        for step in self.steps:
+            kind = step[0]
+            if kind == "join":
+                _, a, pa, b, pb = step
+                regs.append(_join(regs[a], regs[b], _lift_table(ops.mult), pa, pb))
+                regs[a] = regs[b] = None
+            elif kind == "merge":
+                _, r, pa, pb = step
+                regs[r] = _merge(regs[r], _lift_table(ops.mult), pa, pb)
+            else:
+                _, r, p, arg = step
+                columns = (ops.coproduct if kind == "split" else functionals[arg] if kind == "fn"
+                           else ops.operators[arg])
+                regs[r] = _map_leg(regs[r], columns.numerator_columns(), p)
+        t = ({(): 1}, 1, False) if not self.final else regs[self.final[0]]
+        for r in self.final[1:]:
+            t = _outer(t, regs[r])
+        regs = None                     # so the parts are freed below
         nums, den, qi = t
         t = None
-        nums = _permute(nums, perm)
-        return TensorElement(len(order), self.ops.dim, _lower((nums, den, qi)), _trust=True)
+        nums = _permute(nums, self.perm)
+        return TensorElement(len(self.perm), ops.dim, _lower((nums, den, qi)), _trust=True)
 
 
 def _check_tree(tree: dict, node: tuple) -> None:

@@ -136,7 +136,7 @@ class _Evaluation:
         if (name, comp) in self.prepared:
             return
         self.prepared.add((name, comp))
-        tree = self.expr._plans.get((name, comp))
+        tree = self.expr._trees.get((name, comp))
         if tree is None:
             raise ExpressionError(f"component {name}^{comp} unused")
         _expand(self.state, ("raw", name, comp), (), tree, self.ops, name, comp)
