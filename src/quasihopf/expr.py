@@ -44,11 +44,14 @@ seen, not on their order, so each state of the search is solved once
 (dynamic programming).  Products are associative but not commutative, so
 any adjacent pair of ready factors may merge, in order.  Components that
 still have output legs are outer-multiplied at the end and permuted once.
-The plan (the kernel steps with their leg positions) depends only on the
-expression, the algebra's profile and the source supports, so a parsed
-expression keeps it for the next call with the same ones.  This module
-only plans the leg bookkeeping (which named leg sits where); the sparse
-arithmetic is done by the kernels of :mod:`multilinear`.
+The states and the steps between them depend only on the formula, so a
+parsed expression builds their graph on its first evaluation, with each
+estimate written as a product of named quantities (n, the fanouts, the
+supports of the sources); every evaluation prices the graph with its own
+numbers and takes the cheapest route, and the kernel steps of each route
+taken are kept.  This module only plans the leg bookkeeping (which named
+leg sits where); the sparse arithmetic is done by the kernels of
+:mod:`multilinear`.
 
 Grammar
 -------
@@ -77,6 +80,7 @@ Hausser and Nill (arXiv:math/9904164) and maps it one to one onto ``Leg``,
 from __future__ import annotations
 
 import re
+from array import array
 from typing import Mapping, Sequence
 
 from .multilinear import (Functional, LinearOperator, TensorElement, _join, _lift,
@@ -93,8 +97,6 @@ FUNCTIONALS = ("eps", "mu", "mui", "lam", "Lam")
 _TOKEN = re.compile(r"\w+\(|\)(?:_\w*)?|\(|[^\s()]+")
 _FACTOR = re.compile(r"([A-Za-z]+(?:\^-1)?'?)(\d*)(?:_(\w*))?")
 _UNIT = "1"
-_MEMO_PLANS = 64         # plans kept per parsed expression
-_SEARCH_STATES = 4096    # states the plan search solves before it stops branching
 
 
 class Unbound:
@@ -177,18 +179,22 @@ class AlgebraOps:
         self.coproduct = coproduct
         self.operators = dict(operators or {})
         self.functionals = dict(functionals or {})
-        self._profile: tuple | None = None
+        self._profile: dict | None = None
 
-    def profile(self) -> tuple:
-        """What the plan search reads of the algebra: n, the support of
-        the unit, and the mean column support of the coproduct, of the
-        multiplication table (over all n^2 pairs) and of each operator."""
+    def profile(self) -> dict[tuple, float]:
+        """What the plan search reads of the algebra, by the name it has in
+        a plan: n, the support of the unit, and the mean column support of
+        the coproduct, of the multiplication table (over all n^2 pairs) and
+        of each operator (a functional keeps the support, fanout 1)."""
         if self._profile is None:
             n = self.dim
             mean = lambda columns: sum(len(c.entries) for c in columns) / n
-            self._profile = (n, len(self.unit.entries), mean(self.coproduct.columns),
-                             sum(map(len, self.mult.values())) / (n * n),
-                             tuple((name, mean(op.columns)) for name, op in self.operators.items()))
+            profile = {("n",): n, ("unit",): len(self.unit.entries), ("fn",): 1.0,
+                       ("split",): mean(self.coproduct.columns),
+                       ("mult",): sum(map(len, self.mult.values())) / (n * n)}
+            profile.update((("op", name), mean(op.columns))
+                           for name, op in self.operators.items())
+            self._profile = profile
         return self._profile
 
 
@@ -205,7 +211,7 @@ class Expression:
         self.sources = dict(sources)
         self.outputs = list(outputs)
         self._trees = self._validate()
-        self._memo: dict[tuple, _Plan] = {}
+        self._planner = _Planner()
 
     @classmethod
     def parse(cls, text: str, letters: Mapping[str, int | str]) -> "Expression":
@@ -233,7 +239,7 @@ class Expression:
                 if tensor.rank != src.rank:
                     raise ExpressionError(f"{name!r} bound to a rank {tensor.rank} tensor, "
                                           f"expected rank {src.rank}")
-        bound.outputs, bound._trees, bound._memo = self.outputs, self._trees, self._memo
+        bound.outputs, bound._trees, bound._planner = self.outputs, self._trees, self._planner
         return bound
 
     # -- validation --------------------------------------------------------
@@ -278,12 +284,9 @@ class Expression:
     def evaluate(self, ops: AlgebraOps,
                  functionals: Mapping[str, Functional] | None = None,
                  ) -> TensorElement:
-        supports = []
         for name, src in self.sources.items():
             if type(src) is Unbound:
                 raise ExpressionError(f"source {name!r} is unbound")
-            if src != VAR:
-                supports.append(len(src.entries))
         fns = []
         for out in self.outputs:
             if isinstance(out, Fn):
@@ -295,22 +298,7 @@ class Expression:
                 if functional is None:
                     raise ExpressionError(f"unknown functional {out.functional!r}")
                 fns.append(functional)
-        return self._plan(ops, tuple(supports)).run(self.sources, ops, fns)
-
-    def _plan(self, ops: AlgebraOps, supports: tuple[int, ...]) -> "_Plan":
-        """The evaluation order for ``ops`` and these source supports,
-        searched once and kept for the last :data:`_MEMO_PLANS` keys.  Keys
-        that share a plan share one object."""
-        key = (ops.profile(), supports)
-        plan = self._memo.get(key)
-        if plan is None:
-            plan = _search(_Network.start(self, ops, supports))
-            plan = next((known for known in self._memo.values() if known.steps == plan.steps),
-                        plan)
-            if len(self._memo) >= _MEMO_PLANS:
-                del self._memo[next(iter(self._memo))]
-            self._memo[key] = plan
-        return plan
+        return self._planner.plan(self, ops).run(self.sources, ops, fns)
 
 
 class _Reader:
@@ -417,52 +405,93 @@ class _Reader:
         return tuple(map(int, path))
 
 
+# the quantities every plan search names, by number; then one object for
+# each name of a quantity and for each kernel step, shared by all plans
+_QN, _QFN, _QMULT, _QSPLIT, _QUNIT = range(5)
+_NAMES: dict[tuple, tuple] = {}
+_STEPS: dict[tuple, tuple] = {}
+
+
 class _Shape:
-    """One planning problem: the cost model's view of the algebra and the
-    sources, and the layout :meth:`_Network.start` records.  ``init`` names
-    the source each register starts from (None for a unit), ``place`` gives
+    """One planning problem: the layout :meth:`_Network.start` records and
+    the quantities its estimates are products of.  ``init`` names the
+    source each register starts from (None for a unit), ``place`` gives
     each original factor's product and index in it, ``finish`` the step
     that ends each product (None, ("op", name) or ("fn", slot)), ``parent``
     the product a nested one is a factor of and ``order`` the result's
-    legs."""
+    legs.  ``names`` numbers the quantities (the keys of
+    :meth:`AlgebraOps.profile`, and ("src", name) for the support of a
+    source).  A size is a product of quantities: ``sizes`` numbers each
+    by its sorted tuple of them, ``products[s]`` is that tuple and
+    ``made`` numbers it by each (a, b, q) that gave it; ``recipes[s]`` =
+    (a, b, q) gives size
+    s as size a times size b times quantity q (size 0 is the empty
+    product).  ``ests`` numbers the estimated supports the search meets: a
+    size and a number of legs, n to which caps it."""
 
-    __slots__ = ("n", "unit", "split_fanout", "mult_fanout", "op_fanouts", "trees", "init",
-                 "place", "finish", "parent", "order")
+    __slots__ = ("trees", "init", "place", "finish", "parent", "order", "names", "sizes",
+                 "products", "made", "recipes", "ests")
 
-    def __init__(self, ops: AlgebraOps, trees: dict[tuple[str, int], dict]):
-        self.n, self.unit, self.split_fanout, self.mult_fanout, op_fanouts = ops.profile()
-        self.op_fanouts = dict(op_fanouts)
+    def __init__(self, trees: dict[tuple[str, int], dict]):
         self.trees = trees
         self.init: list[str | None] = []
         self.place: dict[tuple, tuple[int, int]] = {}
         self.finish: list[tuple | None] = []
         self.parent: dict[int, int] = {}
         self.order: list[tuple] = []
+        self.names: dict[tuple, int] = {("n",): _QN, ("fn",): _QFN, ("mult",): _QMULT,
+                                        ("split",): _QSPLIT, ("unit",): _QUNIT}
+        self.sizes: dict[tuple, int] = {(): 0}
+        self.products: list[tuple] = [()]
+        self.made: dict[tuple[int, int, int], int] = {}
+        self.recipes: list[tuple[int, int, int]] = [(0, 0, _QFN)]
+        self.ests: dict[tuple, int] = {(0, 0): 0}       # 1, the factor a map step lacks
+
+    def var(self, name: tuple) -> int:
+        return self.names.setdefault(name, len(self.names))
+
+    def times(self, a: int, b: int, q: int) -> int:
+        """The number of size a times size b times quantity q."""
+        s = self.made.get((a, b, q))
+        if s is None:
+            product = tuple(sorted(self.products[a] + self.products[b] + (q,)))
+            s = self.sizes.get(product)
+            if s is None:
+                s = self.sizes[product] = len(self.products)
+                self.products.append(product)
+                self.recipes.append((a, b, q))
+            self.made[a, b, q] = s
+        return s
+
+    def est(self, size: int, legs: int) -> int:
+        ests = self.ests
+        return ests.setdefault((size, legs), len(ests))
 
 
 class _Network:
-    """The leg bookkeeping of one evaluation order, on estimated supports
+    """The leg bookkeeping of one evaluation order, with estimated supports
     instead of tensors.  A component is a register number with its legs,
     in key order, and its ``size``: the product of its sources' supports
-    and of the fanout of every step that went into it.  ``splits`` holds
-    the splits still to come and ``factors`` the factors of every open
-    product, nested ones first: a leg name, or the number of a nested
-    product not yet finished.  A leg is named by what it holds, so two
-    orders that reach the same state reach the same :meth:`key`; ``cost``
-    is the estimated kernel work so far, and the kernel steps are written
-    to ``steps`` when it is a list."""
+    and of the fanout of every step that went into it, numbered in the
+    :class:`_Shape`.  ``splits`` holds the legs still to split and ``factors``
+    the factors of every open product, nested ones first: a leg name, or
+    the number of a nested product not yet finished.  A leg is named by
+    what it holds, so two orders that reach the same state reach the same
+    :meth:`key`.  Each step appends its kernel work to ``terms``, as
+    (fanout, a, b): one plus the fanout times the estimates a and b, and
+    writes the kernel step to ``steps`` when it is a list."""
 
-    __slots__ = ("shape", "legs", "size", "owner", "splits", "factors", "next", "cost",
+    __slots__ = ("shape", "legs", "size", "owner", "splits", "factors", "next", "terms",
                  "steps")
 
     def child(self, step) -> "_Network":
-        """The state after ``step``, with the cost of reaching it from
-        this one; it writes no steps."""
+        """The state after ``step``, with the work of reaching it from this
+        one in ``terms``; it writes no steps."""
         net = object.__new__(_Network)
         net.shape, net.next = self.shape, self.next
         net.legs, net.size, net.owner = dict(self.legs), dict(self.size), dict(self.owner)
-        net.splits, net.factors = dict(self.splits), dict(self.factors)
-        net.cost, net.steps = 0.0, None
+        net.splits, net.factors = self.splits, dict(self.factors)
+        net.terms, net.steps = [], None
         net.grow(step)
         return net
 
@@ -472,25 +501,23 @@ class _Network:
     # -- building --------------------------------------------------------
 
     @classmethod
-    def start(cls, expr: "Expression", ops: AlgebraOps, supports: Sequence[int]) -> "_Network":
+    def start(cls, expr: "Expression") -> "_Network":
         """The components of ``expr``'s sources (a variable is the identity
         tensor sum_m e_m (x) e_m, whose first leg is its index), then its
         products, nested ones first, and every step that is free before
-        the first growth step; ``supports`` are those of the sources that
-        are not variables."""
+        the first growth step."""
         net = object.__new__(cls)
-        net.shape = shape = _Shape(ops, expr._trees)
-        net.cost, net.steps = 0.0, []
-        net.legs, net.size, net.owner, net.splits, net.factors = {}, {}, {}, {}, {}
-        supports = iter(supports)
+        net.shape = shape = _Shape(expr._trees)
+        net.terms, net.steps = [], []
+        net.legs, net.size, net.owner, net.factors = {}, {}, {}, {}
+        net.splits = ()
         for name, src in expr.sources.items():
             if src == VAR:
                 shape.order.append(("idx", name))
-                net._add(name, shape.n, [("idx", name), (name, 1, ())])
+                net._add(name, _QN, [("idx", name), (name, 1, ())])
             elif (name, 1) in expr._trees:
-                net._add(name, next(supports), [(name, c, ()) for c in range(1, src.rank + 1)])
-            else:
-                next(supports)
+                net._add(name, shape.var(("src", name)),
+                         [(name, c, ()) for c in range(1, src.rank + 1)])
         slot = 0
         for out in expr.outputs:
             if isinstance(out, Fn):
@@ -502,10 +529,10 @@ class _Network:
         net._settle(set(net.factors))
         return net
 
-    def _add(self, name: str | None, size: float, legs: list[tuple]) -> None:
+    def _add(self, name: str | None, quantity: int, legs: list[tuple]) -> None:
         cid = len(self.shape.init)
         self.shape.init.append(name)
-        self.legs[cid], self.size[cid] = tuple(legs), size
+        self.legs[cid], self.size[cid] = tuple(legs), self.shape.times(0, 0, quantity)
         for leg in legs:
             self.owner[leg] = cid
             if len(leg) == 3:
@@ -523,7 +550,7 @@ class _Network:
                 factors.append(self._product(item.items, ("op", item.opname)))
         if not items:
             leg = ("unit", len(shape.init))
-            self._add(None, shape.unit, [leg])
+            self._add(None, _QUNIT, [leg])
             factors.append(leg)
         pid = len(shape.finish)
         shape.finish.append(finish)
@@ -537,20 +564,21 @@ class _Network:
 
     # -- the steps -------------------------------------------------------
 
-    def _estimate(self, cid: int) -> float:
+    def _estimate(self, cid: int) -> int:
         """The support of a component: its size, capped by n to the number
         of its legs."""
-        return min(self.size[cid], self.shape.n ** len(self.legs[cid]))
+        return self.shape.est(self.size[cid], len(self.legs[cid]))
 
-    def _map(self, leg: tuple, step: tuple, fanout: float, image: tuple) -> int:
+    def _map(self, leg: tuple, step: tuple, fanout: int, image: tuple) -> int:
         """Map ``leg`` through the columns ``step`` names; the legs of
         ``image`` take its place.  Costs the input times one plus the
         fanout."""
         cid = self.owner.pop(leg)
         legs = self.legs[cid]
         p = legs.index(leg)
-        self.cost += self._estimate(cid) * (1 + fanout)
-        self.size[cid] *= fanout
+        self.terms.append((fanout, self._estimate(cid), 0))
+        if fanout != _QFN:
+            self.size[cid] = self.shape.times(self.size[cid], 0, fanout)
         self.legs[cid] = legs[:p] + image + legs[p + 1:]
         for new in image:
             self.owner[new] = cid
@@ -567,24 +595,21 @@ class _Network:
             if not keys:
                 return leg
             if not isinstance(keys[0], str):
-                self.splits[leg] = tree
+                self.splits += (leg,)
                 return leg
             new = leg[:2] + (leg[2] + (keys[0],),)
-            self._map(leg, ("op", keys[0]), self._fanout(keys[0]), (new,))
+            self._map(leg, ("op", keys[0]), self.shape.var(("op", keys[0])), (new,))
             leg, tree = new, tree[keys[0]]
-
-    def _fanout(self, opname: str) -> float:
-        fanout = self.shape.op_fanouts.get(opname)
-        if fanout is None:
-            raise ExpressionError(f"unknown operator {opname!r}")
-        return fanout
 
     def _split(self, leg: tuple) -> set[int]:
         """Replace a leg in place by the two legs of its coproduct; the
         products they are factors of are returned."""
-        tree = self.splits.pop(leg)
+        self.splits = tuple(x for x in self.splits if x != leg)
+        tree = self.shape.trees[leg[:2]]
+        for tok in leg[2]:
+            tree = tree[tok]
         halves = tuple(leg[:2] + (leg[2] + (part,),) for part in (1, 2))
-        self._map(leg, ("split", None), self.shape.split_fanout, halves)
+        self._map(leg, ("split", None), _QSPLIT, halves)
         place = self.shape.place
         ends = [self._expand(half, tree[part]) for part, half in zip((1, 2), halves)]
         return {place[end][0] for end in ends if end in place}
@@ -603,20 +628,20 @@ class _Network:
         ca, cb = owner.pop(a), owner.pop(b)
         la, lb = self.legs[ca], self.legs[cb]
         pa, pb = la.index(a), lb.index(b)
-        fanout = shape.mult_fanout
+        est = shape.est
         if ca == cb:
-            self.cost += self._estimate(ca) * (1 + fanout)
-            self.size[ca] *= fanout
+            self.terms.append((_QMULT, est(self.size[ca], len(la)), 0))
+            self.size[ca] = shape.times(self.size[ca], 0, _QMULT)
             lo, hi = (pa, pb) if pa < pb else (pb, pa)
             self.legs[ca] = la[:lo] + la[lo + 1:hi] + la[hi + 1:] + (dest,)
             owner[dest] = ca
             if self.steps is not None:
                 self.steps.append(("merge", ca, pa, pb))
             return ca
-        self.cost += self._estimate(ca) * self._estimate(cb) * (1 + fanout)
+        self.terms.append((_QMULT, est(self.size[ca], len(la)), est(self.size[cb], len(lb))))
         cid, self.next = self.next, self.next + 1
         legs = self.legs[cid] = la[:pa] + la[pa + 1:] + lb[:pb] + lb[pb + 1:] + (dest,)
-        self.size[cid] = self.size.pop(ca) * self.size.pop(cb) * fanout
+        self.size[cid] = shape.times(self.size.pop(ca), self.size.pop(cb), _QMULT)
         del self.legs[ca], self.legs[cb]
         for leg in legs:
             owner[leg] = cid
@@ -638,8 +663,8 @@ class _Network:
             self.owner[out] = cid
             return set()
         if finish[0] == "fn":
-            return self._shrunk(self._map(leg, finish, 1.0, ()))
-        self._map(leg, finish, self._fanout(finish[1]), (out,))
+            return self._shrunk(self._map(leg, finish, _QFN, ()))
+        self._map(leg, finish, self.shape.var(("op", finish[1])), (out,))
         parent = self.shape.parent[pid]
         self.factors[parent] = tuple(out if f == pid else f for f in self.factors[parent])
         return {parent}
@@ -702,13 +727,13 @@ class _Network:
         factor in each of the two components."""
         if type(step[0]) is int:
             pid, i = step
-            both = set.intersection(*(self._products(self.owner[leg])
-                                      for leg in self.factors[pid][i - 1:i + 1]))
+            a, b = self.factors[pid][i - 1:i + 1]
+            both = self._products(self.owner[a]) & self._products(self.owner[b])
             self._settle(both | self._shrunk(self._multiply(pid, i)))
         else:
             self._settle(self._split(step))
 
-    def plan(self, exact: bool, states: int) -> "_Plan":
+    def plan(self) -> "_Plan":
         """The finished network as a plan: the surviving components are
         outer-multiplied in register order and permuted once."""
         order = self.shape.order
@@ -716,62 +741,171 @@ class _Network:
         legs = [leg for cid in final for leg in self.legs[cid]]
         if set(order) != set(legs) or len(order) != len(legs):
             raise ExpressionError(f"leftover legs {legs!r} vs outputs {order!r}")
-        return _Plan(tuple(self.shape.init), tuple(self.steps), final,
-                     [legs.index(key) for key in order], exact, states)
+        return _Plan(tuple(self.shape.init), tuple(_STEPS.setdefault(s, s) for s in self.steps),
+                     tuple(final), tuple(legs.index(key) for key in order))
 
 
-def _search(start: _Network) -> "_Plan":
-    """The growth steps of least total estimated cost from ``start``, by
-    dynamic programming over the states they reach: the cost to finish
-    from a state does not depend on how it was reached, so each state is
-    solved once.  After :data:`_SEARCH_STATES` states, a state tries only
-    its cheapest next step, and the plan is marked inexact."""
-    memo: dict[tuple, tuple[float, object]] = {}
-    exact = True
+class _Graph:
+    """Every state the growth steps reach from the start of one
+    expression.  A state depends only on the formula, so the graph is built
+    once and priced for each evaluation.  States are numbered so that a
+    state comes after every state it leads to; the start is the last.  The
+    edges out of state s are ``first[s]:first[s + 1]``: edge e runs the
+    growth step ``steps[e]`` to state ``to[e]``, and its kernel work on
+    the way is work w = ``via[e]``: the terms numbered
+    ``work[1][work[0][w]:work[0][w + 1]]``.  Term t is (``terms[0][t]``,
+    ``terms[1][t]``, ``terms[2][t]``) = (fanout, a, b): one plus the
+    fanout times the estimates a and b (see :class:`_Network`), and
+    estimate i is the size ``ests[0][i]`` capped
+    by n to the ``ests[1][i]`` legs, and size s > 0 is the product of size
+    ``recipes[0][s - 1]``, size ``recipes[1][s - 1]`` and quantity
+    ``recipes[2][s - 1]`` (see :class:`_Shape`).  A graph with one route
+    keeps only that route, in ``fixed``, and the number of its ``states``."""
 
-    def best(net: _Network) -> float:
-        nonlocal exact
-        key = net.key()
-        found = memo.get(key)
-        if found is not None:
-            return found[0]
-        options = net.growth()
-        if not options:
-            if net.factors:
-                raise ExpressionError("a product never became ready")
-            memo[key] = (0.0, None)
-            return 0.0
-        if len(memo) >= _SEARCH_STATES and len(options) > 1:
-            exact = False
-            options = [min(options, key=lambda step: net.child(step).cost)]
-        value, choice = None, None
-        for step in options:
+    __slots__ = ("states", "names", "fixed", "recipes", "ests", "legs", "terms", "work",
+                 "first", "steps", "to", "via")
+
+    def __init__(self, expr: "Expression"):
+        start = _Network.start(expr)
+        # the states by key, the work and one object per step, numbered as
+        # they are met; then the edges out of each state
+        found: tuple[dict, ...] = ({}, {}, {})
+        edges: list[dict] = []
+        _solve(start, found, edges)
+        self.states = len(edges)
+        shape = start.shape
+        self.names = tuple(_NAMES.setdefault(name, name) for name in shape.names)
+        if all(len(out) <= 1 for out in edges):
+            route, sid = [], len(edges) - 1
+            while edges[sid]:
+                ((sid, _), step), = edges[sid].items()
+                route.append(step)
+            self.fixed = tuple(route)
+            return
+        self.fixed = None
+        self.recipes = [array("H", column) for column in zip(*shape.recipes[1:])]
+        self.ests = [array("H", column) for column in zip(*shape.ests)]
+        self.legs = max(self.ests[1])
+        terms: dict[tuple, int] = {}
+        self.work = array("H", [0]), array("H")
+        for done in found[1]:
+            self.work[1].extend(terms.setdefault(term, len(terms)) for term in done)
+            self.work[0].append(len(self.work[1]))
+        self.terms = [array("H", column) for column in zip(*terms)]
+        self.first, self.to, self.via = array("H", [0]), array("H"), array("H")
+        steps = []
+        for out in edges:
+            for (to, via), step in out.items():
+                self.to.append(to)
+                self.via.append(via)
+                steps.append(step)
+            self.first.append(len(steps))
+        self.steps = tuple(steps)
+
+    def route(self, expr: "Expression", ops: AlgebraOps) -> tuple:
+        """The growth steps of least total estimated work for ``ops`` and
+        the supports of ``expr``'s sources, by dynamic programming: the
+        work to finish from a state does not depend on how it was
+        reached."""
+        profile = ops.profile()
+        values = []
+        for name in self.names:
+            value = profile.get(name)
+            if value is None:
+                if name[0] != "src":
+                    raise ExpressionError(f"unknown operator {name[1]!r}")
+                value = len(expr.sources[name[1]].entries)
+            values.append(value)
+        if self.fixed is not None:
+            return self.fixed
+        n = values[_QN]
+        weight = [1 + value for value in values]
+        size = [1.0]
+        for a, b, q in zip(*self.recipes):
+            size.append(size[a] * size[b] * values[q])
+        cap = [n ** legs for legs in range(self.legs + 1)]
+        est = [min(size[s], cap[legs]) for s, legs in zip(*self.ests)]
+        term = [weight[f] * est[a] * est[b] for f, a, b in zip(*self.terms)]
+        bounds, done = self.work
+        cost = [sum([term[t] for t in done[lo:hi]]) for lo, hi in zip(bounds, bounds[1:])]
+        first, to, via = self.first, self.to, self.via
+        best: list[float] = []
+        choice: list[int] = []
+        for sid in range(len(first) - 1):
+            lo, hi = first[sid], first[sid + 1]
+            if lo == hi:
+                best.append(0.0)
+                choice.append(-1)
+                continue
+            totals = [best[child] + cost[w] for child, w in zip(to[lo:hi], via[lo:hi])]
+            least = min(totals)
+            best.append(least)
+            choice.append(lo + totals.index(least))
+        route, sid = [], len(first) - 2
+        while (e := choice[sid]) >= 0:
+            route.append(self.steps[e])
+            sid = to[e]
+        return tuple(route)
+
+
+def _solve(net: _Network, found: tuple[dict, ...], edges: list[dict]) -> int:
+    """The number of ``net``'s state, numbered (and its edges, as
+    {(state, work): step}, appended to ``edges``) after every state it
+    leads to; see :class:`_Graph`."""
+    ids, work, named = found
+    key = net.key()
+    sid = ids.get(key)
+    if sid is None:
+        out: dict[tuple, tuple] = {}
+        for step in net.growth():
             child = net.child(step)
-            total = child.cost + best(child)
-            if value is None or total < value:
-                value, choice = total, step
-        memo[key] = (value, choice)
-        return value
+            # steps to one state with the same work are one choice: the first is kept
+            out.setdefault((_solve(child, found, edges),
+                            work.setdefault(tuple(child.terms), len(work))),
+                           named.setdefault(step, step))
+        if not out and net.factors:
+            raise ExpressionError("a product never became ready")
+        sid = ids[key] = len(edges)
+        edges.append(out)
+    return sid
 
-    best(start)
-    net = start
-    while (step := memo[net.key()][1]) is not None:
-        net.grow(step)
-    return net.plan(exact, len(memo))
+
+class _Planner:
+    """The plan search of one expression, shared by its bound copies: the
+    graph of its states, built on first use, and the plan of each route
+    taken, at most one per route of the graph.  Each is built whole before
+    it is stored, and a lost race only builds one twice."""
+
+    __slots__ = ("graph", "plans")
+
+    def __init__(self):
+        self.graph: _Graph | None = None
+        self.plans: dict[tuple, _Plan] = {}
+
+    def plan(self, expr: "Expression", ops: AlgebraOps) -> "_Plan":
+        graph = self.graph
+        if graph is None:
+            graph = self.graph = _Graph(expr)
+        route = graph.route(expr, ops)
+        plan = self.plans.get(route)
+        if plan is None:
+            net = _Network.start(expr)
+            for step in route:
+                net.grow(step)
+            plan = self.plans[route] = net.plan()
+        return plan
 
 
 class _Plan:
     """The kernel steps of one evaluation order.  ``init`` names the
     source each register starts from (None for the unit); a join appends
     a register.  ``final`` lists the registers outer-multiplied at the end
-    and ``perm`` the permutation of their legs.  ``exact`` says whether the
-    search that found it ran to the end, over ``states`` states."""
+    and ``perm`` the permutation of their legs."""
 
-    __slots__ = ("init", "steps", "final", "perm", "exact", "states")
+    __slots__ = ("init", "steps", "final", "perm")
 
-    def __init__(self, init, steps, final, perm, exact, states):
+    def __init__(self, init, steps, final, perm):
         self.init, self.steps, self.final, self.perm = init, steps, final, perm
-        self.exact, self.states = exact, states
 
     def run(self, sources: Mapping[str, TensorElement | str], ops: AlgebraOps,
             functionals: Sequence[Functional]) -> TensorElement:

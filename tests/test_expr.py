@@ -6,13 +6,14 @@ of ``Expression.parse`` and the reprs that spell it."""
 from __future__ import annotations
 
 import ast
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import quasihopf.expr as expr
 from quasihopf import double, intcoint, qha
-from quasihopf.canonical import FORMS, REGISTRY, _bind, _bind_all
+from quasihopf.canonical import FORMS, REGISTRY, _bind, _bind_all, parse
 from quasihopf.context import AlgebraContext, get_context
 from quasihopf.double import build_double, double_integral
 from quasihopf.expr import VAR, AlgebraOps, Expression, ExpressionError, Leg, Op
@@ -293,17 +294,36 @@ def test_module_formulas_match_hand_built_reference(name, d2, peak_support):
                 assert peaks[0] <= bound, (label, peaks)
 
 
-@pytest.mark.parametrize("name", ["H8+", "D(H2)"])
-def test_every_parsed_side_is_planned_by_the_full_search(name, d2):
-    """The plan search solves every parsed side to the end: none reaches
-    the state budget past which the search stops branching.  The states a
-    side has depend only on its formula, so a dense support per source
-    stands for any."""
-    ops = _context(name, d2).ops
-    for label, side in _parsed_sides().items():
-        supports = [ops.dim ** src.rank for src in side.sources.values() if src != VAR]
-        plan = expr._search(expr._Network.start(side, ops, supports))
-        assert plan.exact, (label, plan.states)
+# The most states the plan search of one parsed side may have.  The states
+# depend only on the formula; the largest, double.FORMS["coproduct"], has
+# 432, and normdefmodelem's right side 237.
+SEARCH_STATES = 512
+
+
+def test_every_parsed_side_has_a_small_plan_search():
+    """The graph of states each evaluation prices stays within
+    SEARCH_STATES for every parsed side: a new formula that outgrows it
+    fails here rather than planning slowly."""
+    states = {label: expr._Graph(side).states for label, side in _parsed_sides().items()}
+    largest = max(states, key=states.get)
+    assert states[largest] <= SEARCH_STATES, (largest, states[largest])
+
+
+def test_one_side_evaluates_from_several_threads():
+    """Bound copies of one parsed side share its plan search.  Evaluated
+    from four threads at once, on two algebras, each call gives what a
+    side parsed apart gives alone."""
+    text = "S(x1 X2) alpha x2 X3_1 x S(X1) alpha' x3 X3_2"
+    contexts = [get_context(catalog_build(name)) for name in ("H2", "H8+")]
+    expected = [_bind(ctx, parse(text)[0]).evaluate(ctx.ops) for ctx in contexts]
+    (shared,) = parse(text)
+
+    def run(k: int):
+        ctx = contexts[k % 2]
+        return _bind(ctx, shared).evaluate(ctx.ops)
+    with ThreadPoolExecutor(4) as pool:
+        results = list(pool.map(run, range(32)))
+    assert results == [expected[k % 2] for k in range(32)]
 
 
 def test_component_used_twice_names_its_path():
