@@ -35,7 +35,10 @@ exact contraction-order search of Pfeifer, Haegeman and Verstraete (Phys.
 Rev. E 90, 033315, 2014) and the optimal paths of opt_einsum (Smith &
 Gray, JOSS 3(26), 2018).  It minimises the summed estimated kernel work of
 every step: a join costs |A| |B| times one plus the multiplication fanout
-(the mean support of a product of two basis elements), a merge, operator
+(the mean support of a product of two basis elements; this is the work of
+a loop over every pair of entries, an upper bound on the two-step join
+kernel of :mod:`multilinear`, which contracts A with the multiplication
+table before it meets B), a merge, operator
 or split costs its input support times one plus its column fanout (1 for
 a functional), and each support is estimated as the product of the source
 supports and the fanouts that went into it, capped by n to the number of

@@ -275,10 +275,12 @@ class LinearOperator:
 # ``(nums, den, qi)`` and a constant operand is a ``_Lifted``.  A kernel runs Q(i) arithmetic when either operand has a
 # nonzero imaginary part and plain int arithmetic otherwise, adds integers
 # term by term, drops a key as soon as its total cancels (so every
-# intermediate stays as small as the index structure allows and the key
-# order is that of term-by-term Scalar addition), and divides its output by
-# the common content once.  No kernel makes a Scalar; ``_lower`` makes those
-# of the result.
+# intermediate stays as small as the index structure allows), and divides
+# its output by the common content once.  ``_merge``, ``_map_leg`` and
+# ``_outer`` make one pass over their input entries; ``_join`` makes two,
+# first contracting ``a`` with the table and then meeting ``b`` (see its
+# docstring, which also gives its key order).  No kernel makes a Scalar;
+# ``_lower`` makes those of the result.
 
 Entries = dict[tuple[int, ...], Scalar]
 Num = tuple[dict, int, bool]
@@ -444,56 +446,100 @@ def _merge(t: Num, table: _Lifted, pa: int, pb: int) -> Num:
 def _join(a: Num, b: Num, table: _Lifted, pa: int, pb: int) -> Num:
     """Multiply leg ``pa`` of ``a`` by leg ``pb`` of ``b`` (in that order)
     through ``table`` without forming a (x) b: the other legs of ``a``, then
-    those of ``b``, then the product leg."""
+    those of ``b``, then the product leg.
+
+    The contraction a[head, i] b[j, tail] M[i, j, k] runs in two steps,
+    ``a`` with the table first, head by head (a head is the other legs of
+    an entry of ``a``).  Step 1 sums a[head, i] * M[i, j, k] over the i of
+    the head into a partial product keyed by j, then k: one table lookup
+    per entry of ``a`` and distinct index j on leg ``pb`` of ``b``.  Step 2
+    meets each partial entry (j, k) with the entries of ``b`` whose index
+    is j, giving the key head + tail + (k,).  Keys come out in that loop
+    order: heads as they first appear in ``a``, j and k as they first get a
+    term, then the entries of ``b``.  Neither step does more multiply-adds
+    than one loop over every pair of entries of ``a`` and ``b``."""
     an, ad, aq = a
     bn, bd, bq = b
     qi = aq or bq or table.qi
     get = table.form(qi).get
     if qi:
+        an = an if aq else _pairs(an)
         bn = bn if bq else _pairs(bn)
-    rows = [(kb[pb], kb[:pb] + kb[pb + 1:], vb) for kb, vb in bn.items()]
+    heads: dict = {}
+    for ka, va in an.items():
+        heads.setdefault(ka[:pa] + ka[pa + 1:], []).append((ka[pa], va))
+    groups: dict = {}
+    for kb, vb in bn.items():
+        groups.setdefault(kb[pb], []).append((kb[:pb] + kb[pb + 1:], vb))
     out: dict = {}
-    if qi:
-        for ka, va in an.items():
-            ar, ai = va if aq else (va, 0)
-            i, head = ka[pa], ka[:pa] + ka[pa + 1:]
-            for j, tail, (br, bi) in rows:
-                expansion = get((i, j))
-                if not expansion:
-                    continue
-                tr, ti = ar * br - ai * bi, ar * bi + ai * br
-                rest = head + tail
-                for k, (sr, si) in expansion:
-                    key = rest + (k,)
-                    re, im = tr * sr - ti * si, tr * si + ti * sr
-                    acc = out.get(key)
-                    if acc is not None:
-                        re += acc[0]
-                        im += acc[1]
-                        if not (re or im):
-                            del out[key]
-                            continue
-                    out[key] = (re, im)
-    else:
-        for ka, va in an.items():
-            i, head = ka[pa], ka[:pa] + ka[pa + 1:]
-            for j, tail, vb in rows:
-                expansion = get((i, j))
-                if not expansion:
-                    continue
-                term = va * vb
-                rest = head + tail
-                for k, s in expansion:
-                    key = rest + (k,)
-                    acc = out.get(key)
-                    if acc is None:
-                        out[key] = term * s
-                    else:
-                        acc += term * s
-                        if acc:
-                            out[key] = acc
+    for head, entries in heads.items():
+        partial: dict = {}
+        if qi:
+            for i, (ar, ai) in entries:
+                for j in groups:
+                    expansion = get((i, j))
+                    if not expansion:
+                        continue
+                    row = partial.get(j)
+                    if row is None:
+                        row = partial[j] = {}
+                    for k, (sr, si) in expansion:
+                        re, im = ar * sr - ai * si, ar * si + ai * sr
+                        acc = row.get(k)
+                        if acc is not None:
+                            re += acc[0]
+                            im += acc[1]
+                            if not (re or im):
+                                del row[k]
+                                continue
+                        row[k] = (re, im)
+            for j, row in partial.items():
+                group = groups[j]
+                for k, (pr, pi) in row.items():
+                    for tail, (br, bi) in group:
+                        key = head + tail + (k,)
+                        re, im = pr * br - pi * bi, pr * bi + pi * br
+                        acc = out.get(key)
+                        if acc is not None:
+                            re += acc[0]
+                            im += acc[1]
+                            if not (re or im):
+                                del out[key]
+                                continue
+                        out[key] = (re, im)
+        else:
+            for i, va in entries:
+                for j in groups:
+                    expansion = get((i, j))
+                    if not expansion:
+                        continue
+                    row = partial.get(j)
+                    if row is None:
+                        row = partial[j] = {}
+                    for k, s in expansion:
+                        acc = row.get(k)
+                        if acc is None:
+                            row[k] = va * s
                         else:
-                            del out[key]
+                            acc += va * s
+                            if acc:
+                                row[k] = acc
+                            else:
+                                del row[k]
+            for j, row in partial.items():
+                group = groups[j]
+                for k, p in row.items():
+                    for tail, vb in group:
+                        key = head + tail + (k,)
+                        acc = out.get(key)
+                        if acc is None:
+                            out[key] = p * vb
+                        else:
+                            acc += p * vb
+                            if acc:
+                                out[key] = acc
+                            else:
+                                del out[key]
     return _reduce(out, ad * bd * table.den, qi)
 
 

@@ -5,7 +5,9 @@ a reference."""
 from __future__ import annotations
 
 import random
+from collections import Counter
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
@@ -14,10 +16,10 @@ from quasihopf.exactnum import (HALF, ONE, Scalar, ZERO, common_denominator,
                                 from_numerator, numerator)
 from quasihopf.multilinear import (DimMismatch, Functional, LegOutOfRange,
                                    LinearOperator, RankMismatch, SingularOperator,
-                                   TensorElement, _lift, _lift_columns, _lift_table,
-                                   _lower, _map_leg, _merge, _outer, apply_on_leg,
-                                   contract, invert_operator, mult_pointwise,
-                                   multiplication_operator, row_rank,
+                                   TensorElement, _join, _lift, _lift_columns,
+                                   _lift_table, _Lifted, _lower, _map_leg, _merge, _outer,
+                                   _pair_table, apply_on_leg, contract, invert_operator,
+                                   mult_pointwise, multiplication_operator, row_rank,
                                    solve_constraints, tensor_product)
 from quasihopf.qha import make_mult
 
@@ -227,7 +229,9 @@ def test_expression_leg_bookkeeping_matches_kernels(name):
 #
 # The reference loops below are the kernels as they were before they moved to
 # numerator form: one Scalar product and one Scalar sum per term, a key
-# dropped as soon as its total cancels.
+# dropped as soon as its total cancels.  The join has two: the loop over
+# every pair of entries gives its values, and the two-step loop, which sums
+# one operand into the table before it meets the other, its key order.
 
 
 def ref_outer(a, b):
@@ -269,13 +273,44 @@ def ref_contract(entries, coords, p):
     return out
 
 
-def ref_mult_pointwise(mult, a, b):
-    rank = len(next(iter(a), ())) or len(next(iter(b), ()))
-    cur = {}
+def ref_pair_join(a, b, mult, pa, pb):
+    """The join as one loop over every pair of entries of ``a`` and ``b``."""
+    out = {}
     for ka, va in a.items():
         for kb, vb in b.items():
-            for k, s in mult.get((ka[0], kb[0]), ()):
-                _ref_add(cur, ka[1:] + kb[1:] + (k,), va * vb * s)
+            for k, s in mult.get((ka[pa], kb[pb]), ()):
+                _ref_add(out, ka[:pa] + ka[pa + 1:] + kb[:pb] + kb[pb + 1:] + (k,),
+                         va * vb * s)
+    return out
+
+
+def ref_join(a, b, mult, pa, pb):
+    """The join in two steps, in the kernel's key order: head by head (in
+    order of first appearance in ``a``), a[head, i] * M[i, j, k] summed over
+    i into a partial product keyed by j then k, each partial entry then met
+    with the entries of ``b`` whose index on leg ``pb`` is j."""
+    heads, groups = {}, {}
+    for ka, va in a.items():
+        heads.setdefault(ka[:pa] + ka[pa + 1:], []).append((ka[pa], va))
+    for kb, vb in b.items():
+        groups.setdefault(kb[pb], []).append((kb[:pb] + kb[pb + 1:], vb))
+    out = {}
+    for head, entries in heads.items():
+        partial = {}
+        for i, va in entries:
+            for j in groups:
+                for k, s in mult.get((i, j), ()):
+                    _ref_add(partial.setdefault(j, {}), k, va * s)
+        for j, row in partial.items():
+            for k, p in row.items():
+                for tail, vb in groups[j]:
+                    _ref_add(out, head + tail + (k,), p * vb)
+    return out
+
+
+def ref_mult_pointwise(mult, a, b, join=ref_pair_join):
+    rank = len(next(iter(a), ())) or len(next(iter(b), ()))
+    cur = join(a, b, mult, 0, 0)
     for j in range(1, rank):
         cur = ref_merge(cur, mult, 0, rank - j)
     return cur
@@ -293,6 +328,15 @@ def assert_same_entries(out, ref):
     for s in out.values():
         assert not s.is_zero()
         assert s._d > 0 and gcd(s._a, s._b, s._d) == 1
+
+
+def assert_join(a, b, mult, pa, pb):
+    """The join kernel against both references: the two-step loop for the
+    key order, the pair loop for the values."""
+    out = _lower(_join(_lift(a), _lift(b), _lift_table(mult), pa, pb))
+    assert_same_entries(out, ref_join(a, b, mult, pa, pb))
+    assert out == ref_pair_join(a, b, mult, pa, pb)
+    return out
 
 
 @pytest.mark.parametrize("t_qi,c_qi", [(False, False), (True, False), (False, True),
@@ -322,10 +366,12 @@ def test_numerator_kernels_match_scalar_loops(t_qi, c_qi):
         columns = [tensor(rng.randint(1, 2), c_qi) for _ in range(n)]
         coords = [pick(c_qi) if rng.random() < 0.7 else ZERO for _ in range(n)]
         assert_same_entries(_lower(_outer(_lift(a), _lift(b))), ref_outer(a, b))
-        assert_same_entries(mult_pointwise(mult, TensorElement(rank, n, a),
-                                           TensorElement(rank, n, b)).entries,
-                            ref_mult_pointwise(mult, a, b))
+        pointwise = mult_pointwise(mult, TensorElement(rank, n, a), TensorElement(rank, n, b))
+        assert_same_entries(pointwise.entries, ref_mult_pointwise(mult, a, b, join=ref_join))
+        assert pointwise.entries == ref_mult_pointwise(mult, a, b)
         for p in range(rank):
+            for q in range(rank):
+                assert_join(a, b, mult, p, q)
             assert_same_entries(_lower(_map_leg(_lift(a), _lift_columns(columns), p)),
                                 ref_map_leg(a, columns, p))
             if rank > 1:
@@ -353,6 +399,74 @@ def test_numerator_kernels_cancel_to_zero(value):
                     TensorElement(2, n, {(0, 0): value, (1, 0): -value}), 0).is_zero()
     a = TensorElement(1, n, {(0,): value, (1,): -value})
     assert mult_pointwise(mult, a, TensorElement(1, n, {(0,): ONE, (1,): ONE})).is_zero()
+
+
+@pytest.mark.parametrize("value", [Scalar.rational(1, 2), Scalar.gaussian(Fraction(1, 3), 1)])
+def test_join_partial_sums_cancel_to_zero(value):
+    """Partial products of one head that cancel in the join's first step
+    leave no entry behind.  With e_0 e_j = e_0 + e_1 and e_1 e_j = e_0 - e_1,
+    a[h, 0] = a[h, 1] cancels on e_1 and a[h, 0] = -a[h, 1] on e_0; with
+    e_i e_j = e_0 for all i, j, a[h, 0] = -a[h, 1] cancels altogether."""
+    n = 2
+    mult = make_mult(n, [(i, j, k, -ONE if i == k == 1 else ONE)
+                         for i in range(n) for j in range(n) for k in range(n)])
+    b = {(j, j): value * Scalar.rational(j + 1, 2) for j in range(n)}   # one tail per j
+    a = {(0, 0): value, (0, 1): value, (1, 0): value, (1, 1): -value}
+    out = assert_join(a, b, mult, 1, 0)
+    assert {(key[0], key[-1]) for key in out} == {(0, 0), (1, 1)}
+    to_unit = make_mult(n, [(i, j, 0, ONE) for i in range(n) for j in range(n)])
+    assert assert_join({(0, 0): value, (0, 1): -value}, b, to_unit, 1, 0) == {}
+
+
+def _dense_table(rng, n, qi, terms):
+    """A table where every product e_i e_j has ``terms`` distinct terms."""
+    pick = (lambda: rng.choice(GAUSSIANS + RATIONALS)) if qi else (lambda: rng.choice(RATIONALS))
+    return make_mult(n, [(i, j, k, pick()) for i in range(n) for j in range(n)
+                         for k in rng.sample(range(n), terms)]), pick
+
+
+@pytest.mark.parametrize("qi", [False, True])
+def test_join_on_a_dense_table(qi):
+    """Every product has several terms, as on D(H2), and every head of
+    ``a`` holds several indices, so the first step sums before the second."""
+    rng = random.Random(f"dense:{qi}")
+    n = 4
+    mult, pick = _dense_table(rng, n, qi, 3)
+    for rank_a, rank_b in ((1, 1), (2, 2), (3, 2), (2, 3)):
+        a = {key: pick() for key in product(range(n), repeat=rank_a) if rng.random() < 0.8}
+        b = {key: pick() for key in product(range(n), repeat=rank_b) if rng.random() < 0.8}
+        for pa in range(rank_a):
+            for pb in range(rank_b):
+                heads = Counter(ka[:pa] + ka[pa + 1:] for ka in a)
+                assert max(heads.values()) > 1
+                assert assert_join(a, b, mult, pa, pb)
+
+
+def test_join_looks_the_table_up_once_per_entry_and_joined_index(d2):
+    """On D(H2)'s table a join of two dense two-leg tensors looks a product
+    up once per (entry of a, distinct index of b on the joined leg), not once
+    per pair of entries."""
+
+    class Counting(dict):
+        lookups = 0
+
+        def get(self, key, default=None):
+            self.lookups += 1
+            return super().get(key, default)
+
+    mult = d2.presentation.mult
+    lifted = _lift_table(mult)
+    form = Counting(lifted.form(lifted.qi))
+    counted = _Lifted(lifted.den, lifted.qi, form, _pair_table)
+    rng = random.Random("lookups")
+    n = d2.presentation.dim
+    a = {key: rng.choice(RATIONALS) for key in product(range(n), repeat=2)}
+    b = {key: rng.choice(RATIONALS) for key in product(range(n), repeat=2)}
+    for pa, pb in ((1, 0), (0, 1)):
+        form.lookups = 0
+        out = _lower(_join(_lift(a), _lift(b), counted, pa, pb))
+        assert form.lookups == len(a) * len({kb[pb] for kb in b}) == n ** 3
+        assert out == ref_pair_join(a, b, mult, pa, pb)
 
 
 # -- nullspace ---------------------------------------------------------------
