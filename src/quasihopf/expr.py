@@ -86,8 +86,8 @@ import re
 from array import array
 from typing import Mapping, Sequence
 
-from .multilinear import (Functional, LinearOperator, TensorElement, _join, _lift,
-                          _lift_table, _lower, _map_leg, _merge, _outer, _permute)
+from .multilinear import (Functional, LinearOperator, TensorElement, _basis_sum, _join,
+                          _lift, _lift_table, _lower, _map_leg, _merge, _outer)
 
 
 class ExpressionError(ValueError):
@@ -912,36 +912,46 @@ class _Plan:
 
     def run(self, sources: Mapping[str, TensorElement | str], ops: AlgebraOps,
             functionals: Sequence[Functional]) -> TensorElement:
-        """Every loop over the entries is one of :mod:`multilinear`'s kernels."""
+        """Every loop over the entries is one of :mod:`multilinear`'s kernels,
+        told how many legs each register has."""
+        n = ops.dim
+        table = _lift_table(ops.mult, n)
         regs: list = []
+        ranks: list[int] = []
         for name in self.init:
             src = ops.unit if name is None else sources[name]
             if src == VAR:
-                regs.append(({(m, m): 1 for m in range(ops.dim)}, 1, False))
+                regs.append(_basis_sum(((m, m) for m in range(n)), n))
+                ranks.append(2)
             else:
-                regs.append(_lift(src.entries))
+                regs.append(_lift(src.entries, n))
+                ranks.append(src.rank)
         for step in self.steps:
             kind = step[0]
             if kind == "join":
                 _, a, pa, b, pb = step
-                regs.append(_join(regs[a], regs[b], _lift_table(ops.mult), pa, pb))
+                regs.append(_join(regs[a], regs[b], table, ranks[a], ranks[b], pa, pb))
+                ranks.append(ranks[a] + ranks[b] - 1)
                 regs[a] = regs[b] = None
             elif kind == "merge":
                 _, r, pa, pb = step
-                regs[r] = _merge(regs[r], _lift_table(ops.mult), pa, pb)
+                regs[r] = _merge(regs[r], table, ranks[r], pa, pb)
+                ranks[r] -= 1
             else:
                 _, r, p, arg = step
                 columns = (ops.coproduct if kind == "split" else functionals[arg] if kind == "fn"
-                           else ops.operators[arg])
-                regs[r] = _map_leg(regs[r], columns.numerator_columns(), p)
-        t = ({(): 1}, 1, False) if not self.final else regs[self.final[0]]
+                           else ops.operators[arg]).numerator_columns()
+                regs[r] = _map_leg(regs[r], columns, ranks[r], p)
+                ranks[r] += columns.rank - 1
+        if self.final:
+            t, rank = regs[self.final[0]], ranks[self.final[0]]
+        else:
+            t, rank = _basis_sum([()], n), 0
         for r in self.final[1:]:
-            t = _outer(t, regs[r])
+            t = _outer(t, regs[r], n, ranks[r])
+            rank += ranks[r]
         regs = None                     # so the parts are freed below
-        nums, den, qi = t
-        t = None
-        nums = _permute(nums, self.perm)
-        return TensorElement(len(self.perm), ops.dim, _lower((nums, den, qi)), _trust=True)
+        return TensorElement(rank, n, _lower(t, n, rank, self.perm), _trust=True)
 
 
 def _check_tree(tree: dict, node: tuple) -> None:

@@ -6,11 +6,12 @@ table is the zero tensor.  Multi-indices are ordered big-endian in leg order,
 so serialized entry lists are portable between implementations.
 
 The sparse kernels do their arithmetic in numerator form ``(nums, den,
-qi)``: ``nums`` maps keys to integer numerators over the one shared
-denominator ``den``, plain ints over Q and (re, im) pairs over Q(i)
-(``qi``).  A public function lifts its tensor operands into that form once,
-chains the kernels and lowers the result into lowest-terms Scalars once;
-the expression evaluator (``expr``) keeps its whole evaluation in it.
+qi)``: ``nums`` maps keys, each coded as one int, to integer numerators
+over the one shared denominator ``den``, plain ints over Q and (re, im)
+pairs over Q(i) (``qi``).  A public function lifts its tensor operands
+into that form once, chains the kernels and lowers the result into
+lowest-terms Scalars once; the expression evaluator (``expr``) keeps its
+whole evaluation in it.
 Multiplication tables, operators and functionals keep their own numerator
 form once a kernel has asked for it.
 
@@ -187,7 +188,7 @@ class Functional:
         pairing a leg is the kernel that maps a leg."""
         if self._lifted is None:
             self._lifted = _lift_columns([{} if c.is_zero() else {(): c}
-                                          for c in self.coords])
+                                          for c in self.coords], self.dim, 0)
         return self._lifted
 
     def scale(self, s: Scalar) -> "Functional":
@@ -242,14 +243,16 @@ class LinearOperator:
     def apply(self, t: TensorElement) -> TensorElement:
         if t.rank != 1:
             raise RankMismatch("apply() expects a rank-1 tensor; use apply_on_leg")
-        return TensorElement(self.dst_rank, self.dim,
-                             _lower(_map_leg(_lift(t.entries), self.numerator_columns(), 0)),
-                             _trust=True)
+        n = self.dim
+        return TensorElement(self.dst_rank, n,
+                             _lower(_map_leg(_lift(t.entries, n), self.numerator_columns(), 1, 0),
+                                    n, self.dst_rank), _trust=True)
 
     def numerator_columns(self) -> "_Lifted":
         """The columns in numerator form."""
         if self._lifted is None:
-            self._lifted = _lift_columns([c.entries for c in self.columns])
+            self._lifted = _lift_columns([c.entries for c in self.columns], self.dim,
+                                         self.dst_rank)
         return self._lifted
 
     def compose(self, inner: "LinearOperator") -> "LinearOperator":
@@ -272,7 +275,17 @@ class LinearOperator:
 #
 # The loops over sparse entries that ``expr`` and the public functions run
 # on.  They work in numerator form on raw entry tables: a tensor is
-# ``(nums, den, qi)`` and a constant operand is a ``_Lifted``.  A kernel runs Q(i) arithmetic when either operand has a
+# ``(nums, den, qi)`` and a constant operand is a ``_Lifted``.  Inside the
+# kernels an entry key is one int, its code: the key (i_0, ..., i_{r-1})
+# of a tensor with r legs over radix n (the dimension) is the code
+# sum_l i_l * n^(r-1-l).  Leg 0 is the most significant digit, so sorted
+# codes are the keys in lexicographic order.  A kernel is told how many
+# legs each tensor operand has, reads the index on leg p as
+# ``code // n^(r-1-p) % n`` and builds its output codes by integer
+# arithmetic.  ``_lift`` encodes the tuple keys of a public tensor, and
+# ``_lower`` decodes those of a result (permuting its legs when asked) or
+# ``_lower_rows`` splits it on its last leg, so no other module builds or
+# reads a code.  A kernel runs Q(i) arithmetic when either operand has a
 # nonzero imaginary part and plain int arithmetic otherwise, adds integers
 # term by term, drops a key as soon as its total cancels (so every
 # intermediate stays as small as the index structure allows), and divides
@@ -280,7 +293,7 @@ class LinearOperator:
 # ``_outer`` make one pass over their input entries; ``_join`` makes two,
 # first contracting ``a`` with the table and then meeting ``b`` (see its
 # docstring, which also gives its key order).  No kernel makes a Scalar;
-# ``_lower`` makes those of the result.
+# the lowering makes those of the result.
 
 Entries = dict[tuple[int, ...], Scalar]
 Num = tuple[dict, int, bool]
@@ -288,21 +301,27 @@ Num = tuple[dict, int, bool]
 
 class _Lifted:
     """A constant kernel operand in numerator form: its denominator, whether
-    some imaginary part is nonzero, and its values as ints (Q) or (re, im)
-    pairs (Q(i)).  The pair form of a Q operand is made when a Q(i) kernel
-    first asks for it."""
+    some imaginary part is nonzero, the radix ``n`` of its codes, the number
+    of legs ``rank`` of each image, and the images as a list of tuples of
+    (code, value) pairs, the value an int (Q) or a (re, im) pair (Q(i)).
+    A kernel adds an image's codes into those of its result, which only
+    the lowering decodes.  The columns of a map are listed by the index of
+    the leg they replace; a multiplication table is a flat list of its n^2
+    expansions, e_i e_j at i * n + j and an empty tuple for a zero
+    product.  The pair form of a Q operand is made when a Q(i) kernel first
+    asks for it."""
 
-    __slots__ = ("den", "qi", "_forms", "_promote")
+    __slots__ = ("den", "qi", "n", "rank", "_forms")
 
-    def __init__(self, den: int, qi: bool, natural, promote):
-        self.den, self.qi = den, qi
+    def __init__(self, den: int, qi: bool, n: int, rank: int, natural: list):
+        self.den, self.qi, self.n, self.rank = den, qi, n, rank
         self._forms = {qi: natural}
-        self._promote = promote
 
-    def form(self, qi: bool):
+    def form(self, qi: bool) -> list:
         found = self._forms.get(qi)
         if found is None:
-            found = self._forms[qi] = self._promote(self._forms[False])
+            found = self._forms[qi] = [tuple((k, (v, 0)) for k, v in image)
+                                       for image in self._forms[False]]
         return found
 
 
@@ -310,41 +329,89 @@ def _pairs(nums: dict) -> dict:
     return {k: (v, 0) for k, v in nums.items()}
 
 
-def _pair_columns(columns: list[dict]) -> list[dict]:
-    return [_pairs(c) for c in columns]
+def _code(key: Iterable[int], n: int) -> int:
+    """The code sum_l i_l * n^(r-1-l) of the key (i_0, ..., i_{r-1})."""
+    code = 0
+    for i in key:
+        code = code * n + i
+    return code
 
 
-def _pair_table(table: dict) -> dict:
-    return {ij: tuple((k, (v, 0)) for k, v in expansion) for ij, expansion in table.items()}
-
-
-def _lift(entries: Mapping) -> Num:
+def _lift(entries: Mapping, n: int) -> Num:
+    """Tuple-keyed Scalar entries over dimension (or radix) ``n`` in
+    numerator form, each key coded as in ``_code``."""
     den, qi = common_denominator(entries.values())
-    return {k: numerator(s, den, qi) for k, s in entries.items()}, den, qi
+    nums = {}
+    for key, s in entries.items():
+        code = 0
+        for i in key:
+            code = code * n + i
+        nums[code] = numerator(s, den, qi)
+    return nums, den, qi
 
 
-def _lower(t: Num) -> Entries:
-    """The lowest-terms Scalars of ``t``, made in place of its numerators."""
+def _basis_sum(keys: Iterable[Sequence[int]], n: int) -> Num:
+    """The sum of the basis tensors e_key over ``keys``, in numerator form."""
+    return dict.fromkeys((_code(k, n) for k in keys), 1), 1, False
+
+
+def _keys(codes: Iterable[int], n: int, rank: int, perm: Sequence[int] | None = None):
+    """The tuple keys of ``codes`` (with ``rank`` legs), in order; leg i of
+    a key is leg ``perm[i]`` of its code (the legs in order when ``perm``
+    is None).  One pass per leg reads its index from every code."""
+    legs = []
+    for p in range(rank) if perm is None else perm:
+        w = n ** (rank - 1 - p)
+        legs.append([code // w % n for code in codes])
+    return zip(*legs) if legs else [()] * len(codes)
+
+
+def _lower(t: Num, n: int, rank: int, perm: Sequence[int] | None = None) -> Entries:
+    """The entries of ``t``, a tensor with ``rank`` legs, keyed by tuples
+    (permuted by ``perm`` as in ``_keys``) and as lowest-terms Scalars."""
     nums, den, qi = t
-    for k, v in nums.items():
-        nums[k] = from_numerator(v, den, qi)
-    return nums
+    out = {}
+    for key, v in zip(_keys(nums, n, rank, perm), nums.values()):
+        out[key] = from_numerator(v, den, qi)
+    return out
 
 
-def _lift_columns(columns: Sequence[Entries]) -> _Lifted:
-    den, qi = common_denominator(s for c in columns for s in c.values())
-    return _Lifted(den, qi, [{k: numerator(s, den, qi) for k, s in c.items()}
-                             for c in columns], _pair_columns)
+def _lower_rows(t: Num, n: int, rank: int) -> dict[tuple[int, ...], Entries]:
+    """The entries of ``t``, a tensor with ``rank`` legs, split on its last
+    leg: for each key of the other legs, in order of first appearance, its
+    entries keyed by the index of the last leg alone."""
+    nums, den, qi = t
+    singles = [(k,) for k in range(n)]
+    rows: dict = {}
+    for code, v in nums.items():
+        row = rows.get(code // n)
+        if row is None:
+            row = rows[code // n] = {}
+        row[singles[code % n]] = from_numerator(v, den, qi)
+    return dict(zip(_keys(rows, n, rank - 1), rows.values()))
 
 
-def _lift_table(mult: MultTable) -> _Lifted:
-    """The numerator form of a multiplication table, kept on a ``MultTable``
-    (a plain dict is lifted again on every call)."""
+def _lift_images(images: list, n: int, rank: int) -> _Lifted:
+    den, qi = common_denominator(s for image in images for _, s in image)
+    return _Lifted(den, qi, n, rank, [tuple((k, numerator(s, den, qi)) for k, s in image)
+                                      for image in images])
+
+
+def _lift_columns(columns: Sequence[Entries], n: int, rank: int) -> _Lifted:
+    """Columns of ``rank`` legs over dimension (or radix) ``n``."""
+    return _lift_images([[(_code(k, n), s) for k, s in c.items()] for c in columns], n, rank)
+
+
+def _lift_table(mult: MultTable, n: int) -> _Lifted:
+    """The numerator form of a multiplication table on an ``n``-dimensional
+    algebra, kept on a ``MultTable`` (a plain dict is lifted again on every
+    call)."""
     lifted = getattr(mult, "_lifted", None)
     if lifted is None:
-        den, qi = common_denominator(s for expansion in mult.values() for _, s in expansion)
-        lifted = _Lifted(den, qi, {ij: tuple((k, numerator(s, den, qi)) for k, s in expansion)
-                                   for ij, expansion in mult.items()}, _pair_table)
+        flat: list = [()] * (n * n)
+        for (i, j), expansion in mult.items():
+            flat[i * n + j] = expansion
+        lifted = _lift_images(flat, n, 1)
         if isinstance(mult, MultTable):
             mult._lifted = lifted
     return lifted
@@ -379,41 +446,50 @@ def _reduce(nums: dict, den: int, qi: bool) -> Num:
     return nums, den, qi
 
 
-def _outer(a: Num, b: Num) -> Num:
-    """Outer product: the legs of ``b`` follow the legs of ``a``."""
+def _outer(a: Num, b: Num, n: int, rank_b: int) -> Num:
+    """Outer product: the legs of ``b``, ``rank_b`` of them, follow the legs
+    of ``a``."""
     an, ad, aq = a
     bn, bd, bq = b
     qi = aq or bq
+    shift = n ** rank_b
     if not qi:
-        out = {ka + kb: va * vb for ka, va in an.items() for kb, vb in bn.items()}
+        out = {ka * shift + kb: va * vb for ka, va in an.items() for kb, vb in bn.items()}
         return _reduce(out, ad * bd, qi)
     if not bq:
         bn = _pairs(bn)
     out = {}
     for ka, va in an.items():
         ar, ai = va if aq else (va, 0)
+        base = ka * shift
         for kb, (br, bi) in bn.items():
-            out[ka + kb] = (ar * br - ai * bi, ar * bi + ai * br)
+            out[base + kb] = (ar * br - ai * bi, ar * bi + ai * br)
     return _reduce(out, ad * bd, qi)
 
 
-def _merge(t: Num, table: _Lifted, pa: int, pb: int) -> Num:
-    """Multiply leg ``pa`` by leg ``pb`` (in that order) through ``table``;
-    both legs are removed and the product becomes the last leg."""
+def _merge(t: Num, table: _Lifted, rank: int, pa: int, pb: int) -> Num:
+    """Multiply leg ``pa`` by leg ``pb`` (in that order) of ``t``, a tensor
+    with ``rank`` legs, through ``table``; both legs are removed and the
+    product becomes the last leg."""
     nums, den, tq = t
     qi = tq or table.qi
-    get = table.form(qi).get
+    n, flat = table.n, table.form(qi)
     lo, hi = (pa, pb) if pa < pb else (pb, pa)
+    wa, wb = n ** (rank - 1 - pa), n ** (rank - 1 - pb)
+    # a code is top, index lo, mid, index hi, low; ``base`` is top mid low
+    # with room for the product leg
+    wl, wh = n ** (rank - 1 - lo), n ** (rank - 1 - hi)
+    cut_lo, cut_hi = wl * n, wh * n
     out: dict = {}
     if qi:
         for key, value in nums.items():
-            expansion = get((key[pa], key[pb]))
+            expansion = flat[key // wa % n * n + key // wb % n]
             if not expansion:
                 continue
             vr, vi = value if tq else (value, 0)
-            rest = key[:lo] + key[lo + 1:hi] + key[hi + 1:]
+            base = key // cut_lo * wl + key % wl // cut_hi * cut_hi + key % wh * n
             for k, (sr, si) in expansion:
-                nkey = rest + (k,)
+                nkey = base + k
                 re, im = vr * sr - vi * si, vr * si + vi * sr
                 acc = out.get(nkey)
                 if acc is not None:
@@ -425,12 +501,12 @@ def _merge(t: Num, table: _Lifted, pa: int, pb: int) -> Num:
                 out[nkey] = (re, im)
     else:
         for key, value in nums.items():
-            expansion = get((key[pa], key[pb]))
+            expansion = flat[key // wa % n * n + key // wb % n]
             if not expansion:
                 continue
-            rest = key[:lo] + key[lo + 1:hi] + key[hi + 1:]
+            base = key // cut_lo * wl + key % wl // cut_hi * cut_hi + key % wh * n
             for k, s in expansion:
-                nkey = rest + (k,)
+                nkey = base + k
                 acc = out.get(nkey)
                 if acc is None:
                     out[nkey] = value * s
@@ -443,10 +519,11 @@ def _merge(t: Num, table: _Lifted, pa: int, pb: int) -> Num:
     return _reduce(out, den * table.den, qi)
 
 
-def _join(a: Num, b: Num, table: _Lifted, pa: int, pb: int) -> Num:
+def _join(a: Num, b: Num, table: _Lifted, rank_a: int, rank_b: int, pa: int, pb: int) -> Num:
     """Multiply leg ``pa`` of ``a`` by leg ``pb`` of ``b`` (in that order)
-    through ``table`` without forming a (x) b: the other legs of ``a``, then
-    those of ``b``, then the product leg.
+    through ``table`` without forming a (x) b, for tensors with ``rank_a``
+    and ``rank_b`` legs: the other legs of ``a``, then those of ``b``, then
+    the product leg.
 
     The contraction a[head, i] b[j, tail] M[i, j, k] runs in two steps,
     ``a`` with the table first, head by head (a head is the other legs of
@@ -461,23 +538,29 @@ def _join(a: Num, b: Num, table: _Lifted, pa: int, pb: int) -> Num:
     an, ad, aq = a
     bn, bd, bq = b
     qi = aq or bq or table.qi
-    get = table.form(qi).get
+    n, flat = table.n, table.form(qi)
     if qi:
         an = an if aq else _pairs(an)
         bn = bn if bq else _pairs(bn)
+    wa, wb = n ** (rank_a - 1 - pa), n ** (rank_b - 1 - pb)
+    cut_a, cut_b = wa * n, wb * n
+    # heads hold (i * n, value), the row of i in the table; groups hold
+    # (tail * n, value), with room for the product leg
     heads: dict = {}
     for ka, va in an.items():
-        heads.setdefault(ka[:pa] + ka[pa + 1:], []).append((ka[pa], va))
+        heads.setdefault(ka // cut_a * wa + ka % wa, []).append((ka // wa % n * n, va))
     groups: dict = {}
     for kb, vb in bn.items():
-        groups.setdefault(kb[pb], []).append((kb[:pb] + kb[pb + 1:], vb))
+        groups.setdefault(kb // wb % n, []).append((kb // cut_b * cut_b + kb % wb * n, vb))
+    shift = n ** rank_b
     out: dict = {}
     for head, entries in heads.items():
+        head *= shift
         partial: dict = {}
         if qi:
             for i, (ar, ai) in entries:
                 for j in groups:
-                    expansion = get((i, j))
+                    expansion = flat[i + j]
                     if not expansion:
                         continue
                     row = partial.get(j)
@@ -496,8 +579,9 @@ def _join(a: Num, b: Num, table: _Lifted, pa: int, pb: int) -> Num:
             for j, row in partial.items():
                 group = groups[j]
                 for k, (pr, pi) in row.items():
+                    base = head + k
                     for tail, (br, bi) in group:
-                        key = head + tail + (k,)
+                        key = base + tail
                         re, im = pr * br - pi * bi, pr * bi + pi * br
                         acc = out.get(key)
                         if acc is not None:
@@ -510,7 +594,7 @@ def _join(a: Num, b: Num, table: _Lifted, pa: int, pb: int) -> Num:
         else:
             for i, va in entries:
                 for j in groups:
-                    expansion = get((i, j))
+                    expansion = flat[i + j]
                     if not expansion:
                         continue
                     row = partial.get(j)
@@ -529,8 +613,9 @@ def _join(a: Num, b: Num, table: _Lifted, pa: int, pb: int) -> Num:
             for j, row in partial.items():
                 group = groups[j]
                 for k, p in row.items():
+                    base = head + k
                     for tail, vb in group:
-                        key = head + tail + (k,)
+                        key = base + tail
                         acc = out.get(key)
                         if acc is None:
                             out[key] = p * vb
@@ -543,19 +628,23 @@ def _join(a: Num, b: Num, table: _Lifted, pa: int, pb: int) -> Num:
     return _reduce(out, ad * bd * table.den, qi)
 
 
-def _map_leg(t: Num, columns: _Lifted, p: int) -> Num:
-    """Replace leg ``p`` by the column its index selects: the image legs of
-    a 1 -> 0, 1 -> 1 or 1 -> 2 map take the place of the leg."""
+def _map_leg(t: Num, columns: _Lifted, rank: int, p: int) -> Num:
+    """Replace leg ``p`` of ``t``, a tensor with ``rank`` legs, by the
+    column its index selects: the image legs of a 1 -> 0, 1 -> 1 or
+    1 -> 2 map take the place of the leg."""
     nums, den, tq = t
     qi = tq or columns.qi
-    cols = columns.form(qi)
+    n, cols = columns.n, columns.form(qi)
+    w = n ** (rank - 1 - p)
+    cut = w * n
+    span = n ** columns.rank * w        # the legs before p move up by the image's
     out: dict = {}
     if qi:
         for key, value in nums.items():
             vr, vi = value if tq else (value, 0)
-            head, tail = key[:p], key[p + 1:]
-            for ckey, (cr, ci) in cols[key[p]].items():
-                nkey = head + ckey + tail
+            base = key // cut * span + key % w
+            for ckey, (cr, ci) in cols[key // w % n]:
+                nkey = base + ckey * w
                 re, im = vr * cr - vi * ci, vr * ci + vi * cr
                 acc = out.get(nkey)
                 if acc is not None:
@@ -567,9 +656,9 @@ def _map_leg(t: Num, columns: _Lifted, p: int) -> Num:
                 out[nkey] = (re, im)
     else:
         for key, value in nums.items():
-            head, tail = key[:p], key[p + 1:]
-            for ckey, c in cols[key[p]].items():
-                nkey = head + ckey + tail
+            base = key // cut * span + key % w
+            for ckey, c in cols[key // w % n]:
+                nkey = base + ckey * w
                 acc = out.get(nkey)
                 if acc is None:
                     out[nkey] = value * c
@@ -582,30 +671,31 @@ def _map_leg(t: Num, columns: _Lifted, p: int) -> Num:
     return _reduce(out, den * columns.den, qi)
 
 
-def _permute(entries: dict, perm: Sequence[int]) -> dict:
-    """Reorder legs: leg i of the result is leg ``perm[i]`` of the input."""
-    return {tuple(key[p] for p in perm): v for key, v in entries.items()}
-
-
 def tensor_product(a: TensorElement, b: TensorElement) -> TensorElement:
     if a.dim != b.dim:
         raise DimMismatch(f"dim {a.dim} != {b.dim}")
-    return TensorElement(a.rank + b.rank, a.dim,
-                         _lower(_outer(_lift(a.entries), _lift(b.entries))), _trust=True)
+    n = a.dim
+    return TensorElement(a.rank + b.rank, n,
+                         _lower(_outer(_lift(a.entries, n), _lift(b.entries, n), n, b.rank),
+                                n, a.rank + b.rank), _trust=True)
 
 
 def permute_legs(t: TensorElement, perm: Sequence[int]) -> TensorElement:
-    return TensorElement(t.rank, t.dim, _permute(t.entries, perm), _trust=True)
+    """Reorder legs: leg i of the result is leg ``perm[i]`` of ``t``."""
+    return TensorElement(t.rank, t.dim, {tuple(key[p] for p in perm): v
+                                         for key, v in t.entries.items()}, _trust=True)
 
 
 def embed_legs(columns: Sequence[TensorElement], t: TensorElement) -> TensorElement:
     """Map every leg of ``t`` along the linear map e_i -> ``columns[i]``
-    (rank-1 columns, possibly of another dimension)."""
-    lifted = _lift_columns([c.entries for c in columns])
-    cur = _lift(t.entries)
+    (rank-1 columns, possibly of another dimension).  Codes take the radix
+    of the target dimension, of which the indices of ``t`` are digits too."""
+    n = columns[0].dim
+    lifted = _lift_columns([c.entries for c in columns], n, 1)
+    cur = _lift(t.entries, n)
     for leg in range(t.rank):
-        cur = _map_leg(cur, lifted, leg)
-    return TensorElement(t.rank, columns[0].dim, _lower(cur), _trust=True)
+        cur = _map_leg(cur, lifted, t.rank, leg)
+    return TensorElement(t.rank, n, _lower(cur, n, t.rank), _trust=True)
 
 
 def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> TensorElement:
@@ -616,14 +706,14 @@ def mult_pointwise(mult: MultTable, a: TensorElement, b: TensorElement) -> Tenso
     per-pair expansion of all legs at once would grow multiplicatively.
     """
     a._check_like(b)
-    rank = a.rank
-    table = _lift_table(mult)
+    rank, n = a.rank, a.dim
+    table = _lift_table(mult, n)
     # the pairing step is fused with the first leg merge, so a (x) b is never
     # materialized; after step j the layout is a[j:] + b[j:] + merged[:j]
-    t = _join(_lift(a.entries), _lift(b.entries), table, 0, 0)
+    t = _join(_lift(a.entries, n), _lift(b.entries, n), table, rank, rank, 0, 0)
     for j in range(1, rank):
-        t = _merge(t, table, 0, rank - j)
-    return TensorElement(rank, a.dim, _lower(t), _trust=True)
+        t = _merge(t, table, 2 * rank - j, 0, rank - j)
+    return TensorElement(rank, n, _lower(t, n, rank), _trust=True)
 
 
 def columns_of(table: TensorElement) -> list[TensorElement]:
@@ -647,11 +737,12 @@ def multiplication_operator(mult: MultTable, a: TensorElement, side: str) -> Lin
     if a.rank != 1:
         raise RankMismatch("a multiplication operator needs a rank-1 element")
     n = a.dim
-    nums, den, qi = _lift(a.entries)
-    domain = ({(i, k, i): v for i in range(n) for (k,), v in nums.items()}, den, qi)
+    nums, den, qi = _lift(a.entries, n)
+    domain = ({(i * n + k) * n + i: v for i in range(n) for k, v in nums.items()}, den, qi)
     pa, pb = (1, 2) if side == "left" else (2, 1)       # legs: index, a, e_index
-    products = _lower(_merge(domain, _lift_table(mult), pa, pb))
-    return LinearOperator(n, columns_of(TensorElement(2, n, products, _trust=True)))
+    products = _lower_rows(_merge(domain, _lift_table(mult, n), 3, pa, pb), n, 2)
+    return LinearOperator(n, [TensorElement(1, n, products.get((i,), {}), _trust=True)
+                              for i in range(n)])
 
 
 def _check_leg(t: TensorElement, dim: int, leg: int) -> None:
@@ -664,9 +755,9 @@ def _check_leg(t: TensorElement, dim: int, leg: int) -> None:
 def apply_on_leg(op: LinearOperator, t: TensorElement, leg: int) -> TensorElement:
     """Apply a rank 1 -> 1 or 1 -> 2 operator on one leg of ``t``."""
     _check_leg(t, op.dim, leg)
-    return TensorElement(t.rank - 1 + op.dst_rank, t.dim,
-                         _lower(_map_leg(_lift(t.entries), op.numerator_columns(), leg)),
-                         _trust=True)
+    n, rank = t.dim, t.rank - 1 + op.dst_rank
+    return TensorElement(rank, n, _lower(_map_leg(_lift(t.entries, n), op.numerator_columns(),
+                                                  t.rank, leg), n, rank), _trust=True)
 
 
 def contract(f: Functional, t: TensorElement, leg: int) -> TensorElement | Scalar:
@@ -674,9 +765,10 @@ def contract(f: Functional, t: TensorElement, leg: int) -> TensorElement | Scala
     _check_leg(t, f.dim, leg)
     if t.rank == 1:
         return f(t)
-    return TensorElement(t.rank - 1, t.dim,
-                         _lower(_map_leg(_lift(t.entries), f.numerator_columns(), leg)),
-                         _trust=True)
+    n = t.dim
+    return TensorElement(t.rank - 1, n, _lower(_map_leg(_lift(t.entries, n),
+                                                        f.numerator_columns(), t.rank, leg),
+                                               n, t.rank - 1), _trust=True)
 
 
 # -- exact linear algebra -------------------------------------------------------

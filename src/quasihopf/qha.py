@@ -16,8 +16,8 @@ from typing import Sequence
 from .exactnum import ONE, Scalar, ZERO
 from .expr import VAR, AlgebraOps, Expression
 from .multilinear import (Functional, LinearOperator, MultTable,
-                          SingularOperator, TensorElement, _Echelon, _lift_table,
-                          _lower, _merge, apply_on_leg, columns_of, contract,
+                          SingularOperator, TensorElement, _Echelon, _basis_sum, _lift_table,
+                          _lower_rows, _merge, apply_on_leg, columns_of, contract,
                           invert_operator, mult_pointwise, multiplication_operator,
                           permute_legs, tensor_product)
 from .report import VerificationReport
@@ -270,20 +270,19 @@ def _associated_products(pres: QhaPresentation, triples: list[tuple[int, int, in
                          ) -> tuple[dict, dict]:
     """(e_i e_j) e_k and e_i (e_j e_k) as rank-1 tensors keyed by (i, j, k):
     one ``_merge`` chain over a tensor whose legs i, j, k index the triples."""
-    table = _lift_table(pres.mult)
-    domain = ({ijk + ijk: 1 for ijk in triples}, 1, False)      # legs i j k a b c
-    left = _merge(_merge(domain, table, 3, 4), table, 4, 3)     # i j k (ab)c
-    right = _merge(_merge(domain, table, 4, 5), table, 3, 4)    # i j k a(bc)
-    return _by_instance(left, pres.dim), _by_instance(right, pres.dim)
+    n = pres.dim
+    table = _lift_table(pres.mult, n)
+    domain = _basis_sum((ijk + ijk for ijk in triples), n)     # legs i j k a b c
+    left = _merge(_merge(domain, table, 6, 3, 4), table, 5, 4, 3)     # i j k (ab)c
+    right = _merge(_merge(domain, table, 6, 4, 5), table, 5, 3, 4)    # i j k a(bc)
+    return _by_instance(left, n), _by_instance(right, n)
 
 
 def _by_instance(t, dim: int) -> dict[tuple[int, ...], TensorElement]:
-    """Split a tensor on its last leg into one rank-1 tensor per key of the
-    other legs."""
-    groups: dict[tuple[int, ...], dict] = {}
-    for key, value in _lower(t).items():
-        groups.setdefault(key[:-1], {})[key[-1:]] = value
-    return {key: TensorElement(1, dim, entries, _trust=True) for key, entries in groups.items()}
+    """Split a tensor with four legs on its last leg into one rank-1 tensor
+    per key of the other legs."""
+    return {key: TensorElement(1, dim, entries, _trust=True)
+            for key, entries in _lower_rows(t, dim, 4).items()}
 
 
 # -- loading ------------------------------------------------------------------

@@ -14,8 +14,8 @@ from __future__ import annotations
 from typing import Mapping, Sequence
 
 from quasihopf.expr import VAR, Expression, ExpressionError, Fn, Op, Ref
-from quasihopf.multilinear import (Functional, LinearOperator, Num, TensorElement, _lift,
-                                   _lift_table, _lower, _map_leg, _merge, _outer, _permute)
+from quasihopf.multilinear import (Functional, LinearOperator, Num, TensorElement, _basis_sum,
+                                   _lift, _lift_table, _lower, _map_leg, _merge, _outer)
 
 
 def ref_evaluate(expr: Expression, ops, bindings: Mapping[str, TensorElement] | None = None,
@@ -46,22 +46,22 @@ def ref_evaluate(expr: Expression, ops, bindings: Mapping[str, TensorElement] | 
 
 
 class _State:
-    """One sparse tensor with named legs, replaced step by step."""
+    """One sparse tensor with named legs, replaced step by step; its number
+    of legs is the number the kernels are told."""
 
     def __init__(self, ops):
         self.ops = ops
+        self.n = ops.dim
         self.legs: list[object] = []
-        self.t: Num = ({(): 1}, 1, False)
+        self.t: Num = _basis_sum([()], self.n)
 
     def pull(self, tensor: TensorElement, keys: Sequence[object]) -> None:
-        self.t = _outer(self.t, _lift(tensor.entries))
+        self.t = _outer(self.t, _lift(tensor.entries, self.n), self.n, tensor.rank)
         self.legs.extend(keys)
 
     def pull_variable(self, idx_key: object, expr_key: object) -> None:
-        n = self.ops.dim
-        nums, den, qi = self.t
-        self.t = ({base + (m, m): value for base, value in nums.items() for m in range(n)},
-                  den, qi)
+        n = self.n
+        self.t = _outer(self.t, _basis_sum(((m, m) for m in range(n)), n), n, 2)
         self.legs.extend([idx_key, expr_key])
 
     def pos(self, key: object) -> int:
@@ -71,37 +71,36 @@ class _State:
             raise ExpressionError(f"unknown leg {key!r}") from None
 
     def apply_operator(self, key: object, operator: LinearOperator) -> None:
-        self.t = _map_leg(self.t, operator.numerator_columns(), self.pos(key))
+        self.t = _map_leg(self.t, operator.numerator_columns(), len(self.legs), self.pos(key))
 
     def split(self, key: object, key1: object, key2: object) -> None:
         p = self.pos(key)
-        self.t = _map_leg(self.t, self.ops.coproduct.numerator_columns(), p)
+        self.t = _map_leg(self.t, self.ops.coproduct.numerator_columns(), len(self.legs), p)
         self.legs[p:p + 1] = [key1, key2]
 
     def merge(self, key_a: object, key_b: object, dest: object) -> None:
         pa, pb = self.pos(key_a), self.pos(key_b)
-        self.t = _merge(self.t, _lift_table(self.ops.mult), pa, pb)
+        self.t = _merge(self.t, _lift_table(self.ops.mult, self.n), len(self.legs), pa, pb)
         for p in sorted((pa, pb), reverse=True):
             del self.legs[p]
         self.legs.append(dest)
 
     def contract(self, key: object, functional: Functional) -> None:
         p = self.pos(key)
-        self.t = _map_leg(self.t, functional.numerator_columns(), p)
+        self.t = _map_leg(self.t, functional.numerator_columns(), len(self.legs), p)
         del self.legs[p]
 
     def unit_leg(self, dest: object) -> None:
-        self.t = _outer(self.t, _lift(self.ops.unit.entries))
+        self.t = _outer(self.t, _lift(self.ops.unit.entries, self.n), self.n, 1)
         self.legs.append(dest)
 
     def finalize(self, order: Sequence[object]) -> TensorElement:
         if set(order) != set(self.legs) or len(order) != len(self.legs):
             raise ExpressionError(f"leftover legs {self.legs!r} vs outputs {order!r}")
         perm = [self.legs.index(key) for key in order]
-        nums, den, qi = self.t
-        self.t = None
-        return TensorElement(len(order), self.ops.dim,
-                             _lower((_permute(nums, perm), den, qi)), _trust=True)
+        t, self.t = self.t, None
+        return TensorElement(len(order), self.n, _lower(t, self.n, len(self.legs), perm),
+                             _trust=True)
 
 
 class _Evaluation:

@@ -17,10 +17,10 @@ from quasihopf.exactnum import (HALF, ONE, Scalar, ZERO, common_denominator,
 from quasihopf.multilinear import (DimMismatch, Functional, LegOutOfRange,
                                    LinearOperator, RankMismatch, SingularOperator,
                                    TensorElement, _join, _lift, _lift_columns,
-                                   _lift_table, _Lifted, _lower, _map_leg, _merge, _outer,
-                                   _pair_table, apply_on_leg, contract, invert_operator,
-                                   mult_pointwise, multiplication_operator, row_rank,
-                                   solve_constraints, tensor_product)
+                                   _lift_table, _Lifted, _lower, _lower_rows, _map_leg,
+                                   _merge, _outer, apply_on_leg, contract, embed_legs,
+                                   invert_operator, mult_pointwise, multiplication_operator,
+                                   permute_legs, row_rank, solve_constraints, tensor_product)
 from quasihopf.qha import make_mult
 
 
@@ -330,10 +330,16 @@ def assert_same_entries(out, ref):
         assert s._d > 0 and gcd(s._a, s._b, s._d) == 1
 
 
-def assert_join(a, b, mult, pa, pb):
+def rank_of(entries):
+    return len(next(iter(entries)))
+
+
+def assert_join(a, b, mult, n, pa, pb):
     """The join kernel against both references: the two-step loop for the
     key order, the pair loop for the values."""
-    out = _lower(_join(_lift(a), _lift(b), _lift_table(mult), pa, pb))
+    ra, rb = rank_of(a), rank_of(b)
+    out = _lower(_join(_lift(a, n), _lift(b, n), _lift_table(mult, n), ra, rb, pa, pb),
+                 n, ra + rb - 1)
     assert_same_entries(out, ref_join(a, b, mult, pa, pb))
     assert out == ref_pair_join(a, b, mult, pa, pb)
     return out
@@ -363,23 +369,27 @@ def test_numerator_kernels_match_scalar_loops(t_qi, c_qi):
         rank = rng.randint(1, 3)
         a, b = tensor(rank, t_qi), tensor(rank, c_qi)
         mult = table(c_qi)
-        columns = [tensor(rng.randint(1, 2), c_qi) for _ in range(n)]
+        crank = rng.randint(0, 2)       # the columns of one map have one rank
+        columns = [tensor(crank, c_qi) for _ in range(n)]
         coords = [pick(c_qi) if rng.random() < 0.7 else ZERO for _ in range(n)]
-        assert_same_entries(_lower(_outer(_lift(a), _lift(b))), ref_outer(a, b))
+        assert_same_entries(_lower(_outer(_lift(a, n), _lift(b, n), n, rank), n, 2 * rank),
+                            ref_outer(a, b))
         pointwise = mult_pointwise(mult, TensorElement(rank, n, a), TensorElement(rank, n, b))
         assert_same_entries(pointwise.entries, ref_mult_pointwise(mult, a, b, join=ref_join))
         assert pointwise.entries == ref_mult_pointwise(mult, a, b)
         for p in range(rank):
             for q in range(rank):
-                assert_join(a, b, mult, p, q)
-            assert_same_entries(_lower(_map_leg(_lift(a), _lift_columns(columns), p)),
+                assert_join(a, b, mult, n, p, q)
+            assert_same_entries(_lower(_map_leg(_lift(a, n), _lift_columns(columns, n, crank),
+                                                rank, p), n, rank - 1 + crank),
                                 ref_map_leg(a, columns, p))
             if rank > 1:
                 assert_same_entries(contract(Functional(coords), TensorElement(rank, n, a),
                                              p).entries,
                                     ref_contract(a, coords, p))
                 q = (p + 1) % rank
-                assert_same_entries(_lower(_merge(_lift(a), _lift_table(mult), p, q)),
+                assert_same_entries(_lower(_merge(_lift(a, n), _lift_table(mult, n), rank, p, q),
+                                           n, rank - 1),
                                     ref_merge(a, mult, p, q))
 
 
@@ -389,10 +399,11 @@ def test_numerator_kernels_cancel_to_zero(value):
     n = 2
     mult = make_mult(n, [(i, j, 0, ONE) for i in range(n) for j in range(n)])
     t = {(0, 0): value, (1, 1): -value}
-    assert _lower(_merge(_lift(t), _lift_table(mult), 0, 1)) == ref_merge(t, mult, 0, 1) == {}
+    assert (_lower(_merge(_lift(t, n), _lift_table(mult, n), 2, 0, 1), n, 1)
+            == ref_merge(t, mult, 0, 1) == {})
     columns = [{(0,): value}, {(0,): value}]
     s = {(0,): value, (1,): -value}
-    assert _lower(_map_leg(_lift(s), _lift_columns(columns), 0)) == {}
+    assert _lower(_map_leg(_lift(s, n), _lift_columns(columns, n, 1), 1, 0), n, 1) == {}
     assert contract(Functional([value, value]), TensorElement(2, n, t), 0) == \
         TensorElement(1, n, {(0,): value * value, (1,): -value * value})
     assert contract(Functional([value, value]),
@@ -412,10 +423,10 @@ def test_join_partial_sums_cancel_to_zero(value):
                          for i in range(n) for j in range(n) for k in range(n)])
     b = {(j, j): value * Scalar.rational(j + 1, 2) for j in range(n)}   # one tail per j
     a = {(0, 0): value, (0, 1): value, (1, 0): value, (1, 1): -value}
-    out = assert_join(a, b, mult, 1, 0)
+    out = assert_join(a, b, mult, n, 1, 0)
     assert {(key[0], key[-1]) for key in out} == {(0, 0), (1, 1)}
     to_unit = make_mult(n, [(i, j, 0, ONE) for i in range(n) for j in range(n)])
-    assert assert_join({(0, 0): value, (0, 1): -value}, b, to_unit, 1, 0) == {}
+    assert assert_join({(0, 0): value, (0, 1): -value}, b, to_unit, n, 1, 0) == {}
 
 
 def _dense_table(rng, n, qi, terms):
@@ -439,34 +450,114 @@ def test_join_on_a_dense_table(qi):
             for pb in range(rank_b):
                 heads = Counter(ka[:pa] + ka[pa + 1:] for ka in a)
                 assert max(heads.values()) > 1
-                assert assert_join(a, b, mult, pa, pb)
+                assert assert_join(a, b, mult, n, pa, pb)
 
 
 def test_join_looks_the_table_up_once_per_entry_and_joined_index(d2):
     """On D(H2)'s table a join of two dense two-leg tensors looks a product
     up once per (entry of a, distinct index of b on the joined leg), not once
-    per pair of entries."""
+    per pair of entries: 64 lookups where the pair loop makes 256."""
 
-    class Counting(dict):
+    class Counting(list):
         lookups = 0
 
-        def get(self, key, default=None):
+        def __getitem__(self, index):
             self.lookups += 1
-            return super().get(key, default)
+            return super().__getitem__(index)
 
     mult = d2.presentation.mult
-    lifted = _lift_table(mult)
-    form = Counting(lifted.form(lifted.qi))
-    counted = _Lifted(lifted.den, lifted.qi, form, _pair_table)
-    rng = random.Random("lookups")
     n = d2.presentation.dim
+    lifted = _lift_table(mult, n)
+    form = Counting(lifted.form(lifted.qi))
+    counted = _Lifted(lifted.den, lifted.qi, lifted.n, lifted.rank, form)
+    rng = random.Random("lookups")
     a = {key: rng.choice(RATIONALS) for key in product(range(n), repeat=2)}
     b = {key: rng.choice(RATIONALS) for key in product(range(n), repeat=2)}
     for pa, pb in ((1, 0), (0, 1)):
         form.lookups = 0
-        out = _lower(_join(_lift(a), _lift(b), counted, pa, pb))
+        out = _lower(_join(_lift(a, n), _lift(b, n), counted, 2, 2, pa, pb), n, 3)
         assert form.lookups == len(a) * len({kb[pb] for kb in b}) == n ** 3
         assert out == ref_pair_join(a, b, mult, pa, pb)
+
+
+# -- entry codes ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("n", [1, 2, 4, 8, 64])
+def test_codes_round_trip_in_key_order(n):
+    """Inside the kernels the key (i_0, ..., i_{r-1}) over dimension n is
+    the int sum_l i_l n^(r-1-l), the empty key 0.  Lifting and lowering
+    gives the entries back in their order for ranks 0 to 7, sorted codes
+    lower to the keys in lexicographic order, lowering with a permutation
+    permutes the legs as ``permute_legs`` does, and lowering split on the
+    last leg groups the entries by their other legs in order."""
+    rng = random.Random(f"codes:{n}")
+    for rank in range(8):
+        if n ** rank <= 4096:
+            keys = list(product(range(n), repeat=rank))
+            rng.shuffle(keys)
+        else:
+            keys = [tuple(rng.randrange(n) for _ in range(rank)) for _ in range(500)]
+        entries = {key: RATIONALS[i % len(RATIONALS)] for i, key in enumerate(keys)}
+        nums, den, qi = _lift(entries, n)
+        assert list(nums) == [sum(i * n ** (rank - 1 - leg) for leg, i in enumerate(key))
+                              for key in entries]
+        assert list(_lower((nums, den, qi), n, rank).items()) == list(entries.items())
+        assert list(_lower((dict(sorted(nums.items())), den, qi), n, rank)) == sorted(entries)
+        perm = rng.sample(range(rank), rank)
+        assert (list(_lower((nums, den, qi), n, rank, perm).items())
+                == list(permute_legs(TensorElement(rank, n, entries), perm).entries.items()))
+        if rank:
+            rows: dict = {}
+            for key, value in entries.items():
+                rows.setdefault(key[:-1], {})[key[-1:]] = value
+            assert ([(key, list(row.items())) for key, row in _lower_rows((nums, den, qi), n,
+                                                                           rank).items()]
+                    == [(key, list(row.items())) for key, row in rows.items()])
+    assert _lift({(): HALF}, n)[0] == {0: 1}
+
+
+def test_embed_legs_into_a_larger_dimension_matches_a_scalar_loop():
+    """``embed_legs`` codes keys in the radix of the target dimension, of
+    which the indices of the source are digits too: mapping every leg of
+    a tensor over dimension 3 into dimension 8 agrees with the Scalar loop
+    applied leg by leg, key order included."""
+    rng = random.Random("embed")
+    n, target = 3, 8
+    columns = [TensorElement(1, target, {(rng.randrange(target),): rng.choice(RATIONALS)
+                                         for _ in range(3)}) for _ in range(n)]
+    for rank in (1, 2, 3):
+        t = {tuple(rng.randrange(n) for _ in range(rank)): rng.choice(GAUSSIANS + RATIONALS)
+             for _ in range(6)}
+        ref = t
+        for leg in range(rank):
+            ref = ref_map_leg(ref, [c.entries for c in columns], leg)
+        out = embed_legs(columns, TensorElement(rank, n, t))
+        assert out.dim == target
+        assert_same_entries(out.entries, ref)
+
+
+def test_kernels_key_entries_by_int(d2):
+    """Fed lifted operands on D(H2), every kernel returns int keys, and the
+    lifted table and columns are lists of (int code, value) images: tuple
+    keys stay out of the kernels."""
+    pres = d2.presentation
+    n = pres.dim
+    table = _lift_table(pres.mult, n)
+    coproduct, counit = pres.coproduct.numerator_columns(), pres.counit.numerator_columns()
+    for lifted, size, rank in ((table, n * n, 1), (coproduct, n, 2), (counit, n, 0)):
+        for qi in (False, True):
+            form = lifted.form(qi)
+            assert type(form) is list and len(form) == size and lifted.rank == rank
+            assert all(type(k) is int for image in form for k, _ in image)
+    phi = _lift(pres.phi.entries, n)
+    assert len(phi[0]) == n ** 3
+    i = _lift({(0, 1, 2): ONE}, n)
+    outs = [_outer(phi, phi, n, 3), _merge(phi, table, 3, 0, 2),
+            _join(phi, phi, table, 3, 3, 1, 0), _map_leg(phi, coproduct, 3, 1),
+            _map_leg(phi, counit, 3, 2), _join(i, phi, table, 3, 3, 0, 2)]
+    for nums, _, _ in [phi] + outs:
+        assert nums and all(type(k) is int for k in nums)
 
 
 # -- nullspace ---------------------------------------------------------------
