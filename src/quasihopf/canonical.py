@@ -13,7 +13,10 @@ of the formulas are the table :data:`LETTERS`: each maps to the context
 attribute it reads (X, Y, Z to phi, x, y, z to phi^-1, g and G to f^-1, and
 so on) and to its number of legs.  Binding a formula to a context reads
 only the attributes of the letters it uses, so an identity among p_R and
-q_R computes no integral.
+q_R computes no integral.  Every function here takes the context, and
+every bound formula is evaluated with ``ctx.ops``, which reads the
+functionals eps, mu, mui, lam and Lam from the context when a formula
+names them.
 """
 
 from __future__ import annotations
@@ -29,14 +32,6 @@ from .report import VerificationReport
 
 class InternalIdentityFailure(ArithmeticError):
     pass
-
-
-def _ctx_of(obj):
-    """Accept either a presentation or an algebra context."""
-    if hasattr(obj, "pres"):
-        return obj
-    from .context import get_context
-    return get_context(obj)
 
 
 class TwistNotInvertible(ArithmeticError):
@@ -113,11 +108,9 @@ def _bind_all(ctx, sides: Sequence[Expression], **tensors: TensorElement
     return tuple(_bind(ctx, side, **tensors) for side in sides)
 
 
-def _value(ctx, sides: Sequence[Expression], **tensors: TensorElement) -> TensorElement:
-    """The one side of a parsed formula, bound and evaluated with the
-    functionals of ``ctx``."""
-    (side,) = sides
-    return _bind(ctx, side, **tensors).evaluate(ctx.ops, ctx.lazy_functionals())
+def _value(ctx, side: Expression, **tensors: TensorElement) -> TensorElement:
+    """``side`` bound to ``ctx`` (and ``tensors``) and evaluated on it."""
+    return _bind(ctx, side, **tensors).evaluate(ctx.ops)
 
 
 # -- constructors ----------------------------------------------------------------
@@ -139,17 +132,12 @@ FORMS = {name: _parse(name, " = ".join(texts), texts) for name, texts in {
 }.items()}
 
 
-def _element(ctx, name: str, form: int = 0) -> TensorElement:
-    return _bind(ctx, FORMS[name][form]).evaluate(ctx.ops)
-
-
 def gamma_delta(ctx) -> tuple[TensorElement, TensorElement]:
     """Both closed forms of each element are evaluated; a mismatch means
     the presentation is corrupted."""
-    ctx = _ctx_of(ctx)
     elements = []
     for name in ("gamma", "delta"):
-        first, second = _element(ctx, name), _element(ctx, name, 1)
+        first, second = (_value(ctx, side) for side in FORMS[name])
         if first != second:
             raise InternalIdentityFailure(f"{ctx.pres.name}: the two {name} forms disagree")
         elements.append(first)
@@ -157,9 +145,8 @@ def gamma_delta(ctx) -> tuple[TensorElement, TensorElement]:
 
 
 def drinfeld_twist(ctx) -> tuple[TensorElement, TensorElement]:
-    ctx = _ctx_of(ctx)
     pres = ctx.pres
-    f, f_inv = _element(ctx, "f"), _element(ctx, "f^-1")
+    f, f_inv = _value(ctx, *FORMS["f"]), _value(ctx, *FORMS["f^-1"])
     unit2 = tensor_product(pres.unit, pres.unit)
     if (mult_pointwise(pres.mult, f, f_inv) != unit2
             or mult_pointwise(pres.mult, f_inv, f) != unit2):
@@ -168,17 +155,14 @@ def drinfeld_twist(ctx) -> tuple[TensorElement, TensorElement]:
 
 
 def pq_elements(ctx) -> tuple[TensorElement, TensorElement, TensorElement, TensorElement]:
-    ctx = _ctx_of(ctx)
-    return tuple(_element(ctx, name) for name in ("pR", "qR", "pL", "qL"))
+    return tuple(_value(ctx, *FORMS[name]) for name in ("pR", "qR", "pL", "qL"))
 
 
 def uv_elements(ctx) -> tuple[TensorElement, TensorElement]:
-    ctx = _ctx_of(ctx)
-    return _element(ctx, "U"), _element(ctx, "V")
+    return _value(ctx, *FORMS["U"]), _value(ctx, *FORMS["V"])
 
 
 def canonical_elements(ctx) -> CanonicalElements:
-    ctx = _ctx_of(ctx)
     return CanonicalElements(
         gamma=ctx.gamma, delta=ctx.delta_el, f=ctx.f, f_inv=ctx.f_inv,
         p_r=ctx.p_r, q_r=ctx.q_r, p_l=ctx.p_l, q_l=ctx.q_l,
@@ -365,7 +349,7 @@ def _cop_identity(name: str, letter: str, expected: str) -> None:
     cop_element = attrgetter(LETTERS[letter][0])
 
     def residual(ctx, side: Expression) -> TensorElement:
-        return cop_element(ctx.variant_ctx("cop")) - _bind(ctx, side).evaluate(ctx.ops)
+        return cop_element(ctx.variant_ctx("cop")) - _value(ctx, side)
     REGISTRY[name] = Identity(name, formula, _parse(name, formula, [expected]), residual)
 
 
@@ -382,20 +366,16 @@ def evaluate_identity(ctx, name: str) -> TensorElement:
     """Residual of a registered identity: the zero tensor when it holds,
     else lhs - rhs.  Each free variable contributes an index leg, so one
     evaluation of each side covers every basis element."""
-    ctx = _ctx_of(ctx)
     ident = REGISTRY.get(name)
     if ident is None:
         raise UnknownIdentity(name)
     if ident.custom:
         return ident.build(ctx)
-    lhs, rhs = ident.build(ctx)
-    fns = ctx.lazy_functionals()
-    left, right = lhs.evaluate(ctx.ops, fns), rhs.evaluate(ctx.ops, fns)
+    left, right = (side.evaluate(ctx.ops) for side in ident.build(ctx))
     return TensorElement.zero(0, ctx.pres.dim) if left == right else left - right
 
 
 def check_identity(ctx, name: str):
-    ctx = _ctx_of(ctx)
     residual = evaluate_identity(ctx, name)
     report = VerificationReport(ctx.pres.name)
     row = report.check_zero(f"identity:{name}", residual)
@@ -404,7 +384,6 @@ def check_identity(ctx, name: str):
 
 def identity_suite(ctx, names: list[str] | None = None) -> VerificationReport:
     """Evaluate every registered identity (or the given subset) exactly."""
-    ctx = _ctx_of(ctx)
     report = VerificationReport(ctx.pres.name)
     selected = sorted(REGISTRY) if names is None else resolve_names(names)
     for name in selected:

@@ -4,12 +4,18 @@ elements, integrals, cointegrals and modular data for one presentation.
 Everything is a pure function of the presentation; the cache only avoids
 recomputation.  Initialization of each entry is guarded by a re-entrant
 lock so contexts can be shared between threads.
+
+``ctx.ops`` is what every formula on the algebra is evaluated with: its
+table, unit, coproduct, the operators S, Si, S2 and Si2, and the
+functionals eps, mu, mui, lam and Lam, which it reads from the context
+lazily, so a formula computes only the functionals it names.
 """
 
 from __future__ import annotations
 
 import threading
 import weakref
+from operator import attrgetter
 from typing import Callable
 
 from . import canonical, intcoint
@@ -20,26 +26,26 @@ from .qha import QhaPresentation, antipode_inverse, variant, verify_axioms
 from .report import VerificationReport
 
 
+# functional name of the formulas -> the context attribute it reads
+_FUNCTIONALS = {name: attrgetter(attr) for name, attr in {
+    "eps": "pres.counit", "mu": "mu", "mui": "mu_inv", "lam": "lam", "Lam": "big_lam",
+}.items()}
+
+
 class _LazyFunctionals:
-    """Mapping-ish view that builds integral/cointegral functionals only
-    when an expression actually asks for them."""
+    """The functionals of a context by their names in the formulas, each
+    read from the context only when an expression asks for it, so a formula
+    without ``lam`` computes no cointegral.  The view holds its context
+    weakly: the context keeps its ``ops``, and no reference cycle keeps the
+    context alive.  So an ``ops`` reads functionals only while its context
+    lives."""
 
     def __init__(self, ctx: "AlgebraContext"):
-        self._ctx = ctx
+        self._ctx = weakref.ref(ctx)
 
     def get(self, name: str) -> Functional | None:
-        ctx = self._ctx
-        if name == "eps":
-            return ctx.pres.counit
-        if name == "mu":
-            return ctx.mu
-        if name == "mui":
-            return ctx.mu_inv
-        if name == "lam":
-            return ctx.lam
-        if name == "Lam":
-            return ctx.big_lam
-        return None
+        read = _FUNCTIONALS.get(name)
+        return None if read is None else read(self._ctx())
 
 
 class AlgebraContext:
@@ -77,11 +83,8 @@ class AlgebraContext:
                 self.pres.dim, self.pres.mult, self.pres.unit, self.pres.coproduct,
                 operators={"S": s, "Si": si,
                            "S2": s.compose(s), "Si2": si.compose(si)},
-                functionals={"eps": self.pres.counit})
+                functionals=_LazyFunctionals(self))
         return self._get("ops", build)
-
-    def lazy_functionals(self) -> _LazyFunctionals:
-        return _LazyFunctionals(self)
 
     # -- canonical elements ----------------------------------------------------
 
@@ -204,8 +207,7 @@ class AlgebraContext:
 
     @property
     def s_squared(self) -> LinearOperator:
-        return self._get("s_squared",
-                         lambda: self.pres.antipode.compose(self.pres.antipode))
+        return self.ops.operators["S2"]
 
     def inner_automorphism(self, a: TensorElement) -> LinearOperator:
         """h |-> a h a^-1, that is L_a o R_(a^-1); the inverse is found by

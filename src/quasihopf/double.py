@@ -71,7 +71,7 @@ def _didx(n: int, i: int, j: int) -> int:
 
 
 def build_omega(ctx: AlgebraContext) -> TensorElement:
-    return _value(ctx, FORMS["omega"])
+    return _value(ctx, *FORMS["omega"])
 
 
 def _double_element(n: int, func_coords, elem: TensorElement) -> TensorElement:
@@ -93,7 +93,7 @@ def build_double(H: QhaPresentation) -> DoublePresentation:
 
     # multiplication: one evaluation, with the central element h and the
     # result functional on index legs, gives the coefficient table
-    mult_table = _value(ctx, FORMS["mult"], Om=omega)
+    mult_table = _value(ctx, *FORMS["mult"], Om=omega)
     dmult = make_mult(nd, [(_didx(n, a, j), _didx(n, b, l), _didx(n, m, k), s * c)
                            for (j, m, o, a, b), s in mult_table.entries.items()
                            for l in range(n) for k, c in H.mult.get((o, l), ())])
@@ -113,14 +113,14 @@ def build_double(H: QhaPresentation) -> DoublePresentation:
     left = [multiplication_operator(dmult, emb, "left").columns for emb in embedding]
 
     # coproduct: one evaluation covering all basis pairs
-    cop_table = _value(ctx, FORMS["coproduct"])
+    cop_table = _value(ctx, *FORMS["coproduct"])
     coproduct_d = _scatter(nd, ((_didx(n, a, j), s, left[u][_didx(n, w, c)], (_didx(n, z, e),))
                                 for (j, w, z, u, c, e, a), s in cop_table.entries.items()), 2)
 
     # antipode: one evaluation covering all basis pairs
     antipode_d = _scatter(nd, ((_didx(n, a, j), s, left[u][_didx(n, m, c)], ())
                                for (j, m, u, c, a), s in
-                               _value(ctx, FORMS["antipode"]).entries.items()))
+                               _value(ctx, *FORMS["antipode"]).entries.items()))
 
     labels = tuple(f"P_{H.basis[i]}><{H.basis[j]}" for i in range(n) for j in range(n))
     pres_d = QhaPresentation(
@@ -134,11 +134,6 @@ def build_double(H: QhaPresentation) -> DoublePresentation:
         raise DoubleBuildError(f"double of {H.name} violates axioms: {failed}")
     return DoublePresentation(presentation=pres_d, base=H, omega=omega,
                               embedding=embedding)
-
-
-def _transport2(D: DoublePresentation, t: TensorElement) -> TensorElement:
-    """A two-leg element of the base algebra, carried into the double."""
-    return embed_legs(D.embedding, t)
 
 
 def _scatter(nd: int, terms, dst_rank: int = 1) -> LinearOperator:
@@ -163,7 +158,7 @@ def double_antipode_inverse(D: DoublePresentation) -> LinearOperator:
     against the exact matrix inverse by ``double_report``."""
     base = get_context(D.base)
     n = D.base.dim
-    table = _value(base, FORMS["antipode^-1"])
+    table = _value(base, *FORMS["antipode^-1"])
     left = [multiplication_operator(D.presentation.mult, emb, "left").columns
             for emb in D.embedding]
     return _scatter(n * n, ((_didx(n, a, j), s, left[u][_didx(n, m, c)], ())
@@ -178,7 +173,7 @@ def double_integral(D: DoublePresentation) -> TensorElement:
     base = get_context(D.base)
     H = D.base
     n = H.dim
-    coords_t = _value(base, FORMS["integral"])
+    coords_t = _value(base, *FORMS["integral"])
     t_func = [coords_t.coeff(a) for a in range(n)]
     return _double_element(n, t_func, base.r)
 
@@ -188,7 +183,7 @@ def double_left_cointegral(D: DoublePresentation) -> Functional:
     base = get_context(D.base)
     H = D.base
     n = H.dim
-    lam_prime = _value(base, FORMS["left-cointegral"])
+    lam_prime = _value(base, *FORMS["left-cointegral"])
     r_coords = base.r.coords()
     return Functional([r_coords[i] * lam_prime.coeff(j)
                        for i in range(n) for j in range(n)])
@@ -212,12 +207,12 @@ def double_modular(D: DoublePresentation) -> tuple[TensorElement, TensorElement]
     s_d_inv = double_antipode_inverse(D)
 
     # first form: mu(g1_1) mui(g2) SDi( mu |><| g1_2 S^-2(gmod^-1) )
-    first = s_d_inv.apply(_double_element(n, base.mu.coords, _value(base, FORMS["modular"])))
+    first = s_d_inv.apply(_double_element(n, base.mu.coords, _value(base, *FORMS["modular"])))
 
     # second form: mu(ql1 g1) mui(pl1)
     #   (eps |><| S^-3(gmod^-1)) (mui |><| (Si(ql2 g2) <- mui) pl2)
     si3 = base.ops.operators["Si"].compose(base.ops.operators["Si2"])
-    second_elem = _value(base, FORMS["modular-second"])
+    second_elem = _value(base, *FORMS["modular-second"])
     lhs_factor = _double_element(n, H.counit.coords,
                                  si3.apply(base.g_mod_inv))
     rhs_factor = _double_element(n, base.mu_inv.coords, second_elem)
@@ -302,7 +297,8 @@ def double_report(D: DoublePresentation) -> VerificationReport:
                      lambda ab: [(pres_d.multiply(D.embedding[ab[0]], D.embedding[ab[1]]),
                                   embed(H.multiply(e(ab[0]), e(ab[1]))))])
     report.check_all("double:embedding-coproduct", range(n), lambda a: [
-        (pres_d.coproduct.apply(D.embedding[a]), _transport2(D, H.coproduct.apply(e(a))))])
+        (pres_d.coproduct.apply(D.embedding[a]),
+         embed_legs(D.embedding, H.coproduct.apply(e(a))))])
     report.check_all("double:embedding-antipode", range(n), lambda a: [
         (pres_d.antipode.apply(D.embedding[a]), embed(H.antipode.apply(e(a))))])
     report.check_all("double:embedding-counit", range(n), lambda a: [
@@ -339,7 +335,7 @@ def double_report(D: DoublePresentation) -> VerificationReport:
     report.add(f"double:epsD(T)={eps_of_t}",
                (not eps_of_t.is_zero()) == is_double_semisimple(D))
     if intcoint.is_unimodular(base):
-        delta_pair = _value(base, FORMS["unimodular-conjecture"])
+        delta_pair = _value(base, *FORMS["unimodular-conjecture"])
         report.check_zero("double:unimodular-conjecture", delta_pair - H.beta)
 
     # cointegrals of the double

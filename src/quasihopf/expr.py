@@ -170,7 +170,9 @@ Output = Leg | Fn
 class AlgebraOps:
     """Everything evaluation needs about one algebra: the multiplication
     table, unit coordinates, the coproduct and a registry of unary operators
-    and functionals addressable from expressions."""
+    and functionals addressable from expressions.  The functionals are any
+    mapping with ``get``, kept as given, so a lazy one builds only the
+    functionals an expression asks for."""
 
     def __init__(self, dim: int, mult: MultTable, unit: TensorElement,
                  coproduct: LinearOperator,
@@ -181,7 +183,7 @@ class AlgebraOps:
         self.unit = unit
         self.coproduct = coproduct
         self.operators = dict(operators or {})
-        self.functionals = dict(functionals or {})
+        self.functionals = {} if functionals is None else functionals
         self._profile: dict | None = None
 
     def profile(self) -> dict[tuple, float]:
@@ -284,20 +286,14 @@ class Expression:
 
     # -- evaluation --------------------------------------------------------
 
-    def evaluate(self, ops: AlgebraOps,
-                 functionals: Mapping[str, Functional] | None = None,
-                 ) -> TensorElement:
+    def evaluate(self, ops: AlgebraOps) -> TensorElement:
         for name, src in self.sources.items():
             if type(src) is Unbound:
                 raise ExpressionError(f"source {name!r} is unbound")
         fns = []
         for out in self.outputs:
             if isinstance(out, Fn):
-                functional = None
-                if functionals is not None:
-                    functional = functionals.get(out.functional)
-                if functional is None:
-                    functional = ops.functionals.get(out.functional)
+                functional = ops.functionals.get(out.functional)
                 if functional is None:
                     raise ExpressionError(f"unknown functional {out.functional!r}")
                 fns.append(functional)

@@ -24,9 +24,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .canonical import _bind, _bind_all, _ctx_of, _value, evaluate_identity, parse
+from .canonical import _bind, _bind_all, _value, evaluate_identity, parse
 from .exactnum import ONE, Scalar
-from .expr import VAR, Expression
+from .expr import VAR, AlgebraOps, Expression
 from .multilinear import (Functional, LinearOperator, SingularOperator, TensorElement,
                           apply_on_leg, columns_of, contract, invert_operator,
                           multiplication_operator, permute_legs, solve_constraints)
@@ -207,7 +207,7 @@ def _rc_pairs(ctx) -> tuple[TensorElement, TensorElement]:
     """The constant two-leg combinations A and B of the right cointegral
     relation, pre-merged so the per-basis-h system stays small on large
     algebras."""
-    return _value(ctx, FORMS["pair-A"]), _value(ctx, FORMS["pair-B"])
+    return _value(ctx, *FORMS["pair-A"]), _value(ctx, *FORMS["pair-B"])
 
 
 def _right_coint_direct_system(ctx):
@@ -225,20 +225,22 @@ def _solve_hole_system(ctx, lhs: Expression, rhs: Expression) -> list[Functional
     """The functionals that make both sides agree, for every basis element
     h when the sides have the variable h: one evaluation per side, and one
     table of equations per h."""
-    fns = ctx.lazy_functionals()
-    difference = lhs.evaluate(ctx.ops, fns) - rhs.evaluate(ctx.ops, fns)
+    difference = lhs.evaluate(ctx.ops) - rhs.evaluate(ctx.ops)
     return [Functional(vec) for vec in _nullspace(ctx.pres.dim, _per_h(lhs, difference))]
 
 
 def cointegral_space(ctx, side: str) -> list[Functional]:
-    """Solver line of left (resp. right) cointegrals; right cointegrals come
-    from the coopposite algebra and are cross-checked against the direct
-    relation stated over the original structure maps."""
-    ctx = _ctx_of(ctx)
+    """Solver line of left (resp. right) cointegrals, solved once per
+    context and side; right cointegrals come from the coopposite algebra
+    and are cross-checked against the direct relation stated over the
+    original structure maps."""
+    return ctx._get(f"cointegral_space:{side}", lambda: _solve_cointegral_space(ctx, side))
+
+
+def _solve_cointegral_space(ctx, side: str) -> list[Functional]:
     if side == "left":
         return _solve_hole_system(ctx, *_left_coint_system(ctx))
-    cop = ctx.variant_ctx("cop")
-    via_cop = cointegral_space(cop, "left")
+    via_cop = cointegral_space(ctx.variant_ctx("cop"), "left")
     direct = _solve_hole_system(ctx, *_right_coint_direct_system(ctx))
     if len(via_cop) != len(direct) or not all(
             _proportional_fn(a, b) for a, b in zip(via_cop, direct)):
@@ -267,9 +269,8 @@ def _filled(ctx, lhs: Expression, rhs: Expression,
     """Both sides of a hole system with the hole leg paired against
     ``functional``: one pair per basis element h, in basis order, when the
     sides have the variable h, else one pair."""
-    fns = ctx.lazy_functionals()
     hole = 1 if lhs.sources.get("h") == VAR else 0
-    return list(zip(*(_per_h(lhs, contract(functional, side.evaluate(ctx.ops, fns), hole))
+    return list(zip(*(_per_h(lhs, contract(functional, side.evaluate(ctx.ops), hole))
                       for side in (lhs, rhs))))
 
 
@@ -292,53 +293,43 @@ def compute_cointegral_data(ctx) -> CointegralData:
         raise DegeneratePairing(f"{pres.name}: Lambda(S(t)) = 0")
     big_lam = big0.scale(scale_r.inverse())
 
-    # lam is passed in: the context's own lam is what is being computed
-    g_mod, g_inv = (_bind(ctx, *FORMS[name]).evaluate(ctx.ops, {"lam": lam})
-                    for name in ("gmod", "gmod^-1"))
+    # the context's own lam is what is being computed: these two formulas
+    # read this lam through an AlgebraOps of their own, which shares the
+    # rest of ctx.ops
+    shared = ctx.ops
+    ops = AlgebraOps(shared.dim, shared.mult, shared.unit, shared.coproduct,
+                     shared.operators, {"lam": lam})
+    g_mod, g_inv = (_bind(ctx, *FORMS[name]).evaluate(ops) for name in ("gmod", "gmod^-1"))
     if pres.multiply(g_mod, g_inv) != pres.unit or pres.multiply(g_inv, g_mod) != pres.unit:
         raise DegeneratePairing(f"{pres.name}: modular element is not invertible")
     return CointegralData(left_basis=lam, right_basis=big_lam,
                           g_modular=g_mod, g_modular_inv=g_inv)
 
 
-def normalize_pair(ctx) -> tuple[Functional, TensorElement, Functional]:
-    """(lambda, t) with lambda(Si(t)) = 1 and (Lambda, t) with Lambda(S(t)) = 1."""
-    ctx = _ctx_of(ctx)
-    return ctx.lam, ctx.t, ctx.big_lam
-
-
-def modular_element_g(ctx) -> tuple[TensorElement, TensorElement]:
-    ctx = _ctx_of(ctx)
-    data = ctx.cointegral_data
-    return data.g_modular, data.g_modular_inv
-
-
 def comparison_elements(ctx) -> ComparisonElements:
-    ctx = _ctx_of(ctx)
     pres = ctx.pres
-    u, u_inv = _value(ctx, FORMS["u"]), _value(ctx, FORMS["u^-1"])
+    u, u_inv = _value(ctx, *FORMS["u"]), _value(ctx, *FORMS["u^-1"])
     if pres.multiply(u, u_inv) != pres.unit or pres.multiply(u_inv, u) != pres.unit:
         raise FrobeniusCheckFailed(f"{pres.name}: u * u_inv != 1")
     scalar = ctx.mu_inv(ctx.g_mod) * ctx.mu(pres.beta)
-    v = _value(ctx, FORMS["v"]).scale(scalar.inverse())
-    v_inv = _value(ctx, FORMS["v^-1"]).scale(ctx.mu_inv(ctx.g_mod))
+    v = _value(ctx, *FORMS["v"]).scale(scalar.inverse())
+    v_inv = _value(ctx, *FORMS["v^-1"]).scale(ctx.mu_inv(ctx.g_mod))
     if pres.multiply(v, v_inv) != pres.unit or pres.multiply(v_inv, v) != pres.unit:
         raise FrobeniusCheckFailed(f"{pres.name}: v * v_inv != 1")
-    return ComparisonElements(u=u, u_inv=u_inv, v=v, v_inv=v_inv, d=_value(ctx, FORMS["d"]))
+    return ComparisonElements(u=u, u_inv=u_inv, v=v, v_inv=v_inv, d=_value(ctx, *FORMS["d"]))
 
 
 # -- Frobenius systems ---------------------------------------------------------------
 
 
 def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
-    ctx = _ctx_of(ctx)
     pres = ctx.pres
     if which == "left":
         phi = _compose_functional(ctx.lam, ctx.s_inv)
-        e = _value(ctx, FORMS["e-left"])
+        e = _value(ctx, *FORMS["e-left"])
     elif which == "cop":
         phi = ctx.big_lam
-        e = _value(ctx, FORMS["e-cop"])
+        e = _value(ctx, *FORMS["e-cop"])
     elif which == "op":
         scale = ctx.lam(ctx.r)
         if scale.is_zero():
@@ -347,7 +338,7 @@ def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
         phi = _compose_functional(lam_op, pres.antipode)
         # transporting the opposite-algebra system back swaps the two legs
         # and lands the comparison element at the end of the first one
-        e = _value(ctx, FORMS["e-op"], d=ctx.comparison.d)
+        e = _value(ctx, *FORMS["e-op"], d=ctx.comparison.d)
     else:
         raise ValueError(f"unknown Frobenius system {which!r}")
     # chi(h) = (h -> phi)(e1) e2 and chi^-1(h) = (phi <- h)(e2) e1
@@ -389,12 +380,12 @@ def nakayama_report(ctx) -> VerificationReport:
     report = VerificationReport(pres.name)
     left = ctx.frobenius("left")
     # chi(h) = mu(h1) S^2(h2), column by column
-    expected = columns_of(_value(ctx, FORMS["nakayama"]))
+    expected = columns_of(_value(ctx, *FORMS["nakayama"]))
     report.check_all("nakayama:closed-form", range(pres.dim),
                      lambda i: [(expected[i], left.nakayama.columns[i])])
 
     # chi^-1(h) = mu(Si(u h u^-1)_2) Si(Si(u h u^-1)_1)
-    expected_inv = columns_of(_value(ctx, FORMS["nakayama^-1"]))
+    expected_inv = columns_of(_value(ctx, *FORMS["nakayama^-1"]))
     report.check_all("nakayama:inverse-closed-form", range(pres.dim),
                      lambda i: [(expected_inv[i], left.nakayama_inv.columns[i])])
 
@@ -408,10 +399,9 @@ def nakayama_report(ctx) -> VerificationReport:
 
 
 def antipode_on_integrals(ctx) -> tuple[VerificationReport, dict[str, TensorElement]]:
-    ctx = _ctx_of(ctx)
     pres = ctx.pres
     report = VerificationReport(pres.name)
-    base_t, base_r = _value(ctx, FORMS["S(t)"]), _value(ctx, FORMS["S(r)"])
+    base_t, base_r = _value(ctx, *FORMS["S(t)"]), _value(ctx, *FORMS["S(r)"])
     mu_beta = ctx.mu(pres.beta)
     mui_g = ctx.mu_inv(ctx.g_mod)
     mu_ab = ctx.mu(pres.multiply(pres.alpha, pres.beta))
@@ -437,7 +427,6 @@ def antipode_on_integrals(ctx) -> tuple[VerificationReport, dict[str, TensorElem
 
 
 def s4_suite(ctx) -> VerificationReport:
-    ctx = _ctx_of(ctx)
     pres = ctx.pres
     report = VerificationReport(pres.name)
     report.check_zero("s4:equiv-version", evaluate_identity(ctx, "s4equivversion"))
@@ -458,9 +447,8 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
     """The two candidate readings of the inverse twist-functional in the
     fourth-power relation; ``None`` means the candidate is not even defined
     (the element is not invertible)."""
-    ctx = _ctx_of(ctx)
     pres = ctx.pres
-    f_mu, reading_b = _value(ctx, FORMS["f-mu"]), _value(ctx, FORMS["reading-b"])
+    f_mu, reading_b = _value(ctx, *FORMS["f-mu"]), _value(ctx, *FORMS["reading-b"])
     results: dict[str, bool | None] = {}
     try:
         f_mu_inv = invert_operator(
@@ -469,7 +457,7 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
         f_mu_inv = None
     s2 = ctx.s_squared
     s3 = s2.compose(pres.antipode)
-    lhs = _value(ctx, FORMS["S4"])
+    lhs = _value(ctx, *FORMS["S4"])
     s_g = pres.antipode.apply(ctx.g_mod)
     s_g_inv = pres.antipode.apply(ctx.g_mod_inv)
     d_const = s3.apply(f_mu)
@@ -477,7 +465,7 @@ def s4_display_readings(ctx) -> dict[str, bool | None]:
         if candidate is None:
             results[label] = None
             continue
-        rhs = _value(ctx, FORMS["S4-rhs"], A=s3.apply(candidate), B=s_g, C=s_g_inv, D=d_const)
+        rhs = _value(ctx, *FORMS["S4-rhs"], A=s3.apply(candidate), B=s_g, C=s_g_inv, D=d_const)
         results[label] = (lhs - rhs).is_zero()
     return results
 
@@ -503,10 +491,8 @@ def solve_condition(ctx, name: str) -> list[Functional]:
 def characterization_suite(ctx) -> VerificationReport:
     """Every equivalent characterization, evaluated on the actual cointegrals
     and re-solved as an independent system whose line must be the solver's."""
-    ctx = _ctx_of(ctx)
     pres = ctx.pres
     report = VerificationReport(pres.name)
-    fns = ctx.lazy_functionals()
     systems = _condition_systems(ctx)
     for name, (lhs, rhs) in systems.items():
         # the hole leg is paired with the actual cointegral
@@ -520,7 +506,7 @@ def characterization_suite(ctx) -> VerificationReport:
     report.check_zero("characterization:qqt-left", evaluate_identity(ctx, "qqt-left"))
     report.check_zero("characterization:qqt-right", evaluate_identity(ctx, "qqt-right"))
     if is_unimodular(ctx):
-        lhs, rhs = (side.evaluate(ctx.ops, fns)
+        lhs, rhs = (side.evaluate(ctx.ops)
                     for side in _bind_all(ctx, FORMS["unimodular-shortcut"]))
         report.check_zero("characterization:unimodular-shortcut", lhs - rhs)
     return report
@@ -541,10 +527,9 @@ def dual_coactions(ctx) -> tuple[TensorElement, TensorElement]:
     constant pairs), independently of the solver's own combinations.  The
     left table is the left side of the direct right-cointegral relation.
     """
-    ctx = _ctx_of(ctx)
     left = _right_coint_direct_system(ctx)[0].evaluate(ctx.ops)
-    right = _value(ctx, FORMS["rho"], C=_value(ctx, FORMS["pair-C"]),
-                   D=_value(ctx, FORMS["pair-D"]))
+    right = _value(ctx, *FORMS["rho"], C=_value(ctx, *FORMS["pair-C"]),
+                   D=_value(ctx, *FORMS["pair-D"]))
     return left, right
 
 
@@ -555,7 +540,7 @@ def coinvariants_via_rho(ctx) -> list[Functional]:
     _, rhs_expr = _left_coint_system(ctx)
     # rho's (h, a, m) table less the relation's other side, one table per h
     return [Functional(vec) for vec in _nullspace(ctx.pres.dim, columns_of(
-        rho - rhs_expr.evaluate(ctx.ops, ctx.lazy_functionals())))]
+        rho - rhs_expr.evaluate(ctx.ops)))]
 
 
 def coaction_report(ctx) -> VerificationReport:
@@ -570,7 +555,7 @@ def coaction_report(ctx) -> VerificationReport:
     # direct right-cointegral relation
     left_table, _ = dual_coactions(ctx)
     _, rhs_expr = _right_coint_direct_system(ctx)
-    rhs_table = rhs_expr.evaluate(ctx.ops, ctx.lazy_functionals())
+    rhs_table = rhs_expr.evaluate(ctx.ops)
     applied, direct = (columns_of(contract(ctx.big_lam, table, 1))
                        for table in (left_table, rhs_table))
     report.check_all("coaction:left-applied-to-right-cointegral", range(n), lambda h: [
@@ -582,7 +567,7 @@ def xi_operator(ctx) -> LinearOperator:
     """The Frobenius isomorphism from the dual to the algebra,
     xi(h^*) = h^*(S(q2 t2 p2)) q1 t1 p1, as a dim x dim matrix on
     dual-basis coordinates."""
-    return LinearOperator(ctx.pres.dim, columns_of(_value(ctx, FORMS["xi"])))
+    return LinearOperator(ctx.pres.dim, columns_of(_value(ctx, *FORMS["xi"])))
 
 
 def xi_report(ctx) -> VerificationReport:
@@ -606,14 +591,13 @@ def xi_report(ctx) -> VerificationReport:
 
 def s_mu_operator(ctx) -> LinearOperator:
     """S_mu(h) := mu(S(h)_1) S(h)_2."""
-    return LinearOperator(ctx.pres.dim, columns_of(_value(ctx, FORMS["S_mu"])))
+    return LinearOperator(ctx.pres.dim, columns_of(_value(ctx, *FORMS["S_mu"])))
 
 
 # -- umbrella report ---------------------------------------------------------------------------
 
 
 def integral_report(ctx) -> VerificationReport:
-    ctx = _ctx_of(ctx)
     pres = ctx.pres
     n = pres.dim
     report = VerificationReport(pres.name)

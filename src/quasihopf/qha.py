@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .exactnum import ONE, Scalar, ZERO
-from .expr import VAR, AlgebraOps, Expression
+from .expr import AlgebraOps, Expression
 from .multilinear import (Functional, LinearOperator, MultTable,
                           SingularOperator, TensorElement, _Echelon, _basis_sum, _lift_table,
                           _lower_rows, _merge, apply_on_leg, columns_of, contract,
@@ -113,14 +113,15 @@ def make_mult(dim: int, entries: Sequence[tuple[int, int, int, Scalar]]) -> Mult
 # set G, it therefore holds on all of H.
 
 # The axioms that are tensor formulas, in the grammar of ``expr``; X, Y and Z
-# are copies of phi and x is phi^-1.
-_LETTERS = {"h": VAR, "X": 3, "Y": 3, "Z": 3, "x": 3, "alpha": 1, "beta": 1}
+# are copies of phi, x is phi^-1 and G is sum_g e_g x e_g over the
+# generating set, whose first leg indexes g.
+_LETTERS = {"X": 3, "Y": 3, "Z": 3, "x": 3, "G": 2, "alpha": 1, "beta": 1}
 FORMS: dict[str, tuple[Expression, ...]] = {
     name: tuple(Expression.parse(side, _LETTERS) for side in formula.split(" = "))
     for name, formula in {
         "q3": "X1 Y1 x Z1 X2_1 Y2 x Z2 X2_2 Y3 x Z3 X3 = X1 Y1_1 x X2 Y1_2 x X3_1 Y2 x X3_2 Y3",
-        "q5-alpha": "S(h_1) alpha h_2",
-        "q5-beta": "h_1 beta S(h_2)",
+        "q5-alpha": "G1 x S(G2_1) alpha G2_2",
+        "q5-beta": "G1 x G2_1 beta S(G2_2)",
         "q6-left": "X1 beta S(X2) alpha X3",
         "q6-right": "S(x1) alpha x2 beta S(x3)",
     }.items()}
@@ -179,7 +180,8 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
     basis = [pres.basis_element(i) for i in range(n)]
     delta, s, eps_of = delta_op.columns, antipode.columns, eps.coords
     ops = AlgebraOps(n, mult, unit, delta_op, operators={"S": antipode})
-    structure = {"X": phi, "Y": phi, "Z": phi, "x": phi_inv, "alpha": alpha, "beta": beta}
+    structure = {"X": phi, "Y": phi, "Z": phi, "x": phi_inv, "alpha": alpha, "beta": beta,
+                 "G": TensorElement(2, n, {(g, g): ONE for g in gens})}
 
     def value(side: Expression) -> TensorElement:
         return side.bind(structure).evaluate(ops)
@@ -231,7 +233,8 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
     report.check_all("q7", (0, 2), lambda leg: [(contract(eps, phi, leg), unit2)])
 
     # q5: the antipode equations S(h1) alpha h2 = eps(h) alpha and
-    # h1 beta S(h2) = eps(h) beta; column g of each side is its value at e_g
+    # h1 beta S(h2) = eps(h) beta, on h = e_g for g in G; column g of each
+    # side is its value at e_g
     q5_alpha, q5_beta = (columns_of(value(*FORMS[name])) for name in ("q5-alpha", "q5-beta"))
     report.check_all("q5", gens, lambda g: [
         (q5_alpha[g], alpha.scale(eps_of[g])), (q5_beta[g], beta.scale(eps_of[g]))])

@@ -20,7 +20,7 @@ from typing import Mapping
 
 from .exactnum import (FIELD_Q, FIELD_QI, HALF, MINUS_ONE, ONE, ParseError,
                        Scalar, ZERO, parse_scalar, render_scalar)
-from .multilinear import Functional, LinearOperator, TensorElement
+from .multilinear import Functional, LinearOperator, TensorElement, mult_pointwise
 from .qha import QhaPresentation, load_and_validate, make_mult
 
 CATALOG_NAMES = ("H2", "H8+", "H8-", "kZ2-hopf")
@@ -56,42 +56,21 @@ def _z2_phi(dim: int, g_index: int) -> TensorElement:
     return TensorElement(3, dim, entries)
 
 
-def _build_h2() -> QhaPresentation:
-    dim = 2
-    entries = []
-    for a in (0, 1):
-        for c in (0, 1):
-            entries.append((a, c, (a + c) % 2, ONE))
-    mult = make_mult(dim, entries)
-    unit = TensorElement.basis(dim, 0)
-    counit = Functional([ONE, ONE])
-    cols = [TensorElement(2, dim, {(0, 0): ONE}),
-            TensorElement(2, dim, {(1, 1): ONE})]
-    coproduct = LinearOperator(dim, cols, dst_rank=2)
-    phi = _z2_phi(dim, 1)
-    antipode = LinearOperator.identity(dim)
-    alpha = TensorElement.basis(dim, 1)
-    beta = unit
-    return QhaPresentation(
-        name="H2", dim=dim, basis=("1", "g"), field_tag=FIELD_Q,
-        mult=mult, unit=unit, counit=counit, coproduct=coproduct,
-        phi=phi, phi_inv=phi, antipode=antipode, alpha=alpha, beta=beta)
-
-
-def _build_kz2() -> QhaPresentation:
+def _build_z2(quasi: bool) -> QhaPresentation:
+    """The group algebra of Z/2: H2 when ``quasi`` (the nontrivial
+    reassociator, alpha = g), else kZ2-hopf (phi = 1 x 1 x 1, alpha = 1)."""
     dim = 2
     mult = make_mult(dim, [(a, c, (a + c) % 2, ONE) for a in (0, 1) for c in (0, 1)])
     unit = TensorElement.basis(dim, 0)
-    counit = Functional([ONE, ONE])
     cols = [TensorElement(2, dim, {(0, 0): ONE}),
             TensorElement(2, dim, {(1, 1): ONE})]
     coproduct = LinearOperator(dim, cols, dst_rank=2)
-    phi = TensorElement(3, dim, {(0, 0, 0): ONE})
-    antipode = LinearOperator.identity(dim)
+    phi = _z2_phi(dim, 1) if quasi else TensorElement(3, dim, {(0, 0, 0): ONE})
     return QhaPresentation(
-        name="kZ2-hopf", dim=dim, basis=("1", "g"), field_tag=FIELD_Q,
-        mult=mult, unit=unit, counit=counit, coproduct=coproduct,
-        phi=phi, phi_inv=phi, antipode=antipode, alpha=unit, beta=unit)
+        name="H2" if quasi else "kZ2-hopf", dim=dim, basis=("1", "g"), field_tag=FIELD_Q,
+        mult=mult, unit=unit, counit=Functional([ONE, ONE]), coproduct=coproduct,
+        phi=phi, phi_inv=phi, antipode=LinearOperator.identity(dim),
+        alpha=TensorElement.basis(dim, 1) if quasi else unit, beta=unit)
 
 
 def _h8_index(a: int, b: int) -> int:
@@ -139,34 +118,24 @@ def _build_h8(sign: int) -> QhaPresentation:
     })
     delta_one = two_leg({(0, 0): ONE})
 
-    def tensor_mult(u: TensorElement, v: TensorElement) -> TensorElement:
-        from .multilinear import mult_pointwise
-        return mult_pointwise(mult, u, v)
-
+    # column 2b + a, the basis index of g^a x^b, is Delta(g^a x^b)
     cols = []
     for b in range(4):
         for a in range(2):
             acc = delta_one
             for _ in range(a):
-                acc = tensor_mult(acc, delta_g)
+                acc = mult_pointwise(mult, acc, delta_g)
             for _ in range(b):
-                acc = tensor_mult(acc, delta_x)
+                acc = mult_pointwise(mult, acc, delta_x)
             cols.append(acc)
-    # column order above is (b, a); re-order to basis index 2*b + a
-    ordered = [None] * dim
-    k = 0
-    for b in range(4):
-        for a in range(2):
-            ordered[_h8_index(a, b)] = cols[k]
-            k += 1
-    coproduct = LinearOperator(dim, ordered, dst_rank=2)
+    coproduct = LinearOperator(dim, cols, dst_rank=2)
 
     phi = _z2_phi(dim, g_idx)
     # S(g) = g, S(x) = -x (p+ +- i p-) = -omega x + omega_bar gx
     s_x = TensorElement(1, dim, {(x_idx,): -omega, (gx_idx,): omega_bar})
     s_g = TensorElement.basis(dim, g_idx)
+    # column 2b + a is S(g^a x^b) = S(x)^b S(g)^a
     s_cols = []
-    from .multilinear import mult_pointwise
     for b in range(4):
         for a in range(2):
             acc = unit
@@ -175,13 +144,7 @@ def _build_h8(sign: int) -> QhaPresentation:
             for _ in range(a):
                 acc = mult_pointwise(mult, acc, s_g)
             s_cols.append(acc)
-    s_ordered = [None] * dim
-    k = 0
-    for b in range(4):
-        for a in range(2):
-            s_ordered[_h8_index(a, b)] = s_cols[k]
-            k += 1
-    antipode = LinearOperator(dim, s_ordered)
+    antipode = LinearOperator(dim, s_cols)
     alpha = TensorElement.basis(dim, g_idx)
     return QhaPresentation(
         name="H8+" if sign > 0 else "H8-", dim=dim, basis=tuple(labels),
@@ -193,13 +156,13 @@ def _build_h8(sign: int) -> QhaPresentation:
 @lru_cache(maxsize=None)
 def catalog_build(name: str) -> QhaPresentation:
     if name == "H2":
-        raw = _build_h2()
+        raw = _build_z2(True)
     elif name == "H8+":
         raw = _build_h8(+1)
     elif name == "H8-":
         raw = _build_h8(-1)
     elif name == "kZ2-hopf":
-        raw = _build_kz2()
+        raw = _build_z2(False)
     else:
         raise UnknownCatalogName(name)
     return load_and_validate(raw)

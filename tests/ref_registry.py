@@ -16,8 +16,10 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
+from quasihopf.exactnum import ONE
 from quasihopf.expr import VAR, Expression, Fn, Leg, Op, Ref
 from quasihopf.multilinear import TensorElement, multiplication_operator
+from quasihopf.qha import generating_set
 
 
 def r(name: str, comp: int = 1, *tokens: int | str) -> Ref:
@@ -1061,7 +1063,7 @@ REF_OPERATORS["intcoint", "S4"] = lambda ctx: {"S4": ctx.s_squared.compose(ctx.s
 def _s4_rhs(ctx, name):
     pres = ctx.pres
     s3 = ctx.s_squared.compose(pres.antipode)
-    f_mu, reading_b = (_one_sided(ctx, form)[1][0].evaluate(ctx.ops, ctx.lazy_functionals())
+    f_mu, reading_b = (_one_sided(ctx, form)[1][0].evaluate(ctx.ops)
                        for form in ("f-mu", "reading-b"))
     tensors = {"A": s3.apply(reading_b), "B": pres.antipode.apply(ctx.g_mod),
                "C": pres.antipode.apply(ctx.g_mod_inv), "D": s3.apply(f_mu)}
@@ -1224,9 +1226,13 @@ def _double_elements(ctx, name):
 
 @_module("qha", "q3", "q5-alpha", "q5-beta", "q6-left", "q6-right")
 def _axioms(ctx, name):
+    """The axiom sides; q5 runs over the generating set G, the first leg of
+    its letter G = sum_g e_g x e_g."""
     pres = ctx.pres
     phi, phi_inv, alpha, beta = pres.phi, pres.phi_inv, pres.alpha, pres.beta
-    return {}, {
+    gens, _ = generating_set(pres)
+    domain = TensorElement(2, pres.dim, {(g, g): ONE for g in gens})
+    return {"G": domain}, {
         "q3": (_built({"Z": phi, "X": phi, "Y": phi},
                       [Leg(r("X", 1), r("Y", 1)),
                        Leg(r("Z", 1), r("X", 2, 1), r("Y", 2)),
@@ -1237,10 +1243,10 @@ def _axioms(ctx, name):
                        Leg(r("A", 2), r("B", 1, 2)),
                        Leg(r("A", 3, 1), r("B", 2)),
                        Leg(r("A", 3, 2), r("B", 3))])),
-        "q5-alpha": (_built({"h": VAR, "a": alpha},
-                            [Leg(S(r("h", 1, 1)), r("a"), r("h", 1, 2))]),),
-        "q5-beta": (_built({"h": VAR, "b": beta},
-                           [Leg(r("h", 1, 1), r("b"), S(r("h", 1, 2)))]),),
+        "q5-alpha": (_built({"G": domain, "a": alpha},
+                            [Leg(r("G", 1)), Leg(S(r("G", 2, 1)), r("a"), r("G", 2, 2))]),),
+        "q5-beta": (_built({"G": domain, "b": beta},
+                           [Leg(r("G", 1)), Leg(r("G", 2, 1), r("b"), S(r("G", 2, 2)))]),),
         "q6-left": (_built({"X": phi, "b": beta, "a": alpha},
                            [Leg(r("X", 1), r("b"), S(r("X", 2)), r("a"), r("X", 3))]),),
         "q6-right": (_built({"x": phi_inv, "a": alpha, "b": beta},

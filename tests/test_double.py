@@ -7,7 +7,7 @@ import pytest
 
 from quasihopf import double
 from quasihopf.context import AlgebraContext, get_context
-from quasihopf.double import (_transport2, build_double, double_antipode_inverse,
+from quasihopf.double import (build_double, double_antipode_inverse,
                               double_integral, double_left_cointegral, double_modular,
                               double_report, double_right_cointegral,
                               is_double_semisimple, semisimplicity_check,
@@ -15,7 +15,7 @@ from quasihopf.double import (_transport2, build_double, double_antipode_inverse
 from quasihopf.exactnum import ONE, Scalar, ZERO
 from quasihopf.intcoint import cointegral_residual
 from quasihopf.multilinear import Functional, LinearOperator, TensorElement, \
-    invert_operator
+    embed_legs, invert_operator
 from quasihopf.qha import verify_axioms
 from quasihopf.workbench import export_document, import_document
 
@@ -164,10 +164,10 @@ def test_d8_transported_context_matches_generic_on_small_double(d2):
     the generically derived ones."""
     ctx = get_context(d2.presentation)
     base = get_context(d2.base)
-    assert ctx.f == _transport2(d2, base.f)
-    assert ctx.gamma == _transport2(d2, base.gamma)
-    assert ctx.p_r == _transport2(d2, base.p_r)
-    assert ctx.u_cap == _transport2(d2, base.u_cap)
+    assert ctx.f == embed_legs(d2.embedding, base.f)
+    assert ctx.gamma == embed_legs(d2.embedding, base.gamma)
+    assert ctx.p_r == embed_legs(d2.embedding, base.p_r)
+    assert ctx.u_cap == embed_legs(d2.embedding, base.u_cap)
 
 
 CANONICAL_TWO_LEG = ("gamma", "delta_el", "f", "f_inv", "p_r", "q_r", "p_l", "q_l")
@@ -184,7 +184,7 @@ def test_large_double_derives_the_transported_canonical_elements(d8, variant):
     if variant:
         ctx, base = ctx.variant_ctx(variant), base.variant_ctx(variant)
     for name in CANONICAL_TWO_LEG:
-        assert getattr(ctx, name) == _transport2(d8, getattr(base, name)), name
+        assert getattr(ctx, name) == embed_legs(d8.embedding, getattr(base, name)), name
 
 
 def test_mutated_double_axioms_fail(d2):
@@ -232,8 +232,11 @@ def test_reduced_axiom_rows_visit_the_generator_domains(d8, monkeypatch):
     quantified axiom row over G, G x basis or G x basis x basis, in order,
     where G is the generating set.  The rows are recorded, not evaluated
     (``coproduct:morphism`` alone takes seconds here); that a row visits
-    every instance it is given is pinned in ``test_report``."""
-    from quasihopf.qha import generating_set
+    every instance it is given is pinned in ``test_report``.  The tables
+    of the two q5 sides are evaluated on G alone: their index leg holds
+    only indices of G."""
+    from quasihopf.expr import Expression
+    from quasihopf.qha import FORMS, generating_set
     from quasihopf.report import VerificationReport
     pres = d8.presentation
     n = pres.dim
@@ -242,13 +245,26 @@ def test_reduced_axiom_rows_visit_the_generator_domains(d8, monkeypatch):
     pairs = [(g, j) for g in gens for j in range(n)]
     triples = [(g, j, k) for g, j in pairs for k in range(n)]
     quantified: dict[str, list] = {}
+    q5_tables = []
+    q5_outputs = [FORMS[name][0].outputs for name in ("q5-alpha", "q5-beta")]
+    evaluate = Expression.evaluate
 
     def recording(self, name, instances, sides):
         quantified[name] = list(instances)
         return self.add(name, True)
 
+    def evaluating(self, ops):
+        result = evaluate(self, ops)
+        if any(self.outputs is outputs for outputs in q5_outputs):
+            q5_tables.append(result)
+        return result
+
     monkeypatch.setattr(VerificationReport, "check_all", recording)
+    monkeypatch.setattr(Expression, "evaluate", evaluating)
     verify_axioms(pres)
+    assert len(q5_tables) == 2
+    for table in q5_tables:
+        assert {key[0] for key in table.entries} <= set(gens)
     assert {name: quantified[name] for name in quantified
             if name not in ("q7", "phi:invertible")} == {
         "mult:unit": list(range(n)), "mult:assoc": triples,

@@ -6,6 +6,8 @@ of ``Expression.parse`` and the reprs that spell it."""
 from __future__ import annotations
 
 import ast
+import gc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -35,15 +37,14 @@ def test_planned_evaluation_matches_reference_on_registry(name, d2):
     """Both sides of every registered identity, variables unbound, give the
     same tensor under the planner as under the reference order."""
     ctx = _context(name, d2)
-    fns = ctx.lazy_functionals()
     compared = 0
     for ident_name in sorted(REGISTRY):
         ident = REGISTRY[ident_name]
         if ident.custom:
             continue
         for side in ident.build(ctx):
-            planned = side.evaluate(ctx.ops, fns)
-            assert planned == ref_evaluate(side, ctx.ops, None, fns), ident_name
+            planned = side.evaluate(ctx.ops)
+            assert planned == ref_evaluate(side, ctx.ops), ident_name
             compared += 1
     assert compared == 2 * sum(not ident.custom for ident in REGISTRY.values())
 
@@ -132,9 +133,9 @@ def against_reference(monkeypatch):
     seen: list[Expression] = []
     planned = Expression.evaluate
 
-    def checked(self, ops, functionals=None):
-        result = planned(self, ops, functionals)
-        assert result == ref_evaluate(self, ops, None, functionals)
+    def checked(self, ops):
+        result = planned(self, ops)
+        assert result == ref_evaluate(self, ops)
         seen.append(self)
         return result
 
@@ -156,6 +157,27 @@ def test_planned_evaluation_matches_reference_in_constructions(h2, h8p, against_
     forms += [intcoint.FORMS[name] for name in ("left-coint", "right-coint")]
     for side in (side for form in forms for side in form):
         assert any(e.outputs is side.outputs for e in against_reference), side.outputs
+
+
+def test_context_ops_read_only_the_functionals_a_formula_names(h8p):
+    """``ctx.ops`` reads each functional from its context when a formula
+    names it: on a fresh context a side that reads mu builds the integral
+    data but no cointegral data, and a side that reads only eps builds
+    neither.  The view holds its context weakly, so a dropped context is
+    freed without the cycle collector."""
+    ctx = AlgebraContext(h8p)
+    _bind(ctx, intcoint.FORMS["f-mu"][0]).evaluate(ctx.ops)
+    assert "integral_data" in ctx._memo and "cointegral_data" not in ctx._memo
+    ctx = AlgebraContext(h8p)
+    _bind(ctx, REGISTRY["f-counit"].sides[0]).evaluate(ctx.ops)
+    assert "integral_data" not in ctx._memo and "cointegral_data" not in ctx._memo
+    freed = weakref.ref(ctx)
+    gc.disable()
+    try:
+        del ctx
+        assert freed() is None
+    finally:
+        gc.enable()
 
 
 @pytest.fixture
@@ -212,13 +234,12 @@ def test_peak_support_on_double(d2, name, peak_support):
     search finds, and the two sides (of an identity, of q3, or the two
     closed forms of gamma or delta) agree."""
     ctx = get_context(d2.presentation)
-    fns = ctx.lazy_functionals()
     sides, ops = _double_sides(ctx, name)
     results = []
     for side, bound in zip(sides, DOUBLE_PEAKS[name], strict=True):
-        side.evaluate(ops, fns)           # builds the lazy operands once
+        side.evaluate(ops)                # builds the lazy operands once
         peak_support[0] = 0
-        results.append(side.evaluate(ops, fns))
+        results.append(side.evaluate(ops))
         assert 0 < peak_support[0] <= bound, (name, peak_support[0])
     if len(results) == 2:
         assert results[0] == results[1]
@@ -231,7 +252,6 @@ def test_parsed_sides_match_hand_built_reference(name, d2, peak_support):
     side written out by hand in ``ref_registry``; on H8+ and D(H2) its peak
     kernel support is no larger."""
     ctx = _context(name, d2)
-    fns = ctx.lazy_functionals()
     pairs = [(f"{form}[{i}]", _bind(ctx, parsed), ref)
              for form, build in REF_FORMS.items()
              for i, (parsed, ref) in enumerate(zip(FORMS[form], build(ctx), strict=True))]
@@ -244,7 +264,7 @@ def test_parsed_sides_match_hand_built_reference(name, d2, peak_support):
         results, peaks = [], []
         for side in (parsed, ref):
             peak_support[0] = 0
-            results.append(side.evaluate(ctx.ops, fns))
+            results.append(side.evaluate(ctx.ops))
             peaks.append(peak_support[0])
         assert results[0] == results[1], label
         if name in ("H8+", "D(H2)"):
@@ -268,11 +288,10 @@ def test_module_formulas_match_hand_built_reference(name, d2, peak_support):
     peak kernel support of a transcribed side is no larger than its
     reference's, and that of a rewrite is pinned."""
     ctx = _context(name, d2)
-    fns = ctx.lazy_functionals()
     assert set(REF_MODULES) == {(module, form) for module, mod in MODULES.items()
                                 for form in mod.FORMS}
     for functional in ("mu", "mui", "lam", "Lam"):      # built before any peak is read
-        fns.get(functional)
+        ctx.ops.functionals.get(functional)
     for (module, form), build in REF_MODULES.items():
         tensors, refs = build(ctx)
         ops = ctx.ops
@@ -286,7 +305,7 @@ def test_module_formulas_match_hand_built_reference(name, d2, peak_support):
             results, peaks = [], []
             for expression, expression_ops in ((side, ctx.ops), (ref, ops)):
                 peak_support[0] = 0
-                results.append(expression.evaluate(expression_ops, fns))
+                results.append(expression.evaluate(expression_ops))
                 peaks.append(peak_support[0])
             assert results[0] == results[1], label
             if name in ("H8+", "D(H2)"):

@@ -35,18 +35,16 @@ def _bindings(ctx) -> list[dict[str, TensorElement]]:
 
 def _ref_solve(ctx, lhs: Expression, rhs: Expression, bindings) -> list[Functional]:
     """The reference loop: both sides evaluated once per binding."""
-    fns = ctx.lazy_functionals()
     return [Functional(vec) for vec in _nullspace(ctx.pres.dim, (
-        ref_evaluate(lhs, ctx.ops, b, fns) - ref_evaluate(rhs, ctx.ops, b, fns)
+        ref_evaluate(lhs, ctx.ops, b) - ref_evaluate(rhs, ctx.ops, b)
         for b in bindings))]
 
 
 def _ref_coinvariants(ctx) -> list[Functional]:
     _, rho = dual_coactions(ctx)
     _, rhs = _left_coint_system(ctx)
-    fns = ctx.lazy_functionals()
     return [Functional(vec) for vec in _nullspace(ctx.pres.dim, (
-        table - ref_evaluate(rhs, ctx.ops, b, fns)
+        table - ref_evaluate(rhs, ctx.ops, b)
         for table, b in zip(columns_of(rho), _bindings(ctx))))]
 
 
@@ -57,9 +55,8 @@ def _system(ctx, side: str) -> tuple[Expression, Expression]:
 def _ref_residual(ctx, functional: Functional, side: str):
     """The first binding whose two sides differ, and their difference."""
     lhs, rhs = _system(ctx, side)
-    fns = ctx.lazy_functionals()
     for i, b in enumerate(_bindings(ctx)):
-        left, right = (contract(functional, ref_evaluate(e, ctx.ops, b, fns), 0)
+        left, right = (contract(functional, ref_evaluate(e, ctx.ops, b), 0)
                        for e in (lhs, rhs))
         if left != right:
             return i, left - right

@@ -13,8 +13,8 @@ from quasihopf.intcoint import (DimensionNotOne, characterization_suite,
                                 coaction_report, cointegral_residual,
                                 cointegral_space, comparison_elements,
                                 dual_coactions, frobenius_system, integral_report,
-                                integral_space, is_unimodular, modular_element_g,
-                                nakayama_report, normalize_pair, s4_display_readings,
+                                integral_space, is_unimodular,
+                                nakayama_report, s4_display_readings,
                                 s4_suite, s_mu_operator, solve_condition,
                                 verify_frobenius, xi_report, antipode_on_integrals)
 from quasihopf.multilinear import Functional, LinearOperator, TensorElement, \
@@ -135,13 +135,13 @@ def test_baseline_cointegral_brute_force(ctx_baseline):
 
 def test_normalize_pair(ctx_h2, ctx_h8p, ctx_baseline):
     for ctx in (ctx_h2, ctx_h8p, ctx_baseline):
-        lam, t, big = normalize_pair(ctx)
+        lam, t, big = ctx.lam, ctx.t, ctx.big_lam
         assert lam(ctx.s_inv.apply(t)) == ONE
         assert big(ctx.pres.antipode.apply(t)) == ONE
         assert ctx.mu(ctx.pres.beta) * lam(t) == ONE
-    assert normalize_pair(ctx_h2)[0] == Functional.dual_basis(2, 1)
-    assert normalize_pair(ctx_h8p)[0] == Functional.dual_basis(8, 6)
-    assert normalize_pair(ctx_baseline)[0] == Functional.dual_basis(2, 0)
+    assert ctx_h2.lam == Functional.dual_basis(2, 1)
+    assert ctx_h8p.lam == Functional.dual_basis(8, 6)
+    assert ctx_baseline.lam == Functional.dual_basis(2, 0)
 
 
 def test_delta_t_pr_table(ctx_h8p):
@@ -195,12 +195,12 @@ def test_single_condition_solutions_span_the_lines(ctx_h8p):
 
 
 def test_modular_element_values(ctx_h2, ctx_h8p, ctx_h8m, ctx_baseline):
-    assert modular_element_g(ctx_h2)[0] == ctx_h2.pres.unit
-    assert modular_element_g(ctx_baseline)[0] == ctx_baseline.pres.unit
+    assert ctx_h2.g_mod == ctx_h2.pres.unit
+    assert ctx_baseline.g_mod == ctx_baseline.pres.unit
     for ctx, sign in ((ctx_h8p, 1), (ctx_h8m, -1)):
         w = omega_scalar(sign)
         wb = w.conjugate()
-        g, g_inv = modular_element_g(ctx)
+        g, g_inv = ctx.g_mod, ctx.g_mod_inv
         assert g == TensorElement(1, 8, {(0,): w, (1,): wb})
         assert g_inv == TensorElement(1, 8, {(0,): wb, (1,): w})
 

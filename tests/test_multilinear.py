@@ -166,12 +166,11 @@ def test_expression_evaluate_leaves_no_reference_cycle(ctx_h8p):
     from quasihopf.canonical import REGISTRY
 
     lhs, _ = REGISTRY["rint4"].build(ctx_h8p)
-    fns = ctx_h8p.lazy_functionals()
-    lhs.evaluate(ctx_h8p.ops, fns)    # builds the lazy operands once
+    lhs.evaluate(ctx_h8p.ops)         # builds the lazy operands once
     gc.collect()
     gc.disable()
     try:
-        lhs.evaluate(ctx_h8p.ops, fns)
+        lhs.evaluate(ctx_h8p.ops)
         assert gc.collect() == 0
     finally:
         gc.enable()
@@ -182,7 +181,7 @@ def test_expression_leg_bookkeeping_matches_kernels(name):
     """Merges, splits, contractions and operators planned by ``Expression``
     agree with the public leg-wise functions on random sparse tensors."""
     from quasihopf.context import get_context
-    from quasihopf.expr import Expression, Fn, Leg
+    from quasihopf.expr import AlgebraOps, Expression, Fn, Leg
     from quasihopf.workbench import catalog_build
     from ref_registry import Si, r
 
@@ -212,11 +211,13 @@ def test_expression_leg_bookkeeping_matches_kernels(name):
         assert ba.evaluate(ops) == mult_pointwise(pres.mult, b, a)
         # a split followed by a contraction of either coproduct leg
         delta = pres.coproduct.apply(x)
+        with_f = AlgebraOps(n, pres.mult, pres.unit, pres.coproduct, ops.operators,
+                            {"eps": pres.counit, "f": f})
         for fname, fn in (("eps", pres.counit), ("f", f)):
             first = Expression({"x": x}, [Fn(fname, r("x", 1, 1)), Leg(r("x", 1, 2))])
             second = Expression({"x": x}, [Leg(r("x", 1, 1)), Fn(fname, r("x", 1, 2))])
-            assert first.evaluate(ops, {"f": f}) == contract(fn, delta, 0)
-            assert second.evaluate(ops, {"f": f}) == contract(fn, delta, 1)
+            assert first.evaluate(with_f) == contract(fn, delta, 0)
+            assert second.evaluate(with_f) == contract(fn, delta, 1)
         # an operator on one leg
         s_inv = ops.operators["Si"]
         assert (Expression({"t": t}, [Leg(Si(r("t", 1))), Leg(r("t", 2))]).evaluate(ops)

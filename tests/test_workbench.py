@@ -357,6 +357,30 @@ def test_cli_verifies_each_presentation_once(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
 
 
+def test_cli_integrals_and_cointegrals_solve_each_space_once(tmp_path, monkeypatch, capsys):
+    """On a fresh H8+ document, ``integrals`` solves the left and the right
+    integral space once each.  ``cointegrals`` solves the left, the direct
+    right and the coopposite left cointegral systems once each, and the
+    integral spaces of H and of H^cop that those relations read through
+    mu; with ``--side right`` it needs the same seven solves."""
+    original = intcoint.solve_constraints
+    calls = []
+
+    def counting(rows, width):
+        calls.append(width)
+        return original(rows, width)
+
+    monkeypatch.setattr(intcoint, "solve_constraints", counting)
+    path = tmp_path / "H8+.json"
+    assert cli_main(["export", "catalog:H8+", str(path)]) == 0
+    for command, solves in ((["integrals"], 2), (["cointegrals"], 7),
+                            (["cointegrals", "--side", "right"], 7)):
+        calls.clear()
+        assert cli_main([command[0], str(path), *command[1:]]) == 0
+        assert len(calls) == solves, command
+    capsys.readouterr()
+
+
 def test_cli_all_suites_many_rows(capsys):
     assert cli_main(["verify", "catalog:H2", "--suite", "all",
                      "--format", "json"]) == 0
