@@ -10,6 +10,7 @@ not hold) exits 3.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -199,9 +200,15 @@ _INTERNAL_ERRORS = (CrossCheckMismatch, DegeneratePairing, FrobeniusCheckFailed,
                     SingularAntipode, ExpressionError)
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser, built once per process: ``parse_args`` returns a new
+    namespace on every call and leaves the parser as it was."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except _USER_ERRORS as exc:

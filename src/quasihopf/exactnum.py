@@ -280,46 +280,45 @@ def render_scalar(s: Scalar) -> str:
     return text
 
 
-def _parse_rational(text: str, pos: int) -> tuple[Fraction, int]:
-    start = pos
-    if pos < len(text) and text[pos] in "+-":
+def _parse_rational(text: str, pos: int) -> tuple[int, int, int]:
+    """The numerator, the positive denominator (not reduced) and the end
+    offset of the rational at ``pos``."""
+    start, end = pos, len(text)
+    if pos < end and text[pos] in "+-":
         pos += 1
     digits_start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < end and text[pos].isdigit():
         pos += 1
     if pos == digits_start:
         raise ParseError("expected digits", pos)
     num = int(text[start:pos])
-    den = 1
-    if pos < len(text) and text[pos] == "/":
+    if pos == end or text[pos] != "/":
+        return num, 1, pos
+    pos += 1
+    den_start = pos
+    while pos < end and text[pos].isdigit():
         pos += 1
-        den_start = pos
-        while pos < len(text) and text[pos].isdigit():
-            pos += 1
-        if pos == den_start:
-            raise ParseError("expected denominator digits", pos)
-        den = int(text[den_start:pos])
-        if den == 0:
-            raise ParseError("zero denominator", den_start)
-    return Fraction(num, den), pos
+    if pos == den_start:
+        raise ParseError("expected denominator digits", pos)
+    den = int(text[den_start:pos])
+    if den == 0:
+        raise ParseError("zero denominator", den_start)
+    return num, den, pos
 
 
 def parse_scalar(text: str) -> Scalar:
-    """Parse the canonical text form; raises :class:`ParseError` with offset."""
-    re, pos = _parse_rational(text, 0)
-    im = Fraction(0)
-    qi = False
-    if pos < len(text):
-        if text[pos] not in "+-":
-            raise ParseError("expected '+' or '-' before imaginary part", pos)
-        sign = -1 if text[pos] == "-" else 1
-        im, pos = _parse_rational(text, pos + 1)
-        im *= sign
-        if not text.startswith("*i", pos):
-            raise ParseError("expected '*i' after imaginary part", pos)
-        pos += 2
-        qi = True
-        if pos != len(text):
-            raise ParseError("trailing characters", pos)
-    s = Scalar.gaussian(re, im) if qi else Scalar.of(re)
-    return s
+    """Parse the canonical text form; raises :class:`ParseError` with offset.
+    A written imaginary part, "+0*i" included, tags the scalar Q(i)."""
+    re, d, pos = _parse_rational(text, 0)
+    if pos == len(text):
+        return Scalar(re, 0, d)
+    if text[pos] not in "+-":
+        raise ParseError("expected '+' or '-' before imaginary part", pos)
+    sign = -1 if text[pos] == "-" else 1
+    im, e, pos = _parse_rational(text, pos + 1)
+    if not text.startswith("*i", pos):
+        raise ParseError("expected '*i' after imaginary part", pos)
+    pos += 2
+    if pos != len(text):
+        raise ParseError("trailing characters", pos)
+    return Scalar(re * e, sign * im * d, d * e, True)

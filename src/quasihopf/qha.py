@@ -11,7 +11,7 @@ it normalizes the distinguished elements and machine-checks every axiom.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .exactnum import ONE, Scalar, ZERO
 from .expr import AlgebraOps, Expression
@@ -140,30 +140,55 @@ PREREQUISITES = {
 
 
 def generating_set(pres: QhaPresentation) -> tuple[list[int], int]:
-    """Basis indices of a generating set G, and the rank of its closure.
+    """Basis indices of an irredundant generating set G, in basis order, and
+    the rank of its closure: span{1} closed under left multiplication by G.
 
-    Walking the basis in order, e_i joins G when it lies outside the closure
-    of span{1} under left multiplication by G so far.  The closure ends as
-    the whole algebra when ``mult:unit`` holds, and with a smaller rank
-    otherwise.
+    The cost of e_i is |Delta(e_i)|, the number of terms of its coproduct,
+    which the rows on G x basis multiply against.  The candidates are tried
+    in order of ascending cost, ties broken by index: e_i joins G when it
+    lies outside the closure under G so far.  Once the closure is the whole
+    algebra, each generator in turn, the most expensive first, is dropped
+    when the others still close to rank n; no generator left can be
+    dropped.  The closure ends as the whole algebra when ``mult:unit``
+    holds, and with a smaller rank otherwise.
     """
+    gens, rank, _ = _generators(pres)
+    return gens, rank
+
+
+def _generators(pres: QhaPresentation) -> tuple[list[int], int, dict[int, LinearOperator]]:
+    """``generating_set``, and the operator L_g of each generator g."""
     n = pres.dim
-    closure, found, gens, lefts = _Echelon(n), [], [], []
+    cost = [len(col.entries) for col in pres.coproduct.columns]
+    closure, found, lefts = _Echelon(n), [], {}
+    _close(closure, [pres.unit], [], found)
+    for i in sorted(range(n), key=lambda i: (cost[i], i)):
+        if closure.rank == n:
+            break
+        if closure.reduce(TensorElement.basis(n, i)) is not None:
+            lefts[i] = multiplication_operator(pres.mult, pres.basis_element(i), "left")
+            _close(closure, [lefts[i].apply(v) for v in found], lefts.values(), found)
+    if closure.rank == n:
+        # the most expensive first is the reverse order of joining; the last
+        # to join lies outside the closure of the others, so it stays
+        for g in list(lefts)[-2::-1]:
+            rest = _Echelon(n)
+            _close(rest, [pres.unit], [op for h, op in lefts.items() if h != g], [])
+            if rest.rank == n:
+                del lefts[g]
+    return sorted(lefts), closure.rank, lefts
 
-    def close(pending: list[TensorElement]) -> None:
-        while pending:
-            v = pending.pop()
-            if closure.insert(v):
-                found.append(v)
-                pending += [op.apply(v) for op in lefts]
 
-    close([pres.unit])
-    for i in range(n):
-        if closure.rank < n and closure.reduce(TensorElement.basis(n, i)) is not None:
-            gens.append(i)
-            lefts.append(multiplication_operator(pres.mult, pres.basis_element(i), "left"))
-            close([lefts[-1].apply(v) for v in found])
-    return gens, closure.rank
+def _close(closure: _Echelon, pending: list[TensorElement], lefts: Iterable[LinearOperator],
+           found: list[TensorElement]) -> None:
+    """Insert ``pending`` into ``closure``, and the image under each of
+    ``lefts`` of every vector it takes (appended to ``found``), until no
+    vector is new or the rank is full."""
+    while pending and closure.rank < closure.width:
+        v = pending.pop()
+        if closure.insert(v):
+            found.append(v)
+            pending += [op.apply(v) for op in lefts]
 
 
 def verify_axioms(pres: QhaPresentation) -> VerificationReport:
@@ -171,7 +196,8 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
     ``mult:unit`` runs over the whole basis and the other for-all rows with
     their first argument in the ``generating_set``."""
     n = pres.dim
-    gens, _ = generating_set(pres)
+    # column j of left[g] is e_g e_j
+    gens, _, left = _generators(pres)
     pairs = [(g, j) for g in gens for j in range(n)]
     report = VerificationReport(pres.name)
     mult, delta_op, antipode, eps, unit = (pres.mult, pres.coproduct, pres.antipode,
@@ -185,8 +211,6 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
 
     def value(side: Expression) -> TensorElement:
         return side.bind(structure).evaluate(ops)
-    # column j of left[g] is e_g e_j
-    left = {g: multiplication_operator(mult, basis[g], "left") for g in gens}
 
     def product(a: TensorElement, b: TensorElement) -> TensorElement:
         return mult_pointwise(mult, a, b)

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 from functools import lru_cache
-from typing import Mapping
+from typing import Callable, Mapping
 
 from .exactnum import (FIELD_Q, FIELD_QI, HALF, MINUS_ONE, ONE, ParseError,
                        Scalar, ZERO, parse_scalar, render_scalar)
@@ -225,15 +225,17 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _parse_scalar_at(text: object, path: str, field: str) -> Scalar:
-    _expect(isinstance(text, str), "scalar must be a string", path)
+# The parsers below build a JSON path, and a message, only to raise an error.
+def _parse_scalar_at(text: object, where: Callable[[], str], field: str) -> Scalar:
+    if not isinstance(text, str):
+        raise SchemaError("scalar must be a string", where())
     try:
         s = parse_scalar(text)
     except ParseError as exc:
-        raise SchemaError(f"bad scalar {text!r}: {exc}", path) from exc
+        raise SchemaError(f"bad scalar {text!r}: {exc}", where()) from exc
     # any written imaginary part, "+0*i" included, tags the scalar Q(i)
-    _expect(field == FIELD_QI or s.field_tag == FIELD_Q,
-            f"scalar {text!r} has an imaginary part in a 'Q' document", path)
+    if field != FIELD_QI and s.field_tag != FIELD_Q:
+        raise SchemaError(f"scalar {text!r} has an imaginary part in a 'Q' document", where())
     return s
 
 
@@ -241,7 +243,7 @@ def _parse_coords(doc: dict, key: str, dim: int, field: str) -> list[Scalar]:
     value = doc.get(key)
     _expect(isinstance(value, list) and len(value) == dim,
             f"{key} must be a list of {dim} scalar strings", f"$.{key}")
-    return [_parse_scalar_at(v, f"$.{key}[{i}]", field) for i, v in enumerate(value)]
+    return [_parse_scalar_at(v, lambda: f"$.{key}[{i}]", field) for i, v in enumerate(value)]
 
 
 def _parse_sparse(doc: dict, key: str, dim: int, arity: int, field: str) -> list[tuple]:
@@ -252,16 +254,17 @@ def _parse_sparse(doc: dict, key: str, dim: int, arity: int, field: str) -> list
     out = []
     seen = set()
     for pos, entry in enumerate(value):
-        path = f"$.{key}[{pos}]"
-        _expect(isinstance(entry, list) and len(entry) == arity + 1,
-                f"entry must be [{arity} indices, scalar]", path)
+        if not (isinstance(entry, list) and len(entry) == arity + 1):
+            raise SchemaError(f"entry must be [{arity} indices, scalar]", f"$.{key}[{pos}]")
         idx = tuple(entry[:arity])
         for m, i in enumerate(idx):
-            _expect(_is_int(i) and 0 <= i < dim,
-                    f"index {i!r} out of range", f"{path}[{m}]")
-        _expect(idx not in seen, f"duplicate entry for indices {list(idx)}", path)
+            if not (_is_int(i) and 0 <= i < dim):
+                raise SchemaError(f"index {i!r} out of range", f"$.{key}[{pos}][{m}]")
+        if idx in seen:
+            raise SchemaError(f"duplicate entry for indices {list(idx)}", f"$.{key}[{pos}]")
         seen.add(idx)
-        out.append((*idx, _parse_scalar_at(entry[arity], f"{path}[{arity}]", field)))
+        out.append((*idx, _parse_scalar_at(entry[arity], lambda: f"$.{key}[{pos}][{arity}]",
+                                           field)))
     return out
 
 

@@ -10,7 +10,7 @@ from quasihopf.double import build_double
 from quasihopf.exactnum import ONE, Scalar
 from quasihopf.multilinear import Functional, LinearOperator, TensorElement
 from quasihopf.qha import QhaPresentation
-from quasihopf.workbench import catalog_build
+from quasihopf.workbench import catalog_build, export_document, import_document
 
 ALGEBRAS = ("H2", "H8+", "H8-", "kZ2-hopf")
 
@@ -154,6 +154,24 @@ def all_mutations(pres: QhaPresentation):
             yield mutate_presentation(pres, part, i)
     for i in range(n):
         yield mutate_presentation(pres, "counit", i)
+
+
+def relabelled(pres: QhaPresentation, perm: list[int]) -> QhaPresentation:
+    """The same presentation with basis element ``i`` renamed ``perm[i]``:
+    exported, every index field permuted, and imported without validation."""
+    doc = export_document(pres)
+
+    def permuted(values: list) -> list:
+        out = [None] * len(values)
+        for i, value in enumerate(values):
+            out[perm[i]] = value
+        return out
+
+    for key in ("basis", "unit", "counit", "alpha", "beta"):
+        doc[key] = permuted(doc[key])
+    for key in ("mult", "coproduct", "phi", "phi_inv", "antipode"):
+        doc[key] = sorted([*(perm[i] for i in entry[:-1]), entry[-1]] for entry in doc[key])
+    return import_document(doc, validate=False)
 
 
 def scalars_of(*values) -> list[Scalar]:

@@ -162,3 +162,88 @@ def test_canonical_rendering_uniqueness():
 def test_arith_rejects_unknown_op():
     with pytest.raises(ValueError):
         arith("pow", ONE, ONE)
+
+
+# -- parse_scalar against the Fraction-based parser it replaced --------------
+
+
+def _ref_rational(text: str, pos: int) -> tuple[Fraction, int]:
+    start = pos
+    if pos < len(text) and text[pos] in "+-":
+        pos += 1
+    digits_start = pos
+    while pos < len(text) and text[pos].isdigit():
+        pos += 1
+    if pos == digits_start:
+        raise ParseError("expected digits", pos)
+    num = int(text[start:pos])
+    den = 1
+    if pos < len(text) and text[pos] == "/":
+        pos += 1
+        den_start = pos
+        while pos < len(text) and text[pos].isdigit():
+            pos += 1
+        if pos == den_start:
+            raise ParseError("expected denominator digits", pos)
+        den = int(text[den_start:pos])
+        if den == 0:
+            raise ParseError("zero denominator", den_start)
+    return Fraction(num, den), pos
+
+
+def ref_parse_scalar(text: str) -> Scalar:
+    """The reference: both parts read as Fractions."""
+    re, pos = _ref_rational(text, 0)
+    im = Fraction(0)
+    qi = False
+    if pos < len(text):
+        if text[pos] not in "+-":
+            raise ParseError("expected '+' or '-' before imaginary part", pos)
+        sign = -1 if text[pos] == "-" else 1
+        im, pos = _ref_rational(text, pos + 1)
+        im *= sign
+        if not text.startswith("*i", pos):
+            raise ParseError("expected '*i' after imaginary part", pos)
+        pos += 2
+        qi = True
+        if pos != len(text):
+            raise ParseError("trailing characters", pos)
+    return Scalar.gaussian(re, im) if qi else Scalar.of(re)
+
+
+def _outcome(parse, text: str):
+    """The stored (a, b, d, field) of the result, or the error raised with
+    its message."""
+    try:
+        s = parse(text)
+    except (ParseError, ValueError) as exc:
+        return type(exc), str(exc)
+    return s._a, s._b, s._d, s.field_tag
+
+
+PARSE_TABLE = [
+    # valid
+    "0", "-0", "+3", "007", "2/4", "-6/8", "3/1", "12345678901234567890/6",
+    "1/2+1/2*i", "1/2-1/2*i", "0+1*i", "0-1*i", "1+0*i", "1-0*i", "0+0*i",
+    "3/6-4/8*i", "-2/4+6/9*i", "1--2*i", "1+-2*i", "-1/3++2/5*i", "٣/٤",
+    # invalid
+    "", "x", "+", "-", "1/", "1/0", "1/00", "1/-2", "1/2/3", " 1", "1 ", "1+", "1+*i",
+    "1+2", "1+2*j", "1+2*", "1*i", "1+1*i9", "1+2/0*i", "1+2/*i", "1e3", "0x10",
+    "1_0", "1.5", "²", "1/²", "1+²*i",
+]
+
+
+@pytest.mark.parametrize("text", PARSE_TABLE)
+def test_parse_scalar_matches_fraction_reference(text):
+    """Values, field tags, stored forms, errors and their offsets agree."""
+    assert _outcome(parse_scalar, text) == _outcome(ref_parse_scalar, text)
+
+
+def test_parse_scalar_matches_reference_on_rendered_scalars():
+    rng = random.Random(11)
+    for _ in range(2_000):
+        a = _random_scalar(rng)
+        den = rng.randint(1, 9)
+        for text in (render_scalar(a), f"{a.re.numerator * den}/{a.re.denominator * den}"
+                     f"+{abs(a.im.numerator) * den}/{a.im.denominator * den}*i"):
+            assert _outcome(parse_scalar, text) == _outcome(ref_parse_scalar, text), text

@@ -408,6 +408,26 @@ def test_cli_single_identity(capsys):
     assert names == {"identity:rint4", "identity:pqr"}
 
 
+def test_cli_builds_its_parser_once(capsys, monkeypatch):
+    """Two calls share one parser and print the same bytes; the repeatable
+    ``--identity`` starts empty on each call."""
+    built, build = [], cli.build_parser
+
+    def counting():
+        built.append(1)
+        return build()
+    monkeypatch.setattr(cli, "build_parser", counting)
+    cli._parser.cache_clear()
+    argv = ["verify", "catalog:H8+", "--identity", "rint4", "--format", "json"]
+    outputs = []
+    for _ in range(2):
+        assert cli_main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert len(built) == 1
+    assert outputs[0] == outputs[1]
+    assert [row["name"] for row in json.loads(outputs[0])["rows"]] == ["identity:rint4"]
+
+
 def test_cli_identity_alias_expands(capsys):
     assert cli_main(["verify", "catalog:H8+", "--identity", "fgab", "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
