@@ -282,12 +282,13 @@ def render_scalar(s: Scalar) -> str:
 
 def _parse_rational(text: str, pos: int) -> tuple[int, int, int]:
     """The numerator, the positive denominator (not reduced) and the end
-    offset of the rational at ``pos``."""
+    offset of the rational at ``pos``.  A digit is a character for which
+    ``str.isdecimal`` holds, exactly those ``int`` reads."""
     start, end = pos, len(text)
     if pos < end and text[pos] in "+-":
         pos += 1
     digits_start = pos
-    while pos < end and text[pos].isdigit():
+    while pos < end and text[pos].isdecimal():
         pos += 1
     if pos == digits_start:
         raise ParseError("expected digits", pos)
@@ -296,7 +297,7 @@ def _parse_rational(text: str, pos: int) -> tuple[int, int, int]:
         return num, 1, pos
     pos += 1
     den_start = pos
-    while pos < end and text[pos].isdigit():
+    while pos < end and text[pos].isdecimal():
         pos += 1
     if pos == den_start:
         raise ParseError("expected denominator digits", pos)

@@ -870,6 +870,13 @@ class _Echelon:
         self._null = None
         return True
 
+    def copy(self) -> "_Echelon":
+        """An echelon with the same pivot rows, which neither one changes
+        in place."""
+        twin = _Echelon(self.width)
+        twin.pivots = dict(self.pivots)
+        return twin
+
     @property
     def rank(self) -> int:
         return len(self.pivots)

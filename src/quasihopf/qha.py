@@ -20,7 +20,7 @@ from .multilinear import (Functional, LinearOperator, MultTable,
                           _lower_rows, _merge, apply_on_leg, columns_of, contract,
                           invert_operator, mult_pointwise, multiplication_operator,
                           permute_legs, tensor_product)
-from .report import VerificationReport
+from .report import CheckRow, VerificationReport
 
 
 class AxiomViolation(ValueError):
@@ -137,6 +137,11 @@ PREREQUISITES = {
     **dict.fromkeys(("q2", "q1", "q5", "counit-of-antipode"),
                     (*_ALGEBRA, *_MORPHISMS, "phi:invertible")),
 }
+# the rows of ``verify_axioms``, in report order
+AXIOM_ROWS = ("mult:unit", "mult:assoc", "counit:unit", "counit:morphism", "coproduct:unit",
+              "coproduct:morphism", "q2", "q1", "q3", "q4", "q7", "q5", "q6:left", "q6:right",
+              "phi:invertible", "antipode:unit", "antipode:anti-morphism", "counit-of-antipode",
+              "alpha-beta:normalized")
 
 
 def generating_set(pres: QhaPresentation) -> tuple[list[int], int]:
@@ -162,18 +167,25 @@ def _generators(pres: QhaPresentation) -> tuple[list[int], int, dict[int, Linear
     cost = [len(col.entries) for col in pres.coproduct.columns]
     closure, found, lefts = _Echelon(n), [], {}
     _close(closure, [pres.unit], [], found)
+    joined = {}     # g -> the closure under the generators before g, and its size
     for i in sorted(range(n), key=lambda i: (cost[i], i)):
         if closure.rank == n:
             break
         if closure.reduce(TensorElement.basis(n, i)) is not None:
+            joined[i] = closure.copy(), len(found)
             lefts[i] = multiplication_operator(pres.mult, pres.basis_element(i), "left")
             _close(closure, [lefts[i].apply(v) for v in found], lefts.values(), found)
     if closure.rank == n:
         # the most expensive first is the reverse order of joining; the last
-        # to join lies outside the closure of the others, so it stays
+        # to join lies outside the closure of the others, so it stays.  The
+        # generators that joined before g are all still in G, so the closure
+        # without g grows from the one recorded when g joined, through the
+        # generators that joined after g
         for g in list(lefts)[-2::-1]:
-            rest = _Echelon(n)
-            _close(rest, [pres.unit], [op for h, op in lefts.items() if h != g], [])
+            rest, size = joined[g]
+            later = list(lefts)[list(lefts).index(g) + 1:]
+            _close(rest, [lefts[h].apply(v) for v in found[:size] for h in later],
+                   [op for h, op in lefts.items() if h != g], [])
             if rest.rank == n:
                 del lefts[g]
     return sorted(lefts), closure.rank, lefts
@@ -191,26 +203,63 @@ def _close(closure: _Echelon, pending: list[TensorElement], lefts: Iterable[Line
             pending += [op.apply(v) for op in lefts]
 
 
-def verify_axioms(pres: QhaPresentation) -> VerificationReport:
-    """One report row per axiom; a valid presentation passes every row.
-    ``mult:unit`` runs over the whole basis and the other for-all rows with
-    their first argument in the ``generating_set``."""
+def verify_axioms(pres: QhaPresentation, *, first_failure: bool = False) -> VerificationReport:
+    """One report row per axiom, in the order of ``AXIOM_ROWS``; a valid
+    presentation passes every row.  ``mult:unit`` runs over the whole basis
+    and the other for-all rows with their first argument in the
+    ``generating_set``.
+
+    By default every row is computed.  With ``first_failure`` computing
+    stops once the first failed row in report order is known, counting a
+    row that fails with one of its ``PREREQUISITES``, and the report holds
+    only the rows computed by then; an accepted presentation still gets the
+    complete report.  The rows are computed in report order, except that
+    ``phi:invertible``, ``antipode:unit`` and ``antipode:anti-morphism`` run
+    just before ``q2``, the first row that needs them: so every row's
+    prerequisites are known when it is reached, and its outcome is final."""
+    rows = _axiom_rows(pres)
+    if first_failure:
+        rows = _until_first_failure(rows)
+    report = VerificationReport(pres.name,
+                                sorted(rows, key=lambda row: AXIOM_ROWS.index(row.name)))
+    # a row checked on G fails with the first of its prerequisites that fails
+    passed = {row.name: row.passed for row in report.rows}
+    for row in report.rows:
+        failed = _failed_prerequisite(row.name, passed)
+        if row.passed and failed:
+            row.passed, row.witness = False, f"prerequisite {failed} failed"
+    return report
+
+
+def _failed_prerequisite(name: str, passed: dict[str, bool]) -> str | None:
+    return next((p for p in PREREQUISITES.get(name, ()) if not passed[p]), None)
+
+
+def _until_first_failure(rows: Iterable[CheckRow]) -> Iterable[CheckRow]:
+    """``rows`` until the first failed row in report order is known; every
+    row before ``AXIOM_ROWS[first]`` passed with its prerequisites."""
+    passed, first = {}, 0
+    for row in rows:
+        yield row
+        passed[row.name] = row.passed
+        while first < len(AXIOM_ROWS) and AXIOM_ROWS[first] in passed:
+            name = AXIOM_ROWS[first]
+            if not passed[name] or _failed_prerequisite(name, passed):
+                return
+            first += 1
+
+
+def _axiom_rows(pres: QhaPresentation) -> Iterable[CheckRow]:
+    """The rows of ``verify_axioms`` before prerequisites apply, each
+    computed only when the caller asks for it; the set-up of a row comes
+    just before the first row that needs it."""
     n = pres.dim
-    # column j of left[g] is e_g e_j
-    gens, _, left = _generators(pres)
-    pairs = [(g, j) for g in gens for j in range(n)]
-    report = VerificationReport(pres.name)
+    checks = VerificationReport(pres.name)
     mult, delta_op, antipode, eps, unit = (pres.mult, pres.coproduct, pres.antipode,
                                            pres.counit, pres.unit)
     phi, phi_inv, alpha, beta = pres.phi, pres.phi_inv, pres.alpha, pres.beta
     basis = [pres.basis_element(i) for i in range(n)]
     delta, s, eps_of = delta_op.columns, antipode.columns, eps.coords
-    ops = AlgebraOps(n, mult, unit, delta_op, operators={"S": antipode})
-    structure = {"X": phi, "Y": phi, "Z": phi, "x": phi_inv, "alpha": alpha, "beta": beta,
-                 "G": TensorElement(2, n, {(g, g): ONE for g in gens})}
-
-    def value(side: Expression) -> TensorElement:
-        return side.bind(structure).evaluate(ops)
 
     def product(a: TensorElement, b: TensorElement) -> TensorElement:
         return mult_pointwise(mult, a, b)
@@ -218,79 +267,83 @@ def verify_axioms(pres: QhaPresentation) -> VerificationReport:
     # unit and associativity
     unit_left, unit_right = (multiplication_operator(mult, unit, side).columns
                              for side in ("left", "right"))
-    report.check_all("mult:unit", range(n), lambda i: [
+    yield checks.check_all("mult:unit", range(n), lambda i: [
         (unit_left[i], basis[i]), (unit_right[i], basis[i])])
+    # column j of left[g] is e_g e_j
+    gens, _, left = _generators(pres)
+    pairs = [(g, j) for g in gens for j in range(n)]
     triples = [(g, j, k) for g, j in pairs for k in range(n)]
     outer, inner = _associated_products(pres, triples)
     zero = TensorElement.zero(1, n)
-    report.check_all("mult:assoc", triples,
-                     lambda ijk: [(outer.get(ijk, zero), inner.get(ijk, zero))])
+    yield checks.check_all("mult:assoc", triples,
+                           lambda ijk: [(outer.get(ijk, zero), inner.get(ijk, zero))])
 
     # counit / coproduct are unital algebra morphisms
-    report.check_zero("counit:unit", eps(unit) - ONE)
-    report.check_all("counit:morphism", pairs, lambda gj: [
+    yield checks.check_zero("counit:unit", eps(unit) - ONE)
+    yield checks.check_all("counit:morphism", pairs, lambda gj: [
         (eps(left[gj[0]].columns[gj[1]]), eps_of[gj[0]] * eps_of[gj[1]])])
 
     unit2 = tensor_product(unit, unit)
-    report.check_zero("coproduct:unit", delta_op.apply(unit) - unit2)
+    yield checks.check_zero("coproduct:unit", delta_op.apply(unit) - unit2)
     delta_left = {g: delta_op.compose(op).columns for g, op in left.items()}
-    report.check_all("coproduct:morphism", pairs, lambda gj: [
+    yield checks.check_all("coproduct:morphism", pairs, lambda gj: [
         (delta_left[gj[0]][gj[1]], product(delta[gj[0]], delta[gj[1]]))])
 
+    # the prerequisites of q2 that come later in the report: reassociator
+    # invertibility, each product on its own, ...
+    unit3 = tensor_product(unit2, unit)
+    yield checks.check_all("phi:invertible", [(phi, phi_inv), (phi_inv, phi)],
+                           lambda ab: [(product(*ab), unit3)])
+
+    # ... and the antipode as a unital anti-morphism; column j of s_right[g]
+    # is S(e_j) S(e_g)
+    yield checks.check_zero("antipode:unit", antipode.apply(unit) - unit)
+    antipode_left = {g: antipode.compose(op).columns for g, op in left.items()}
+    s_right = {g: multiplication_operator(mult, s[g], "right").compose(antipode).columns
+               for g in gens}
+    yield checks.check_all("antipode:anti-morphism", pairs, lambda gj: [
+        (antipode_left[gj[0]][gj[1]], s_right[gj[0]][gj[1]])])
+
     # q2: both counit contractions of the coproduct give the identity
-    report.check_all("q2", gens, lambda g: [
+    yield checks.check_all("q2", gens, lambda g: [
         (contract(eps, delta[g], leg), basis[g]) for leg in (1, 0)])
 
     # q1: quasi-coassociativity, (id x Delta)(Delta h) = phi (Delta x id)(Delta h) phi^-1
     def q1(g: int):
         nested = apply_on_leg(delta_op, delta[g], 0)
         return [(apply_on_leg(delta_op, delta[g], 1), product(product(phi, nested), phi_inv))]
-    report.check_all("q1", gens, q1)
+    yield checks.check_all("q1", gens, q1)
+
+    ops = AlgebraOps(n, mult, unit, delta_op, operators={"S": antipode})
+    structure = {"X": phi, "Y": phi, "Z": phi, "x": phi_inv, "alpha": alpha, "beta": beta,
+                 "G": TensorElement(2, n, {(g, g): ONE for g in gens})}
+
+    def value(side: Expression) -> TensorElement:
+        return side.bind(structure).evaluate(ops)
 
     # q3: the reassociator is a 3-cocycle,
     # (1 x phi)(id x Delta x id)(phi)(phi x 1) = (id x id x Delta)(phi)(Delta x id x id)(phi)
     q3_lhs, q3_rhs = map(value, FORMS["q3"])
-    report.check_zero("q3", q3_lhs - q3_rhs)
+    yield checks.check_zero("q3", q3_lhs - q3_rhs)
 
     # q4 / q7: counit legs of the reassociator
-    report.check_zero("q4", contract(eps, phi, 1) - unit2)
-    report.check_all("q7", (0, 2), lambda leg: [(contract(eps, phi, leg), unit2)])
+    yield checks.check_zero("q4", contract(eps, phi, 1) - unit2)
+    yield checks.check_all("q7", (0, 2), lambda leg: [(contract(eps, phi, leg), unit2)])
 
     # q5: the antipode equations S(h1) alpha h2 = eps(h) alpha and
     # h1 beta S(h2) = eps(h) beta, on h = e_g for g in G; column g of each
     # side is its value at e_g
     q5_alpha, q5_beta = (columns_of(value(*FORMS[name])) for name in ("q5-alpha", "q5-beta"))
-    report.check_all("q5", gens, lambda g: [
+    yield checks.check_all("q5", gens, lambda g: [
         (q5_alpha[g], alpha.scale(eps_of[g])), (q5_beta[g], beta.scale(eps_of[g]))])
 
     # q6: the two zig-zag normalizations X1 beta S(X2) alpha X3 = 1 and
     # S(x1) alpha x2 beta S(x3) = 1
-    report.check_zero("q6:left", value(*FORMS["q6-left"]) - unit)
-    report.check_zero("q6:right", value(*FORMS["q6-right"]) - unit)
+    yield checks.check_zero("q6:left", value(*FORMS["q6-left"]) - unit)
+    yield checks.check_zero("q6:right", value(*FORMS["q6-right"]) - unit)
 
-    # reassociator invertibility, each product on its own
-    unit3 = tensor_product(unit2, unit)
-    report.check_all("phi:invertible", [(phi, phi_inv), (phi_inv, phi)],
-                     lambda ab: [(product(*ab), unit3)])
-
-    # antipode: unital anti-morphism; column j of s_right[g] is S(e_j) S(e_g)
-    report.check_zero("antipode:unit", antipode.apply(unit) - unit)
-    antipode_left = {g: antipode.compose(op).columns for g, op in left.items()}
-    s_right = {g: multiplication_operator(mult, s[g], "right").compose(antipode).columns
-               for g in gens}
-    report.check_all("antipode:anti-morphism", pairs, lambda gj: [
-        (antipode_left[gj[0]][gj[1]], s_right[gj[0]][gj[1]])])
-    report.check_all("counit-of-antipode", gens, lambda g: [(eps(s[g]), eps_of[g])])
-
-    report.check_zero("alpha-beta:normalized", eps(alpha) * eps(beta) - ONE)
-
-    # a row checked on G fails with the first of its prerequisites that fails
-    passed = {row.name: row.passed for row in report.rows}
-    for row in report.rows:
-        failed = [name for name in PREREQUISITES.get(row.name, ()) if not passed[name]]
-        if row.passed and failed:
-            row.passed, row.witness = False, f"prerequisite {failed[0]} failed"
-    return report
+    yield checks.check_all("counit-of-antipode", gens, lambda g: [(eps(s[g]), eps_of[g])])
+    yield checks.check_zero("alpha-beta:normalized", eps(alpha) * eps(beta) - ONE)
 
 
 def _associated_products(pres: QhaPresentation, triples: list[tuple[int, int, int]]
@@ -316,7 +369,12 @@ def _by_instance(t, dim: int) -> dict[tuple[int, ...], TensorElement]:
 
 
 def load_and_validate(raw: QhaPresentation) -> QhaPresentation:
-    """Normalize and verify a presentation; raises on the first bad axiom."""
+    """Normalize and verify a presentation; raises on the first bad axiom.
+
+    The axioms run in ``verify_axioms``'s ``first_failure`` mode: a rejected
+    presentation stops at its first failed row in report order, the row it
+    is rejected for, and an accepted one gets the complete report, which
+    its context keeps for later axiom suites."""
     n = raw.dim
     unit3 = tensor_product(tensor_product(raw.unit, raw.unit), raw.unit)
     if (mult_pointwise(raw.mult, raw.phi, raw.phi_inv) != unit3
@@ -334,7 +392,7 @@ def load_and_validate(raw: QhaPresentation) -> QhaPresentation:
             coproduct=raw.coproduct, phi=raw.phi, phi_inv=raw.phi_inv,
             antipode=raw.antipode,
             alpha=raw.alpha.scale(ea.inverse()), beta=raw.beta.scale(ea))
-    report = verify_axioms(pres)
+    report = verify_axioms(pres, first_failure=True)
     for row in report.rows:
         if not row.passed:
             raise AxiomViolation(row.name, row.witness)

@@ -156,6 +156,26 @@ def all_mutations(pres: QhaPresentation):
         yield mutate_presentation(pres, "counit", i)
 
 
+def constant_mutations(pres: QhaPresentation):
+    """Every +1 bump of one constant a document stores: an entry of a sparse
+    field, or a coordinate of unit, counit, alpha or beta."""
+    for (i, j), row in pres.mult.items():
+        for k, _ in row:
+            yield mutate_presentation(pres, "mult", (i, j, k))
+    for i, col in enumerate(pres.coproduct.columns):
+        for j, k in col.entries:
+            yield mutate_presentation(pres, "coproduct", (i, j, k))
+    for part in ("phi", "phi_inv"):
+        for key in getattr(pres, part).entries:
+            yield mutate_presentation(pres, part, key)
+    for i, col in enumerate(pres.antipode.columns):
+        for (j,) in col.entries:
+            yield mutate_presentation(pres, "antipode", (i, j))
+    for part in ("unit", "counit", "alpha", "beta"):
+        for i in range(pres.dim):
+            yield mutate_presentation(pres, part, i)
+
+
 def relabelled(pres: QhaPresentation, perm: list[int]) -> QhaPresentation:
     """The same presentation with basis element ``i`` renamed ``perm[i]``:
     exported, every index field permuted, and imported without validation."""

@@ -172,7 +172,7 @@ def _ref_rational(text: str, pos: int) -> tuple[Fraction, int]:
     if pos < len(text) and text[pos] in "+-":
         pos += 1
     digits_start = pos
-    while pos < len(text) and text[pos].isdigit():
+    while pos < len(text) and text[pos].isdecimal():
         pos += 1
     if pos == digits_start:
         raise ParseError("expected digits", pos)
@@ -181,7 +181,7 @@ def _ref_rational(text: str, pos: int) -> tuple[Fraction, int]:
     if pos < len(text) and text[pos] == "/":
         pos += 1
         den_start = pos
-        while pos < len(text) and text[pos].isdigit():
+        while pos < len(text) and text[pos].isdecimal():
             pos += 1
         if pos == den_start:
             raise ParseError("expected denominator digits", pos)
@@ -237,6 +237,15 @@ PARSE_TABLE = [
 def test_parse_scalar_matches_fraction_reference(text):
     """Values, field tags, stored forms, errors and their offsets agree."""
     assert _outcome(parse_scalar, text) == _outcome(ref_parse_scalar, text)
+
+
+@pytest.mark.parametrize("text,offset", [("²", 0), ("1/²", 2), ("1+²*i", 2), ("-¹", 1)])
+def test_non_decimal_digit_is_a_parse_error(text, offset):
+    """A character that ``str.isdigit`` accepts but ``int`` does not, such as
+    a superscript, is where the digits end, not a bare ValueError."""
+    with pytest.raises(ParseError) as err:
+        parse_scalar(text)
+    assert err.value.offset == offset
 
 
 def test_parse_scalar_matches_reference_on_rendered_scalars():

@@ -7,18 +7,21 @@ import dataclasses
 
 import pytest
 
-from conftest import all_mutations, mutate_presentation, relabelled
+from conftest import all_mutations, constant_mutations, mutate_presentation, relabelled
+from quasihopf import multilinear, qha
 from quasihopf.exactnum import HALF, ONE, Scalar, ZERO
 from quasihopf.expr import VAR, AlgebraOps, Expression, Leg
 from quasihopf.multilinear import (Functional, TensorElement, apply_on_leg, contract,
                                    row_rank, tensor_product)
-from quasihopf.qha import (PREREQUISITES, AxiomViolation, BadCounitNormalization,
-                           BadPlan, QhaPresentation, SingularAntipode,
+from quasihopf.qha import (AXIOM_ROWS, PREREQUISITES, AxiomViolation,
+                           BadCounitNormalization, BadPlan, NonInvertiblePhi,
+                           QhaPresentation, SingularAntipode,
                            antipode_inverse, dual_action, generating_set,
                            hit_element_left, hit_element_right,
                            hit_functional_left, hit_functional_right,
                            iterated_coproduct, load_and_validate, variant,
                            verify_axioms)
+from quasihopf.report import render_witness
 from quasihopf.workbench import catalog_build
 from ref_evaluate import ref_evaluate
 from ref_registry import S, r
@@ -123,6 +126,73 @@ def test_sampled_mutations_fail_axioms_h8(h8p):
         except Exception:
             continue
         assert not report.passed(), f"mutation {mutated.name} went unnoticed"
+
+
+# -- rejection at the first failed row --------------------------------------------
+
+
+def _rejection(pres: QhaPresentation):
+    """What ``load_and_validate`` raises on ``pres``: the type, the message,
+    the row and the rendered witness; None when it accepts."""
+    try:
+        load_and_validate(pres)
+    except (AxiomViolation, NonInvertiblePhi, BadCounitNormalization) as exc:
+        return (type(exc), str(exc), getattr(exc, "check", None),
+                render_witness(getattr(exc, "witness", None)))
+    return None
+
+
+def test_rejection_names_the_first_failed_row_of_the_full_report(h2, h8p, h8m, baseline,
+                                                                monkeypatch):
+    """On every single-constant mutant of two relabellings each of H8+, H8-,
+    H2 and kZ2-hopf, ``load_and_validate`` raises what it raises when
+    ``verify_axioms`` computes every row: the same exception, row and
+    witness.  The mutants include rows that fail only with a prerequisite
+    computed ahead of its place in the report."""
+    import random
+    rng = random.Random(19)
+    subjects = [mutant for pres in (h8p, h8m, h2, baseline) for _ in range(2)
+                for mutant in constant_mutations(relabelled(pres, rng.sample(range(pres.dim),
+                                                                             pres.dim)))]
+    assert len(subjects) == 2 * (150 + 150 + 32 + 18)
+    early = [_rejection(pres) for pres in subjects]
+    monkeypatch.setattr(qha, "verify_axioms", lambda pres, **options: verify_axioms(pres))
+    assert early == [_rejection(pres) for pres in subjects]
+    assert None not in early
+    witnesses = {rejection[3] for rejection in early if rejection[2] == "q2"}
+    assert {"prerequisite antipode:unit failed",
+            "prerequisite antipode:anti-morphism failed"} <= witnesses
+    for pres in (h2, h8p):
+        assert [row.name for row in verify_axioms(pres, first_failure=True).rows] == list(AXIOM_ROWS)
+
+
+def test_mult_unit_rejection_computes_no_later_row(h8p, monkeypatch):
+    """A presentation whose unit row fails is rejected before the generating
+    set, and every row after ``mult:unit``, is computed."""
+    def unreachable(*args):
+        raise AssertionError("computed after mult:unit failed")
+
+    broken = mutate_presentation(h8p, "mult", (0, 2, 2))    # 1 x = 2 x
+    monkeypatch.setattr(qha, "_generators", unreachable)
+    monkeypatch.setattr(qha, "_associated_products", unreachable)
+    with pytest.raises(AxiomViolation) as err:
+        load_and_validate(broken)
+    assert err.value.check == "mult:unit"
+    rows = verify_axioms(broken, first_failure=True).rows
+    assert [(row.name, row.passed) for row in rows] == [("mult:unit", False)]
+
+
+def test_late_prerequisite_rejection_stops_at_q2(h8p):
+    """With S(1) = 2 every row before q2 passes and q2 fails with the
+    antipode rows computed ahead of it; no row after q2 is computed."""
+    broken = mutate_presentation(h8p, "antipode", (0, 0))
+    rows = verify_axioms(broken, first_failure=True).rows
+    assert [row.name for row in rows] == [*AXIOM_ROWS[:AXIOM_ROWS.index("q2") + 1],
+                                          "phi:invertible", "antipode:unit",
+                                          "antipode:anti-morphism"]
+    assert [row.name for row in rows if not row.passed] == ["q2", "antipode:unit",
+                                                            "antipode:anti-morphism"]
+    assert rows[AXIOM_ROWS.index("q2")].witness == "prerequisite antipode:unit failed"
 
 
 # -- axiom rows on a generating set against full enumeration ---------------------
@@ -262,6 +332,30 @@ def test_generating_set_is_cheapest_and_irredundant_under_relabelling(h8p, h8m):
             assert sum(len(moved.coproduct.columns[g].entries) for g in gens) == 7
             for g in gens:
                 assert _closure_rank(moved, [h for h in gens if h != g]) < 8, moved.basis
+
+
+def test_drop_pass_grows_each_closure_from_the_one_recorded_at_joining(h8p, h8m, d8,
+                                                                      monkeypatch):
+    """Only the closure of span{1} starts from an empty echelon: each closure
+    of the drop pass starts from the closure recorded when the generator it
+    tests joined G, so none inserts the unit again.  The first pass on
+    relabelled H8+ and on D(H8+) takes more generators than G keeps, so the
+    drop pass runs there."""
+    import random
+    rng = random.Random(3)
+    subjects = [d8.presentation, *(relabelled(pres, rng.sample(range(8), 8))
+                                   for pres in (h8p, h8m) for _ in range(3))]
+    original, fresh = multilinear._Echelon.insert, []
+
+    def insert(self, row):
+        fresh.append(self.rank == 0)
+        return original(self, row)
+
+    monkeypatch.setattr(multilinear._Echelon, "insert", insert)
+    for pres in subjects:
+        fresh.clear()
+        generating_set(pres)
+        assert sum(fresh) == 1, pres.basis
 
 
 def test_broken_unit_fails_every_generator_row(h2):

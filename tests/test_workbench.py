@@ -188,14 +188,21 @@ def _h2_with_list_field(doc: dict) -> str:
     return "$.field"
 
 
+def _h2_with_superscript_digit(doc: dict) -> str:
+    doc["unit"][1] = "²"
+    return "$.unit[1]"
+
+
 @pytest.mark.parametrize("corrupt", [
     _h2_with_bool_index, _h2_with_zero_imaginary_part, _h2_with_imaginary_part,
-    _h2_with_duplicate_entry, _h2_with_bool_dim, _h2_with_list_field])
+    _h2_with_duplicate_entry, _h2_with_bool_dim, _h2_with_list_field,
+    _h2_with_superscript_digit])
 def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
     """A bool index or dim, an imaginary part in a Q document (even
-    ``+0*i``), a repeated sparse key and a field that is not a string are
-    refused on import with the JSON path of the offending value, instead of
-    being read as 0 or 1, as rational, summed or failing with a TypeError."""
+    ``+0*i``), a repeated sparse key, a field that is not a string and a
+    scalar written with a digit ``int`` does not read are refused on import
+    with the JSON path of the offending value, instead of being read as 0
+    or 1, as rational, summed or failing with a TypeError or ValueError."""
     doc = export_document(h2)
     path_of_value = corrupt(doc)
     path = tmp_path / "loose.json"
@@ -337,9 +344,9 @@ def test_cli_verifies_each_presentation_once(tmp_path, monkeypatch, capsys):
     original = qha.verify_axioms
     calls = []
 
-    def counting(pres):
+    def counting(pres, **options):
         calls.append(pres.name)
-        return original(pres)
+        return original(pres, **options)
 
     for name, module in list(sys.modules.items()):
         if name.startswith("quasihopf") and getattr(module, "verify_axioms", None) is original:
