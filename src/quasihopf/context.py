@@ -53,11 +53,13 @@ class AlgebraContext:
         self.pres = pres
         self._lock = threading.RLock()
         self._memo: dict[str, object] = {}
+        # entries a variant takes from H's context instead of building them
+        self._shared: dict[str, Callable[[], object]] = {}
 
     def _get(self, key: str, build: Callable[[], object]):
         with self._lock:
             if key not in self._memo:
-                self._memo[key] = build()
+                self._memo[key] = self._shared.get(key, build)()
             return self._memo[key]
 
     # -- axioms --------------------------------------------------------------
@@ -199,8 +201,24 @@ class AlgebraContext:
     # -- variants ----------------------------------------------------------------
 
     def variant_ctx(self, which: str) -> "AlgebraContext":
+        """The context of H^op, H^cop or H^opcop, kept on its presentation.
+        It takes from this context what the two share: S^-1 is S after one
+        flip and S^-1 after both, and the integral data are H's, with left
+        and right and mu and mu^-1 exchanged when op reverses the products.
+        The two share one lock, since each reads the other's entries while
+        holding it."""
         def build():
-            return AlgebraContext(variant(self.pres, which))
+            def integral_data():
+                d = self.integral_data
+                return d if which == "cop" else intcoint.IntegralData(
+                    d.right_basis, d.left_basis, d.mu_inv, d.mu)
+
+            ctx = AlgebraContext(variant(self.pres, which))
+            ctx._lock = self._lock
+            ctx._shared = {"s_inv": lambda: self.s_inv if which == "opcop" else self.pres.antipode,
+                           "integral_data": integral_data}
+            with _CONTEXTS_LOCK:
+                return _hang(ctx)
         return self._get(f"variant:{which}", build)
 
     # -- misc ---------------------------------------------------------------------
@@ -227,9 +245,10 @@ _CONTEXTS_LOCK = threading.Lock()
 def get_context(pres: QhaPresentation) -> AlgebraContext:
     """The one context of a presentation, made on first use and kept on it."""
     with _CONTEXTS_LOCK:
-        ctx = pres.__dict__.get("_context")
-        if ctx is None:
-            ctx = AlgebraContext(pres)
-            object.__setattr__(pres, "_context", ctx)      # the dataclass is frozen
-            _CONTEXTS[id(pres)] = ctx
-        return ctx
+        return pres.__dict__.get("_context") or _hang(AlgebraContext(pres))
+
+
+def _hang(ctx: AlgebraContext) -> AlgebraContext:
+    object.__setattr__(ctx.pres, "_context", ctx)      # the dataclass is frozen
+    _CONTEXTS[id(ctx.pres)] = ctx
+    return ctx

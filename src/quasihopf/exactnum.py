@@ -116,23 +116,7 @@ class Scalar:
     def __sub__(self, other: "Scalar") -> "Scalar":
         if not isinstance(other, Scalar):
             return NotImplemented
-        d1, d2 = self._d, other._d
-        if d1 == d2:
-            na, nb, d = self._a - other._a, self._b - other._b, d1
-        else:
-            na = self._a * d2 - other._a * d1
-            nb = self._b * d2 - other._b * d1
-            d = d1 * d2
-        if d != 1:
-            g = gcd(na, nb, d)
-            if g > 1:
-                na //= g
-                nb //= g
-                d //= g
-        out = object.__new__(Scalar)
-        out._a, out._b, out._d = na, nb, d
-        out._qi = self._qi or other._qi
-        return out
+        return self + -other
 
     def __neg__(self) -> "Scalar":
         out = object.__new__(Scalar)
@@ -282,13 +266,13 @@ def render_scalar(s: Scalar) -> str:
 
 def _parse_rational(text: str, pos: int) -> tuple[int, int, int]:
     """The numerator, the positive denominator (not reduced) and the end
-    offset of the rational at ``pos``.  A digit is a character for which
-    ``str.isdecimal`` holds, exactly those ``int`` reads."""
+    offset of the rational at ``pos``.  A digit is an ASCII digit, as in the
+    pattern of the document schema."""
     start, end = pos, len(text)
     if pos < end and text[pos] in "+-":
         pos += 1
     digits_start = pos
-    while pos < end and text[pos].isdecimal():
+    while pos < end and "0" <= text[pos] <= "9":
         pos += 1
     if pos == digits_start:
         raise ParseError("expected digits", pos)
@@ -297,7 +281,7 @@ def _parse_rational(text: str, pos: int) -> tuple[int, int, int]:
         return num, 1, pos
     pos += 1
     den_start = pos
-    while pos < end and text[pos].isdecimal():
+    while pos < end and "0" <= text[pos] <= "9":
         pos += 1
     if pos == den_start:
         raise ParseError("expected denominator digits", pos)

@@ -485,7 +485,7 @@ def _condition_systems(ctx) -> dict[str, tuple[Expression, Expression]]:
 
 def solve_condition(ctx, name: str) -> list[Functional]:
     """Solve one single-condition characterization as a linear system."""
-    return _solve_hole_system(ctx, *_condition_systems(ctx)[name])
+    return _solve_hole_system(ctx, *_bind_all(ctx, FORMS[name]))
 
 
 def characterization_suite(ctx) -> VerificationReport:
@@ -493,13 +493,12 @@ def characterization_suite(ctx) -> VerificationReport:
     and re-solved as an independent system whose line must be the solver's."""
     pres = ctx.pres
     report = VerificationReport(pres.name)
-    systems = _condition_systems(ctx)
-    for name, (lhs, rhs) in systems.items():
+    for name, (lhs, rhs) in _condition_systems(ctx).items():
         # the hole leg is paired with the actual cointegral
         functional = ctx.lam if name.startswith("left") else ctx.big_lam
         report.check_all(f"characterization:{name}", _filled(ctx, lhs, rhs, functional),
                          lambda pair: [pair])
-        solved = solve_condition(ctx, name)
+        solved = _solve_hole_system(ctx, lhs, rhs)
         report.add(f"characterization:{name}:line", _line_matches(ctx, solved, functional),
                    None if _line_matches(ctx, solved, functional)
                    else f"solution space has dimension {len(solved)}")

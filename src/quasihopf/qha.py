@@ -10,7 +10,7 @@ it normalizes the distinguished elements and machine-checks every axiom.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Iterable, Sequence
 
 from .exactnum import ONE, Scalar, ZERO
@@ -416,48 +416,30 @@ def antipode_inverse(pres: QhaPresentation) -> LinearOperator:
 
 
 def variant(pres: QhaPresentation, which: str) -> QhaPresentation:
-    """The op / cop / opcop presentation; requires an invertible antipode."""
+    """The op / cop / opcop presentation; requires an invertible antipode.
+
+    op reverses the products and swaps phi with phi^-1 and alpha with beta;
+    cop swaps the legs of the coproduct and of phi.  With exactly one flip
+    the antipode becomes S^-1, which also maps alpha and beta."""
     if which not in ("op", "cop", "opcop"):
         raise ValueError(f"unknown variant {which!r}")
-    n = pres.dim
-    s_inv = antipode_inverse(pres)
-    if which == "op":
-        mult = MultTable({(j, i): row for (i, j), row in pres.mult.items()})
-        coproduct = pres.coproduct
-        phi, phi_inv = pres.phi_inv, pres.phi
-        antipode = s_inv
-        alpha = s_inv.apply(pres.beta)
-        beta = s_inv.apply(pres.alpha)
-    elif which == "cop":
-        mult = pres.mult
+    mult, coproduct, antipode = pres.mult, pres.coproduct, pres.antipode
+    phi, phi_inv, alpha, beta = pres.phi, pres.phi_inv, pres.alpha, pres.beta
+    if which != "cop":
+        mult = MultTable({(j, i): row for (i, j), row in mult.items()})
+        phi, phi_inv, alpha, beta = phi_inv, phi, beta, alpha
+    if which != "op":
         coproduct = LinearOperator(
-            n, [permute_legs(col, (1, 0)) for col in pres.coproduct.columns],
-            dst_rank=2)
-        phi = permute_legs(pres.phi_inv, (2, 1, 0))
-        phi_inv = permute_legs(pres.phi, (2, 1, 0))
-        antipode = s_inv
-        alpha = s_inv.apply(pres.alpha)
-        beta = s_inv.apply(pres.beta)
-    else:
-        mult = MultTable({(j, i): row for (i, j), row in pres.mult.items()})
-        coproduct = LinearOperator(
-            n, [permute_legs(col, (1, 0)) for col in pres.coproduct.columns],
-            dst_rank=2)
-        phi = permute_legs(pres.phi, (2, 1, 0))
-        phi_inv = permute_legs(pres.phi_inv, (2, 1, 0))
-        antipode = pres.antipode
-        alpha = pres.beta
-        beta = pres.alpha
-    suffix = {"op": "^op", "cop": "^cop", "opcop": "^opcop"}[which]
-    base = pres.name
-    if base.endswith(suffix):
-        new_name = base[: -len(suffix)]
-    else:
-        new_name = base + suffix
-    return QhaPresentation(
-        name=new_name, dim=n, basis=pres.basis, field_tag=pres.field_tag,
-        mult=mult, unit=pres.unit, counit=pres.counit, coproduct=coproduct,
-        phi=phi, phi_inv=phi_inv, antipode=antipode, alpha=alpha, beta=beta)
+            pres.dim, [permute_legs(col, (1, 0)) for col in coproduct.columns], dst_rank=2)
+        phi, phi_inv = permute_legs(phi_inv, (2, 1, 0)), permute_legs(phi, (2, 1, 0))
+    if which != "opcop":
+        from .context import get_context
+        antipode = get_context(pres).s_inv
+        alpha, beta = antipode.apply(alpha), antipode.apply(beta)
+    suffix = "^" + which
+    name = pres.name[:-len(suffix)] if pres.name.endswith(suffix) else pres.name + suffix
+    return replace(pres, name=name, mult=mult, coproduct=coproduct, phi=phi,
+                   phi_inv=phi_inv, antipode=antipode, alpha=alpha, beta=beta)
 
 
 # -- iterated coproducts ---------------------------------------------------------

@@ -172,6 +172,8 @@ def catalog_build(name: str) -> QhaPresentation:
 
 _FIELD_TO_JSON = {FIELD_Q: "Q", FIELD_QI: "Q(i)"}
 _FIELD_FROM_JSON = {"Q": FIELD_Q, "Q(i)": FIELD_QI}
+_DOCUMENT_KEYS = ("name", "field", "dim", "basis", "unit", "counit", "alpha", "beta",
+                  "mult", "coproduct", "phi", "phi_inv", "antipode")
 
 
 def export_document(pres: QhaPresentation) -> dict:
@@ -271,9 +273,10 @@ def _parse_sparse(doc: dict, key: str, dim: int, arity: int, field: str) -> list
 def import_document(doc: dict, validate: bool = True) -> QhaPresentation:
     """Parse and (by default) fully validate a presentation document."""
     _expect(isinstance(doc, dict), "document must be an object", "$")
-    for key in ("name", "field", "dim", "basis", "unit", "counit", "alpha",
-                "beta", "mult", "coproduct", "phi", "phi_inv", "antipode"):
+    for key in _DOCUMENT_KEYS:
         _expect(key in doc, f"missing key {key!r}", "$")
+    for key in doc:
+        _expect(key in _DOCUMENT_KEYS, f"unknown key {key!r}", f"$.{key}")
     _expect(isinstance(doc["name"], str), "name must be a string", "$.name")
     _expect(isinstance(doc["field"], str) and doc["field"] in _FIELD_FROM_JSON,
             "field must be 'Q' or 'Q(i)'", "$.field")

@@ -172,7 +172,7 @@ def _ref_rational(text: str, pos: int) -> tuple[Fraction, int]:
     if pos < len(text) and text[pos] in "+-":
         pos += 1
     digits_start = pos
-    while pos < len(text) and text[pos].isdecimal():
+    while pos < len(text) and "0" <= text[pos] <= "9":
         pos += 1
     if pos == digits_start:
         raise ParseError("expected digits", pos)
@@ -181,7 +181,7 @@ def _ref_rational(text: str, pos: int) -> tuple[Fraction, int]:
     if pos < len(text) and text[pos] == "/":
         pos += 1
         den_start = pos
-        while pos < len(text) and text[pos].isdecimal():
+        while pos < len(text) and "0" <= text[pos] <= "9":
             pos += 1
         if pos == den_start:
             raise ParseError("expected denominator digits", pos)
@@ -225,9 +225,9 @@ PARSE_TABLE = [
     # valid
     "0", "-0", "+3", "007", "2/4", "-6/8", "3/1", "12345678901234567890/6",
     "1/2+1/2*i", "1/2-1/2*i", "0+1*i", "0-1*i", "1+0*i", "1-0*i", "0+0*i",
-    "3/6-4/8*i", "-2/4+6/9*i", "1--2*i", "1+-2*i", "-1/3++2/5*i", "٣/٤",
+    "3/6-4/8*i", "-2/4+6/9*i", "1--2*i", "1+-2*i", "-1/3++2/5*i",
     # invalid
-    "", "x", "+", "-", "1/", "1/0", "1/00", "1/-2", "1/2/3", " 1", "1 ", "1+", "1+*i",
+    "٣/٤", "", "x", "+", "-", "1/", "1/0", "1/00", "1/-2", "1/2/3", " 1", "1 ", "1+", "1+*i",
     "1+2", "1+2*j", "1+2*", "1*i", "1+1*i9", "1+2/0*i", "1+2/*i", "1e3", "0x10",
     "1_0", "1.5", "²", "1/²", "1+²*i",
 ]

@@ -191,6 +191,23 @@ def test_single_condition_solutions_span_the_lines(ctx_h8p):
         assert _proportional_fn(sols[0], ctx_h8p.big_lam)
 
 
+def test_characterization_systems_are_bound_once(ctx_h8p, monkeypatch):
+    """The suite solves the six condition systems it has bound, and one
+    condition solved alone binds its own system only."""
+    from quasihopf import intcoint
+    ctx_h8p.lam, ctx_h8p.big_lam          # the cointegrals bind systems of their own
+    original = intcoint._bind_all
+    calls = []
+    monkeypatch.setattr(intcoint, "_bind_all",
+                        lambda *args, **tensors: calls.append(args) or original(*args, **tensors))
+    assert not is_unimodular(ctx_h8p)
+    assert characterization_suite(ctx_h8p).passed()
+    assert len(calls) == len(intcoint.CONDITIONS)
+    calls.clear()
+    solve_condition(ctx_h8p, "left-iv")
+    assert len(calls) == 1
+
+
 # -- modular data --------------------------------------------------------------------
 
 

@@ -8,7 +8,8 @@ import dataclasses
 import pytest
 
 from conftest import all_mutations, constant_mutations, mutate_presentation, relabelled
-from quasihopf import multilinear, qha
+from quasihopf import context, intcoint, multilinear, qha
+from quasihopf.context import AlgebraContext, get_context
 from quasihopf.exactnum import HALF, ONE, Scalar, ZERO
 from quasihopf.expr import VAR, AlgebraOps, Expression, Leg
 from quasihopf.multilinear import (Functional, TensorElement, apply_on_leg, contract,
@@ -397,6 +398,38 @@ def test_cop_of_h2_values(h2):
 
 def test_op_of_baseline_is_itself(baseline):
     assert variant(baseline, "op") == baseline
+
+
+@pytest.mark.parametrize("name", ["H2", "H8+", "H8-", "kZ2-hopf", "D(H2)"])
+def test_variant_contexts_take_what_they_share_with_h(name, d2, monkeypatch):
+    """The context of H^op, H^cop and H^opcop is kept on its presentation,
+    and reads its S^-1 and integral data from H's context, with no linear
+    solve or inversion; a round trip back to H inverts nothing either.  The
+    values are those a fresh context of the variant presentation computes."""
+    pres = d2.presentation if name == "D(H2)" else catalog_build(name)
+    ctx = get_context(pres)
+    ctx.s_inv, ctx.integral_data
+    calls = []
+
+    def counting(module, fname):
+        original = getattr(module, fname)
+        monkeypatch.setattr(module, fname, lambda *args: calls.append(fname) or original(*args))
+
+    counting(intcoint, "solve_constraints")
+    for module in (qha, intcoint, context):
+        counting(module, "invert_operator")
+    shared = {}
+    for which in ("op", "cop", "opcop"):
+        v = ctx.variant_ctx(which)
+        assert get_context(v.pres) is v
+        shared[which] = v.s_inv, v.integral_data
+        assert variant(v.pres, which) == pres
+    assert calls == []
+    monkeypatch.undo()
+    for which, (s_inv, integral_data) in shared.items():
+        fresh = AlgebraContext(variant(pres, which))
+        assert s_inv == fresh.s_inv, which
+        assert integral_data == fresh.integral_data, which
 
 
 def test_variant_unknown(h2):

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasihopf import canonical, cli, double, expr, intcoint, qha
+from quasihopf import canonical, cli, context, double, expr, intcoint, qha
 from quasihopf.cli import main as cli_main
 from quasihopf.context import get_context
 from quasihopf.exactnum import FIELD_Q, FIELD_QI, ParseError
@@ -193,16 +193,30 @@ def _h2_with_superscript_digit(doc: dict) -> str:
     return "$.unit[1]"
 
 
-@pytest.mark.parametrize("corrupt", [
+def _h2_with_unknown_key(doc: dict) -> str:
+    doc["comment"] = "not a key of the format"
+    return "$.comment"
+
+
+def _h2_with_arabic_indic_digit(doc: dict) -> str:
+    doc["unit"][0] = "\u0661"                          # was "1"
+    return "$.unit[0]"
+
+
+LOOSE_DOCUMENTS = [
     _h2_with_bool_index, _h2_with_zero_imaginary_part, _h2_with_imaginary_part,
     _h2_with_duplicate_entry, _h2_with_bool_dim, _h2_with_list_field,
-    _h2_with_superscript_digit])
+    _h2_with_superscript_digit, _h2_with_unknown_key, _h2_with_arabic_indic_digit]
+
+
+@pytest.mark.parametrize("corrupt", LOOSE_DOCUMENTS)
 def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
     """A bool index or dim, an imaginary part in a Q document (even
-    ``+0*i``), a repeated sparse key, a field that is not a string and a
-    scalar written with a digit ``int`` does not read are refused on import
-    with the JSON path of the offending value, instead of being read as 0
-    or 1, as rational, summed or failing with a TypeError or ValueError."""
+    ``+0*i``), a repeated sparse key, a field that is not a string, a key
+    the format does not have and a scalar written with a digit that is not
+    ASCII are refused on import with the JSON path of the offending value,
+    instead of being read as 0 or 1, as rational, summed, ignored or
+    failing with a TypeError or ValueError."""
     doc = export_document(h2)
     path_of_value = corrupt(doc)
     path = tmp_path / "loose.json"
@@ -213,6 +227,40 @@ def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
     with pytest.raises(SchemaError) as exc:
         import_document(doc)
     assert exc.value.path == path_of_value
+
+
+def _signed_imaginary_parts(doc: dict) -> list[dict]:
+    """``doc`` three times, with a sign written on the imaginary rational of
+    equal values: "a--b*i", "a+-b*i" and "a++b*i"."""
+    text = render_document(doc)
+    out = []
+    for old, new in (("1/2+1/2*i", "1/2--1/2*i"), ("1/2-1/2*i", "1/2+-1/2*i"),
+                     ("1/2+1/2*i", "1/2++1/2*i")):
+        assert f'"{old}"' in text
+        out.append(json.loads(text.replace(f'"{old}"', f'"{new}"')))
+    return out
+
+
+def test_documents_the_importer_accepts_validate_against_the_schema(h2, h8p, d2):
+    """The shipped schema is the formal format: every document the importer
+    accepts, among the exports, the loose documents and the signed imaginary
+    parts, validates against it."""
+    jsonschema = pytest.importorskip("jsonschema")
+    schema = json.loads((Path(qha.__file__).parent / "presentation.schema.json").read_text())
+    exports = [export_document(p) for p in (*map(catalog_build, CATALOG_NAMES), d2.presentation)]
+    loose = []
+    for corrupt in LOOSE_DOCUMENTS:
+        loose.append(export_document(h2))
+        corrupt(loose[-1])
+    accepted = 0
+    for doc in [*exports, *loose, *_signed_imaginary_parts(export_document(h8p))]:
+        try:
+            import_document(doc)
+        except ValueError:
+            continue
+        jsonschema.validate(doc, schema)
+        accepted += 1
+    assert accepted == len(exports) + 3
 
 
 def test_cli_usage_error_exit_2(capsys):
@@ -368,23 +416,29 @@ def test_cli_integrals_and_cointegrals_solve_each_space_once(tmp_path, monkeypat
     """On a fresh H8+ document, ``integrals`` solves the left and the right
     integral space once each.  ``cointegrals`` solves the left, the direct
     right and the coopposite left cointegral systems once each, and the
-    integral spaces of H and of H^cop that those relations read through
-    mu; with ``--side right`` it needs the same seven solves."""
-    original = intcoint.solve_constraints
-    calls = []
+    integral spaces of H that those relations read through mu; H^cop takes
+    its integral data and its S^-1 from H, so the one inversion is S's.
+    With ``--side right`` it needs the same five solves."""
+    calls = {"solve_constraints": 0, "invert_operator": 0}
 
-    def counting(rows, width):
-        calls.append(width)
-        return original(rows, width)
+    def counting(module, name):
+        original = getattr(module, name)
 
-    monkeypatch.setattr(intcoint, "solve_constraints", counting)
+        def count(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, count)
+
+    counting(intcoint, "solve_constraints")
+    for module in (qha, intcoint, context):
+        counting(module, "invert_operator")
     path = tmp_path / "H8+.json"
     assert cli_main(["export", "catalog:H8+", str(path)]) == 0
-    for command, solves in ((["integrals"], 2), (["cointegrals"], 7),
-                            (["cointegrals", "--side", "right"], 7)):
-        calls.clear()
+    for command, solves, inversions in ((["integrals"], 2, 0), (["cointegrals"], 5, 1),
+                                        (["cointegrals", "--side", "right"], 5, 1)):
+        calls.update(dict.fromkeys(calls, 0))
         assert cli_main([command[0], str(path), *command[1:]]) == 0
-        assert len(calls) == solves, command
+        assert calls == {"solve_constraints": solves, "invert_operator": inversions}, command
     capsys.readouterr()
 
 
