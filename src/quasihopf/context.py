@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import threading
 import weakref
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Callable
 
 from . import canonical, intcoint
@@ -46,6 +46,40 @@ class _LazyFunctionals:
     def get(self, name: str) -> Functional | None:
         read = _FUNCTIONALS.get(name)
         return None if read is None else read(self._ctx())
+
+
+class _Entry:
+    """A fact a context caches: ``builder(ctx)`` of ``module``, run once per
+    context and kept in its memo under the attribute's name.  The builder is
+    looked up through its module each time it runs, so a wrapper put on the
+    module sees the call."""
+
+    def __init__(self, module, builder: str):
+        self._module, self._builder = module, builder
+
+    def __set_name__(self, owner, name: str):
+        self._key = name
+
+    def __get__(self, ctx: "AlgebraContext | None", owner=None):
+        if ctx is None:
+            return self
+        return ctx._get(self._key, lambda: getattr(self._module, self._builder)(ctx))
+
+    def parts(self, *parts: int | str) -> tuple["_Part", ...]:
+        """One attribute per part of the entry: an int reads that item of
+        the tuple the builder returns, a str that field of its record."""
+        return tuple(_Part(self, itemgetter(p) if isinstance(p, int) else attrgetter(p))
+                     for p in parts)
+
+
+class _Part:
+    """An attribute that reads one part of an entry."""
+
+    def __init__(self, entry: _Entry, read: Callable[[object], object]):
+        self._entry, self._read = entry, read
+
+    def __get__(self, ctx: "AlgebraContext | None", owner=None):
+        return self if ctx is None else self._read(self._entry.__get__(ctx))
 
 
 class AlgebraContext:
@@ -90,109 +124,24 @@ class AlgebraContext:
 
     # -- canonical elements ----------------------------------------------------
 
-    @property
-    def gamma(self) -> TensorElement:
-        return self._get("gamma_delta", lambda: canonical.gamma_delta(self))[0]
+    gamma_delta = _Entry(canonical, "gamma_delta")
+    gamma, delta_el = gamma_delta.parts(0, 1)
+    twist = _Entry(canonical, "drinfeld_twist")
+    f, f_inv = twist.parts(0, 1)
+    pq = _Entry(canonical, "pq_elements")
+    p_r, q_r, p_l, q_l = pq.parts(0, 1, 2, 3)
+    uv = _Entry(canonical, "uv_elements")
+    u_cap, v_cap = uv.parts(0, 1)
 
-    @property
-    def delta_el(self) -> TensorElement:
-        return self._get("gamma_delta", lambda: canonical.gamma_delta(self))[1]
+    # -- integrals, cointegrals and the modular and comparison elements ---------
 
-    @property
-    def f(self) -> TensorElement:
-        return self._get("twist", lambda: canonical.drinfeld_twist(self))[0]
-
-    @property
-    def f_inv(self) -> TensorElement:
-        return self._get("twist", lambda: canonical.drinfeld_twist(self))[1]
-
-    @property
-    def p_r(self) -> TensorElement:
-        return self._get("pq", lambda: canonical.pq_elements(self))[0]
-
-    @property
-    def q_r(self) -> TensorElement:
-        return self._get("pq", lambda: canonical.pq_elements(self))[1]
-
-    @property
-    def p_l(self) -> TensorElement:
-        return self._get("pq", lambda: canonical.pq_elements(self))[2]
-
-    @property
-    def q_l(self) -> TensorElement:
-        return self._get("pq", lambda: canonical.pq_elements(self))[3]
-
-    @property
-    def u_cap(self) -> TensorElement:
-        return self._get("uv", lambda: canonical.uv_elements(self))[0]
-
-    @property
-    def v_cap(self) -> TensorElement:
-        return self._get("uv", lambda: canonical.uv_elements(self))[1]
-
-    # -- integrals and their modular functional --------------------------------
-
-    @property
-    def integral_data(self) -> intcoint.IntegralData:
-        return self._get("integral_data", lambda: intcoint.compute_integral_data(self))
-
-    @property
-    def t(self) -> TensorElement:
-        return self.integral_data.left_basis
-
-    @property
-    def r(self) -> TensorElement:
-        return self.integral_data.right_basis
-
-    @property
-    def mu(self) -> Functional:
-        return self.integral_data.mu
-
-    @property
-    def mu_inv(self) -> Functional:
-        return self.integral_data.mu_inv
-
-    # -- cointegrals and modular elements ---------------------------------------
-
-    @property
-    def cointegral_data(self) -> intcoint.CointegralData:
-        return self._get("cointegral_data", lambda: intcoint.compute_cointegral_data(self))
-
-    @property
-    def lam(self) -> Functional:
-        return self.cointegral_data.left_basis
-
-    @property
-    def big_lam(self) -> Functional:
-        return self.cointegral_data.right_basis
-
-    @property
-    def g_mod(self) -> TensorElement:
-        return self.cointegral_data.g_modular
-
-    @property
-    def g_mod_inv(self) -> TensorElement:
-        return self.cointegral_data.g_modular_inv
-
-    @property
-    def u_el(self) -> TensorElement:
-        return self.comparison.u
-
-    @property
-    def u_inv(self) -> TensorElement:
-        return self.comparison.u_inv
-
-    @property
-    def v_el(self) -> TensorElement:
-        return self.comparison.v
-
-    @property
-    def v_inv(self) -> TensorElement:
-        return self.comparison.v_inv
-
-    @property
-    def comparison(self) -> intcoint.ComparisonElements:
-        return self._get("comparison", lambda: intcoint.comparison_elements(self))
+    integral_data = _Entry(intcoint, "compute_integral_data")
+    t, r, mu, mu_inv = integral_data.parts("left_basis", "right_basis", "mu", "mu_inv")
+    cointegral_data = _Entry(intcoint, "compute_cointegral_data")
+    lam, big_lam, g_mod, g_mod_inv = cointegral_data.parts(
+        "left_basis", "right_basis", "g_modular", "g_modular_inv")
+    comparison = _Entry(intcoint, "comparison_elements")
+    u_el, u_inv, v_el, v_inv = comparison.parts("u", "u_inv", "v", "v_inv")
 
     def frobenius(self, which: str = "left") -> intcoint.FrobeniusSystem:
         return self._get(f"frobenius:{which}",

@@ -27,7 +27,7 @@ from .expr import VAR, Expression
 from .multilinear import (Functional, LinearOperator, TensorElement, embed_legs,
                           mult_pointwise, multiplication_operator,
                           row_rank)
-from .qha import QhaPresentation, make_mult
+from .qha import QhaPresentation, _compose_functional, make_mult
 from .report import VerificationReport
 
 
@@ -191,7 +191,7 @@ def double_right_cointegral(D: DoublePresentation) -> Functional:
     H = D.base
     n = H.dim
     t_coords = base.t.coords()
-    lam_s = [base.lam(H.antipode.apply(H.basis_element(j))) for j in range(n)]
+    lam_s = _compose_functional(base.lam, H.antipode).coords
     return Functional([t_coords[i] * lam_s[j] for i in range(n) for j in range(n)])
 
 
@@ -200,7 +200,7 @@ def double_modular(D: DoublePresentation) -> tuple[TensorElement, TensorElement]
     base = get_context(D.base)
     H = D.base
     n = H.dim
-    s_d_inv = double_antipode_inverse(D)
+    s_d_inv = get_context(D.presentation).s_inv
 
     # first form: mu(g1_1) mui(g2) SDi( mu |><| g1_2 S^-2(gmod^-1) )
     first = s_d_inv.apply(_double_element(n, base.mu.coords, _value(base, *FORMS["modular"])))
@@ -346,7 +346,7 @@ def double_report(D: DoublePresentation) -> VerificationReport:
     gamma_sd = Functional([gamma_fn(pres_d.antipode.apply(pres_d.basis_element(k)))
                            for k in range(nd)])
     s_r = H.antipode.apply(base.r).coords()
-    lam_s = [base.lam(H.antipode.apply(H.basis_element(j))) for j in range(n)]
+    lam_s = _compose_functional(base.lam, H.antipode).coords
     expected = Functional([s_r[i] * lam_s[j] for i in range(n) for j in range(n)])
     report.check_zero("double:Gamma.SD=S(r)|lamS", gamma_sd - expected)
 

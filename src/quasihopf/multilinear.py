@@ -166,10 +166,6 @@ class Functional:
     def dual_basis(cls, dim: int, index: int) -> "Functional":
         return cls([ONE if i == index else ZERO for i in range(dim)])
 
-    @classmethod
-    def zero(cls, dim: int) -> "Functional":
-        return cls([ZERO] * dim)
-
     def __call__(self, t: TensorElement) -> Scalar:
         if t.rank != 1:
             raise RankMismatch("a functional evaluates rank-1 tensors")

@@ -375,7 +375,6 @@ def load_and_validate(raw: QhaPresentation) -> QhaPresentation:
     presentation stops at its first failed row in report order, the row it
     is rejected for, and an accepted one gets the complete report, which
     its context keeps for later axiom suites."""
-    n = raw.dim
     unit3 = tensor_product(tensor_product(raw.unit, raw.unit), raw.unit)
     if (mult_pointwise(raw.mult, raw.phi, raw.phi_inv) != unit3
             or mult_pointwise(raw.mult, raw.phi_inv, raw.phi) != unit3):
@@ -386,12 +385,7 @@ def load_and_validate(raw: QhaPresentation) -> QhaPresentation:
             f"{raw.name}: eps(alpha)*eps(beta) = {ea * eb}, expected 1")
     pres = raw
     if ea != ONE:
-        pres = QhaPresentation(
-            name=raw.name, dim=n, basis=raw.basis, field_tag=raw.field_tag,
-            mult=raw.mult, unit=raw.unit, counit=raw.counit,
-            coproduct=raw.coproduct, phi=raw.phi, phi_inv=raw.phi_inv,
-            antipode=raw.antipode,
-            alpha=raw.alpha.scale(ea.inverse()), beta=raw.beta.scale(ea))
+        pres = replace(raw, alpha=raw.alpha.scale(ea.inverse()), beta=raw.beta.scale(ea))
     report = verify_axioms(pres, first_failure=True)
     for row in report.rows:
         if not row.passed:

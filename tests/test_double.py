@@ -75,6 +75,21 @@ def test_d2_sdi_closed_form(d2):
     assert closed == invert_operator(d2.presentation.antipode)
 
 
+def test_double_report_evaluates_the_sdi_closed_form_once(h2, monkeypatch):
+    """double_report compares the closed form of S_D^-1 with the exact
+    inverse; the modular element takes that inverse from the context."""
+    calls = []
+    original = double.double_antipode_inverse
+
+    def counting(D):
+        calls.append(D)
+        return original(D)
+
+    monkeypatch.setattr(double, "double_antipode_inverse", counting)
+    assert double_report(build_double(h2)).passed()
+    assert len(calls) == 1
+
+
 def test_baseline_double(baseline):
     D = build_double(baseline)
     closed = double_antipode_inverse(D)
