@@ -49,12 +49,16 @@ any adjacent pair of ready factors may merge, in order.  Components that
 still have output legs are outer-multiplied at the end and permuted once.
 The states and the steps between them depend only on the formula, so a
 parsed expression builds their graph on its first evaluation, with each
-estimate written as a product of named quantities (n, the fanouts, the
-supports of the sources); every evaluation prices the graph with its own
-numbers and takes the cheapest route, and the kernel steps of each route
-taken are kept.  This module only plans the leg bookkeeping (which named
-leg sits where); the sparse arithmetic is done by the kernels of
-:mod:`multilinear`.
+estimate written as a product of named quantities (n, the unit support,
+the fanouts, the supports of the sources).  A graph with a single route
+takes it without pricing.  Any other graph searches each set of values of
+those quantities once and keeps the cheapest route, for at most
+:data:`ROUTES` sets, after which its table starts again empty; the kernel
+steps of each route taken are kept too.  Nothing is keyed by the entries
+of a tensor.  A bound tensor keeps the integer form it is first lifted
+into, so evaluations after the first on the same tensors lift nothing.
+This module only plans the leg bookkeeping (which named leg sits where);
+the sparse arithmetic is done by the kernels of :mod:`multilinear`.
 
 Grammar
 -------
@@ -87,7 +91,7 @@ from array import array
 from typing import Mapping, Sequence
 
 from .multilinear import (Functional, LinearOperator, TensorElement, _basis_sum, _join,
-                          _lift, _lift_table, _lower, _map_leg, _merge, _outer)
+                          _lift_kept, _lift_table, _lower, _map_leg, _merge, _outer)
 
 
 class ExpressionError(ValueError):
@@ -409,6 +413,10 @@ class _Reader:
 _QN, _QFN, _QMULT, _QSPLIT, _QUNIT = range(5)
 _NAMES: dict[tuple, tuple] = {}
 _STEPS: dict[tuple, tuple] = {}
+
+# the most sets of priced quantities one graph keeps the route of; a warm
+# catalog-verify op meets at most a few per parsed side
+ROUTES = 64
 
 
 class _Shape:
@@ -747,8 +755,10 @@ class _Network:
 class _Graph:
     """Every state the growth steps reach from the start of one
     expression.  A state depends only on the formula, so the graph is built
-    once and priced for each evaluation.  States are numbered so that a
-    state comes after every state it leads to; the start is the last.  The
+    once, and priced once for each set of values of the quantities it names
+    (``names``, of which ``operators`` are the operators).  States are
+    numbered so that a state comes after every state it leads to; the start
+    is the last.  The
     edges out of state s are ``first[s]:first[s + 1]``: edge e runs the
     growth step ``steps[e]`` to state ``to[e]``, and its kernel work on
     the way is work w = ``via[e]``: the terms numbered
@@ -759,10 +769,11 @@ class _Graph:
     by n to the ``ests[1][i]`` legs, and size s > 0 is the product of size
     ``recipes[0][s - 1]``, size ``recipes[1][s - 1]`` and quantity
     ``recipes[2][s - 1]`` (see :class:`_Shape`).  A graph with one route
-    keeps only that route, in ``fixed``, and the number of its ``states``."""
+    keeps only that route, in ``fixed``, its names and the number of its
+    ``states``."""
 
-    __slots__ = ("states", "names", "fixed", "recipes", "ests", "legs", "terms", "work",
-                 "first", "steps", "to", "via")
+    __slots__ = ("states", "names", "operators", "fixed", "routes", "recipes", "ests", "legs",
+                 "terms", "work", "first", "steps", "to", "via")
 
     def __init__(self, expr: "Expression"):
         start = _Network.start(expr)
@@ -774,6 +785,7 @@ class _Graph:
         self.states = len(edges)
         shape = start.shape
         self.names = tuple(_NAMES.setdefault(name, name) for name in shape.names)
+        self.operators = tuple(name for name in self.names if name[0] == "op")
         if all(len(out) <= 1 for out in edges):
             route, sid = [], len(edges) - 1
             while edges[sid]:
@@ -782,6 +794,7 @@ class _Graph:
             self.fixed = tuple(route)
             return
         self.fixed = None
+        self.routes: dict[tuple, tuple] = {}
         self.recipes = [array("H", column) for column in zip(*shape.recipes[1:])]
         self.ests = [array("H", column) for column in zip(*shape.ests)]
         self.legs = max(self.ests[1])
@@ -803,20 +816,32 @@ class _Graph:
 
     def route(self, expr: "Expression", ops: AlgebraOps) -> tuple:
         """The growth steps of least total estimated work for ``ops`` and
-        the supports of ``expr``'s sources, by dynamic programming: the
-        work to finish from a state does not depend on how it was
-        reached."""
+        the supports of ``expr``'s sources: the one route of a single-route
+        graph, else the route :meth:`search` finds for these quantities,
+        kept in ``routes``.  When ``routes`` holds ``ROUTES`` of them it
+        starts again empty, so a lost race only searches twice."""
         profile = ops.profile()
-        values = []
-        for name in self.names:
-            value = profile.get(name)
-            if value is None:
-                if name[0] != "src":
-                    raise ExpressionError(f"unknown operator {name[1]!r}")
-                value = len(expr.sources[name[1]].entries)
-            values.append(value)
+        for name in self.operators:
+            if name not in profile:
+                raise ExpressionError(f"unknown operator {name[1]!r}")
         if self.fixed is not None:
             return self.fixed
+        sources = expr.sources
+        values = tuple(len(sources[name[1]].entries) if name[0] == "src" else profile[name]
+                       for name in self.names)
+        route = self.routes.get(values)
+        if route is None:
+            route = self.search(values)
+            routes = self.routes
+            if len(routes) >= ROUTES:
+                routes = self.routes = {}
+            routes[values] = route
+        return route
+
+    def search(self, values: tuple) -> tuple:
+        """The route of least total estimated work when the quantities
+        ``names`` have ``values``, by dynamic programming: the work to
+        finish from a state does not depend on how it was reached."""
         n = values[_QN]
         weight = [1 + value for value in values]
         size = [1.0]
@@ -920,7 +945,7 @@ class _Plan:
                 regs.append(_basis_sum(((m, m) for m in range(n)), n))
                 ranks.append(2)
             else:
-                regs.append(_lift(src.entries, n))
+                regs.append(_lift_kept(src, n))
                 ranks.append(src.rank)
         for step in self.steps:
             kind = step[0]

@@ -13,7 +13,8 @@ into that form once, chains the kernels and lowers the result into
 lowest-terms Scalars once; the expression evaluator (``expr``) keeps its
 whole evaluation in it.
 Multiplication tables, operators and functionals keep their own numerator
-form once a kernel has asked for it.
+form once a kernel has asked for it, and so does a tensor an expression
+binds, at the radix it was first lifted at; no kernel changes an operand.
 
 Every nullspace, inverse and rank comes from one incremental echelon,
 ``_Echelon``, whose rows are rank-1 tensors kept as sparse (re, im)
@@ -55,15 +56,18 @@ class MultTable(dict):
 
 
 class TensorElement:
-    """An element of H^(x)rank over a dim-dimensional H, stored sparsely."""
+    """An element of H^(x)rank over a dim-dimensional H, stored sparsely.
+    Its entries are not changed once it is made, so the numerator form a
+    kernel first reads it in is kept, with the radix of its codes."""
 
-    __slots__ = ("rank", "dim", "entries")
+    __slots__ = ("rank", "dim", "entries", "_num")
 
     def __init__(self, rank: int, dim: int,
                  entries: dict[tuple[int, ...], Scalar] | None = None,
                  _trust: bool = False):
         self.rank = rank
         self.dim = dim
+        self._num: tuple[int, Num] | None = None
         if entries is None:
             self.entries = {}
         elif _trust:
@@ -344,6 +348,19 @@ def _lift(entries: Mapping, n: int) -> Num:
             code = code * n + i
         nums[code] = numerator(s, den, qi)
     return nums, den, qi
+
+
+def _lift_kept(t: TensorElement, n: int) -> Num:
+    """``_lift`` of the entries of ``t``, kept on ``t`` for the first radix
+    it is lifted at.  No kernel changes an operand it is given, so every
+    later caller at that radix shares the kept form."""
+    kept = t._num
+    if kept is not None and kept[0] == n:
+        return kept[1]
+    num = _lift(t.entries, n)
+    if kept is None:
+        t._num = n, num
+    return num
 
 
 def _basis_sum(keys: Iterable[Sequence[int]], n: int) -> Num:

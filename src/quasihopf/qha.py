@@ -11,7 +11,7 @@ it normalizes the distinguished elements and machine-checks every axiom.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .exactnum import ONE, Scalar, ZERO
 from .expr import AlgebraOps, Expression
@@ -203,7 +203,8 @@ def _close(closure: _Echelon, pending: list[TensorElement], lefts: Iterable[Line
             pending += [op.apply(v) for op in lefts]
 
 
-def verify_axioms(pres: QhaPresentation, *, first_failure: bool = False) -> VerificationReport:
+def verify_axioms(pres: QhaPresentation, *, first_failure: bool = False,
+                  phi_products: Sequence[TensorElement] | None = None) -> VerificationReport:
     """One report row per axiom, in the order of ``AXIOM_ROWS``; a valid
     presentation passes every row.  ``mult:unit`` runs over the whole basis
     and the other for-all rows with their first argument in the
@@ -216,8 +217,11 @@ def verify_axioms(pres: QhaPresentation, *, first_failure: bool = False) -> Veri
     complete report.  The rows are computed in report order, except that
     ``phi:invertible``, ``antipode:unit`` and ``antipode:anti-morphism`` run
     just before ``q2``, the first row that needs them: so every row's
-    prerequisites are known when it is reached, and its outcome is final."""
-    rows = _axiom_rows(pres)
+    prerequisites are known when it is reached, and its outcome is final.
+    ``phi_products`` are phi phi^-1 and phi^-1 phi when the caller has
+    computed them (``load_and_validate`` does); they are not computed
+    again."""
+    rows = _axiom_rows(pres, phi_products)
     if first_failure:
         rows = _until_first_failure(rows)
     report = VerificationReport(pres.name,
@@ -249,7 +253,8 @@ def _until_first_failure(rows: Iterable[CheckRow]) -> Iterable[CheckRow]:
             first += 1
 
 
-def _axiom_rows(pres: QhaPresentation) -> Iterable[CheckRow]:
+def _axiom_rows(pres: QhaPresentation,
+                phi_products: Sequence[TensorElement] | None) -> Iterable[CheckRow]:
     """The rows of ``verify_axioms`` before prerequisites apply, each
     computed only when the caller asks for it; the set-up of a row comes
     just before the first row that needs it."""
@@ -292,8 +297,8 @@ def _axiom_rows(pres: QhaPresentation) -> Iterable[CheckRow]:
     # the prerequisites of q2 that come later in the report: reassociator
     # invertibility, each product on its own, ...
     unit3 = tensor_product(unit2, unit)
-    yield checks.check_all("phi:invertible", [(phi, phi_inv), (phi_inv, phi)],
-                           lambda ab: [(product(*ab), unit3)])
+    yield checks.check_all("phi:invertible", phi_products or _phi_products(pres),
+                           lambda both: [(both, unit3)])
 
     # ... and the antipode as a unital anti-morphism; column j of s_right[g]
     # is S(e_j) S(e_g)
@@ -346,6 +351,12 @@ def _axiom_rows(pres: QhaPresentation) -> Iterable[CheckRow]:
     yield checks.check_zero("alpha-beta:normalized", eps(alpha) * eps(beta) - ONE)
 
 
+def _phi_products(pres: QhaPresentation) -> Iterator[TensorElement]:
+    """phi phi^-1, then phi^-1 phi, each computed when it is asked for."""
+    for a, b in ((pres.phi, pres.phi_inv), (pres.phi_inv, pres.phi)):
+        yield mult_pointwise(pres.mult, a, b)
+
+
 def _associated_products(pres: QhaPresentation, triples: list[tuple[int, int, int]]
                          ) -> tuple[dict, dict]:
     """(e_i e_j) e_k and e_i (e_j e_k) as rank-1 tensors keyed by (i, j, k):
@@ -376,9 +387,11 @@ def load_and_validate(raw: QhaPresentation) -> QhaPresentation:
     is rejected for, and an accepted one gets the complete report, which
     its context keeps for later axiom suites."""
     unit3 = tensor_product(tensor_product(raw.unit, raw.unit), raw.unit)
-    if (mult_pointwise(raw.mult, raw.phi, raw.phi_inv) != unit3
-            or mult_pointwise(raw.mult, raw.phi_inv, raw.phi) != unit3):
-        raise NonInvertiblePhi(f"{raw.name}: phi * phi_inv != 1 x 1 x 1")
+    phi_products = []
+    for both in _phi_products(raw):
+        if both != unit3:
+            raise NonInvertiblePhi(f"{raw.name}: phi * phi_inv != 1 x 1 x 1")
+        phi_products.append(both)
     ea, eb = raw.counit(raw.alpha), raw.counit(raw.beta)
     if ea * eb != ONE:
         raise BadCounitNormalization(
@@ -386,7 +399,7 @@ def load_and_validate(raw: QhaPresentation) -> QhaPresentation:
     pres = raw
     if ea != ONE:
         pres = replace(raw, alpha=raw.alpha.scale(ea.inverse()), beta=raw.beta.scale(ea))
-    report = verify_axioms(pres, first_failure=True)
+    report = verify_axioms(pres, first_failure=True, phi_products=phi_products)
     for row in report.rows:
         if not row.passed:
             raise AxiomViolation(row.name, row.witness)

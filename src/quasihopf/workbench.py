@@ -322,11 +322,17 @@ def _sparse_to_dict(entries: list[tuple]) -> dict:
 
 
 def load_path(path: str) -> QhaPresentation:
+    """Import the document at ``path``; a file that is not UTF-8 JSON, or
+    nests deeper than the parser recurses, is refused at ``$``."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"not UTF-8: {exc}", "$") from exc
         except json.JSONDecodeError as exc:
             raise SchemaError(f"not valid JSON: {exc}", "$") from exc
+        except RecursionError as exc:
+            raise SchemaError("not valid JSON: nested too deeply", "$") from exc
     return import_document(doc)
 
 

@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import ast
 import gc
+import itertools
+import sys
 import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -15,11 +17,13 @@ import pytest
 
 import quasihopf.expr as expr
 from quasihopf import double, intcoint, qha
-from quasihopf.canonical import FORMS, REGISTRY, _bind, _bind_all, parse
+from quasihopf.canonical import FORMS, LETTERS, REGISTRY, _bind, _bind_all, parse
 from quasihopf.context import AlgebraContext, get_context
 from quasihopf.double import build_double, double_integral
+from quasihopf.exactnum import ONE
 from quasihopf.expr import VAR, AlgebraOps, Expression, ExpressionError, Leg, Op
 from quasihopf.intcoint import cointegral_space
+from quasihopf.multilinear import TensorElement
 from quasihopf.workbench import catalog_build
 from ref_evaluate import ref_evaluate
 from ref_registry import REF, REF_FORMS, REF_MODULES, REF_OPERATORS
@@ -345,6 +349,34 @@ def test_one_side_evaluates_from_several_threads():
     assert results == [expected[k % 2] for k in range(32)]
 
 
+def test_route_memo_and_kept_lifts_under_thread_switches(monkeypatch):
+    """Eight threads evaluate bound copies of one parsed side on four fresh
+    algebras, switching every microsecond, while each graph keeps at most
+    one route (so its table starts again at almost every call) and each
+    source is lifted on first use: every call gives what a side parsed
+    apart gives alone, so a lost race only searches or lifts twice."""
+    monkeypatch.setattr(expr, "ROUTES", 1)
+    names = ("H2", "H8+", "H8-", "kZ2-hopf")
+    text = "S(x1 X2) alpha x2 X3_1 x S(X1) alpha' x3 X3_2"
+    expected = [_bind(ctx, parse(text)[0]).evaluate(ctx.ops)
+                for ctx in (AlgebraContext(catalog_build(name)) for name in names)]
+    contexts = [AlgebraContext(catalog_build(name)) for name in names]
+    (shared,) = parse(text)
+
+    def run(k: int):
+        ctx = contexts[k % 4]
+        return _bind(ctx, shared).evaluate(ctx.ops)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(8) as pool:
+            futures = [pool.submit(run, k) for k in range(64)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [expected[k % 4] for k in range(64)]
+
+
 def test_component_used_twice_names_its_path():
     """A split path used twice is named in full, as the other errors of a
     token tree are."""
@@ -368,3 +400,138 @@ def test_only_expr_builds_expressions_by_hand():
                   and isinstance(node.value, ast.Name) and node.value.id == "expr"):
                 found.append((path.name, node.attr))
     assert found == []
+
+
+# The algebras the route memo is checked on: the catalog algebras, their
+# variants and the double of H2.
+ROUTE_ALGEBRAS = [f"{name}{which}" for name in ("H2", "H8+", "H8-", "kZ2-hopf")
+                  for which in ("", "^op", "^cop", "^opcop")] + ["D(H2)"]
+
+
+def _route_context(algebra: str, d2):
+    if algebra == "D(H2)":
+        return get_context(d2.presentation)
+    name, _, which = algebra.partition("^")
+    ctx = get_context(catalog_build(name))
+    return ctx.variant_ctx(which) if which else ctx
+
+
+def _bound_to(ctx, side: Expression) -> Expression:
+    """``side`` bound to the tensors of ``ctx``; a letter that only its
+    module binds (or binds at another rank) gets the basis tensor e_0 (x)
+    ... (x) e_0, since a route reads only supports."""
+    n = ctx.pres.dim
+    stand_ins = {name: TensorElement.basis(n, *[0] * src.rank)
+                 for name, src in side.sources.items()
+                 if src != VAR and LETTERS.get(name, (None, None))[1] != src.rank}
+    return _bind(ctx, side, **stand_ins)
+
+
+def _priced(graph, side: Expression, ops: AlgebraOps) -> tuple:
+    """The quantities ``graph`` prices, read here from ``ops`` and the
+    sources of ``side``."""
+    profile = ops.profile()
+    return tuple(len(side.sources[name[1]].entries) if name[0] == "src" else profile[name]
+                 for name in graph.names)
+
+
+@pytest.fixture(scope="module")
+def route_cases(d2):
+    """(algebra, label, bound side, ops) for every parsed side on every
+    algebra of ROUTE_ALGEBRAS, in that order."""
+    sides = _parsed_sides()
+    cases = []
+    for algebra in ROUTE_ALGEBRAS:
+        ctx = _route_context(algebra, d2)
+        cases += [(algebra, label, _bound_to(ctx, side), ctx.ops) for label, side in sides.items()]
+    return cases
+
+
+@pytest.fixture
+def searches(monkeypatch):
+    """The number of route searches run since the last reset to 0."""
+    count = [0]
+    search = expr._Graph.search
+
+    def counted(self, values):
+        count[0] += 1
+        return search(self, values)
+
+    monkeypatch.setattr(expr._Graph, "search", counted)
+    return count
+
+
+def test_memoized_route_equals_a_fresh_search(route_cases):
+    """On every algebra the route a graph keeps for a parsed side is the
+    one a search at that side's quantities finds now, also when the
+    graph's memo was filled by the algebras before it, and again once every
+    algebra has been priced."""
+    graphs = {label: expr._Graph(side) for label, side in _parsed_sides().items()}
+    multi = set()
+    for _ in range(2):
+        for algebra, label, side, ops in route_cases:
+            graph = graphs[label]
+            route = graph.route(side, ops)
+            if graph.fixed is None:
+                multi.add(label)
+                assert route == graph.search(_priced(graph, side, ops)), (algebra, label)
+            else:
+                assert route is graph.fixed
+    assert len(multi) > 100
+
+
+def test_second_pricing_runs_no_search(route_cases, searches, h8p):
+    """A graph prices a set of quantities once: planning a side again at
+    the same quantities, as every evaluation does, runs no search, and a
+    second evaluation of a parsed side on H8+ runs none either."""
+    planners = {label: expr._Planner() for label in _parsed_sides()}
+    for algebra, label, side, ops in route_cases:
+        planner = planners[label]
+        planner.plan(side, ops)
+        searches[0] = 0
+        assert planner.plan(side, ops) is planner.plan(side, ops), (algebra, label)
+        assert searches[0] == 0, (algebra, label)
+    ctx = get_context(h8p)
+    for label, side in _parsed_sides().items():
+        bound = _bound_to(ctx, side)
+        first = bound.evaluate(ctx.ops)
+        searches[0] = 0
+        assert bound.evaluate(ctx.ops) == first, label
+        assert searches[0] == 0, label
+
+
+def test_route_memo_stays_at_its_bound(h8p, searches):
+    """A graph that meets more sets of quantities than ROUTES keeps at
+    most ROUTES routes, searches each new set once, and every route it
+    returns is the one a search finds."""
+    ctx = get_context(h8p)
+    (side, _) = FORMS["gamma"]
+    graph = expr._Graph(side)
+    assert graph.fixed is None
+    keys = list(itertools.product(range(ctx.pres.dim), repeat=3))
+    for k in range(1, expr.ROUTES + 21):
+        # phi^-1 stands in with support k
+        bound = _bind(ctx, side, x=TensorElement(3, ctx.pres.dim, dict.fromkeys(keys[:k], ONE)))
+        searches[0] = 0
+        route = graph.route(bound, ctx.ops)
+        assert searches[0] == 1, k
+        assert len(graph.routes) <= expr.ROUTES
+        assert route == graph.search(_priced(graph, bound, ctx.ops))
+
+
+def test_unknown_operator_on_a_single_route_side_raises(h2):
+    """A side whose graph has one route still names an operator that the
+    algebra does not have, before any kernel runs."""
+    ctx = get_context(h2)
+    bare = AlgebraOps(ctx.pres.dim, ctx.pres.mult, ctx.pres.unit, ctx.pres.coproduct,
+                      functionals=ctx.ops.functionals)
+    checked = 0
+    for label, side in _parsed_sides().items():
+        graph = expr._Graph(side)
+        if graph.fixed is None or not graph.operators:
+            continue
+        bound = _bound_to(ctx, side)
+        with pytest.raises(ExpressionError, match="unknown operator"):
+            bound.evaluate(bare)
+        checked += 1
+    assert checked > 10

@@ -176,6 +176,49 @@ def test_expression_evaluate_leaves_no_reference_cycle(ctx_h8p):
         gc.enable()
 
 
+@pytest.mark.parametrize("name", ["kZ2-hopf", "H8+"])
+def test_no_kernel_changes_an_operand(name, monkeypatch):
+    """No kernel an evaluation runs changes a numerator form it is given or
+    returns one as its result, so the form a bound tensor keeps can be
+    shared: evaluated again, both sides of every registry identity, over Q
+    (kZ2-hopf) and over Q(i) (H8+), give the same tensors and lift no
+    source."""
+    import quasihopf.expr as expr
+    import quasihopf.multilinear as multilinear
+    from quasihopf.canonical import REGISTRY
+    from quasihopf.context import get_context
+    from quasihopf.workbench import catalog_build
+
+    def guarded(kernel):
+        def run(*args):
+            given = [(arg[0], dict(arg[0])) for arg in args
+                     if type(arg) is tuple and len(arg) == 3 and type(arg[0]) is dict]
+            out = kernel(*args)
+            made = out[0] if type(out) is tuple else out
+            for nums, before in given:
+                assert nums == before and made is not nums, kernel.__name__
+            return out
+        return run
+
+    for kernel in ("_join", "_merge", "_map_leg", "_outer", "_lower"):
+        monkeypatch.setattr(expr, kernel, guarded(getattr(expr, kernel)))
+    lifts = [0]
+    lift = multilinear._lift
+
+    def counted(entries, n):
+        lifts[0] += 1
+        return lift(entries, n)
+
+    monkeypatch.setattr(multilinear, "_lift", counted)
+    ctx = get_context(catalog_build(name))
+    sides = [side for ident in REGISTRY.values() if not ident.custom
+             for side in ident.build(ctx)]
+    first = [side.evaluate(ctx.ops) for side in sides]
+    lifts[0] = 0
+    assert [side.evaluate(ctx.ops) for side in sides] == first
+    assert lifts[0] == 0
+
+
 @pytest.mark.parametrize("name", ["H2", "H8+", "H8-", "kZ2-hopf"])
 def test_expression_leg_bookkeeping_matches_kernels(name):
     """Merges, splits, contractions and operators planned by ``Expression``

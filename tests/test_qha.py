@@ -93,6 +93,31 @@ def test_phi_invertible_row_checks_each_product(h8p):
     assert row.witness == TensorElement(3, 8, {(x, 0, 0): ONE})
 
 
+def test_validation_multiplies_phi_by_its_inverse_once_each_way(monkeypatch):
+    """``load_and_validate`` computes phi phi^-1 and phi^-1 phi once: the
+    ``phi:invertible`` row reads the products its ``NonInvertiblePhi``
+    check made, and ``verify_axioms`` alone still computes them."""
+    pres = catalog_build("H8+")
+    made = []
+    product = qha.mult_pointwise
+
+    def counted(mult, a, b):
+        made.append((a, b))
+        return product(mult, a, b)
+
+    monkeypatch.setattr(qha, "mult_pointwise", counted)
+
+    def phi_products() -> int:
+        count = sum((a, b) in ((pres.phi, pres.phi_inv), (pres.phi_inv, pres.phi))
+                    for a, b in made if a is pres.phi or a is pres.phi_inv)
+        made.clear()
+        return count
+    load_and_validate(pres)
+    assert phi_products() == 2
+    row = next(row for row in verify_axioms(pres).rows if row.name == "phi:invertible")
+    assert row.passed and phi_products() == 2
+
+
 def test_load_rejects_bad_counit_normalization(h2):
     bad = QhaPresentation(
         name="H2-bad", dim=2, basis=h2.basis, field_tag=h2.field_tag,

@@ -22,7 +22,7 @@ from quasihopf.exactnum import FIELD_Q, FIELD_QI, ParseError
 from quasihopf.qha import AxiomViolation, BadCounitNormalization, NonInvertiblePhi
 from quasihopf.workbench import (CATALOG_NAMES, SchemaError, UnknownCatalogName,
                                  catalog_build, export_document, import_document,
-                                 render_document, resolve_target)
+                                 load_path, render_document, resolve_target)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -209,23 +209,34 @@ LOOSE_DOCUMENTS = [
     _h2_with_superscript_digit, _h2_with_unknown_key, _h2_with_arabic_indic_digit]
 
 
-@pytest.mark.parametrize("corrupt", LOOSE_DOCUMENTS)
+def _not_utf8(doc: dict) -> tuple[str, bytes]:
+    return "$", b'\xff\xfe{"a":1}'
+
+
+def _nested_200000_deep(doc: dict) -> tuple[str, bytes]:
+    return "$", b"[" * 200_000 + b"]" * 200_000
+
+
+@pytest.mark.parametrize("corrupt", [*LOOSE_DOCUMENTS, _not_utf8, _nested_200000_deep])
 def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
     """A bool index or dim, an imaginary part in a Q document (even
     ``+0*i``), a repeated sparse key, a field that is not a string, a key
     the format does not have and a scalar written with a digit that is not
     ASCII are refused on import with the JSON path of the offending value,
     instead of being read as 0 or 1, as rational, summed, ignored or
-    failing with a TypeError or ValueError."""
+    failing with a TypeError or ValueError.  A file that is not UTF-8, or
+    nests deeper than the JSON parser recurses, is refused at ``$`` (a
+    corruption that returns bytes replaces the whole file)."""
     doc = export_document(h2)
-    path_of_value = corrupt(doc)
+    found = corrupt(doc)
+    path_of_value, text = found if type(found) is tuple else (found, render_document(doc).encode())
     path = tmp_path / "loose.json"
-    path.write_text(render_document(doc))
+    path.write_bytes(text)
     assert cli_main(["verify", str(path), "--suite", "axioms"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"(at {path_of_value})" in err
     with pytest.raises(SchemaError) as exc:
-        import_document(doc)
+        load_path(str(path))
     assert exc.value.path == path_of_value
 
 
