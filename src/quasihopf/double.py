@@ -63,6 +63,8 @@ FORMS: dict[str, tuple[Expression, ...]] = {
     # Si(ql2 g2) = Si(g2) Si(ql2)
     "modular-second": parse("mu(ql1 g1) mui(pl1) mui(Si(g2)_1 Si(ql2)_1) Si(g2)_2 Si(ql2)_2 pl2"),
     "unimodular-conjecture": parse("mui(delta2) delta1"),
+    # the integral T of the double is two-sided: h T = T h = eps(h) T
+    "two-sided-integral": parse("h T = T h = eps(h) T", T=1),
 }
 
 
@@ -312,13 +314,9 @@ def double_report(D: DoublePresentation) -> VerificationReport:
     # the explicit two-sided integral
     big_t = double_integral(D)
     eps_d = pres_d.counit
-    d_t = multiplication_operator(pres_d.mult, big_t, "right").columns
-    t_d = multiplication_operator(pres_d.mult, big_t, "left").columns
-
-    def two_sided(k: int):
-        scaled = big_t.scale(eps_d.coords[k])
-        return [(d_t[k], scaled), (t_d[k], scaled)]
-    report.check_all("double:T-two-sided-integral", range(nd), two_sided)
+    report.check_all("double:T-two-sided-integral",
+                     intcoint._for_every_h(ctx_d, FORMS["two-sided-integral"], T=big_t),
+                     lambda sides: [(side, sides[2]) for side in sides[:2]])
     t_pairing = base.mu_inv(H.beta) * base.lam(base.r)
     report.add("double:T-nonzero", not big_t.is_zero() and not t_pairing.is_zero())
     report.add("double:T-spans-integral-line", intcoint._proportional_el(big_t, ctx_d.t))
@@ -343,8 +341,7 @@ def double_report(D: DoublePresentation) -> VerificationReport:
     report.add("double:right-cointegral-spans-right-line",
                intcoint._proportional_fn(right_fn, ctx_d.big_lam))
     # Gamma o S_D = S(r) |><| lam o S
-    gamma_sd = Functional([gamma_fn(pres_d.antipode.apply(pres_d.basis_element(k)))
-                           for k in range(nd)])
+    gamma_sd = _compose_functional(gamma_fn, pres_d.antipode)
     s_r = H.antipode.apply(base.r).coords()
     lam_s = _compose_functional(base.lam, H.antipode).coords
     expected = Functional([s_r[i] * lam_s[j] for i in range(n) for j in range(n)])

@@ -264,31 +264,33 @@ def render_scalar(s: Scalar) -> str:
     return text
 
 
+def _digits(text: str, start: int, pos: int, missing: str) -> tuple[int, int]:
+    """``text[start:]`` up to the end of the ASCII digit run at ``pos``, as
+    an int, and that end.  No run, or a run longer than the interpreter
+    converts (``sys.get_int_max_str_digits``), is a parse error at ``pos``."""
+    run = pos
+    while pos < len(text) and "0" <= text[pos] <= "9":
+        pos += 1
+    if pos == run:
+        raise ParseError(missing, pos)
+    try:
+        return int(text[start:pos]), pos
+    except ValueError:
+        raise ParseError("too many digits", run) from None
+
+
 def _parse_rational(text: str, pos: int) -> tuple[int, int, int]:
     """The numerator, the positive denominator (not reduced) and the end
     offset of the rational at ``pos``.  A digit is an ASCII digit, as in the
     pattern of the document schema."""
-    start, end = pos, len(text)
-    if pos < end and text[pos] in "+-":
-        pos += 1
-    digits_start = pos
-    while pos < end and "0" <= text[pos] <= "9":
-        pos += 1
-    if pos == digits_start:
-        raise ParseError("expected digits", pos)
-    num = int(text[start:pos])
-    if pos == end or text[pos] != "/":
+    sign = 1 if pos < len(text) and text[pos] in "+-" else 0
+    num, pos = _digits(text, pos, pos + sign, "expected digits")
+    if pos == len(text) or text[pos] != "/":
         return num, 1, pos
-    pos += 1
-    den_start = pos
-    while pos < end and "0" <= text[pos] <= "9":
-        pos += 1
-    if pos == den_start:
-        raise ParseError("expected denominator digits", pos)
-    den = int(text[den_start:pos])
+    den, end = _digits(text, pos + 1, pos + 1, "expected denominator digits")
     if den == 0:
-        raise ParseError("zero denominator", den_start)
-    return num, den, pos
+        raise ParseError("zero denominator", pos + 1)
+    return num, den, end
 
 
 def parse_scalar(text: str) -> Scalar:

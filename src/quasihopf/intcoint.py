@@ -7,30 +7,29 @@ dim^2 scalar equations), with every shortcut characterization kept as an
 independent cross-check rather than used for solving.  A relation that
 must hold for every h leaves h a free variable: one evaluation of each side
 gives a table whose first leg is h's index, and ``columns_of`` splits it
-into one (functional-argument, output-leg) table per basis element, in
-basis order.  The rows of those tables, read sparsely with ``columns_of``
-again, go straight to ``multilinear.solve_constraints``.
+into one table per basis element, in basis order, which a row compares
+(reading scalars with ``coeff``) or whose rows, read sparsely with
+``columns_of`` again, go straight to ``multilinear.solve_constraints``.
 
 Every expression is a formula in the grammar of :mod:`expr`, parsed when
 this module is imported (:data:`FORMS`).  The letters are those of
-``canonical.LETTERS``; the few others (pre-merged pairs, constants) are
-declared with their number of legs beside the formula that uses them.  The
-argument leg of an unknown functional, the "hole" of a linear system, is
-an ordinary leg.
+``canonical.LETTERS``; the few others (pre-merged pairs, constants, a
+Frobenius element) are declared with their number of legs beside the
+formula that uses them.  The argument leg of an unknown functional, the
+"hole" of a linear system, is an ordinary leg.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .canonical import _bind, _bind_all, _value, evaluate_identity, parse
 from .exactnum import ONE, Scalar
 from .expr import VAR, AlgebraOps, Expression
 from .multilinear import (Functional, LinearOperator, SingularOperator, TensorElement,
-                          apply_on_leg, columns_of, contract, invert_operator,
-                          multiplication_operator, permute_legs, solve_constraints)
-from .qha import _compose_functional, hit_functional_left, hit_functional_right
+                          columns_of, contract, invert_operator, multiplication_operator,
+                          permute_legs, solve_constraints)
+from .qha import _compose_functional
 from .report import VerificationReport, first_difference
 
 
@@ -137,11 +136,45 @@ FORMS: dict[str, tuple[Expression, ...]] = {
     # the Frobenius isomorphism, with the dual-basis coordinate as its hole
     "xi": parse("S(q2 t_2 p2) x q1 t_1 p1"),
     "S_mu": parse("mu(S(h)_1) S(h)_2"),
+    # the integral spaces, with the candidate integral on h'
+    "integral-left": parse("h h' = eps(h) h'"),
+    "integral-right": parse("h' h = eps(h) h'"),
+    # the rows of integral_report on the integrals and mu
+    "t*h": parse("t h = mu(h) t"),
+    "h*r": parse("h r = mui(h) r"),
+    "mu-algebra-map": parse("mu(h h') = mu(h) mu(h')"),
+    "mu-convolution": parse("mu(h_1) mui(h_2) = mui(h_1) mu(h_2) = eps(h)"),
+    # a Frobenius system (phi, E), read with phi as lam (_with_lam): the
+    # Nakayama automorphism chi(h) = (h -> phi)(E1) E2 and its inverse
+    # (phi <- h)(E2) E1, the centrality of E and h -> phi = phi <- chi(h)
+    "chi": parse("lam(E1 h) E2", E=2),
+    "chi^-1": parse("lam(h E2) E1", E=2),
+    "centrality": parse("h E1 x E2 = E1 x E2 h", E=2),
+    "nakayama-shift": parse("lam(h' h) = lam(E1 h) lam(E2 h')", E=2),
+    # the inverse of xi, h |-> h -> (lam o Si), on dual-basis coordinates h'
+    "xi^-1": parse("lam(Si(h' h))"),
 }
 CONDITIONS = ("left-ii", "left-iii", "left-iv", "right-i", "right-ii", "right-iii")
 
 
 # -- integrals -------------------------------------------------------------------
+
+
+def _with_lam(ctx, lam: Functional) -> AlgebraOps:
+    """``ctx.ops`` with ``lam`` as its only functional, for a formula that
+    reads another functional than the context's own lam as lam."""
+    shared = ctx.ops
+    return AlgebraOps(shared.dim, shared.mult, shared.unit, shared.coproduct,
+                      shared.operators, {"lam": lam})
+
+
+def _for_every_h(ctx, sides: tuple[Expression, ...], ops: AlgebraOps | None = None,
+                 **tensors: TensorElement) -> list[tuple[TensorElement, ...]]:
+    """Each side bound to ``ctx`` (and ``tensors``), evaluated once on
+    ``ops`` (else ``ctx.ops``) and split along the index leg of h: one
+    tuple of sides per basis element h, in basis order."""
+    return list(zip(*(columns_of(side.evaluate(ops or ctx.ops))
+                      for side in _bind_all(ctx, sides, **tensors))))
 
 
 def _nullspace(n: int, tables) -> list[list[Scalar]]:
@@ -152,20 +185,12 @@ def _nullspace(n: int, tables) -> list[list[Scalar]]:
 
 
 def integral_space(pres, side: str) -> list[TensorElement]:
-    """Basis of { t : h t = eps(h) t } (left) or { t : t h = eps(h) t }."""
-    n = pres.dim
-    identity = TensorElement(2, n, {(j, j): ONE for j in range(n)})
-
-    def table(h: TensorElement) -> TensorElement:
-        # [j, m]: the e_m coefficient of h e_j (left) or e_j h (right), less
-        # eps(h) when j = m
-        cols = multiplication_operator(pres.mult, h, side).columns
-        products = TensorElement(2, n, {(j, m): v for j, col in enumerate(cols)
-                                        for (m,), v in col.entries.items()})
-        return products - identity.scale(pres.counit(h))
-
-    return [TensorElement.vector(vec)
-            for vec in _nullspace(n, (table(pres.basis_element(d)) for d in range(n)))]
+    """Basis of { t : h t = eps(h) t } (left) or { t : t h = eps(h) t }:
+    one table [t-coordinate, m] of equations per basis element h."""
+    ops = AlgebraOps(pres.dim, pres.mult, pres.unit, pres.coproduct,
+                     functionals={"eps": pres.counit})
+    lhs, rhs = (form.evaluate(ops) for form in FORMS[f"integral-{side}"])
+    return [TensorElement.vector(vec) for vec in _nullspace(pres.dim, columns_of(lhs - rhs))]
 
 
 def compute_integral_data(ctx) -> IntegralData:
@@ -185,9 +210,8 @@ def compute_integral_data(ctx) -> IntegralData:
         if prod != t.scale(coords[-1]):
             raise DimensionNotOne(f"{pres.name}: t*h is not proportional to t")
     mu = Functional(coords)
-    mu_inv = Functional([mu(pres.antipode.apply(pres.basis_element(i)))
-                         for i in range(pres.dim)])
-    return IntegralData(left_basis=t, right_basis=right[0], mu=mu, mu_inv=mu_inv)
+    return IntegralData(left_basis=t, right_basis=right[0], mu=mu,
+                        mu_inv=_compose_functional(mu, pres.antipode))
 
 
 def is_unimodular(ctx) -> bool:
@@ -293,12 +317,8 @@ def compute_cointegral_data(ctx) -> CointegralData:
         raise DegeneratePairing(f"{pres.name}: Lambda(S(t)) = 0")
     big_lam = big0.scale(scale_r.inverse())
 
-    # the context's own lam is what is being computed: these two formulas
-    # read this lam through an AlgebraOps of their own, which shares the
-    # rest of ctx.ops
-    shared = ctx.ops
-    ops = AlgebraOps(shared.dim, shared.mult, shared.unit, shared.coproduct,
-                     shared.operators, {"lam": lam})
+    # the context's own lam is what is being computed
+    ops = _with_lam(ctx, lam)
     g_mod, g_inv = (_bind(ctx, *FORMS[name]).evaluate(ops) for name in ("gmod", "gmod^-1"))
     if pres.multiply(g_mod, g_inv) != pres.unit or pres.multiply(g_inv, g_mod) != pres.unit:
         raise DegeneratePairing(f"{pres.name}: modular element is not invertible")
@@ -341,23 +361,18 @@ def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
         e = _value(ctx, *FORMS["e-op"], d=ctx.comparison.d)
     else:
         raise ValueError(f"unknown Frobenius system {which!r}")
-    # chi(h) = (h -> phi)(e1) e2 and chi^-1(h) = (phi <- h)(e2) e1
-    basis = [pres.basis_element(i) for i in range(pres.dim)]
-    chi = LinearOperator(pres.dim, [contract(hit_functional_left(pres, h, phi), e, 0)
-                                    for h in basis])
-    chi_inv = LinearOperator(pres.dim, [contract(hit_functional_right(pres, phi, h), e, 1)
-                                        for h in basis])
+    ops = _with_lam(ctx, phi)
+    chi, chi_inv = (LinearOperator(pres.dim, columns_of(side.evaluate(ops)))
+                    for side in _bind_all(ctx, FORMS["chi"] + FORMS["chi^-1"], E=e))
     return FrobeniusSystem(phi=phi, e=e, nakayama=chi, nakayama_inv=chi_inv)
 
 
 def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationReport:
     pres = ctx.pres
     report = VerificationReport(pres.name)
-    basis = pres.basis_element
-    # a e1 x e2 vs e1 x e2 a, computed leg-wise
-    report.check_all(f"frobenius:{label}:centrality", range(pres.dim), lambda i: [
-        (apply_on_leg(multiplication_operator(pres.mult, basis(i), "left"), system.e, 0),
-         apply_on_leg(multiplication_operator(pres.mult, basis(i), "right"), system.e, 1))])
+    ops = _with_lam(ctx, system.phi)
+    report.check_all(f"frobenius:{label}:centrality",
+                     _for_every_h(ctx, FORMS["centrality"], ops, E=system.e), lambda pair: [pair])
     report.check_zero(f"frobenius:{label}:phi(e1)e2=1",
                       contract(system.phi, system.e, 0) - pres.unit)
     report.check_zero(f"frobenius:{label}:phi(e2)e1=1",
@@ -366,10 +381,9 @@ def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationRe
     report.add(f"frobenius:{label}:nakayama-invertible",
                system.nakayama.compose(system.nakayama_inv) == ident
                and system.nakayama_inv.compose(system.nakayama) == ident)
-    # a -> phi = phi <- chi(a) on every basis element
-    report.check_all(f"frobenius:{label}:nakayama-shift", range(pres.dim), lambda i: [
-        (hit_functional_left(pres, basis(i), system.phi),
-         hit_functional_right(pres, system.phi, system.nakayama.apply(basis(i))))])
+    report.check_all(f"frobenius:{label}:nakayama-shift",
+                     _for_every_h(ctx, FORMS["nakayama-shift"], ops, E=system.e),
+                     lambda pair: [pair])
     return report
 
 
@@ -574,17 +588,12 @@ def xi_report(ctx) -> VerificationReport:
     n = pres.dim
     report = VerificationReport(pres.name)
     xi = xi_operator(ctx)
-    phi = _compose_functional(ctx.lam, ctx.s_inv)
-    # claimed inverse: h |-> h -> (lam o Si), i.e. coords a of the functional
-    xi_inv = LinearOperator(n, [
-        TensorElement.vector(hit_functional_left(pres, pres.basis_element(j), phi).coords)
-        for j in range(n)])
+    phi = TensorElement.vector(_compose_functional(ctx.lam, ctx.s_inv).coords)
+    xi_inv = LinearOperator(n, columns_of(_value(ctx, *FORMS["xi^-1"])))
     ident = LinearOperator.identity(n)
     ok = xi.compose(xi_inv) == ident and xi_inv.compose(xi) == ident
     report.add("xi:bijective-with-stated-inverse", ok)
-    report.add("xi:normalization", xi_inv.apply(pres.unit) ==
-               TensorElement.vector(list(phi.coords)) and
-               xi.apply(TensorElement.vector(list(phi.coords))) == pres.unit)
+    report.add("xi:normalization", xi_inv.apply(pres.unit) == phi and xi.apply(phi) == pres.unit)
     return report
 
 
@@ -598,33 +607,22 @@ def s_mu_operator(ctx) -> LinearOperator:
 
 def integral_report(ctx) -> VerificationReport:
     pres = ctx.pres
-    n = pres.dim
     report = VerificationReport(pres.name)
-    data = ctx.integral_data
     report.add("integrals:left-dimension-one", True)
     report.add("integrals:right-dimension-one", True)
 
-    e = pres.basis_element
-    t_h = multiplication_operator(pres.mult, ctx.t, "left").columns
-    h_r = multiplication_operator(pres.mult, ctx.r, "right").columns
-    report.check_all("integrals:t*h=mu(h)t", range(n), lambda i: [
-        (t_h[i], ctx.t.scale(ctx.mu(e(i))))])
-    report.check_all("integrals:h*r=mui(h)r", range(n), lambda i: [
-        (h_r[i], ctx.r.scale(ctx.mu_inv(e(i))))])
-    mu_after = [hit_functional_right(pres, ctx.mu, e(i)) for i in range(n)]    # mu(e_i -)
-    report.check_all("integrals:mu-is-algebra-map", product(range(n), repeat=2), lambda ij: [
-        (mu_after[ij[0]].coords[ij[1]], ctx.mu(e(ij[0])) * ctx.mu(e(ij[1])))])
+    for row, form in (("integrals:t*h=mu(h)t", "t*h"), ("integrals:h*r=mui(h)r", "h*r")):
+        report.check_all(row, _for_every_h(ctx, FORMS[form]), lambda pair: [pair])
+    report.check_all("integrals:mu-is-algebra-map", _for_every_h(ctx, FORMS["mu-algebra-map"]),
+                     lambda pair: list(zip(*(side.coords() for side in pair))))
 
-    mu_si = _compose_functional(ctx.mu, ctx.s_inv)
     report.add("integrals:mui=mu.S=mu.Si",
-               data.mu_inv == mu_si and data.mu_inv ==
+               ctx.mu_inv == _compose_functional(ctx.mu, ctx.s_inv) and ctx.mu_inv ==
                _compose_functional(ctx.mu, pres.antipode))
 
-    def convolution(i: int):
-        d = pres.coproduct.apply(e(i))
-        return [(ctx.mu(contract(ctx.mu_inv, d, 1)), pres.counit(e(i))),
-                (ctx.mu_inv(contract(ctx.mu, d, 1)), pres.counit(e(i)))]
-    report.check_all("integrals:mu-convolution-inverse", range(n), convolution)
+    report.check_all("integrals:mu-convolution-inverse",
+                     _for_every_h(ctx, FORMS["mu-convolution"]),
+                     lambda sides: [(side.coeff(), sides[2].coeff()) for side in sides[:2]])
 
     report.check_zero("integrals:mu(ab)mui(ab)=1", evaluate_identity(ctx, "mumuinv"))
 

@@ -1,6 +1,8 @@
 """Reference builders for the named identities, the canonical elements and
 the formulas of ``intcoint``, ``double`` and ``qha``: each side written out
-by hand as an ``Expression``.
+by hand as an ``Expression``, or, for the relations over every h that the
+modules once checked one basis element at a time, as that loop
+(:class:`Loop`).
 
 This is how those modules built their expressions before every one of them
 was parsed from a formula.  It is kept only as the reference the parsed
@@ -16,10 +18,12 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from quasihopf.exactnum import ONE
+from quasihopf.exactnum import ONE, Scalar
 from quasihopf.expr import VAR, Expression, Fn, Leg, Op, Ref
-from quasihopf.multilinear import TensorElement, multiplication_operator
-from quasihopf.qha import generating_set
+from quasihopf.multilinear import (Functional, TensorElement, apply_on_leg, contract,
+                                   multiplication_operator)
+from quasihopf.qha import (_compose_functional, generating_set, hit_functional_left,
+                           hit_functional_right)
 
 
 def r(name: str, comp: int = 1, *tokens: int | str) -> Ref:
@@ -1138,6 +1142,113 @@ def _unimodular_shortcut(ctx, name):
     return {}, (lhs, rhs)
 
 
+class Loop:
+    """A side the module computed one basis element h at a time, kept as
+    that loop: ``evaluate(ops)`` runs it, reading its functionals from
+    ``ops`` as the parsed side does, and stacks the results along h's index
+    leg (and h' after it, when there is one)."""
+
+    def __init__(self, run: Callable):
+        self.run = run
+
+    def evaluate(self, ops) -> TensorElement:
+        return self.run(ops)
+
+
+def _stacked(n: int, per_h) -> TensorElement:
+    """The tensor whose slice at index h is ``per_h[h]``: a tensor, a
+    functional (its coordinates) or a scalar."""
+    slices = [TensorElement.vector(item.coords) if isinstance(item, Functional)
+              else TensorElement(0, n, {(): item}) if isinstance(item, Scalar) else item
+              for item in per_h]
+    return TensorElement(slices[0].rank + 1, n, {(h, *key): value
+                                                 for h, item in enumerate(slices)
+                                                 for key, value in item.entries.items()})
+
+
+@_module("intcoint", "integral-left", "integral-right")
+def _integral_spaces(ctx, name):
+    """The table of integral_space for every h: [j, m], the e_m coefficient
+    of h e_j (left) or e_j h (right), and eps(h) when j = m."""
+    pres, n = ctx.pres, ctx.pres.dim
+    side = name.split("-")[1]
+    identity = TensorElement(2, n, {(j, j): ONE for j in range(n)})
+    e = pres.basis_element
+    return {}, (
+        Loop(lambda ops: _stacked(n, [_stacked(n, multiplication_operator(
+            pres.mult, e(h), side).columns) for h in range(n)])),
+        Loop(lambda ops: _stacked(n, [identity.scale(ops.functionals.get("eps")(e(h)))
+                                      for h in range(n)])))
+
+
+@_module("intcoint", "t*h", "h*r", "mu-algebra-map", "mu-convolution")
+def _integral_rows(ctx, name):
+    """The loops of integral_report over the integrals and mu."""
+    pres, n = ctx.pres, ctx.pres.dim
+    e = pres.basis_element
+    t, r = ctx.t, ctx.r
+
+    def fn(ops, name):
+        return ops.functionals.get(name)
+
+    def convolution(ops, first, second):
+        return _stacked(n, [fn(ops, first)(contract(fn(ops, second),
+                                                    pres.coproduct.apply(e(i)), 1))
+                            for i in range(n)])
+    return {}, {
+        "t*h": (Loop(lambda ops: _stacked(n, multiplication_operator(pres.mult, t,
+                                                                     "left").columns)),
+                Loop(lambda ops: _stacked(n, [t.scale(fn(ops, "mu")(e(i))) for i in range(n)]))),
+        "h*r": (Loop(lambda ops: _stacked(n, multiplication_operator(pres.mult, r,
+                                                                     "right").columns)),
+                Loop(lambda ops: _stacked(n, [r.scale(fn(ops, "mui")(e(i))) for i in range(n)]))),
+        "mu-algebra-map": (
+            Loop(lambda ops: _stacked(n, [hit_functional_right(pres, fn(ops, "mu"), e(i))
+                                          for i in range(n)])),
+            Loop(lambda ops: _stacked(n, [
+                _stacked(n, [fn(ops, "mu")(e(i)) * fn(ops, "mu")(e(j)) for j in range(n)])
+                for i in range(n)]))),
+        "mu-convolution": (Loop(lambda ops: convolution(ops, "mu", "mui")),
+                           Loop(lambda ops: convolution(ops, "mui", "mu")),
+                           Loop(lambda ops: _stacked(n, [fn(ops, "eps")(e(i))
+                                                         for i in range(n)]))),
+    }[name]
+
+
+@_module("intcoint", "chi", "chi^-1", "centrality", "nakayama-shift", "xi^-1")
+def _frobenius_rows(ctx, name):
+    """The loops of frobenius_system, verify_frobenius and xi_report, on
+    the left Frobenius element E and with lam as the functional phi."""
+    pres, n = ctx.pres, ctx.pres.dim
+    e = pres.basis_element
+    big_e = ctx.frobenius("left").e
+
+    def chi(phi, h):
+        return contract(hit_functional_left(pres, h, phi), big_e, 0)
+
+    def lam(ops):
+        return ops.functionals.get("lam")
+    sides = {
+        "chi": (Loop(lambda ops: _stacked(n, [chi(lam(ops), e(h)) for h in range(n)])),),
+        "chi^-1": (Loop(lambda ops: _stacked(n, [
+            contract(hit_functional_right(pres, lam(ops), e(h)), big_e, 1) for h in range(n)])),),
+        "centrality": (
+            Loop(lambda ops: _stacked(n, [apply_on_leg(multiplication_operator(
+                pres.mult, e(i), "left"), big_e, 0) for i in range(n)])),
+            Loop(lambda ops: _stacked(n, [apply_on_leg(multiplication_operator(
+                pres.mult, e(i), "right"), big_e, 1) for i in range(n)]))),
+        "nakayama-shift": (
+            Loop(lambda ops: _stacked(n, [hit_functional_left(pres, e(i), lam(ops))
+                                          for i in range(n)])),
+            Loop(lambda ops: _stacked(n, [hit_functional_right(pres, lam(ops),
+                                                               chi(lam(ops), e(i)))
+                                          for i in range(n)]))),
+        "xi^-1": (Loop(lambda ops: _stacked(n, [hit_functional_left(
+            pres, e(j), _compose_functional(lam(ops), ops.operators["Si"])) for j in range(n)])),),
+    }
+    return ({} if name == "xi^-1" else {"E": big_e}), sides[name]
+
+
 def _omega(ctx) -> Expression:
     pres = ctx.pres
     return _built(
@@ -1222,6 +1333,18 @@ def _double_elements(ctx, name):
         "unimodular-conjecture": _built({"dl": base.delta_el},
                                         [Fn("mui", r("dl", 2)), Leg(r("dl", 1))]),
     }, name)
+
+
+@_module("double", "two-sided-integral")
+def _double_two_sided_integral(ctx, name):
+    """The loop of double_report over every h: h T, T h and eps(h) T, with
+    the integral t as T."""
+    pres, n, big_t = ctx.pres, ctx.pres.dim, ctx.t
+    return {"T": big_t}, (
+        Loop(lambda ops: _stacked(n, multiplication_operator(pres.mult, big_t, "right").columns)),
+        Loop(lambda ops: _stacked(n, multiplication_operator(pres.mult, big_t, "left").columns)),
+        Loop(lambda ops: _stacked(n, [big_t.scale(ops.functionals.get("eps").coords[k])
+                                      for k in range(n)])))
 
 
 @_module("qha", "q3", "q5-alpha", "q5-beta", "q6-left", "q6-right")

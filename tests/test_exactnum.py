@@ -4,6 +4,7 @@ built on fractions.Fraction pairs."""
 from __future__ import annotations
 
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -167,6 +168,14 @@ def test_arith_rejects_unknown_op():
 # -- parse_scalar against the Fraction-based parser it replaced --------------
 
 
+def _ref_digit_limit(digits: int, offset: int) -> None:
+    """A run of more digits than the interpreter converts is a parse error
+    at the run."""
+    limit = sys.get_int_max_str_digits()
+    if limit and digits > limit:
+        raise ParseError("too many digits", offset)
+
+
 def _ref_rational(text: str, pos: int) -> tuple[Fraction, int]:
     start = pos
     if pos < len(text) and text[pos] in "+-":
@@ -176,6 +185,7 @@ def _ref_rational(text: str, pos: int) -> tuple[Fraction, int]:
         pos += 1
     if pos == digits_start:
         raise ParseError("expected digits", pos)
+    _ref_digit_limit(pos - digits_start, digits_start)
     num = int(text[start:pos])
     den = 1
     if pos < len(text) and text[pos] == "/":
@@ -185,6 +195,7 @@ def _ref_rational(text: str, pos: int) -> tuple[Fraction, int]:
             pos += 1
         if pos == den_start:
             raise ParseError("expected denominator digits", pos)
+        _ref_digit_limit(pos - den_start, den_start)
         den = int(text[den_start:pos])
         if den == 0:
             raise ParseError("zero denominator", den_start)
@@ -230,6 +241,9 @@ PARSE_TABLE = [
     "٣/٤", "", "x", "+", "-", "1/", "1/0", "1/00", "1/-2", "1/2/3", " 1", "1 ", "1+", "1+*i",
     "1+2", "1+2*j", "1+2*", "1*i", "1+1*i9", "1+2/0*i", "1+2/*i", "1e3", "0x10",
     "1_0", "1.5", "²", "1/²", "1+²*i",
+    # a digit run beyond the interpreter's int-string limit
+    pytest.param("1" * 5000, id="5000_digit_numerator"),
+    pytest.param("1/" + "1" * 5000, id="5000_digit_denominator"),
 ]
 
 

@@ -4,7 +4,11 @@ built-in families and a classical baseline."""
 
 from __future__ import annotations
 
+import sys
+
 import pytest
+
+import quasihopf.multilinear as multilinear
 
 from quasihopf.canonical import evaluate_identity
 from quasihopf.context import AlgebraContext
@@ -394,3 +398,29 @@ def test_umbrella_report(ctx_h2, ctx_h8p, ctx_h8m, ctx_baseline):
     for ctx in (ctx_baseline, ctx_h2, ctx_h8p, ctx_h8m):
         report = integral_report(ctx)
         assert report.passed(), report.render_text()
+
+
+@pytest.mark.parametrize("name", ["H8+", "H2"])
+def test_integral_report_multiplies_by_no_basis_element(request, monkeypatch, name):
+    """Every integral and Frobenius row over a free h is one evaluation of
+    each side, not one multiplication operator per basis element: on a
+    fresh context of an algebra validated when it was built,
+    integral_report makes at most 3 (one reads mu off t; the inner
+    automorphism that S^4 is compared with on a unimodular algebra makes
+    two).  Every module of the package that binds the function is
+    counted."""
+    pres = request.getfixturevalue({"H8+": "h8p", "H2": "h2"}[name])
+    original = multilinear.multiplication_operator
+    calls = []
+
+    def counting(*args):
+        calls.append(args[2])
+        return original(*args)
+
+    for module_name, module in list(sys.modules.items()):
+        if (module_name.split(".")[0] == "quasihopf"
+                and getattr(module, "multiplication_operator", None) is original):
+            monkeypatch.setattr(module, "multiplication_operator", counting)
+    report = integral_report(AlgebraContext(pres))
+    assert report.passed()
+    assert len(calls) <= 3, calls

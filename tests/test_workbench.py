@@ -203,10 +203,21 @@ def _h2_with_arabic_indic_digit(doc: dict) -> str:
     return "$.unit[0]"
 
 
+def _h2_with_5000_digit_numerator(doc: dict) -> str:
+    doc["unit"][1] = "1" * 5000                       # beyond the int-string limit
+    return "$.unit[1]"
+
+
+def _h2_with_5000_digit_denominator(doc: dict) -> str:
+    doc["unit"][1] = "1/" + "1" * 5000
+    return "$.unit[1]"
+
+
 LOOSE_DOCUMENTS = [
     _h2_with_bool_index, _h2_with_zero_imaginary_part, _h2_with_imaginary_part,
     _h2_with_duplicate_entry, _h2_with_bool_dim, _h2_with_list_field,
-    _h2_with_superscript_digit, _h2_with_unknown_key, _h2_with_arabic_indic_digit]
+    _h2_with_superscript_digit, _h2_with_unknown_key, _h2_with_arabic_indic_digit,
+    _h2_with_5000_digit_numerator, _h2_with_5000_digit_denominator]
 
 
 def _not_utf8(doc: dict) -> tuple[str, bytes]:
@@ -221,8 +232,9 @@ def _nested_200000_deep(doc: dict) -> tuple[str, bytes]:
 def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
     """A bool index or dim, an imaginary part in a Q document (even
     ``+0*i``), a repeated sparse key, a field that is not a string, a key
-    the format does not have and a scalar written with a digit that is not
-    ASCII are refused on import with the JSON path of the offending value,
+    the format does not have, a scalar written with a digit that is not
+    ASCII and one with more digits than the interpreter converts to an int
+    are refused on import with the JSON path of the offending value,
     instead of being read as 0 or 1, as rational, summed, ignored or
     failing with a TypeError or ValueError.  A file that is not UTF-8, or
     nests deeper than the JSON parser recurses, is refused at ``$`` (a
