@@ -10,13 +10,13 @@ Every closed form and every identity is written once, as a formula in the
 grammar of :mod:`expr`, and parsed when this module is imported; the text
 ``quasihopf identities`` prints is the text that is evaluated.  The letters
 of the formulas are the table :data:`LETTERS`: each maps to the context
-attribute it reads (X, Y, Z to phi, x, y, z to phi^-1, g and G to f^-1, and
-so on) and to its number of legs.  Binding a formula to a context reads
-only the attributes of the letters it uses, so an identity among p_R and
-q_R computes no integral.  Every function here takes the context, and
-every bound formula is evaluated with ``ctx.ops``, which reads the
-functionals eps, mu, mui, lam and Lam from the context when a formula
-names them.
+attribute it reads (X, Y, Z to phi, x, y, z to phi^-1, the functionals
+lam and Lam to lambda and Lambda, and so on) and to its number of legs or
+:data:`~expr.FN`.  Binding a formula to a context reads only the
+attributes of the letters it uses, so an identity among p_R and q_R
+computes no integral, and one without lam no cointegral.  Every function
+here takes the context, and every bound formula is evaluated with
+``ctx.ops``.
 """
 
 from __future__ import annotations
@@ -26,8 +26,8 @@ from operator import attrgetter
 from typing import Callable, Sequence
 
 from .exactnum import ONE
-from .expr import VAR, Expression, ExpressionError
-from .multilinear import TensorElement, mult_pointwise, tensor_product
+from .expr import FN, VAR, Expression, ExpressionError
+from .multilinear import Functional, TensorElement, mult_pointwise, tensor_product
 from .report import VerificationReport
 
 class InternalIdentityFailure(ArithmeticError):
@@ -58,10 +58,10 @@ class CanonicalElements:
 
 # -- the letters of the formulas ---------------------------------------------------
 
-# letter -> (the context attribute it reads, its number of legs).  A second
-# independent copy of an element is a second letter for the same attribute.
-# h and h' are the free variables, in this order.
-LETTERS: dict[str, tuple[str, int]] = {
+# letter -> (the context attribute it reads, its number of legs or FN).  A
+# second independent copy of an element is a second letter for the same
+# attribute.  h and h' are the free variables, in this order.
+LETTERS: dict[str, tuple[str, int | str]] = {
     **dict.fromkeys("XYZ", ("pres.phi", 3)), **dict.fromkeys("xyz", ("pres.phi_inv", 3)),
     "f": ("f", 2), "F": ("f", 2), "g": ("f_inv", 2), "G": ("f_inv", 2),
     "p": ("p_r", 2), "P": ("p_r", 2), "pl": ("p_l", 2), "Pl": ("p_l", 2),
@@ -73,6 +73,8 @@ LETTERS: dict[str, tuple[str, int]] = {
     "t": ("t", 1), "r": ("r", 1),
     "gmod": ("g_mod", 1), "gmod'": ("g_mod", 1), "gmod^-1": ("g_mod_inv", 1),
     "u": ("u_el", 1), "u^-1": ("u_inv", 1), "v": ("v_el", 1), "v^-1": ("v_inv", 1),
+    "eps": ("pres.counit", FN), "mu": ("mu", FN), "mui": ("mu_inv", FN),
+    "lam": ("lam", FN), "Lam": ("big_lam", FN),
 }
 _RANKS = {"h": VAR, "h'": VAR, **{letter: rank for letter, (_, rank) in LETTERS.items()}}
 
@@ -95,7 +97,7 @@ def parse(formula: str, **extra: int | str) -> tuple[Expression, ...]:
     return _parse("formula", formula, formula.split(" = "), letters)
 
 
-def _bind(ctx, side: Expression, **tensors: TensorElement) -> Expression:
+def _bind(ctx, side: Expression, **tensors: TensorElement | Functional) -> Expression:
     """``side`` with each letter it uses bound to ``tensors`` or else to its
     context attribute; no other attribute is read."""
     return side.bind({name: tensors[name] if name in tensors
@@ -103,12 +105,12 @@ def _bind(ctx, side: Expression, **tensors: TensorElement) -> Expression:
                       for name, src in side.sources.items() if src != VAR})
 
 
-def _bind_all(ctx, sides: Sequence[Expression], **tensors: TensorElement
+def _bind_all(ctx, sides: Sequence[Expression], **tensors: TensorElement | Functional
               ) -> tuple[Expression, ...]:
     return tuple(_bind(ctx, side, **tensors) for side in sides)
 
 
-def _value(ctx, side: Expression, **tensors: TensorElement) -> TensorElement:
+def _value(ctx, side: Expression, **tensors: TensorElement | Functional) -> TensorElement:
     """``side`` bound to ``ctx`` (and ``tensors``) and evaluated on it."""
     return _bind(ctx, side, **tensors).evaluate(ctx.ops)
 

@@ -6,9 +6,10 @@ recomputation.  Initialization of each entry is guarded by a re-entrant
 lock so contexts can be shared between threads.
 
 ``ctx.ops`` is what every formula on the algebra is evaluated with: its
-table, unit, coproduct, the operators S, Si, S2 and Si2, and the
-functionals eps, mu, mui, lam and Lam, which it reads from the context
-lazily, so a formula computes only the functionals it names.
+table, unit, coproduct and the operators S, Si, S2 and Si2.  The
+functionals a formula names are letters, bound like its tensors
+(``canonical.LETTERS``), so a formula computes only the functionals it
+names.
 """
 
 from __future__ import annotations
@@ -20,32 +21,9 @@ from typing import Callable
 
 from . import canonical, intcoint
 from .expr import AlgebraOps
-from .multilinear import (Functional, LinearOperator, TensorElement, invert_operator,
-                          multiplication_operator)
+from .multilinear import LinearOperator
 from .qha import QhaPresentation, antipode_inverse, variant, verify_axioms
 from .report import VerificationReport
-
-
-# functional name of the formulas -> the context attribute it reads
-_FUNCTIONALS = {name: attrgetter(attr) for name, attr in {
-    "eps": "pres.counit", "mu": "mu", "mui": "mu_inv", "lam": "lam", "Lam": "big_lam",
-}.items()}
-
-
-class _LazyFunctionals:
-    """The functionals of a context by their names in the formulas, each
-    read from the context only when an expression asks for it, so a formula
-    without ``lam`` computes no cointegral.  The view holds its context
-    weakly: the context keeps its ``ops``, and no reference cycle keeps the
-    context alive.  So an ``ops`` reads functionals only while its context
-    lives."""
-
-    def __init__(self, ctx: "AlgebraContext"):
-        self._ctx = weakref.ref(ctx)
-
-    def get(self, name: str) -> Functional | None:
-        read = _FUNCTIONALS.get(name)
-        return None if read is None else read(self._ctx())
 
 
 class _Entry:
@@ -118,8 +96,7 @@ class AlgebraContext:
             return AlgebraOps(
                 self.pres.dim, self.pres.mult, self.pres.unit, self.pres.coproduct,
                 operators={"S": s, "Si": si,
-                           "S2": s.compose(s), "Si2": si.compose(si)},
-                functionals=_LazyFunctionals(self))
+                           "S2": s.compose(s), "Si2": si.compose(si)})
         return self._get("ops", build)
 
     # -- canonical elements ----------------------------------------------------
@@ -175,13 +152,6 @@ class AlgebraContext:
     @property
     def s_squared(self) -> LinearOperator:
         return self.ops.operators["S2"]
-
-    def inner_automorphism(self, a: TensorElement) -> LinearOperator:
-        """h |-> a h a^-1, that is L_a o R_(a^-1); the inverse is found by
-        exact linear solving."""
-        left = multiplication_operator(self.pres.mult, a, "left")
-        a_inv = invert_operator(left).apply(self.pres.unit)
-        return left.compose(multiplication_operator(self.pres.mult, a_inv, "right"))
 
 
 # The live contexts that ``get_context`` made, by presentation id.  Each one

@@ -1,11 +1,11 @@
 """Evaluator for the tensor expressions this package needs.
 
 An :class:`Expression` is a list of output slots over named sources.  A
-source is a tensor whose components are summed over (a reassociator, a
-canonical two-leg element, a constant, or a free variable).  A variable is
-never bound to one element: it is the identity tensor sum_m e_m (x) e_m,
-whose first leg, the variable's index leg, becomes an output leg, so one
-evaluation covers every basis element at once and
+source is a functional or a tensor whose components are summed over (a
+reassociator, a canonical two-leg element, a constant, or a free
+variable).  A variable is never bound to one element: it is the identity
+tensor sum_m e_m (x) e_m, whose first leg, the variable's index leg, becomes
+an output leg, so one evaluation covers every basis element at once and
 ``multilinear.columns_of`` splits the result along that leg.  Each slot is
 an ordered product of atoms; an atom references one component of one
 source, transformed by a token path that interleaves unary operators with
@@ -14,7 +14,7 @@ coproduct-part selection, or wraps a whole sub-product in a unary operator.
 Output slot kinds:
 
 * ``Leg`` - the product becomes one leg of the resulting tensor;
-* ``Fn`` - the product is contracted against a known functional.
+* ``Fn`` - the product is contracted against a functional source.
 
 The result's legs are the index legs first, in the declaration order of the
 variables, then one leg per ``Leg`` slot, in slot order.  The argument leg
@@ -75,13 +75,13 @@ Hausser and Nill (arXiv:math/9904164) and maps it one to one onto ``Leg``,
 * ``S( )``, ``Si( )``, ``S2( )`` and ``Si2( )`` around a product give an
   ``Op``.  Around one factor and followed by ``_path`` they are a token of
   that factor instead: ``S(x3)_1`` is ``Ref("x", 3, "S", 1)``;
-* ``eps( ) mu( ) mui( ) lam( ) Lam( )`` around a product give an ``Fn``
-  slot; the functionals of a leg come before it, in text order.  A side
-  whose only slot holds no factor is a scalar;
+* a letter declared :data:`FN` is a functional: ``lam( )`` around a
+  product gives an ``Fn`` slot; the functionals of a leg come before it,
+  in text order.  A side whose only slot holds no factor is a scalar;
 * the free variables (letters declared :data:`VAR`) become sources in the
-  order of the declaration, the other letters in the order they first
-  appear.  A parsed expression is bound to tensors by
-  :meth:`Expression.bind`.
+  order of the declaration, the other letters, functionals included, in
+  the order they first appear.  A parsed expression is bound to tensors
+  and functionals by :meth:`Expression.bind`.
 """
 
 from __future__ import annotations
@@ -99,15 +99,15 @@ class ExpressionError(ValueError):
 
 
 VAR = "__var__"  # sentinel marking a free-variable source
+FN = "__fn__"    # sentinel marking a functional source
 OPERATORS = ("S", "Si", "S2", "Si2")
-FUNCTIONALS = ("eps", "mu", "mui", "lam", "Lam")
 _TOKEN = re.compile(r"\w+\(|\)(?:_\w*)?|\(|[^\s()]+")
 _FACTOR = re.compile(r"([A-Za-z]+(?:\^-1)?'?)(\d*)(?:_(\w*))?")
 _UNIT = "1"
 
 
 class Unbound:
-    """A source of a parsed expression, known by its rank until bound."""
+    """A source of a parsed expression, known by its rank or FN until bound."""
 
     __slots__ = ("rank",)
 
@@ -174,20 +174,16 @@ Output = Leg | Fn
 class AlgebraOps:
     """Everything evaluation needs about one algebra: the multiplication
     table, unit coordinates, the coproduct and a registry of unary operators
-    and functionals addressable from expressions.  The functionals are any
-    mapping with ``get``, kept as given, so a lazy one builds only the
-    functionals an expression asks for."""
+    addressable from expressions."""
 
     def __init__(self, dim: int, mult: MultTable, unit: TensorElement,
                  coproduct: LinearOperator,
-                 operators: Mapping[str, LinearOperator] | None = None,
-                 functionals: Mapping[str, Functional] | None = None):
+                 operators: Mapping[str, LinearOperator] | None = None):
         self.dim = dim
         self.mult = mult
         self.unit = unit
         self.coproduct = coproduct
         self.operators = dict(operators or {})
-        self.functionals = {} if functionals is None else functionals
         self._profile: dict | None = None
 
     def profile(self) -> dict[tuple, float]:
@@ -210,12 +206,12 @@ class AlgebraOps:
 class Expression:
     """One tensor formula, transcribed leg by leg.
 
-    ``sources`` maps names to tensors or to :data:`VAR` for free variables.
-    Every variable contributes an index leg that runs over the basis; the
-    index legs come first, in the order the variables are declared.
+    ``sources`` maps names to tensors, functionals or :data:`VAR` (free
+    variables).  Every variable contributes an index leg that runs over the
+    basis; the index legs come first, in the order the variables are declared.
     """
 
-    def __init__(self, sources: Mapping[str, TensorElement | str],
+    def __init__(self, sources: Mapping[str, TensorElement | Functional | str],
                  outputs: Sequence[Output]):
         self.sources = dict(sources)
         self.outputs = list(outputs)
@@ -225,9 +221,9 @@ class Expression:
     @classmethod
     def parse(cls, text: str, letters: Mapping[str, int | str]) -> "Expression":
         """One side of a formula in the grammar of the module docstring.
-        ``letters`` maps each letter to its number of legs, or to
-        :data:`VAR` for a free variable; every other source is
-        :class:`Unbound` until :meth:`bind`."""
+        ``letters`` maps each letter to its number of legs, to :data:`VAR`
+        for a free variable or to :data:`FN` for a functional; every other
+        source is :class:`Unbound` until :meth:`bind`."""
         reader = _Reader(text, letters)
         outputs = reader.side()
         variables = [name for name in reader.used if letters[name] == VAR]
@@ -237,17 +233,19 @@ class Expression:
                        if name not in sources)
         return cls(sources, outputs)
 
-    def bind(self, tensors: Mapping[str, TensorElement]) -> "Expression":
+    def bind(self, tensors: Mapping[str, TensorElement | Functional]) -> "Expression":
         """This expression with every :class:`Unbound` source replaced by
-        the tensor of the same name."""
+        the tensor, or the functional, of the same name."""
         bound = object.__new__(type(self))
         bound.sources = dict(self.sources)
         for name, src in self.sources.items():
             if type(src) is Unbound:
-                tensor = bound.sources[name] = tensors[name]
-                if tensor.rank != src.rank:
-                    raise ExpressionError(f"{name!r} bound to a rank {tensor.rank} tensor, "
-                                          f"expected rank {src.rank}")
+                value = bound.sources[name] = tensors[name]
+                rank = FN if isinstance(value, Functional) else value.rank
+                if rank != src.rank:
+                    kinds = ["a functional" if r == FN else f"a rank {r} tensor"
+                             for r in (rank, src.rank)]
+                    raise ExpressionError("{!r} bound to {}, expected {}".format(name, *kinds))
         bound.outputs, bound._trees, bound._planner = self.outputs, self._trees, self._planner
         return bound
 
@@ -263,13 +261,17 @@ class Expression:
                 raise ExpressionError(f"bad expression item {item!r}")
 
     def _validate(self) -> dict[tuple[str, int], dict]:
+        ranks = {name: src if src == VAR else FN if isinstance(src, Functional) else src.rank
+                 for name, src in self.sources.items()}
         refs: list[Ref] = []
         for out in self.outputs:
+            if isinstance(out, Fn) and ranks.get(out.functional) != FN:
+                raise ExpressionError(f"unknown functional {out.functional!r}")
             self._walk(out.items, refs)
         trees: dict[tuple[str, int], dict] = {}
         for ref in refs:
-            if ref.name not in self.sources:
-                raise ExpressionError(f"unknown source {ref.name!r}")
+            if ranks.get(ref.name, FN) == FN:
+                raise ExpressionError(f"no tensor source {ref.name!r}")
             node = trees.setdefault((ref.name, ref.comp), {})
             for tok in ref.tokens:
                 node = node.setdefault(tok, {})
@@ -277,15 +279,15 @@ class Expression:
                 raise ExpressionError(f"{_label((ref.name, ref.comp, *ref.tokens))}: used twice")
         for node, tree in trees.items():
             _check_tree(tree, node)
-        # every component of every non-variable source must be consumed
-        for name, src in self.sources.items():
-            if src == VAR:
+        # every variable and every component of a tensor must be used
+        for name, rank in ranks.items():
+            if rank == VAR:
                 if (name, 1) not in trees:
                     raise ExpressionError(f"variable {name!r} never used")
-                continue
-            for comp in range(1, src.rank + 1):
-                if (name, comp) not in trees:
-                    raise ExpressionError(f"component {name}^{comp} unused")
+            elif rank != FN:
+                for comp in range(1, rank + 1):
+                    if (name, comp) not in trees:
+                        raise ExpressionError(f"component {name}^{comp} unused")
         return trees
 
     # -- evaluation --------------------------------------------------------
@@ -294,13 +296,7 @@ class Expression:
         for name, src in self.sources.items():
             if type(src) is Unbound:
                 raise ExpressionError(f"source {name!r} is unbound")
-        fns = []
-        for out in self.outputs:
-            if isinstance(out, Fn):
-                functional = ops.functionals.get(out.functional)
-                if functional is None:
-                    raise ExpressionError(f"unknown functional {out.functional!r}")
-                fns.append(functional)
+        fns = [self.sources[out.functional] for out in self.outputs if isinstance(out, Fn)]
         return self._planner.plan(self, ops).run(self.sources, ops, fns)
 
 
@@ -359,15 +355,17 @@ class _Reader:
 
     def call(self, token: str, fns: list[Fn] | None, items: list) -> None:
         name = token[:-1]
+        if functional := self.letters.get(name) == FN:
+            self.used[name] = None
         inner = self.product(None)
         if not self.tokens:
             raise self.error("unbalanced parenthesis", token)
         close = self.tokens.pop()
         path = close[2:] if len(close) > 1 else None
         whole = f"{token}...{close}"
-        if name in FUNCTIONALS and fns is not None and path is None:
+        if functional and fns is not None and path is None:
             fns.append(Fn(name, *inner))
-        elif name in FUNCTIONALS:
+        elif functional:
             raise self.error("a functional takes no _path and stands at the top of a leg", whole)
         elif name not in OPERATORS:
             raise self.error("unknown operator or functional", token)
@@ -386,8 +384,8 @@ class _Reader:
             raise self.error("bad token", token)
         name, comp, path = match.groups()
         rank = self.letters.get(name)
-        if rank is None:
-            raise self.error("unknown letter", token)
+        if rank is None or rank == FN:
+            raise self.error("unknown letter" if rank is None else "functional as a factor", token)
         legs = 1 if type(rank) is str else rank        # a variable has one leg
         if not comp:
             if legs > 1:
@@ -931,7 +929,7 @@ class _Plan:
     def __init__(self, init, steps, final, perm):
         self.init, self.steps, self.final, self.perm = init, steps, final, perm
 
-    def run(self, sources: Mapping[str, TensorElement | str], ops: AlgebraOps,
+    def run(self, sources: Mapping[str, TensorElement | Functional | str], ops: AlgebraOps,
             functionals: Sequence[Functional]) -> TensorElement:
         """Every loop over the entries is one of :mod:`multilinear`'s kernels,
         told how many legs each register has."""

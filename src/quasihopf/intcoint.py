@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .canonical import _bind, _bind_all, _value, evaluate_identity, parse
+from .canonical import _bind_all, _value, evaluate_identity, parse
 from .exactnum import ONE, Scalar
 from .expr import VAR, AlgebraOps, Expression
 from .multilinear import (Functional, LinearOperator, SingularOperator, TensorElement,
@@ -144,7 +144,7 @@ FORMS: dict[str, tuple[Expression, ...]] = {
     "h*r": parse("h r = mui(h) r"),
     "mu-algebra-map": parse("mu(h h') = mu(h) mu(h')"),
     "mu-convolution": parse("mu(h_1) mui(h_2) = mui(h_1) mu(h_2) = eps(h)"),
-    # a Frobenius system (phi, E), read with phi as lam (_with_lam): the
+    # a Frobenius system (phi, E), with phi bound to the letter lam: the
     # Nakayama automorphism chi(h) = (h -> phi)(E1) E2 and its inverse
     # (phi <- h)(E2) E1, the centrality of E and h -> phi = phi <- chi(h)
     "chi": parse("lam(E1 h) E2", E=2),
@@ -160,20 +160,11 @@ CONDITIONS = ("left-ii", "left-iii", "left-iv", "right-i", "right-ii", "right-ii
 # -- integrals -------------------------------------------------------------------
 
 
-def _with_lam(ctx, lam: Functional) -> AlgebraOps:
-    """``ctx.ops`` with ``lam`` as its only functional, for a formula that
-    reads another functional than the context's own lam as lam."""
-    shared = ctx.ops
-    return AlgebraOps(shared.dim, shared.mult, shared.unit, shared.coproduct,
-                      shared.operators, {"lam": lam})
-
-
-def _for_every_h(ctx, sides: tuple[Expression, ...], ops: AlgebraOps | None = None,
-                 **tensors: TensorElement) -> list[tuple[TensorElement, ...]]:
-    """Each side bound to ``ctx`` (and ``tensors``), evaluated once on
-    ``ops`` (else ``ctx.ops``) and split along the index leg of h: one
-    tuple of sides per basis element h, in basis order."""
-    return list(zip(*(columns_of(side.evaluate(ops or ctx.ops))
+def _for_every_h(ctx, sides: tuple[Expression, ...], **tensors: TensorElement | Functional
+                 ) -> list[tuple[TensorElement, ...]]:
+    """Each side bound to ``ctx`` (and ``tensors``), evaluated once and split
+    along the index leg of h: one tuple of sides per h, in basis order."""
+    return list(zip(*(columns_of(side.evaluate(ctx.ops))
                       for side in _bind_all(ctx, sides, **tensors))))
 
 
@@ -187,9 +178,9 @@ def _nullspace(n: int, tables) -> list[list[Scalar]]:
 def integral_space(pres, side: str) -> list[TensorElement]:
     """Basis of { t : h t = eps(h) t } (left) or { t : t h = eps(h) t }:
     one table [t-coordinate, m] of equations per basis element h."""
-    ops = AlgebraOps(pres.dim, pres.mult, pres.unit, pres.coproduct,
-                     functionals={"eps": pres.counit})
-    lhs, rhs = (form.evaluate(ops) for form in FORMS[f"integral-{side}"])
+    ops = AlgebraOps(pres.dim, pres.mult, pres.unit, pres.coproduct)
+    lhs, rhs = (form.bind({"eps": pres.counit}).evaluate(ops)
+                for form in FORMS[f"integral-{side}"])
     return [TensorElement.vector(vec) for vec in _nullspace(pres.dim, columns_of(lhs - rhs))]
 
 
@@ -318,8 +309,7 @@ def compute_cointegral_data(ctx) -> CointegralData:
     big_lam = big0.scale(scale_r.inverse())
 
     # the context's own lam is what is being computed
-    ops = _with_lam(ctx, lam)
-    g_mod, g_inv = (_bind(ctx, *FORMS[name]).evaluate(ops) for name in ("gmod", "gmod^-1"))
+    g_mod, g_inv = (_value(ctx, *FORMS[name], lam=lam) for name in ("gmod", "gmod^-1"))
     if pres.multiply(g_mod, g_inv) != pres.unit or pres.multiply(g_inv, g_mod) != pres.unit:
         raise DegeneratePairing(f"{pres.name}: modular element is not invertible")
     return CointegralData(left_basis=lam, right_basis=big_lam,
@@ -361,18 +351,16 @@ def frobenius_system(ctx, which: str = "left") -> FrobeniusSystem:
         e = _value(ctx, *FORMS["e-op"], d=ctx.comparison.d)
     else:
         raise ValueError(f"unknown Frobenius system {which!r}")
-    ops = _with_lam(ctx, phi)
-    chi, chi_inv = (LinearOperator(pres.dim, columns_of(side.evaluate(ops)))
-                    for side in _bind_all(ctx, FORMS["chi"] + FORMS["chi^-1"], E=e))
+    chi, chi_inv = (LinearOperator(pres.dim, columns_of(side.evaluate(ctx.ops)))
+                    for side in _bind_all(ctx, FORMS["chi"] + FORMS["chi^-1"], E=e, lam=phi))
     return FrobeniusSystem(phi=phi, e=e, nakayama=chi, nakayama_inv=chi_inv)
 
 
 def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationReport:
     pres = ctx.pres
     report = VerificationReport(pres.name)
-    ops = _with_lam(ctx, system.phi)
     report.check_all(f"frobenius:{label}:centrality",
-                     _for_every_h(ctx, FORMS["centrality"], ops, E=system.e), lambda pair: [pair])
+                     _for_every_h(ctx, FORMS["centrality"], E=system.e), lambda pair: [pair])
     report.check_zero(f"frobenius:{label}:phi(e1)e2=1",
                       contract(system.phi, system.e, 0) - pres.unit)
     report.check_zero(f"frobenius:{label}:phi(e2)e1=1",
@@ -382,7 +370,7 @@ def verify_frobenius(ctx, system: FrobeniusSystem, label: str) -> VerificationRe
                system.nakayama.compose(system.nakayama_inv) == ident
                and system.nakayama_inv.compose(system.nakayama) == ident)
     report.check_all(f"frobenius:{label}:nakayama-shift",
-                     _for_every_h(ctx, FORMS["nakayama-shift"], ops, E=system.e),
+                     _for_every_h(ctx, FORMS["nakayama-shift"], E=system.e, lam=system.phi),
                      lambda pair: [pair])
     return report
 
@@ -447,7 +435,10 @@ def s4_suite(ctx) -> VerificationReport:
     s2 = ctx.s_squared
     s4 = s2.compose(s2)
     if is_unimodular(ctx):
-        inner = ctx.inner_automorphism(pres.antipode.apply(ctx.g_mod))
+        # Inn_S(g) = L_S(g) R_S(g)^-1, and S(g)^-1 = S(g^-1): S is a unital anti-morphism
+        s_g, s_g_inv = (pres.antipode.apply(g) for g in (ctx.g_mod, ctx.g_mod_inv))
+        inner = multiplication_operator(pres.mult, s_g, "left").compose(
+            multiplication_operator(pres.mult, s_g_inv, "right"))
         report.add("s4:inner-by-S(g)", s4 == inner,
                    None if s4 == inner else "S^4 differs from Inn_{S(g)}")
         if _proportional_fn(ctx.lam, ctx.big_lam):

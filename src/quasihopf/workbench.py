@@ -227,6 +227,14 @@ def _is_int(value: object) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+_QUOTED = 60        # the most characters of document text a message or path quotes
+
+
+def _clip(text: str) -> str:
+    """``text``, or its first ``_QUOTED`` characters and its length."""
+    return text if len(text) <= _QUOTED else f"{text[:_QUOTED]}... ({len(text)} characters)"
+
+
 # The parsers below build a JSON path, and a message, only to raise an error.
 def _parse_scalar_at(text: object, where: Callable[[], str], field: str) -> Scalar:
     if not isinstance(text, str):
@@ -234,10 +242,11 @@ def _parse_scalar_at(text: object, where: Callable[[], str], field: str) -> Scal
     try:
         s = parse_scalar(text)
     except ParseError as exc:
-        raise SchemaError(f"bad scalar {text!r}: {exc}", where()) from exc
+        raise SchemaError(f"bad scalar {_clip(repr(text))}: {exc}", where()) from exc
     # any written imaginary part, "+0*i" included, tags the scalar Q(i)
     if field != FIELD_QI and s.field_tag != FIELD_Q:
-        raise SchemaError(f"scalar {text!r} has an imaginary part in a 'Q' document", where())
+        raise SchemaError(f"scalar {_clip(repr(text))} has an imaginary part in a 'Q' document",
+                          where())
     return s
 
 
@@ -261,7 +270,7 @@ def _parse_sparse(doc: dict, key: str, dim: int, arity: int, field: str) -> list
         idx = tuple(entry[:arity])
         for m, i in enumerate(idx):
             if not (_is_int(i) and 0 <= i < dim):
-                raise SchemaError(f"index {i!r} out of range", f"$.{key}[{pos}][{m}]")
+                raise SchemaError(f"index {_clip(repr(i))} out of range", f"$.{key}[{pos}][{m}]")
         if idx in seen:
             raise SchemaError(f"duplicate entry for indices {list(idx)}", f"$.{key}[{pos}]")
         seen.add(idx)
@@ -276,7 +285,7 @@ def import_document(doc: dict, validate: bool = True) -> QhaPresentation:
     for key in _DOCUMENT_KEYS:
         _expect(key in doc, f"missing key {key!r}", "$")
     for key in doc:
-        _expect(key in _DOCUMENT_KEYS, f"unknown key {key!r}", f"$.{key}")
+        _expect(key in _DOCUMENT_KEYS, f"unknown key {_clip(repr(key))}", f"$.{_clip(key)}")
     _expect(isinstance(doc["name"], str), "name must be a string", "$.name")
     _expect(isinstance(doc["field"], str) and doc["field"] in _FIELD_FROM_JSON,
             "field must be 'Q' or 'Q(i)'", "$.field")
@@ -329,7 +338,7 @@ def load_path(path: str) -> QhaPresentation:
             doc = json.load(fh)
         except UnicodeDecodeError as exc:
             raise SchemaError(f"not UTF-8: {exc}", "$") from exc
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:                   # a JSONDecodeError, or an int too long
             raise SchemaError(f"not valid JSON: {exc}", "$") from exc
         except RecursionError as exc:
             raise SchemaError("not valid JSON: nested too deeply", "$") from exc

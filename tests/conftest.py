@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import pytest
 
-from quasihopf.context import AlgebraContext, get_context
+from quasihopf.context import get_context
 from quasihopf.double import build_double
 from quasihopf.exactnum import ONE, Scalar
 from quasihopf.multilinear import Functional, LinearOperator, TensorElement

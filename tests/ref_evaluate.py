@@ -18,26 +18,18 @@ from quasihopf.multilinear import (Functional, LinearOperator, Num, TensorElemen
                                    _lift, _lift_table, _lower, _map_leg, _merge, _outer)
 
 
-def ref_evaluate(expr: Expression, ops, bindings: Mapping[str, TensorElement] | None = None,
-                 functionals: Mapping[str, Functional] | None = None) -> TensorElement:
+def ref_evaluate(expr: Expression, ops,
+                 bindings: Mapping[str, TensorElement] | None = None) -> TensorElement:
+    """``expr`` evaluated on ``ops``, each ``Fn`` slot contracted against
+    the functional source it names; ``bindings`` puts a tensor in for a
+    variable."""
     bindings = dict(bindings or {})
-
-    def lookup_fn(name: str) -> Functional | None:
-        if functionals is not None:
-            found = functionals.get(name)
-            if found is not None:
-                return found
-        return ops.functionals.get(name)
-
     run = _Evaluation(expr, ops, bindings)
     final_order: list[object] = []
     for out in expr.outputs:
         leg = run.merge_product(out.items)
         if isinstance(out, Fn):
-            functional = lookup_fn(out.functional)
-            if functional is None:
-                raise ExpressionError(f"unknown functional {out.functional!r}")
-            run.state.contract(leg, functional)
+            run.state.contract(leg, expr.sources[out.functional])
         else:
             final_order.append(leg)
     implicit = [("idx", name) for name, src in expr.sources.items()

@@ -16,6 +16,7 @@ its sides).
 from __future__ import annotations
 
 from functools import partial
+from operator import attrgetter
 from typing import Callable
 
 from quasihopf.exactnum import ONE, Scalar
@@ -40,6 +41,16 @@ def Si(*items: Ref | Op) -> Op:
 
 def op(name: str, *items: Ref | Op) -> Op:
     return Op(name, *items)
+
+
+# the context attribute each functional of the formulas reads
+_FUNCTIONALS = {"eps": "pres.counit", "mu": "mu", "mui": "mu_inv", "lam": "lam", "Lam": "big_lam"}
+
+
+def fns(ctx, *names: str) -> dict[str, Functional]:
+    """The functionals ``names`` of ``ctx``: the sources a hand-built
+    expression declares for its ``Fn`` slots."""
+    return {name: attrgetter(_FUNCTIONALS[name])(ctx) for name in names}
 
 
 REF: dict[str, Callable] = {}
@@ -336,7 +347,7 @@ def _fgab_salpha(ctx):
 
 @_register("f-counit", "(eps x id)(f) = 1 = (id x eps)(f)")
 def _f_counit(ctx):
-    lhs = Expression({"f": ctx.f, "F": ctx.f},
+    lhs = Expression({"f": ctx.f, "F": ctx.f, **fns(ctx, "eps")},
                      [Fn("eps", r("f", 1)), Leg(r("f", 2)),
                       Fn("eps", r("F", 2)), Leg(r("F", 1))])
     rhs = Expression({}, [Leg(), Leg()])
@@ -469,7 +480,7 @@ def _fdeltadrinf(ctx):
     lhs = Expression({"h": VAR, "dl": ctx.delta_el},
                      [Leg(r("h", 1, 1, 1), r("dl", 1), S(r("h", 1, 2, 2))),
                       Leg(r("h", 1, 1, 2), r("dl", 2), S(r("h", 1, 2, 1)))])
-    rhs = Expression({"h": VAR, "dl": ctx.delta_el},
+    rhs = Expression({"h": VAR, "dl": ctx.delta_el, **fns(ctx, "eps")},
                      [Fn("eps", r("h")), Leg(r("dl", 1)), Leg(r("dl", 2))])
     return lhs, rhs
 
@@ -587,7 +598,7 @@ def _movingelem1(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "t p")},
                      [Leg(r("t", 1, 1), r("p", 1), r("h")),
                       Leg(r("t", 1, 2), r("p", 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "t p")},
+    rhs = Expression({"h": VAR, **_pq(ctx, "t p"), **fns(ctx, "mu")},
                      [Fn("mu", r("h", 1, 1)),
                       Leg(r("t", 1, 1), r("p", 1)),
                       Leg(r("t", 1, 2), r("p", 2), S(r("h", 1, 2)))])
@@ -596,9 +607,9 @@ def _movingelem1(ctx):
 
 @_register("f4", "lam(Si(h) h') = mu(h1) lam(h' S(h2))")
 def _f4(ctx):
-    lhs = Expression({"h": VAR, "hp": VAR},
+    lhs = Expression({"h": VAR, "hp": VAR, **fns(ctx, "lam")},
                      [Fn("lam", Si(r("h")), r("hp"))])
-    rhs = Expression({"h": VAR, "hp": VAR},
+    rhs = Expression({"h": VAR, "hp": VAR, **fns(ctx, "mu", "lam")},
                      [Fn("mu", r("h", 1, 1)), Fn("lam", r("hp"), S(r("h", 1, 2)))])
     return lhs, rhs
 
@@ -606,10 +617,10 @@ def _f4(ctx):
 @_register("lcointsimpl",
            "lam(q2 h2 p2 S(h')) q1 h1 p1 = mu(x1) lam(Si(ql1) h S(x2 h'1 pl1)) ql2 x3 h'2 pl2")
 def _lcointsimpl(ctx):
-    lhs = Expression({"h": VAR, "hp": VAR, **_pq(ctx, "q p")},
+    lhs = Expression({"h": VAR, "hp": VAR, **_pq(ctx, "q p"), **fns(ctx, "lam")},
                      [Fn("lam", r("q", 2), r("h", 1, 2), r("p", 2), S(r("hp"))),
                       Leg(r("q", 1), r("h", 1, 1), r("p", 1))])
-    rhs = Expression({"h": VAR, "hp": VAR, **_pq(ctx, "x ql pl")},
+    rhs = Expression({"h": VAR, "hp": VAR, **_pq(ctx, "x ql pl"), **fns(ctx, "mu", "lam")},
                      [Fn("mu", r("x", 1)),
                       Fn("lam", Si(r("ql", 1)), r("h"),
                          S(r("x", 2), r("hp", 1, 1), r("pl", 1))),
@@ -619,10 +630,10 @@ def _lcointsimpl(ctx):
 
 @_register("prelimpobs", "lam(q2 t2 p2) q1 t1 p1 = mu(beta) lam(t) 1")
 def _prelimpobs(ctx):
-    lhs = Expression(_pq(ctx, "q t p"),
+    lhs = Expression({**_pq(ctx, "q t p"), **fns(ctx, "lam")},
                      [Fn("lam", r("q", 2), r("t", 1, 2), r("p", 2)),
                       Leg(r("q", 1), r("t", 1, 1), r("p", 1))])
-    rhs = Expression({"be": ctx.pres.beta, "t": ctx.t},
+    rhs = Expression({"be": ctx.pres.beta, "t": ctx.t, **fns(ctx, "mu", "lam")},
                      [Fn("mu", r("be")), Fn("lam", r("t")), Leg()])
     return lhs, rhs
 
@@ -671,7 +682,7 @@ def _elemmoved(ctx):
 def _rint3(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "rr")},
                      [Leg(r("h"), r("rr", 1, 1)), Leg(r("rr", 1, 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "p q rr")},
+    rhs = Expression({"h": VAR, **_pq(ctx, "p q rr"), **fns(ctx, "mui")},
                      [Fn("mui", r("h", 1, 1), r("p", 1)),
                       Leg(r("q", 1), r("rr", 1, 1)),
                       Leg(Si(r("h", 1, 2), r("p", 2)), r("q", 2), r("rr", 1, 2))])
@@ -694,7 +705,7 @@ def _rint5(ctx):
     lhs = Expression({"h": VAR, **_pq(ctx, "rr V")},
                      [Leg(r("V", 1), r("rr", 1, 1)),
                       Leg(Si(r("h")), r("V", 2), r("rr", 1, 2))])
-    rhs = Expression({"h": VAR, **_pq(ctx, "rr V")},
+    rhs = Expression({"h": VAR, **_pq(ctx, "rr V"), **fns(ctx, "mu")},
                      [Fn("mu", r("h", 1, 1)),
                       Leg(r("h", 1, 2), r("V", 1), r("rr", 1, 1)),
                       Leg(r("V", 2), r("rr", 1, 2))])
@@ -703,8 +714,9 @@ def _rint5(ctx):
 
 @_register("firstRad-fn", "lam o Si = lam <- gmod")
 def _firstrad_fn(ctx):
-    lhs = Expression({"h": VAR}, [Fn("lam", Si(r("h")))])
-    rhs = Expression({"h": VAR, "gmod": ctx.g_mod}, [Fn("lam", r("gmod"), r("h"))])
+    lhs = Expression({"h": VAR, **fns(ctx, "lam")}, [Fn("lam", Si(r("h")))])
+    rhs = Expression({"h": VAR, "gmod": ctx.g_mod, **fns(ctx, "lam")},
+                     [Fn("lam", r("gmod"), r("h"))])
     return lhs, rhs
 
 
@@ -721,16 +733,16 @@ def _firstrad_el(ctx):
 
 @_register("lamSm2", "lam o S^-2 = S(gmod) -> lam <- gmod")
 def _lam_sm2(ctx):
-    lhs = Expression({"h": VAR}, [Fn("lam", op("Si2", r("h")))])
-    rhs = Expression({"h": VAR, "gmod": ctx.g_mod, "G2": ctx.g_mod},
+    lhs = Expression({"h": VAR, **fns(ctx, "lam")}, [Fn("lam", op("Si2", r("h")))])
+    rhs = Expression({"h": VAR, "gmod": ctx.g_mod, "G2": ctx.g_mod, **fns(ctx, "lam")},
                      [Fn("lam", r("gmod"), r("h"), S(r("G2")))])
     return lhs, rhs
 
 
 @_register("qtr-fn", "lam o Si = Lam <- u")
 def _qtr_fn(ctx):
-    lhs = Expression({"h": VAR}, [Fn("lam", Si(r("h")))])
-    rhs = Expression({"h": VAR, "u": ctx.u_el}, [Fn("Lam", r("u"), r("h"))])
+    lhs = Expression({"h": VAR, **fns(ctx, "lam")}, [Fn("lam", Si(r("h")))])
+    rhs = Expression({"h": VAR, "u": ctx.u_el, **fns(ctx, "Lam")}, [Fn("Lam", r("u"), r("h"))])
     return lhs, rhs
 
 
@@ -747,8 +759,8 @@ def _qtr_el(ctx):
 
 @_register("lamS-v", "lam o S = Lam <- v")
 def _lams_v(ctx):
-    lhs = Expression({"h": VAR}, [Fn("lam", S(r("h")))])
-    rhs = Expression({"h": VAR, "v": ctx.v_el}, [Fn("Lam", r("v"), r("h"))])
+    lhs = Expression({"h": VAR, **fns(ctx, "lam")}, [Fn("lam", S(r("h")))])
+    rhs = Expression({"h": VAR, "v": ctx.v_el, **fns(ctx, "Lam")}, [Fn("Lam", r("v"), r("h"))])
     return lhs, rhs
 
 
@@ -771,7 +783,7 @@ def _qrpversusqtp(ctx):
     lhs = Expression(_pq(ctx, "q rr p"),
                      [Leg(r("q", 1), r("rr", 1, 1), r("p", 1)),
                       Leg(r("q", 2), r("rr", 1, 2), r("p", 2))])
-    rhs = Expression({"t": t_of_r, **_pq(ctx, "ql q p")},
+    rhs = Expression({"t": t_of_r, **_pq(ctx, "ql q p"), **fns(ctx, "mu")},
                      [Fn("mu", r("ql", 1)),
                       Leg(r("ql", 2), Si(r("q", 2), r("t", 1, 2), r("p", 2))),
                       Leg(Si(r("q", 1), r("t", 1, 1), r("p", 1)))])
@@ -797,7 +809,7 @@ def _app3b(ctx):
                       Leg(r("gmodi"), S(r("pl", 1)), r("f", 2), r("rr", 1, 2))])
     rhs = Expression(
         {"p": ctx.p_r, "f": ctx.f, "V": ctx.v_cap, "rr": ctx.r,
-         "P": ctx.p_r, "al": ctx.pres.alpha},
+         "P": ctx.p_r, "al": ctx.pres.alpha, **fns(ctx, "mu")},
         [Fn("mu", S(r("p", 2)), r("f", 1)),
          Leg(S(r("p", 1)), r("f", 2), r("V", 2), r("rr", 1, 2), r("P", 2)),
          Leg(op("S2", r("V", 1), r("rr", 1, 1), r("P", 1)), r("al"))])
@@ -807,10 +819,11 @@ def _app3b(ctx):
 @_register("inchileftcoint",
            "mui(ql1 h1 pl1) lam <- Si(ql2 h2 pl2) = mui(alpha) mu(beta) S(h) -> lam")
 def _inchi(ctx):
-    lhs = Expression({"h": VAR, "x": VAR, **_pq(ctx, "ql pl")},
+    lhs = Expression({"h": VAR, "x": VAR, **_pq(ctx, "ql pl"), **fns(ctx, "mui", "lam")},
                      [Fn("mui", r("ql", 1), r("h", 1, 1), r("pl", 1)),
                       Fn("lam", Si(r("ql", 2), r("h", 1, 2), r("pl", 2)), r("x"))])
-    rhs = Expression({"h": VAR, "x": VAR, "al": ctx.pres.alpha, "be": ctx.pres.beta},
+    rhs = Expression({"h": VAR, "x": VAR, "al": ctx.pres.alpha, "be": ctx.pres.beta,
+                      **fns(ctx, "mui", "mu", "lam")},
                      [Fn("mui", r("al")), Fn("mu", r("be")),
                       Fn("lam", r("x"), S(r("h")))])
     return lhs, rhs
@@ -819,10 +832,10 @@ def _inchi(ctx):
 @_register("s4equivversion",
            "mu(f1) S^-2(h) Si(gmod^-1) S(f2) = mu(h1 f1) mui(h22) Si(gmod^-1) S(S(h21) f2)")
 def _s4equiv(ctx):
-    lhs = Expression({"h": VAR, "f": ctx.f, "gmodi": ctx.g_mod_inv},
+    lhs = Expression({"h": VAR, "f": ctx.f, "gmodi": ctx.g_mod_inv, **fns(ctx, "mu")},
                      [Fn("mu", r("f", 1)),
                       Leg(op("Si2", r("h")), Si(r("gmodi")), S(r("f", 2)))])
-    rhs = Expression({"h": VAR, "f": ctx.f, "gmodi": ctx.g_mod_inv},
+    rhs = Expression({"h": VAR, "f": ctx.f, "gmodi": ctx.g_mod_inv, **fns(ctx, "mu", "mui")},
                      [Fn("mu", r("h", 1, 1), r("f", 1)),
                       Fn("mui", r("h", 1, 2, 2)),
                       Leg(Si(r("gmodi")), S(S(r("h", 1, 2, 1)), r("f", 2)))])
@@ -833,13 +846,14 @@ def _s4equiv(ctx):
            "lam(Si(f2) h1 g1 S(h')) Si(f1) h2 g2 = mu(F1) mui(U22 W2 alpha) mu(beta) "
            "mu(U1 y12 x2) lam(h S(y3 x32 h'2 pl2)) Si(gmod^-1 y11 x1) S(S(U21 W1 y2 x31 h'1 pl1) F2)")
 def _normdef(ctx):
-    lhs = Expression({"h": VAR, "hp": VAR, "f": ctx.f, "g": ctx.f_inv},
+    lhs = Expression({"h": VAR, "hp": VAR, "f": ctx.f, "g": ctx.f_inv, **fns(ctx, "lam")},
                      [Fn("lam", Si(r("f", 2)), r("h", 1, 1), r("g", 1), S(r("hp"))),
                       Leg(Si(r("f", 1)), r("h", 1, 2), r("g", 2))])
     rhs = Expression(
         {"h": VAR, "hp": VAR, "F": ctx.f, "U": ctx.u_cap, "W": ctx.u_cap,
          "y": ctx.pres.phi_inv, "x": ctx.pres.phi_inv, "pl": ctx.p_l,
-         "al": ctx.pres.alpha, "be": ctx.pres.beta, "gmodi": ctx.g_mod_inv},
+         "al": ctx.pres.alpha, "be": ctx.pres.beta, "gmodi": ctx.g_mod_inv,
+         **fns(ctx, "mu", "mui", "lam")},
         [Fn("mu", r("F", 1)),
          Fn("mui", r("U", 2, 2), r("W", 2), r("al")),
          Fn("mu", r("be")),
@@ -855,13 +869,14 @@ def _normdef(ctx):
            "lam(Si(f2) h1 g1 S(h')) Si(f1) h2 g2 = mu(beta F1) mui(Y3 U2 alpha) "
            "mu(Y1 U11 y21 x1) lam(h S(y3 x3 h'2 pl2)) Si(gmod^-1 y1) S(S(Y2 U12 y22 x2 h'1 pl1) F2)")
 def _fvfformunim(ctx):
-    lhs = Expression({"h": VAR, "hp": VAR, "f": ctx.f, "g": ctx.f_inv},
+    lhs = Expression({"h": VAR, "hp": VAR, "f": ctx.f, "g": ctx.f_inv, **fns(ctx, "lam")},
                      [Fn("lam", Si(r("f", 2)), r("h", 1, 1), r("g", 1), S(r("hp"))),
                       Leg(Si(r("f", 1)), r("h", 1, 2), r("g", 2))])
     rhs = Expression(
         {"h": VAR, "hp": VAR, "F": ctx.f, "Y": ctx.pres.phi, "U": ctx.u_cap,
          "y": ctx.pres.phi_inv, "x": ctx.pres.phi_inv, "pl": ctx.p_l,
-         "al": ctx.pres.alpha, "be": ctx.pres.beta, "gmodi": ctx.g_mod_inv},
+         "al": ctx.pres.alpha, "be": ctx.pres.beta, "gmodi": ctx.g_mod_inv,
+         **fns(ctx, "mu", "mui", "lam")},
         [Fn("mu", r("be"), r("F", 1)),
          Fn("mui", r("Y", 3), r("U", 2), r("al")),
          Fn("mu", r("Y", 1), r("U", 1, 1), r("y", 2, 1), r("x", 1)),
@@ -924,7 +939,7 @@ def _left_coint(ctx, name):
     lhs = _built({"h": VAR, "V": ctx.v_cap, "U": ctx.u_cap},
                  [Hole(r("V", 2), r("h", 1, 2), r("U", 2)),
                   Leg(r("V", 1), r("h", 1, 1), r("U", 1))])
-    rhs = _built({"h": VAR, "x": pres.phi_inv},
+    rhs = _built({"h": VAR, "x": pres.phi_inv, **fns(ctx, "mu")},
                  [Fn("mu", r("x", 1)),
                   Hole(r("h"), S(r("x", 2))),
                   Leg(r("x", 3))])
@@ -965,7 +980,7 @@ def _right_coint(ctx, name):
     lhs = _built({"h": VAR, "A": tensors["A"], "B": tensors["B"]},
                  [Hole(r("A", 1), r("h", 1, 1), r("B", 1)),
                   Leg(r("A", 2), r("h", 1, 2), r("B", 2))])
-    rhs = _built({"h": VAR, "X": pres.phi},
+    rhs = _built({"h": VAR, "X": pres.phi, **fns(ctx, "mu")},
                  [Fn("mu", r("X", 3)),
                   Hole(r("h"), Si(r("X", 2))),
                   Leg(r("X", 1))])
@@ -987,24 +1002,24 @@ def _modular_and_comparison(ctx, name):
     pres = ctx.pres
     t = ctx.t
     return _single({
-        "gmod": _built({"q": ctx.q_r, "t": t, "p": ctx.p_r},
+        "gmod": _built({"q": ctx.q_r, "t": t, "p": ctx.p_r, **fns(ctx, "lam")},
                        [Fn("lam", Si(r("q", 2), r("t", 1, 2), r("p", 2))),
                         Leg(Si(r("q", 1), r("t", 1, 1), r("p", 1)))]),
-        "gmod^-1": _built({"q": ctx.q_r, "t": t, "p": ctx.p_r},
+        "gmod^-1": _built({"q": ctx.q_r, "t": t, "p": ctx.p_r, **fns(ctx, "lam")},
                           [Fn("lam", r("q", 1), r("t", 1, 1), r("p", 1)),
                            Leg(S(r("q", 2), r("t", 1, 2), r("p", 2)))]),
-        "u": _built({"V": ctx.v_cap},
+        "u": _built({"V": ctx.v_cap, **fns(ctx, "mu")},
                     [Fn("mu", r("V", 1)), Leg(op("S2", r("V", 2)))]),
-        "u^-1": _built({"q": ctx.q_r, "g": ctx.f_inv},
+        "u^-1": _built({"q": ctx.q_r, "g": ctx.f_inv, **fns(ctx, "mui")},
                        [Fn("mui", r("q", 1, 2), r("g", 2), S(r("q", 2))),
                         Leg(S(r("q", 1, 1), r("g", 1)))]),
-        "v": _built({"p": ctx.p_r, "f": ctx.f},
+        "v": _built({"p": ctx.p_r, "f": ctx.f, **fns(ctx, "mu")},
                     [Fn("mu", S(r("p", 2)), r("f", 1)),
                      Leg(S(r("p", 1)), r("f", 2))]),
-        "v^-1": _built({"q": ctx.q_r, "g": ctx.f_inv, "be": pres.beta},
+        "v^-1": _built({"q": ctx.q_r, "g": ctx.f_inv, "be": pres.beta, **fns(ctx, "mu")},
                        [Fn("mu", r("be"), r("q", 2), r("g", 1), S(r("q", 1, 2))),
                         Leg(r("g", 2), S(r("q", 1, 1)))]),
-        "d": _built({"pl": ctx.p_l},
+        "d": _built({"pl": ctx.p_l, **fns(ctx, "mui")},
                     [Fn("mui", r("pl", 1)), Leg(op("Si2", r("pl", 2)))]),
     }, name)
 
@@ -1029,26 +1044,27 @@ def _frobenius_elements(ctx, name):
          "xi", "S_mu")
 def _one_sided(ctx, name):
     return _single({
-        "nakayama": _built({"h": VAR},
+        "nakayama": _built({"h": VAR, **fns(ctx, "mu")},
                            [Fn("mu", r("h", 1, 1)), Leg(op("S2", r("h", 1, 2)))]),
-        "nakayama^-1": _built({"h": VAR},
+        "nakayama^-1": _built({"h": VAR, **fns(ctx, "mu")},
                               [Fn("mu", r("h", 1, "C", 2)),
                                Leg(r("h", 1, "C", 1, "Si"))]),
-        "S(t)": _built({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
+        "S(t)": _built({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r, **fns(ctx, "mu")},
                        [Fn("mu", r("q", 2), r("t", 1, 2), r("p", 2)),
                         Leg(r("q", 1), r("t", 1, 1), r("p", 1))]),
-        "S(r)": _built({"q": ctx.q_r, "rr": ctx.r, "p": ctx.p_r},
+        "S(r)": _built({"q": ctx.q_r, "rr": ctx.r, "p": ctx.p_r, **fns(ctx, "mui")},
                        [Fn("mui", r("q", 2), r("rr", 1, 2), r("p", 2)),
                         Leg(r("q", 1), r("rr", 1, 1), r("p", 1))]),
-        "f-mu": _built({"f": ctx.f}, [Fn("mu", r("f", 1)), Leg(r("f", 2))]),
-        "reading-b": _built({"g": ctx.f_inv}, [Fn("mui", r("g", 1)), Leg(r("g", 2))]),
-        "S4": _built({"h": VAR},
+        "f-mu": _built({"f": ctx.f, **fns(ctx, "mu")}, [Fn("mu", r("f", 1)), Leg(r("f", 2))]),
+        "reading-b": _built({"g": ctx.f_inv, **fns(ctx, "mui")},
+                            [Fn("mui", r("g", 1)), Leg(r("g", 2))]),
+        "S4": _built({"h": VAR, **fns(ctx, "mu", "mui")},
                      [Fn("mu", r("h", 1, 1)), Fn("mui", r("h", 1, 2, 2)),
                       Leg(op("S4", r("h", 1, 2, 1)))]),
         "xi": _built({"q": ctx.q_r, "t": ctx.t, "p": ctx.p_r},
                      [Hole(S(r("q", 2), r("t", 1, 2), r("p", 2))),
                       Leg(r("q", 1), r("t", 1, 1), r("p", 1))]),
-        "S_mu": _built({"h": VAR},
+        "S_mu": _built({"h": VAR, **fns(ctx, "mu")},
                        [Fn("mu", r("h", 1, "S", 1)), Leg(r("h", 1, "S", 2))]),
     }, name)
 
@@ -1095,38 +1111,38 @@ def _conditions(ctx, name):
             _built(pick("q t p"),
                    [Hole(r("q", 2), r("t", 1, 2), r("p", 2)),
                     Leg(r("q", 1), r("t", 1, 1), r("p", 1))]),
-            _built(pick("be t"),
+            _built({**pick("be t"), **fns(ctx, "mu")},
                    [Fn("mu", r("be")), Hole(r("t")), Leg()])),
         "left-iii": (
             _built(pick("t p"),
                    [Hole(r("t", 1, 2), r("p", 2)),
                     Leg(r("t", 1, 1), r("p", 1))]),
-            _built(pick("be t be2"),
+            _built({**pick("be t be2"), **fns(ctx, "mu")},
                    [Fn("mu", r("be")), Hole(r("t")), Leg(r("be2"))])),
         "left-iv": (
             _built(pick("t p", {"h": VAR}),
                    [Hole(r("h"), r("t", 1, 2), r("p", 2)),
                     Leg(r("t", 1, 1), r("p", 1))]),
-            _built(pick("be t be2", {"h": VAR}),
+            _built({**pick("be t be2", {"h": VAR}), **fns(ctx, "mu")},
                    [Fn("mu", r("be")), Hole(r("t")),
                     Leg(r("be2"), S(r("h")))])),
         "right-i": (
             _built(pick("ql t pl"),
                    [Hole(r("ql", 1), r("t", 1, 1), r("pl", 1)),
                     Leg(r("ql", 2), r("t", 1, 2), r("pl", 2))]),
-            _built(pick("be t"),
+            _built({**pick("be t"), **fns(ctx, "mui")},
                    [Fn("mui", r("be")), Hole(r("t")), Leg()])),
         "right-ii": (
             _built(pick("t pl"),
                    [Hole(r("t", 1, 1), r("pl", 1)),
                     Leg(r("t", 1, 2), r("pl", 2))]),
-            _built(pick("be t be2"),
+            _built({**pick("be t be2"), **fns(ctx, "mui")},
                    [Fn("mui", r("be")), Hole(r("t")), Leg(Si(r("be2")))])),
         "right-iii": (
             _built(pick("t pl", {"h": VAR}),
                    [Hole(r("h"), r("t", 1, 1), r("pl", 1)),
                     Leg(r("t", 1, 2), r("pl", 2))]),
-            _built(pick("be t be2", {"h": VAR}),
+            _built({**pick("be t be2", {"h": VAR}), **fns(ctx, "mui")},
                    [Fn("mui", r("be")), Hole(r("t")),
                     Leg(Si(r("h"), r("be2")))])),
     }[name]
@@ -1135,24 +1151,24 @@ def _conditions(ctx, name):
 @_module("intcoint", "unimodular-shortcut")
 def _unimodular_shortcut(ctx, name):
     pres = ctx.pres
-    lhs = _built({"t": ctx.t},
+    lhs = _built({"t": ctx.t, **fns(ctx, "lam")},
                  [Fn("lam", r("t", 1, 2)), Leg(r("t", 1, 1))])
-    rhs = _built({"t": ctx.t, "be": pres.beta, "al": pres.alpha},
+    rhs = _built({"t": ctx.t, "be": pres.beta, "al": pres.alpha, **fns(ctx, "lam")},
                  [Fn("lam", r("t")), Leg(r("be"), r("al"))])
     return {}, (lhs, rhs)
 
 
 class Loop:
     """A side the module computed one basis element h at a time, kept as
-    that loop: ``evaluate(ops)`` runs it, reading its functionals from
-    ``ops`` as the parsed side does, and stacks the results along h's index
-    leg (and h' after it, when there is one)."""
+    that loop: ``evaluate(ops)`` runs it, with the functionals of the
+    context the parsed side is bound to, and stacks the results along h's
+    index leg (and h' after it, when there is one)."""
 
-    def __init__(self, run: Callable):
+    def __init__(self, run: Callable[[], TensorElement]):
         self.run = run
 
     def evaluate(self, ops) -> TensorElement:
-        return self.run(ops)
+        return self.run()
 
 
 def _stacked(n: int, per_h) -> TensorElement:
@@ -1175,10 +1191,9 @@ def _integral_spaces(ctx, name):
     identity = TensorElement(2, n, {(j, j): ONE for j in range(n)})
     e = pres.basis_element
     return {}, (
-        Loop(lambda ops: _stacked(n, [_stacked(n, multiplication_operator(
+        Loop(lambda: _stacked(n, [_stacked(n, multiplication_operator(
             pres.mult, e(h), side).columns) for h in range(n)])),
-        Loop(lambda ops: _stacked(n, [identity.scale(ops.functionals.get("eps")(e(h)))
-                                      for h in range(n)])))
+        Loop(lambda: _stacked(n, [identity.scale(pres.counit(e(h))) for h in range(n)])))
 
 
 @_module("intcoint", "t*h", "h*r", "mu-algebra-map", "mu-convolution")
@@ -1187,31 +1202,25 @@ def _integral_rows(ctx, name):
     pres, n = ctx.pres, ctx.pres.dim
     e = pres.basis_element
     t, r = ctx.t, ctx.r
+    fn = fns(ctx, "eps", "mu", "mui")
 
-    def fn(ops, name):
-        return ops.functionals.get(name)
-
-    def convolution(ops, first, second):
-        return _stacked(n, [fn(ops, first)(contract(fn(ops, second),
-                                                    pres.coproduct.apply(e(i)), 1))
+    def convolution(first, second):
+        return _stacked(n, [fn[first](contract(fn[second], pres.coproduct.apply(e(i)), 1))
                             for i in range(n)])
     return {}, {
-        "t*h": (Loop(lambda ops: _stacked(n, multiplication_operator(pres.mult, t,
-                                                                     "left").columns)),
-                Loop(lambda ops: _stacked(n, [t.scale(fn(ops, "mu")(e(i))) for i in range(n)]))),
-        "h*r": (Loop(lambda ops: _stacked(n, multiplication_operator(pres.mult, r,
-                                                                     "right").columns)),
-                Loop(lambda ops: _stacked(n, [r.scale(fn(ops, "mui")(e(i))) for i in range(n)]))),
+        "t*h": (Loop(lambda: _stacked(n, multiplication_operator(pres.mult, t, "left").columns)),
+                Loop(lambda: _stacked(n, [t.scale(fn["mu"](e(i))) for i in range(n)]))),
+        "h*r": (Loop(lambda: _stacked(n, multiplication_operator(pres.mult, r, "right").columns)),
+                Loop(lambda: _stacked(n, [r.scale(fn["mui"](e(i))) for i in range(n)]))),
         "mu-algebra-map": (
-            Loop(lambda ops: _stacked(n, [hit_functional_right(pres, fn(ops, "mu"), e(i))
-                                          for i in range(n)])),
-            Loop(lambda ops: _stacked(n, [
-                _stacked(n, [fn(ops, "mu")(e(i)) * fn(ops, "mu")(e(j)) for j in range(n)])
+            Loop(lambda: _stacked(n, [hit_functional_right(pres, fn["mu"], e(i))
+                                      for i in range(n)])),
+            Loop(lambda: _stacked(n, [
+                _stacked(n, [fn["mu"](e(i)) * fn["mu"](e(j)) for j in range(n)])
                 for i in range(n)]))),
-        "mu-convolution": (Loop(lambda ops: convolution(ops, "mu", "mui")),
-                           Loop(lambda ops: convolution(ops, "mui", "mu")),
-                           Loop(lambda ops: _stacked(n, [fn(ops, "eps")(e(i))
-                                                         for i in range(n)]))),
+        "mu-convolution": (Loop(lambda: convolution("mu", "mui")),
+                           Loop(lambda: convolution("mui", "mu")),
+                           Loop(lambda: _stacked(n, [fn["eps"](e(i)) for i in range(n)]))),
     }[name]
 
 
@@ -1226,25 +1235,22 @@ def _frobenius_rows(ctx, name):
     def chi(phi, h):
         return contract(hit_functional_left(pres, h, phi), big_e, 0)
 
-    def lam(ops):
-        return ops.functionals.get("lam")
+    lam = ctx.lam
     sides = {
-        "chi": (Loop(lambda ops: _stacked(n, [chi(lam(ops), e(h)) for h in range(n)])),),
-        "chi^-1": (Loop(lambda ops: _stacked(n, [
-            contract(hit_functional_right(pres, lam(ops), e(h)), big_e, 1) for h in range(n)])),),
+        "chi": (Loop(lambda: _stacked(n, [chi(lam, e(h)) for h in range(n)])),),
+        "chi^-1": (Loop(lambda: _stacked(n, [
+            contract(hit_functional_right(pres, lam, e(h)), big_e, 1) for h in range(n)])),),
         "centrality": (
-            Loop(lambda ops: _stacked(n, [apply_on_leg(multiplication_operator(
+            Loop(lambda: _stacked(n, [apply_on_leg(multiplication_operator(
                 pres.mult, e(i), "left"), big_e, 0) for i in range(n)])),
-            Loop(lambda ops: _stacked(n, [apply_on_leg(multiplication_operator(
+            Loop(lambda: _stacked(n, [apply_on_leg(multiplication_operator(
                 pres.mult, e(i), "right"), big_e, 1) for i in range(n)]))),
         "nakayama-shift": (
-            Loop(lambda ops: _stacked(n, [hit_functional_left(pres, e(i), lam(ops))
-                                          for i in range(n)])),
-            Loop(lambda ops: _stacked(n, [hit_functional_right(pres, lam(ops),
-                                                               chi(lam(ops), e(i)))
-                                          for i in range(n)]))),
-        "xi^-1": (Loop(lambda ops: _stacked(n, [hit_functional_left(
-            pres, e(j), _compose_functional(lam(ops), ops.operators["Si"])) for j in range(n)])),),
+            Loop(lambda: _stacked(n, [hit_functional_left(pres, e(i), lam) for i in range(n)])),
+            Loop(lambda: _stacked(n, [hit_functional_right(pres, lam, chi(lam, e(i)))
+                                      for i in range(n)]))),
+        "xi^-1": (Loop(lambda: _stacked(n, [hit_functional_left(
+            pres, e(j), _compose_functional(lam, ctx.s_inv)) for j in range(n)])),),
     }
     return ({} if name == "xi^-1" else {"E": big_e}), sides[name]
 
@@ -1313,24 +1319,25 @@ def _double_tables(ctx, name):
 def _double_elements(ctx, name):
     base = ctx
     return _single({
-        "integral": _built({"ea": VAR, "dl": base.delta_el},
+        "integral": _built({"ea": VAR, "dl": base.delta_el, **fns(ctx, "mui", "lam")},
                            [VarIdx("ea"),
                             Fn("mui", r("dl", 2)),
                             Fn("lam", r("ea", 1), r("dl", 1))]),
-        "left-cointegral": _built({"h": VAR, "pl": base.p_l, "f": base.f},
+        "left-cointegral": _built({"h": VAR, "pl": base.p_l, "f": base.f,
+                                   **fns(ctx, "mu", "mui", "lam")},
                                   [VarIdx("h"),
                                    Fn("mu", r("pl", 1)), Fn("mui", r("f", 1)),
                                    Fn("lam", Si(r("f", 2)), r("h", 1), S(r("pl", 2)))]),
-        "modular": _built({"g": base.f_inv, "gi": base.g_mod_inv},
+        "modular": _built({"g": base.f_inv, "gi": base.g_mod_inv, **fns(ctx, "mu", "mui")},
                           [Fn("mu", r("g", 1, 1)), Fn("mui", r("g", 2)),
                            Leg(r("g", 1, 2), op("Si2", r("gi")))]),
         "modular-second": _built(
-            {"ql": base.q_l, "g": base.f_inv, "pl": base.p_l},
+            {"ql": base.q_l, "g": base.f_inv, "pl": base.p_l, **fns(ctx, "mu", "mui")},
             [Fn("mu", r("ql", 1), r("g", 1)),
              Fn("mui", r("pl", 1)),
              Fn("mui", r("g", 2, "Si", 1), r("ql", 2, "Si", 1)),
              Leg(r("g", 2, "Si", 2), r("ql", 2, "Si", 2), r("pl", 2))]),
-        "unimodular-conjecture": _built({"dl": base.delta_el},
+        "unimodular-conjecture": _built({"dl": base.delta_el, **fns(ctx, "mui")},
                                         [Fn("mui", r("dl", 2)), Leg(r("dl", 1))]),
     }, name)
 
@@ -1341,10 +1348,9 @@ def _double_two_sided_integral(ctx, name):
     the integral t as T."""
     pres, n, big_t = ctx.pres, ctx.pres.dim, ctx.t
     return {"T": big_t}, (
-        Loop(lambda ops: _stacked(n, multiplication_operator(pres.mult, big_t, "right").columns)),
-        Loop(lambda ops: _stacked(n, multiplication_operator(pres.mult, big_t, "left").columns)),
-        Loop(lambda ops: _stacked(n, [big_t.scale(ops.functionals.get("eps").coords[k])
-                                      for k in range(n)])))
+        Loop(lambda: _stacked(n, multiplication_operator(pres.mult, big_t, "right").columns)),
+        Loop(lambda: _stacked(n, multiplication_operator(pres.mult, big_t, "left").columns)),
+        Loop(lambda: _stacked(n, [big_t.scale(pres.counit.coords[k]) for k in range(n)])))
 
 
 @_module("qha", "q3", "q5-alpha", "q5-beta", "q6-left", "q6-right")

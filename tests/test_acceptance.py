@@ -23,7 +23,6 @@ from quasihopf.intcoint import (antipode_on_integrals, characterization_suite,
 from quasihopf.multilinear import (Functional, LinearOperator, TensorElement,
                                    invert_operator)
 from quasihopf.qha import verify_axioms
-from quasihopf.workbench import catalog_build
 
 
 def report_line(number: int, passed: bool, label: str) -> None:

@@ -10,8 +10,8 @@ from quasihopf.canonical import (REGISTRY, InternalIdentityFailure,
                                  UnknownIdentity, canonical_elements,
                                  check_identity, evaluate_identity,
                                  identity_suite)
-from quasihopf.context import AlgebraContext, get_context
-from quasihopf.exactnum import HALF, ONE, Scalar
+from quasihopf.context import AlgebraContext
+from quasihopf.exactnum import HALF, ONE
 from quasihopf.expr import ExpressionError
 from quasihopf.multilinear import (TensorElement, apply_on_leg, contract,
                                    mult_pointwise, tensor_product)

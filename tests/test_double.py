@@ -14,8 +14,7 @@ from quasihopf.double import (build_double, double_antipode_inverse,
                               trace_form_rank)
 from quasihopf.exactnum import ONE, Scalar, ZERO
 from quasihopf.intcoint import cointegral_residual
-from quasihopf.multilinear import Functional, LinearOperator, TensorElement, \
-    embed_legs, invert_operator
+from quasihopf.multilinear import TensorElement, embed_legs, invert_operator
 from quasihopf.qha import verify_axioms
 from quasihopf.workbench import export_document, import_document
 

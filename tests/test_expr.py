@@ -21,9 +21,9 @@ from quasihopf.canonical import FORMS, LETTERS, REGISTRY, _bind, _bind_all, pars
 from quasihopf.context import AlgebraContext, get_context
 from quasihopf.double import build_double, double_integral
 from quasihopf.exactnum import ONE
-from quasihopf.expr import VAR, AlgebraOps, Expression, ExpressionError, Leg, Op
+from quasihopf.expr import FN, VAR, AlgebraOps, Expression, ExpressionError, Fn, Leg, Op
 from quasihopf.intcoint import cointegral_space
-from quasihopf.multilinear import TensorElement
+from quasihopf.multilinear import Functional, LinearOperator, TensorElement, columns_of
 from quasihopf.workbench import catalog_build
 from ref_evaluate import ref_evaluate
 from ref_registry import REF, REF_FORMS, REF_MODULES, REF_OPERATORS
@@ -64,12 +64,12 @@ def _spelled(outputs) -> list:
 
 def test_parse_reads_the_grammar():
     """Each construct of the grammar maps onto its part of an Expression;
-    the variables come first, in declaration order, then the letters in
-    the order they first appear."""
-    letters = {"h": VAR, "h'": VAR, "X": 3, "x": 3, "t": 1}
+    the variables come first, in declaration order, then the letters,
+    functionals included, in the order they first appear."""
+    letters = {"h": VAR, "h'": VAR, "X": 3, "x": 3, "t": 1, "mu": FN, "lam": FN}
     side = Expression.parse("mu(h') X1 S(x3)_1 x x1 Si(X3_11 h_21) x X2 x2 S(x3)_2 X3_12 h_22 "
                             "x t S2(X3_2 h_1) x 1", letters)
-    assert list(side.sources) == ["h", "h'", "X", "x", "t"]
+    assert list(side.sources) == ["h", "h'", "mu", "X", "x", "t"]
     assert _spelled(side.outputs) == [
         ("Fn", "mu", ("h'",)),
         ("Leg", None, ("X1", "S(x3)_1")),
@@ -163,12 +163,12 @@ def test_planned_evaluation_matches_reference_in_constructions(h2, h8p, against_
         assert any(e.outputs is side.outputs for e in against_reference), side.outputs
 
 
-def test_context_ops_read_only_the_functionals_a_formula_names(h8p):
-    """``ctx.ops`` reads each functional from its context when a formula
-    names it: on a fresh context a side that reads mu builds the integral
-    data but no cointegral data, and a side that reads only eps builds
-    neither.  The view holds its context weakly, so a dropped context is
-    freed without the cycle collector."""
+def test_binding_reads_only_the_functionals_a_formula_names(h8p):
+    """Binding a side reads each functional letter it names from the
+    context, and no other: on a fresh context a side that reads mu builds
+    the integral data but no cointegral data, and a side that reads only
+    eps builds neither.  Nothing the evaluation keeps holds the context,
+    so a dropped context is freed without the cycle collector."""
     ctx = AlgebraContext(h8p)
     _bind(ctx, intcoint.FORMS["f-mu"][0]).evaluate(ctx.ops)
     assert "integral_data" in ctx._memo and "cointegral_data" not in ctx._memo
@@ -182,6 +182,52 @@ def test_context_ops_read_only_the_functionals_a_formula_names(h8p):
         assert freed() is None
     finally:
         gc.enable()
+
+
+def test_functional_bound_by_keyword_wins_over_the_contexts_own(h8p):
+    """A functional passed by keyword is bound in place of the context's:
+    on a fresh context, chi of the left Frobenius system bound with that
+    system's phi as lam is its Nakayama automorphism, and no cointegral
+    data is built until ``ctx.lam`` is read, which is another functional."""
+    left = get_context(h8p).frobenius("left")
+    ctx = AlgebraContext(h8p)
+    (chi,) = _bind_all(ctx, intcoint.FORMS["chi"], E=left.e, lam=left.phi)
+    assert chi.sources["lam"] is left.phi
+    assert LinearOperator(h8p.dim, columns_of(chi.evaluate(ctx.ops))) == left.nakayama
+    assert "cointegral_data" not in ctx._memo
+    assert ctx.lam != left.phi
+    assert "cointegral_data" in ctx._memo
+
+
+def test_binding_checks_the_kind_of_each_letter(h8p):
+    """A tensor bound to a functional letter, or a functional to a tensor
+    letter, is refused; so is a call of a name no letter declares a
+    functional, and a functional letter written as a factor."""
+    ctx = get_context(h8p)
+    (gmod,) = intcoint.FORMS["gmod"]
+    for letter, value, message in (("lam", ctx.t, "a rank 1 tensor, expected a functional"),
+                                   ("t", ctx.lam, "a functional, expected a rank 1 tensor")):
+        with pytest.raises(ExpressionError, match=f"'{letter}' bound to {message}$"):
+            _bind(ctx, gmod, **{letter: value})
+    with pytest.raises(ExpressionError, match="unknown operator or functional: 'foo\\('"):
+        parse("foo(h) t")
+    with pytest.raises(ExpressionError, match="functional as a factor: 'lam'"):
+        parse("lam h")
+
+
+def test_every_functional_slot_binds_to_a_functional(h8p):
+    """Every Fn slot of every parsed side of ``canonical``, ``intcoint``,
+    ``double`` and ``qha`` names a letter that binds to a Functional on
+    H8+."""
+    ctx = get_context(h8p)
+    slots = 0
+    for label, side in _parsed_sides().items():
+        bound = _bound_to(ctx, side)
+        for out in bound.outputs:
+            if isinstance(out, Fn):
+                assert isinstance(bound.sources[out.functional], Functional), label
+                slots += 1
+    assert slots > 50
 
 
 @pytest.fixture
@@ -308,15 +354,13 @@ def test_module_formulas_match_hand_built_reference(name, d2, peak_support):
     ctx = _context(name, d2)
     assert set(REF_MODULES) == {(module, form) for module, mod in MODULES.items()
                                 for form in mod.FORMS}
-    for functional in ("mu", "mui", "lam", "Lam"):      # built before any peak is read
-        ctx.ops.functionals.get(functional)
+    ctx.mu, ctx.mu_inv, ctx.lam, ctx.big_lam            # built before any peak is read
     for (module, form), build in REF_MODULES.items():
         tensors, refs = build(ctx)
         ops = ctx.ops
         if (module, form) in REF_OPERATORS:
             ops = AlgebraOps(ops.dim, ops.mult, ops.unit, ops.coproduct,
-                             {**ops.operators, **REF_OPERATORS[module, form](ctx)},
-                             ops.functionals)
+                             {**ops.operators, **REF_OPERATORS[module, form](ctx)})
         parsed = _bind_all(ctx, MODULES[module].FORMS[form], **tensors)
         for i, (side, ref) in enumerate(zip(parsed, refs, strict=True)):
             label = f"{module}.{form}[{i}]"
@@ -537,8 +581,7 @@ def test_unknown_operator_on_a_single_route_side_raises(h2):
     """A side whose graph has one route still names an operator that the
     algebra does not have, before any kernel runs."""
     ctx = get_context(h2)
-    bare = AlgebraOps(ctx.pres.dim, ctx.pres.mult, ctx.pres.unit, ctx.pres.coproduct,
-                      functionals=ctx.ops.functionals)
+    bare = AlgebraOps(ctx.pres.dim, ctx.pres.mult, ctx.pres.unit, ctx.pres.coproduct)
     checked = 0
     for label, side in _parsed_sides().items():
         graph = expr._Graph(side)

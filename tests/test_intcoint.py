@@ -8,6 +8,7 @@ import sys
 
 import pytest
 
+import quasihopf.expr as expr
 import quasihopf.multilinear as multilinear
 
 from quasihopf.canonical import evaluate_identity
@@ -16,13 +17,13 @@ from quasihopf.exactnum import HALF, ONE, Scalar, ZERO
 from quasihopf.intcoint import (DimensionNotOne, characterization_suite,
                                 coaction_report, cointegral_residual,
                                 cointegral_space, comparison_elements,
-                                dual_coactions, frobenius_system, integral_report,
+                                frobenius_system, integral_report,
                                 integral_space, is_unimodular,
                                 nakayama_report, s4_display_readings,
                                 s4_suite, s_mu_operator, solve_condition,
                                 verify_frobenius, xi_report, antipode_on_integrals)
 from quasihopf.multilinear import Functional, LinearOperator, TensorElement, \
-    contract, mult_pointwise, tensor_product
+    contract, mult_pointwise
 
 
 def omega_scalar(sign: int) -> Scalar:
@@ -424,3 +425,24 @@ def test_integral_report_multiplies_by_no_basis_element(request, monkeypatch, na
     report = integral_report(AlgebraContext(pres))
     assert report.passed()
     assert len(calls) <= 3, calls
+
+
+@pytest.mark.parametrize("name", ["H8+", "H2"])
+def test_integral_report_builds_at_most_four_algebra_ops(request, monkeypatch, name):
+    """A Frobenius functional is bound to the letter lam as a tensor is
+    bound to its letter, so no row needs an AlgebraOps of its own: on a
+    fresh context of an algebra validated when it was built,
+    integral_report builds at most 4 (the context's, one per integral
+    space and that of H^cop, which the right cointegrals are solved on)."""
+    pres = request.getfixturevalue({"H8+": "h8p", "H2": "h2"}[name])
+    built = []
+    init = expr.AlgebraOps.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(expr.AlgebraOps, "__init__", counting)
+    report = integral_report(AlgebraContext(pres))
+    assert report.passed()
+    assert len(built) <= 4, built

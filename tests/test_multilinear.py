@@ -224,7 +224,7 @@ def test_expression_leg_bookkeeping_matches_kernels(name):
     """Merges, splits, contractions and operators planned by ``Expression``
     agree with the public leg-wise functions on random sparse tensors."""
     from quasihopf.context import get_context
-    from quasihopf.expr import AlgebraOps, Expression, Fn, Leg
+    from quasihopf.expr import Expression, Fn, Leg
     from quasihopf.workbench import catalog_build
     from ref_registry import Si, r
 
@@ -248,19 +248,17 @@ def test_expression_leg_bookkeeping_matches_kernels(name):
         assert ab.evaluate(ops) == mult_pointwise(pres.mult, a, b)
         # the Fn slot pulls A before B, so each merge B * A finds its second
         # factor's leg first
-        ba = Expression({"A": tensor_product(a, pres.unit), "B": b},
+        ba = Expression({"A": tensor_product(a, pres.unit), "B": b, "eps": pres.counit},
                         [Fn("eps", r("A", 3)),
                          Leg(r("B", 1), r("A", 1)), Leg(r("B", 2), r("A", 2))])
         assert ba.evaluate(ops) == mult_pointwise(pres.mult, b, a)
         # a split followed by a contraction of either coproduct leg
         delta = pres.coproduct.apply(x)
-        with_f = AlgebraOps(n, pres.mult, pres.unit, pres.coproduct, ops.operators,
-                            {"eps": pres.counit, "f": f})
         for fname, fn in (("eps", pres.counit), ("f", f)):
-            first = Expression({"x": x}, [Fn(fname, r("x", 1, 1)), Leg(r("x", 1, 2))])
-            second = Expression({"x": x}, [Leg(r("x", 1, 1)), Fn(fname, r("x", 1, 2))])
-            assert first.evaluate(with_f) == contract(fn, delta, 0)
-            assert second.evaluate(with_f) == contract(fn, delta, 1)
+            first = Expression({"x": x, fname: fn}, [Fn(fname, r("x", 1, 1)), Leg(r("x", 1, 2))])
+            second = Expression({"x": x, fname: fn}, [Leg(r("x", 1, 1)), Fn(fname, r("x", 1, 2))])
+            assert first.evaluate(ops) == contract(fn, delta, 0)
+            assert second.evaluate(ops) == contract(fn, delta, 1)
         # an operator on one leg
         s_inv = ops.operators["Si"]
         assert (Expression({"t": t}, [Leg(Si(r("t", 1))), Leg(r("t", 2))]).evaluate(ops)

@@ -8,9 +8,9 @@ import dataclasses
 import pytest
 
 from conftest import all_mutations, constant_mutations, mutate_presentation, relabelled
-from quasihopf import context, intcoint, multilinear, qha
+from quasihopf import intcoint, multilinear, qha
 from quasihopf.context import AlgebraContext, get_context
-from quasihopf.exactnum import HALF, ONE, Scalar, ZERO
+from quasihopf.exactnum import HALF, ONE, Scalar
 from quasihopf.expr import VAR, AlgebraOps, Expression, Leg
 from quasihopf.multilinear import (Functional, TensorElement, apply_on_leg, contract,
                                    row_rank, tensor_product)
@@ -441,7 +441,7 @@ def test_variant_contexts_take_what_they_share_with_h(name, d2, monkeypatch):
         monkeypatch.setattr(module, fname, lambda *args: calls.append(fname) or original(*args))
 
     counting(intcoint, "solve_constraints")
-    for module in (qha, intcoint, context):
+    for module in (qha, intcoint):
         counting(module, "invert_operator")
     shared = {}
     for which in ("op", "cop", "opcop"):

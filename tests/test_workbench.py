@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quasihopf import canonical, cli, context, double, expr, intcoint, qha
+from quasihopf import canonical, cli, double, expr, intcoint, qha
 from quasihopf.cli import main as cli_main
 from quasihopf.context import get_context
 from quasihopf.exactnum import FIELD_Q, FIELD_QI, ParseError
@@ -213,11 +213,22 @@ def _h2_with_5000_digit_denominator(doc: dict) -> str:
     return "$.unit[1]"
 
 
+def _h2_with_long_imaginary_part(doc: dict) -> str:
+    doc["counit"][1] = "1+" + "2" * 3000 + "*i"
+    return "$.counit[1]"
+
+
+def _h2_with_long_unknown_key(doc: dict) -> str:
+    doc["k" * 3000] = 1
+    return "$." + "k" * 60 + "... (3000 characters)"         # the key's first 60 characters
+
+
 LOOSE_DOCUMENTS = [
     _h2_with_bool_index, _h2_with_zero_imaginary_part, _h2_with_imaginary_part,
     _h2_with_duplicate_entry, _h2_with_bool_dim, _h2_with_list_field,
     _h2_with_superscript_digit, _h2_with_unknown_key, _h2_with_arabic_indic_digit,
-    _h2_with_5000_digit_numerator, _h2_with_5000_digit_denominator]
+    _h2_with_5000_digit_numerator, _h2_with_5000_digit_denominator,
+    _h2_with_long_imaginary_part, _h2_with_long_unknown_key]
 
 
 def _not_utf8(doc: dict) -> tuple[str, bytes]:
@@ -228,7 +239,12 @@ def _nested_200000_deep(doc: dict) -> tuple[str, bytes]:
     return "$", b"[" * 200_000 + b"]" * 200_000
 
 
-@pytest.mark.parametrize("corrupt", [*LOOSE_DOCUMENTS, _not_utf8, _nested_200000_deep])
+def _5000_digit_json_integer(doc: dict) -> tuple[str, bytes]:
+    return "$", render_document(doc).replace('"dim": 2', '"dim": ' + "1" * 5000).encode()
+
+
+@pytest.mark.parametrize("corrupt", [*LOOSE_DOCUMENTS, _not_utf8, _nested_200000_deep,
+                                     _5000_digit_json_integer])
 def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
     """A bool index or dim, an imaginary part in a Q document (even
     ``+0*i``), a repeated sparse key, a field that is not a string, a key
@@ -236,9 +252,12 @@ def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
     ASCII and one with more digits than the interpreter converts to an int
     are refused on import with the JSON path of the offending value,
     instead of being read as 0 or 1, as rational, summed, ignored or
-    failing with a TypeError or ValueError.  A file that is not UTF-8, or
-    nests deeper than the JSON parser recurses, is refused at ``$`` (a
-    corruption that returns bytes replaces the whole file)."""
+    failing with a TypeError or ValueError.  A file that is not UTF-8,
+    nests deeper than the JSON parser recurses or writes an integer with
+    more digits than the interpreter converts, is refused at ``$`` (a
+    corruption that returns bytes replaces the whole file).  The error is
+    one short line: a long scalar or key is quoted by its first 60
+    characters and its length."""
     doc = export_document(h2)
     found = corrupt(doc)
     path_of_value, text = found if type(found) is tuple else (found, render_document(doc).encode())
@@ -247,6 +266,7 @@ def test_cli_rejects_loose_documents(tmp_path, h2, capsys, corrupt):
     assert cli_main(["verify", str(path), "--suite", "axioms"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and f"(at {path_of_value})" in err
+    assert len(err) <= 300 and err.count("\n") == 1, err
     with pytest.raises(SchemaError) as exc:
         load_path(str(path))
     assert exc.value.path == path_of_value
@@ -453,7 +473,7 @@ def test_cli_integrals_and_cointegrals_solve_each_space_once(tmp_path, monkeypat
         monkeypatch.setattr(module, name, count)
 
     counting(intcoint, "solve_constraints")
-    for module in (qha, intcoint, context):
+    for module in (qha, intcoint):
         counting(module, "invert_operator")
     path = tmp_path / "H8+.json"
     assert cli_main(["export", "catalog:H8+", str(path)]) == 0
